@@ -2,7 +2,7 @@
 """Run the full experiment battery into per-study output directories.
 
 Usage:
-    python scripts/run_all_studies.py [outdir] [--threads N]
+    python scripts/run_all_studies.py [outdir]
 
 Each shipped config under scripts/configs/ runs through the CLI; the script
 exits nonzero if any study's assertions fail.  The denoise config is skipped
@@ -21,7 +21,6 @@ CONFIG_DIR = Path(__file__).parent / "configs"
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("outdir", nargs="?", default="study_output")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     root = Path(args.outdir)
@@ -33,9 +32,7 @@ def main() -> int:
         out = root / cfg.stem
         out.mkdir(exist_ok=True)
         print(f"== {cfg.stem} ==")
-        code = cli_main(
-            ["--config", str(cfg), "--out", str(out), "--threads", str(args.threads)]
-        )
+        code = cli_main(["--config", str(cfg), "--out", str(out)])
         if code != 0:
             failures.append(cfg.stem)
     if failures:

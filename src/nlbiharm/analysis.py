@@ -9,7 +9,6 @@ report worst-case slacks of the energy inequalities.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -339,7 +338,6 @@ def nonlocal_to_local_study(
     kernel: Kernel,
     eps_list: Sequence[float],
     cfg: StepperConfig,
-    workers: int = 1,
     allow_non_monotone: bool = False,
 ) -> StudyReport:
     """Sup-over-time L^p distance between rescaled nonlocal runs and the
@@ -361,18 +359,9 @@ def nonlocal_to_local_study(
     cfg = replace(cfg, record_every=1)
     local = local_evolve(u0, cfg)
 
-    def run_eps(eps: float) -> Trajectory:
-        st = discretize(rescale(kernel, eps), spec)
-        return evolve(u0, st, cfg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(run_eps, eps_list))
-    else:
-        trajectories = [run_eps(eps) for eps in eps_list]
-
     errors = []
-    for traj in trajectories:
+    for eps in eps_list:
+        traj = evolve(u0, discretize(rescale(kernel, eps), spec), cfg)
         if traj.state_steps != local.state_steps:
             raise ValueError("recording schedules of the two solvers do not match")
         sup = 0.0

@@ -222,7 +222,7 @@ def _emit(report: StudyReport, outdir: Path, filename: str) -> bool:
     return report.all_passed()
 
 
-def _run_evolve(cfg, outdir, workers) -> bool:
+def _run_evolve(cfg, outdir) -> bool:
     _, spec, st = _domain_and_stencil(cfg)
     u0 = _initial_state(cfg, spec)
     traj = evolve(u0, st, cfg.stepper_config())
@@ -230,7 +230,7 @@ def _run_evolve(cfg, outdir, workers) -> bool:
     return _emit(energy_audit(traj), outdir, "audit.csv")
 
 
-def _run_decay(cfg, outdir, workers) -> bool:
+def _run_decay(cfg, outdir) -> bool:
     _, spec, st = _domain_and_stencil(cfg)
     u0 = _initial_state(cfg, spec)
     scfg = cfg.stepper_config()
@@ -265,7 +265,7 @@ def _run_decay(cfg, outdir, workers) -> bool:
     return _emit(report, outdir, "decay_fit.csv")
 
 
-def _run_consistency(cfg, outdir, workers) -> bool:
+def _run_consistency(cfg, outdir) -> bool:
     if not cfg.epsilon_list:
         raise ConfigError("consistency needs epsilon_list", key="epsilon_list")
     kern = get_kernel(cfg.kernel, cfg.dim)
@@ -290,20 +290,18 @@ def _run_consistency(cfg, outdir, workers) -> bool:
     return _emit(report, outdir, "study.csv")
 
 
-def _run_converge(cfg, outdir, workers) -> bool:
+def _run_converge(cfg, outdir) -> bool:
     if not cfg.epsilon_list:
         raise ConfigError("converge needs epsilon_list", key="epsilon_list")
     kern = get_kernel(cfg.kernel, cfg.dim)
     box = [(cfg.box_lo, cfg.box_hi)] * cfg.dim
     spec = make_domain(cfg.dim, box, cfg.nx, kern, max(cfg.epsilon_list))
     u0 = _initial_state(cfg, spec)
-    report = nonlocal_to_local_study(
-        u0, cfg.p, kern, cfg.epsilon_list, cfg.stepper_config(), workers=workers
-    )
+    report = nonlocal_to_local_study(u0, cfg.p, kern, cfg.epsilon_list, cfg.stepper_config())
     return _emit(report, outdir, "study.csv")
 
 
-def _run_poincare(cfg, outdir, workers) -> bool:
+def _run_poincare(cfg, outdir) -> bool:
     kern = get_kernel(cfg.kernel, cfg.dim)
     box = [(cfg.box_lo, cfg.box_hi)] * cfg.dim
     rows = []
@@ -330,7 +328,7 @@ def _run_poincare(cfg, outdir, workers) -> bool:
     return _emit(report, outdir, "study.csv")
 
 
-def _run_contraction(cfg, outdir, workers) -> bool:
+def _run_contraction(cfg, outdir) -> bool:
     _, spec, st = _domain_and_stencil(cfg)
     rng = np.random.default_rng(cfg.seed)
     u0_a = zero_extend(rng.standard_normal(spec.nx), spec)
@@ -348,7 +346,7 @@ def _total_variation(values: np.ndarray) -> float:
     return total
 
 
-def _run_denoise(cfg, outdir, workers) -> bool:
+def _run_denoise(cfg, outdir) -> bool:
     if not cfg.input:
         raise ConfigError("denoise needs an input PGM path", key="input")
     kern = get_kernel(cfg.kernel, 2)
@@ -389,7 +387,7 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, outdir, cfg_path=None, workers: int = 1) -> int:
+def run(cfg: ExperimentConfig, outdir, cfg_path=None) -> int:
     """Dispatch a validated config; returns the process exit code."""
     outdir = Path(outdir)
     if not outdir.is_dir():
@@ -398,7 +396,7 @@ def run(cfg: ExperimentConfig, outdir, cfg_path=None, workers: int = 1) -> int:
     try:
         if cfg_path is not None:
             _write_manifest(cfg_path, outdir, cfg.command)
-        passed = _RUNNERS[cfg.command](cfg, outdir, workers)
+        passed = _RUNNERS[cfg.command](cfg, outdir)
     except ConfigError as err:
         print(f"ERROR CONFIG {err}")
         return 2
@@ -526,14 +524,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", required=True, help="output directory (must exist)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="workers for independent runs inside a study")
+                        help="accepted for compatibility and ignored: studies run serially")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
     except ConfigError as err:
         print(f"ERROR CONFIG {err}")
         return 2
-    return run(cfg, args.out, cfg_path=args.config, workers=max(1, args.threads))
+    return run(cfg, args.out, cfg_path=args.config)
 
 
 if __name__ == "__main__":

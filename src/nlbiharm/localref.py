@@ -13,41 +13,40 @@ import numpy as np
 
 from .grid import DomainSpec, Field
 from .kernel import Stencil
-from .nlop import apply_offset_stencil, check_exponent, p_flux_values
+from .nlop import NonlocalOperator, check_exponent, p_flux_values
 from .stepper import StepperConfig, Trajectory, evolve
 
 
-class LocalOperator:
-    """3-point (1D) / 5-point (2D) Laplacian with two-layer zero extension.
+class LocalOperator(NonlocalOperator):
+    """3-point (1D) / 5-point (2D) Laplacian with two-layer zero extension:
+    the nonlocal operator with nearest-neighbour weights 1/dx^2.
 
-    Steps are minimized by damped Newton on banded matrices: the clamped
-    bi-Laplacian step Hessian conditions like h/dx^4 and defeats first-order
-    inner solvers at fine grids, while its small bandwidth makes direct
-    factorization cheap.  Pass ``inner_solver="bb"`` to force the
-    gradient-based minimizer of the nonlocal path instead (exponents two and
-    above; below two every operator with a sparse matrix uses the reweighted
-    solver).
+    The step energy integrates |Delta_h u|^p over the padded domain, exactly
+    like the nonlocal energy.  On the zero extension the operator is nonzero
+    one layer outside the box, and that wall-flux term (value u/dx^2,
+    quadrature weight dx^dim) penalizes the normal derivative at rate 1/dx,
+    which selects the clamped rather than the hinged plate as dx -> 0.
+
+    Steps at exponents two and above are minimized by damped Newton on banded
+    matrices: the clamped bi-Laplacian step Hessian conditions like h/dx^4
+    and defeats first-order inner solvers at fine grids, while its small
+    bandwidth makes direct factorization cheap.
     """
 
     name = "local"
+    inner_solver = "newton"
 
-    def __init__(self, spec: DomainSpec, inner_solver: str = "newton"):
+    def __init__(self, spec: DomainSpec):
         if spec.pad_cells < 2:
             raise ValueError(
                 f"local operator needs two ghost layers, got pad_cells = {spec.pad_cells}"
             )
-        if inner_solver not in ("newton", "bb"):
-            raise ValueError(f"inner_solver must be newton or bb, got {inner_solver!r}")
-        self.inner_solver = inner_solver
-        self.spec = spec
-        w = 1.0 / spec.dx**2
         if spec.dim == 1:
             offsets = np.array([[-1], [1]], dtype=np.int64)
         else:
             offsets = np.array([[-1, 0], [1, 0], [0, -1], [0, 1]], dtype=np.int64)
-        weights = np.full(len(offsets), w)
-        # same carrier type as the nonlocal stencil; diag tracks the weight sum
-        self.stencil = Stencil(
+        weights = np.full(len(offsets), 1.0 / spec.dx**2)
+        stencil = Stencil(
             offsets=offsets,
             weights=weights,
             dx=spec.dx,
@@ -55,56 +54,7 @@ class LocalOperator:
             diag=float(weights.sum()),
             half_moment=0.5 * float(np.sum(weights * (spec.dx) ** 2)),
         )
-        # The step energy integrates |Delta_h u|^p over the padded domain,
-        # exactly like the nonlocal energy.  On the zero extension the
-        # operator is nonzero one layer outside the box, and that wall-flux
-        # term (value u/dx^2, quadrature weight dx^dim) penalizes the normal
-        # derivative at rate 1/dx, which is what selects the clamped rather
-        # than the hinged plate in the dx -> 0 limit.  Restricting the energy
-        # to the interior box drops the penalty and yields the hinged
-        # operator, whose evolution the rescaled nonlocal runs move away
-        # from as eps shrinks.
-        self.energy_mask = None
-        self._restricted = None
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return apply_offset_stencil(values, self.stencil.offsets, self.stencil.weights)
-
-    def norm_bound(self) -> float:
-        """Gershgorin bound 4 * dim / dx^2 on the operator norm."""
-        return 4.0 * self.spec.dim / self.spec.dx**2
-
-    def restricted_matrix(self):
-        """Sparse matrix of (zero-extend, apply) : interior values -> operator
-        values at every padded node (rows beyond one layer are empty)."""
-        if self._restricted is None:
-            import scipy.sparse
-
-            spec = self.spec
-            n = spec.n_interior
-            n_pad = int(np.prod(spec.padded_shape))
-            pad_idx = np.arange(n_pad).reshape(spec.padded_shape)
-            interior_rows = pad_idx[spec.interior_slices].ravel()
-            col_idx = np.arange(n).reshape(spec.nx)
-            rows = [interior_rows]
-            cols = [np.arange(n)]
-            vals = [np.full(n, -2.0 * spec.dim / spec.dx**2)]
-            w = 1.0 / spec.dx**2
-            pc = spec.pad_cells
-            for d in self.stencil.offsets:
-                # row node i = interior col node + (-d), for all interior cols
-                row_slices = tuple(
-                    slice(pc - int(d[a]), pc - int(d[a]) + spec.nx[a])
-                    for a in range(spec.dim)
-                )
-                rows.append(pad_idx[row_slices].ravel())
-                cols.append(col_idx.ravel())
-                vals.append(np.full(n, w))
-            self._restricted = scipy.sparse.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n_pad, n),
-            )
-        return self._restricted
+        super().__init__(stencil, spec)
 
 
 def local_laplacian(u: Field) -> Field:

@@ -31,20 +31,6 @@ def _slice_pair(shape, offset):
     return tuple(src), tuple(dst)
 
 
-def apply_offset_stencil(values: np.ndarray, offsets, weights) -> np.ndarray:
-    """Evaluate sum_d w_d (f(i+d) - f(i)) with truncation at the array edge."""
-    out = np.zeros_like(values)
-    shape = values.shape
-    for d, w in zip(offsets, weights):
-        if not np.any(d):
-            continue
-        src, dst = _slice_pair(shape, d)
-        diff = values[src] - values[dst]
-        diff *= w
-        out[dst] += diff
-    return out
-
-
 class NonlocalOperator:
     """Matrix-free nonlocal Laplacian bound to one stencil and one grid."""
 
@@ -64,8 +50,6 @@ class NonlocalOperator:
             for d, w in zip(stencil.offsets, stencil.weights)
             if np.any(d)
         ]
-        # energy of the evolution integrates over the whole padded domain
-        self.energy_mask = None
         self._restricted = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -82,8 +66,8 @@ class NonlocalOperator:
 
     def restricted_matrix(self):
         """Sparse matrix of (zero-extend, apply) : interior values -> operator
-        values at every padded node.  Backs the reweighted inner solver used
-        for exponents below two."""
+        values at every padded node.  Backs the sparse inner-step models
+        (reweighted for exponents below two, Newton for the local stencil)."""
         if self._restricted is None:
             import scipy.sparse
 
@@ -164,33 +148,3 @@ def dirichlet_energy(u: Field, st: Stencil, p: float) -> float:
     op = NonlocalOperator(st, u.spec)
     a = op.apply(u.values)
     return float(u.spec.cell_volume / p * np.sum(np.abs(a) ** p))
-
-
-def dense_operator_matrix(op, max_nodes: int = 6000) -> np.ndarray:
-    """Explicit matrix of an operator on the padded grid; tests only.
-
-    Assembled from the stencil weights by direct index arithmetic, not by
-    applying ``op``, so it is an independent realization of the truncation
-    rule.
-    """
-    spec = op.spec
-    shape = spec.padded_shape
-    n = int(np.prod(shape))
-    if n > max_nodes:
-        raise ValueError(f"dense matrix limited to {max_nodes} nodes, got {n}")
-    offsets = op.stencil.offsets
-    weights = op.stencil.weights
-    mat = np.zeros((n, n))
-    strides = [int(np.prod(shape[a + 1 :])) for a in range(spec.dim)]
-    for flat in range(n):
-        idx = np.unravel_index(flat, shape)
-        for d, w in zip(offsets, weights):
-            if not np.any(d):
-                continue
-            j = [idx[a] + int(d[a]) for a in range(spec.dim)]
-            if any(not (0 <= j[a] < shape[a]) for a in range(spec.dim)):
-                continue
-            jflat = sum(j[a] * strides[a] for a in range(spec.dim))
-            mat[flat, jflat] += w
-            mat[flat, flat] -= w
-    return mat

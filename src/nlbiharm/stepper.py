@@ -3,28 +3,28 @@
 Each implicit step minimizes the per-step functional
 
     E(w) = 1/(2h) int_omega w^2 - 1/h int_omega u_prev w
-           + 1/p int_region |A w|^p
+           + 1/p int_padded |A w|^p
 
 over interior values (the exterior stays pinned at zero), where A is the
 injected operator (nonlocal Laplacian, or the finite-difference Laplacian of
-the local reference solver) and ``region`` is the operator's energy region.
+the local reference solver) and the p-term runs over the whole padded domain.
 The minimizer certifies the step through the Euler-Lagrange residual
 
     (w - u_prev)/h + A(|A w|^(p-2) A w)   restricted to the interior box.
 
-Three inner solvers share the identical functional, Armijo constants, and
-residual certificate, dispatched by regime:
+One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
+backtracks t from t0 until E(x - t d) <= E(x) - c1 t slope, so the functional
+never increases.  A direction rule, picked once per step by regime, supplies
+(d, t0, slope):
 
-* Barzilai-Borwein gradient descent with Armijo backtracking, for the
-  nonlocal operator at p >= 2 (matrix free);
+* Barzilai-Borwein gradient descent, for the nonlocal operator at p >= 2
+  (matrix free): d = g with the BB step length;
 * damped Newton on sparse restricted matrices, for the local reference,
   whose step Hessian conditions like h/dx^4 and defeats first-order descent
   at fine grids;
 * iteratively reweighted least squares for 1 < p < 2, where the flux
   curvature is unbounded at zeros of the operator value and first-order
   descent has unbounded crawl phases.
-
-In every case the functional value never increases along inner iterations.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ class Trajectory:
 
 
 def as_operator(st, spec: DomainSpec):
-    """Accept a Stencil or any object with apply/energy_mask/spec."""
+    """Accept a Stencil or any object with apply/spec (plus restricted_matrix
+    for the sparse direction rules)."""
     if isinstance(st, Stencil):
         return NonlocalOperator(st, spec)
     if not hasattr(st, "apply"):
@@ -154,7 +155,6 @@ class _StepFunctional:
         self.p = p
         self.h = h
         self.vol = spec.cell_volume
-        self.mask = op.energy_mask
         self._full = np.zeros(spec.padded_shape)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
@@ -165,21 +165,15 @@ class _StepFunctional:
     def energy(self, x: np.ndarray):
         """Return (E(x), A x) so the operator value can be reused."""
         a = self.op.apply(self.embed(x))
-        am = a if self.mask is None else a[self.mask]
         quad = (0.5 / self.h) * np.dot(x.ravel(), x.ravel())
         cross = (1.0 / self.h) * np.dot(self.u_prev.ravel(), x.ravel())
-        e = self.vol * (quad - cross) + self.vol / self.p * np.sum(np.abs(am) ** self.p)
-        return float(e), a
+        return float(self.vol * (quad - cross) + self.p_energy(a)), a
 
     def p_energy(self, a: np.ndarray) -> float:
-        am = a if self.mask is None else a[self.mask]
-        return float(self.vol / self.p * np.sum(np.abs(am) ** self.p))
+        return float(self.vol / self.p * np.sum(np.abs(a) ** self.p))
 
     def gradient(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        flux = p_flux_values(a, self.p)
-        if self.mask is not None:
-            flux[~self.mask] = 0.0
-        g2 = self.op.apply(flux)
+        g2 = self.op.apply(p_flux_values(a, self.p))
         return (x - self.u_prev) / self.h + g2[self.spec.interior_slices]
 
     def l2(self, x: np.ndarray) -> float:
@@ -221,25 +215,22 @@ class _StepResult:
 
 
 def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
-    # Below p = 2 the flux curvature is unbounded at zeros of the operator
-    # value and first-order descent has unbounded crawl phases, so steps use
-    # the reweighted (majorize-minimize) solver whenever the operator exposes
-    # its sparse matrix.
-    if p < 2.0 and hasattr(op, "restricted_matrix"):
-        return _irls_minimize(op, spec, u_prev_int, p, h, tol, max_iters)
-    if getattr(op, "inner_solver", "bb") == "newton":
-        return _newton_minimize(op, spec, u_prev_int, p, h, tol, max_iters)
-    return _bb_minimize(op, spec, u_prev_int, p, h, tol, max_iters)
-
-
-def _bb_minimize(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
     fn = _StepFunctional(op, spec, u_prev_int, p, h)
+    # Below p = 2 the flux curvature is unbounded at zeros of the operator
+    # value and first-order descent has unbounded crawl phases, so every such
+    # step uses the reweighted (majorize-minimize) rule.
+    if p < 2.0:
+        label, rule = "reweighted", _irls_rule(fn)
+    elif getattr(op, "inner_solver", "bb") == "newton":
+        label, rule = "Newton", _newton_rule(fn)
+    else:
+        label, rule = "gradient", _bb_rule(fn)
+
     x = np.array(u_prev_int, dtype=float)
     e, a = fn.energy(x)
     g = fn.gradient(x, a)
     res = fn.l2(g)
-    t_prev = h
-    s = y = None
+    t = None
     iters = 0
     while res > tol:
         if iters >= max_iters:
@@ -248,190 +239,113 @@ def _bb_minimize(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
                 f"after {max_iters} inner iterations",
                 residual=res,
             )
-        if s is None:
-            t = h
+        d, t, slope = rule(x, a, g, t)
+        # the allowance absorbs floating-point cancellation in E when the
+        # true decrease per step drops below the resolution of the energy
+        roundoff = 10.0 * np.finfo(float).eps * abs(e)
+        for _ in range(MAX_BACKTRACKS):
+            x_new = x - t * d
+            e_new, a_new = fn.energy(x_new)
+            if e_new <= e - ARMIJO_C1 * t * slope + roundoff:
+                break
+            t *= BACKTRACK_FACTOR
         else:
+            raise InnerSolveFailed(
+                f"{label} line search stalled at residual {res:.3e} "
+                f"(tolerance {tol:.3e})",
+                residual=res,
+            )
+        if not np.any(x_new != x):
+            raise InnerSolveFailed(
+                f"{label} iteration stagnated at residual {res:.3e} "
+                f"(tolerance {tol:.3e})",
+                residual=res,
+            )
+        x, e, a = x_new, e_new, a_new
+        g = fn.gradient(x, a)
+        res = fn.l2(g)
+        iters += 1
+    return _StepResult(interior=x, iters=iters, residual=res, p_energy=fn.p_energy(a))
+
+
+# Direction rules: rule(x, a, g, t_prev) -> (d, t0, slope) at the iterate x
+# with operator value a = A x and gradient g; t_prev is the step accepted at
+# the previous iterate (None at the first).
+
+
+def _bb_rule(fn):
+    """Steepest descent with the Barzilai-Borwein step <s,s>/<s,y>."""
+    x_old = g_old = None
+
+    def rule(x, a, g, t_prev):
+        nonlocal x_old, g_old
+        t = fn.h
+        if x_old is not None:
+            s = x - x_old
+            y = g - g_old
             sy = float(np.dot(s.ravel(), y.ravel()))
             ss = float(np.dot(s.ravel(), s.ravel()))
             t = ss / sy if sy > 0 and np.isfinite(sy) else t_prev
             if not np.isfinite(t) or t <= 0:
-                t = h
-        gg = fn.vol * float(np.dot(g.ravel(), g.ravel()))
-        # the allowance absorbs floating-point cancellation in E when the
-        # true decrease per step drops below the resolution of the energy
-        roundoff = 10.0 * np.finfo(float).eps * abs(e)
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            x_new = x - t * g
-            e_new, a_new = fn.energy(x_new)
-            if e_new <= e - ARMIJO_C1 * t * gg + roundoff:
-                accepted = True
-                break
-            t *= BACKTRACK_FACTOR
-        if not accepted:
-            raise InnerSolveFailed(
-                f"line search stalled at residual {res:.3e} (tolerance {tol:.3e})",
-                residual=res,
-            )
-        if not np.any(x_new != x):
-            raise InnerSolveFailed(
-                f"inner iteration stagnated at residual {res:.3e} "
-                f"(tolerance {tol:.3e})",
-                residual=res,
-            )
-        g_new = fn.gradient(x_new, a_new)
-        s = x_new - x
-        y = g_new - g
-        x, e, g, a = x_new, e_new, g_new, a_new
-        res = fn.l2(g)
-        t_prev = t
-        iters += 1
-    return _StepResult(interior=x, iters=iters, residual=res, p_energy=fn.p_energy(a))
+                t = fn.h
+        x_old, g_old = x, g
+        return g, t, fn.vol * float(np.dot(g.ravel(), g.ravel()))
+
+    return rule
 
 
-def _irls_minimize(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
+def _sparse_model(fn):
+    """theta -> eye/h + A^T diag(theta) A over interior values, from the
+    operator's restricted matrix A."""
+    import scipy.sparse
+
+    mat = fn.op.restricted_matrix()
+    mat_t = mat.T.tocsr()
+    eye = scipy.sparse.identity(mat.shape[1], format="csr")
+    return lambda theta: (eye / fn.h + mat_t @ mat.multiply(theta[:, None])).tocsc()
+
+
+def _irls_rule(fn):
     """Iteratively reweighted least squares for exponents 1 < p < 2.
 
-    Each iteration minimizes the quadratic upper model with frozen weights
-    |A x|^(p-2) (floored for numerical safety), which majorizes the p-term
-    for p < 2, then takes an Armijo-safeguarded step along the resulting
-    direction; the true functional never increases.
+    The quadratic upper model with frozen weights |A x|^(p-2) (floored for
+    numerical safety) majorizes the p-term for p < 2; its minimizer w gives
+    the direction d = x - w with a unit first trial step.
     """
-    import scipy.sparse
     import scipy.sparse.linalg
 
-    fn = _StepFunctional(op, spec, u_prev_int, p, h)
-    mat = op.restricted_matrix()
-    mat_t = mat.T.tocsr()
-    n = mat.shape[1]
-    eye = scipy.sparse.identity(n, format="csr")
-    u_flat = u_prev_int.ravel()
+    model = _sparse_model(fn)
+    rhs = fn.u_prev.ravel() / fn.h
 
-    x = np.array(u_prev_int, dtype=float)
-    e, a = fn.energy(x)
-    g = fn.gradient(x, a)
-    res = fn.l2(g)
-    iters = 0
-    while res > tol:
-        if iters >= max_iters:
-            raise InnerSolveFailed(
-                f"residual {res:.3e} above tolerance {tol:.3e} "
-                f"after {max_iters} inner iterations",
-                residual=res,
-            )
-        if fn.mask is None:
-            mag = np.abs(a.ravel())
-        else:
-            mag = np.zeros(a.size)
-            mag[fn.mask.ravel()] = np.abs(a[fn.mask])
+    def rule(x, a, g, t_prev):
+        mag = np.abs(a.ravel())
         floor = 1e-12 * max(float(mag.max()), 1e-300)
-        theta = np.maximum(mag, floor) ** (p - 2.0)
-        if fn.mask is not None:
-            theta[~fn.mask.ravel()] = 0.0
-        model = eye / h + mat_t @ mat.multiply(theta[:, None])
-        w_model = scipy.sparse.linalg.spsolve(model.tocsc(), u_flat / h)
+        theta = np.maximum(mag, floor) ** (fn.p - 2.0)
+        w_model = scipy.sparse.linalg.spsolve(model(theta), rhs)
         direction = w_model.reshape(x.shape) - x
         gd = fn.vol * float(np.dot(g.ravel(), direction.ravel()))
-        roundoff = 10.0 * np.finfo(float).eps * abs(e)
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            x_new = x + t * direction
-            e_new, a_new = fn.energy(x_new)
-            if e_new <= e + ARMIJO_C1 * t * min(gd, 0.0) + roundoff:
-                accepted = True
-                break
-            t *= BACKTRACK_FACTOR
-        if not accepted:
-            raise InnerSolveFailed(
-                f"reweighted line search stalled at residual {res:.3e} "
-                f"(tolerance {tol:.3e})",
-                residual=res,
-            )
-        if not np.any(x_new != x):
-            raise InnerSolveFailed(
-                f"reweighted iteration stagnated at residual {res:.3e} "
-                f"(tolerance {tol:.3e})",
-                residual=res,
-            )
-        x, e, a = x_new, e_new, a_new
-        g = fn.gradient(x, a)
-        res = fn.l2(g)
-        iters += 1
-    return _StepResult(interior=x, iters=iters, residual=res, p_energy=fn.p_energy(a))
+        return -direction, 1.0, -min(gd, 0.0)
+
+    return rule
 
 
-def _newton_minimize(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
-    """Damped Newton with the same Armijo rule, for operators exposing a
-    sparse restricted matrix.
-
-    The pinned first-order minimizer cannot converge on the clamped
-    bi-Laplacian at fine grids (the per-step Hessian conditioning grows like
-    h/dx^4), so the local reference solves its step functional by Newton
-    directions from banded linear algebra instead.  Energies, gradients, and
-    the residual certificate are evaluated through the identical functional.
-    """
-    import scipy.sparse
+def _newton_rule(fn):
+    """Damped Newton for p >= 2: solve the sparse step Hessian
+    eye/h + A^T diag((p-1)|A x|^(p-2)) A against the gradient."""
     import scipy.sparse.linalg
 
-    fn = _StepFunctional(op, spec, u_prev_int, p, h)
-    mat = op.restricted_matrix()
-    mat_t = mat.T.tocsr()
-    n = mat.shape[1]
-    eye = scipy.sparse.identity(n, format="csr")
+    model = _sparse_model(fn)
 
-    x = np.array(u_prev_int, dtype=float)
-    e, a = fn.energy(x)
-    g = fn.gradient(x, a)
-    res = fn.l2(g)
-    iters = 0
-    while res > tol:
-        if iters >= max_iters:
-            raise InnerSolveFailed(
-                f"residual {res:.3e} above tolerance {tol:.3e} "
-                f"after {max_iters} inner iterations",
-                residual=res,
-            )
-        if fn.mask is None:
-            mag = np.abs(a.ravel())
+    def rule(x, a, g, t_prev):
+        if fn.p == 2.0:
+            curv = np.ones(a.size)
         else:
-            mag = np.zeros(a.size)
-            mag[fn.mask.ravel()] = np.abs(a[fn.mask])
-        if p == 2.0:
-            diag = np.ones_like(mag)
-        else:
-            if p < 2.0:
-                # flux curvature blows up at zeros of the operator value;
-                # the floor keeps the Newton system well posed
-                mag = np.maximum(mag, 1e-10 * max(float(mag.max()), 1.0))
-            diag = (p - 1.0) * mag ** (p - 2.0)
-        if fn.mask is not None:
-            diag[~fn.mask.ravel()] = 0.0
-        hess = eye / h + mat_t @ mat.multiply(diag[:, None])
-        direction = scipy.sparse.linalg.spsolve(hess.tocsc(), -g.ravel())
+            curv = (fn.p - 1.0) * np.abs(a.ravel()) ** (fn.p - 2.0)
+        direction = scipy.sparse.linalg.spsolve(model(curv), -g.ravel())
         direction = direction.reshape(x.shape)
-        gd = fn.vol * float(np.dot(g.ravel(), direction.ravel()))
-        roundoff = 10.0 * np.finfo(float).eps * abs(e)
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            x_new = x + t * direction
-            e_new, a_new = fn.energy(x_new)
-            if e_new <= e + ARMIJO_C1 * t * gd + roundoff:
-                accepted = True
-                break
-            t *= BACKTRACK_FACTOR
-        if not accepted:
-            raise InnerSolveFailed(
-                f"Newton line search stalled at residual {res:.3e} "
-                f"(tolerance {tol:.3e})",
-                residual=res,
-            )
-        x, e, a = x_new, e_new, a_new
-        g = fn.gradient(x, a)
-        res = fn.l2(g)
-        iters += 1
-    return _StepResult(interior=x, iters=iters, residual=res, p_energy=fn.p_energy(a))
+        return -direction, 1.0, -fn.vol * float(np.dot(g.ravel(), direction.ravel()))
+
+    return rule
 
 
 def implicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
@@ -462,10 +376,7 @@ def explicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
     x = u_prev.interior_values
     a = op.apply(fn.embed(x))
     e_prev = fn.p_energy(a)
-    flux = p_flux_values(a, cfg.p)
-    if fn.mask is not None:
-        flux[~fn.mask] = 0.0
-    rhs = -op.apply(flux)[u_prev.spec.interior_slices]
+    rhs = -op.apply(p_flux_values(a, cfg.p))[u_prev.spec.interior_slices]
     x_new = x + cfg.h * rhs
     a_new = op.apply(fn.embed(x_new))
     e_new = fn.p_energy(a_new)

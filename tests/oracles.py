@@ -47,6 +47,34 @@ def dense_nonlocal_matrix(rk, spec):
     return mat
 
 
+def dense_operator_matrix(op, max_nodes=6000):
+    """Explicit matrix of an operator on the padded grid.
+
+    Assembled from the stencil weights by direct index arithmetic, not by
+    applying ``op``, so it is an independent realization of the truncation
+    rule.
+    """
+    spec = op.spec
+    shape = spec.padded_shape
+    n = int(np.prod(shape))
+    if n > max_nodes:
+        raise ValueError(f"dense matrix limited to {max_nodes} nodes, got {n}")
+    mat = np.zeros((n, n))
+    strides = [int(np.prod(shape[a + 1 :])) for a in range(spec.dim)]
+    for flat in range(n):
+        idx = np.unravel_index(flat, shape)
+        for d, w in zip(op.stencil.offsets, op.stencil.weights):
+            if not np.any(d):
+                continue
+            j = [idx[a] + int(d[a]) for a in range(spec.dim)]
+            if any(not (0 <= j[a] < shape[a]) for a in range(spec.dim)):
+                continue
+            jflat = sum(j[a] * strides[a] for a in range(spec.dim))
+            mat[flat, jflat] += w
+            mat[flat, flat] -= w
+    return mat
+
+
 def dense_local_matrix(spec):
     """Padded-grid central-difference Laplacian matrix with zero fill."""
     shape = spec.padded_shape

@@ -201,14 +201,6 @@ class TestNonlocalToLocal:
         assert errs[1] < errs[0]
         assert rep.metadata["pass_errors_decreasing"]
 
-    def test_threaded_matches_serial(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
-        u0 = default_bump(spec)
-        cfg = StepperConfig(p=2.0, h=1e-3, T=5e-3)
-        serial = nonlocal_to_local_study(u0, 2.0, tent1d, [0.4, 0.2], cfg, workers=1)
-        threaded = nonlocal_to_local_study(u0, 2.0, tent1d, [0.4, 0.2], cfg, workers=4)
-        assert [r[1] for r in serial.rows] == [r[1] for r in threaded.rows]
-
 
 class TestContraction:
     def test_identical_states_stay_identical(self, domain64, stencil64):

@@ -18,9 +18,9 @@ from nlbiharm import (
     rescale,
     zero_extend,
 )
-from nlbiharm.nlop import dense_operator_matrix, p_flux_values
+from nlbiharm.nlop import p_flux_values
 
-from oracles import dense_nonlocal_matrix, extension_matrix
+from oracles import dense_nonlocal_matrix, dense_operator_matrix, extension_matrix
 
 
 class TestNonlocalLaplacian:

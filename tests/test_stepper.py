@@ -23,6 +23,7 @@ from nlbiharm.stepper import (
     _minimize_step,
     explicit_stability_limit,
 )
+from nlbiharm.localref import LocalOperator
 from nlbiharm.nlop import NonlocalOperator
 
 from oracles import (
@@ -165,11 +166,15 @@ class TestImplicitStep:
         tol = 1e-8 * max(1.0, lp_norm(u, 2, "omega"))
         assert lp_norm(g, 2, "omega") <= tol
 
-    def test_failure_reports_residual(self, domain16, stencil16, rng):
-        c = cfg(p=2.0, h=1e-3, inner_max_iters=2)
+    @pytest.mark.parametrize(
+        "p,local", [(3.0, False), (1.5, False), (3.0, True)], ids=["bb", "irls", "newton"]
+    )
+    def test_failure_reports_residual(self, domain16, stencil16, rng, p, local):
+        c = cfg(p=p, h=1e-3, inner_max_iters=2)
+        op = LocalOperator(domain16) if local else stencil16
         u = zero_extend(10.0 * rng.standard_normal(16), domain16)
         with pytest.raises(InnerSolveFailed) as info:
-            implicit_step(u, stencil16, c)
+            implicit_step(u, op, c)
         assert info.value.residual > 0
 
 
