@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -156,18 +157,22 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"command must be one of {', '.join(_COMMANDS)}, got {cfg.command!r}",
             key="command",
         )
-    if cfg.p <= 1.0:
-        raise ConfigError(f"p must satisfy 1 < p, got {cfg.p}", key="p")
+    if not 1.0 < cfg.p < math.inf:
+        raise ConfigError(f"p must satisfy 1 < p < inf, got {cfg.p}", key="p")
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}", key="dim")
     if cfg.nx < 4:
         raise ConfigError(f"nx must be >= 4, got {cfg.nx}", key="nx")
-    if cfg.epsilon <= 0:
+    if not math.isfinite(cfg.box_lo) or not cfg.box_lo < cfg.box_hi < math.inf:
+        raise ConfigError(
+            f"need finite box_lo < box_hi, got {cfg.box_lo}, {cfg.box_hi}", key="box_hi"
+        )
+    if not 0 < cfg.epsilon < math.inf:
         raise ConfigError(f"epsilon must be positive, got {cfg.epsilon}", key="epsilon")
-    if cfg.T <= 0:
-        raise ConfigError(f"T must be positive, got {cfg.T}", key="T")
-    if cfg.h is not None and cfg.h <= 0:
-        raise ConfigError(f"h must be positive, got {cfg.h}", key="h")
+    if not 0 < cfg.T < math.inf:
+        raise ConfigError(f"T must be positive and finite, got {cfg.T}", key="T")
+    if cfg.h is not None and not 0 < cfg.h < math.inf:
+        raise ConfigError(f"h must be positive and finite, got {cfg.h}", key="h")
     if cfg.q < 1:
         raise ConfigError(f"q must be >= 1, got {cfg.q}", key="q")
     if cfg.kernel not in ("tent", "quartic", "cosine"):
@@ -188,6 +193,16 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"epsilon_list must be strictly decreasing, got {cfg.epsilon_list}",
                 key="epsilon_list",
             )
+    # the rescaled support (eps times the unit radius of every shipped
+    # kernel) must span two cells; denoise works in pixel units, dx = 1
+    dx = 1.0 if cfg.command == "denoise" else (cfg.box_hi - cfg.box_lo) / cfg.nx
+    key = "epsilon_list" if cfg.command in ("consistency", "converge") else "epsilon"
+    scales = cfg.epsilon_list if key == "epsilon_list" else [cfg.epsilon]
+    if scales and min(scales) < 2.0 * dx:
+        raise ConfigError(
+            f"{key} {min(scales):g} under-resolved: need at least 2*dx = {2.0 * dx:g}",
+            key=key,
+        )
 
 
 def _write_manifest(cfg_path, outdir: Path, command: str) -> None:

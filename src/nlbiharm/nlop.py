@@ -3,8 +3,25 @@
 The operator acts on the full padded array; a node near the outer edge of
 the padded domain sees a truncated neighborhood, with both the neighbor and
 the center contribution dropped together, matching an integral over the
-padded domain only.  Differences are formed before scaling, so constants map
-to exactly zero and the operator matrix is exactly symmetric.
+padded domain only.
+
+It has two evaluations of the same matrix:
+
+* ``apply``, the difference loop over the K stencil offsets, O(K N).
+  Differences are formed before scaling, so constants map to exactly zero,
+  the operator matrix is exactly symmetric, and the rounding at a node
+  depends only on its own neighborhood (local).
+* ``apply_fft``, a zero-padded FFT correlation with the stencil weights
+  minus the in-bounds weight sum times the value, O(N log N).  Its rounding
+  is global: about eps_mach times the largest correlation in the whole
+  array, at every node, however small the result there.
+
+The Barzilai-Borwein steps of the implicit stepper, the bulk of the work at
+p >= 2, evaluate through the FFT.  Everything else keeps the loop: the
+reweighted rule for p < 2, whose weights |A x|^(p-2) amplify rounding at
+zeros of A x; damped Newton for the local stencil, whose residuals sit near
+the rounding floor; one-off evaluations; and the tests, where it is the
+oracle for the FFT.
 """
 
 from __future__ import annotations
@@ -20,6 +37,18 @@ def check_exponent(p: float) -> float:
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError(f"flux exponent must satisfy 1 < p < inf, got {p}")
     return p
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n (a length numpy's FFT handles fast)."""
+    while True:
+        k = n
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        if k == 1:
+            return n
+        n += 1
 
 
 def _slice_pair(shape, offset):
@@ -51,6 +80,7 @@ class NonlocalOperator:
             if np.any(d)
         ]
         self._restricted = None
+        self._spectrum = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
@@ -59,6 +89,43 @@ class NonlocalOperator:
             diff *= w
             out[dst] += diff
         return out
+
+    def apply_fft(self, values: np.ndarray) -> np.ndarray:
+        """The operator of ``apply`` through FFT correlation, O(N log N).
+
+        Shifting by the first value keeps constants exactly zero; the
+        rounding of the result is global (see the module docstring).
+        """
+        if self._spectrum is None:
+            self._build_spectrum()
+        spectrum, fft_shape, weight_sum = self._spectrum
+        axes = tuple(range(values.ndim))
+        v = values - values.flat[0]
+        corr = np.fft.irfftn(
+            np.fft.rfftn(v, fft_shape, axes) * spectrum, fft_shape, axes
+        )
+        out = corr[tuple(slice(0, n) for n in v.shape)]
+        out -= weight_sum * v
+        return out
+
+    def _build_spectrum(self) -> None:
+        """Kernel spectrum on a zero-padded grid of n + reach per axis (so
+        the circular correlation never wraps) and the in-bounds weight sum
+        of every node."""
+        shape = self.spec.padded_shape
+        st = self.stencil
+        reach = np.abs(st.offsets).max(axis=0)
+        fft_shape = tuple(_fast_len(n + int(r)) for n, r in zip(shape, reach))
+        kern = np.zeros(fft_shape)
+        weight_sum = np.zeros(shape)
+        # out[i] = sum_d w_d v[i + d]: place w_d at -d (mod the FFT length)
+        for d, w in zip(st.offsets, st.weights):
+            if np.any(d):
+                kern[tuple(-int(c) % n for c, n in zip(d, fft_shape))] = w
+        for (_, dst), w in self._terms:
+            weight_sum[dst] += w
+        axes = tuple(range(len(shape)))
+        self._spectrum = (np.fft.rfftn(kern, fft_shape, axes), fft_shape, weight_sum)
 
     def norm_bound(self) -> float:
         """Gershgorin bound 2 * sum(w_d) on the operator norm."""

@@ -146,10 +146,16 @@ def as_operator(st, spec: DomainSpec):
 
 
 class _StepFunctional:
-    """Energy/gradient of the per-step functional over interior values."""
+    """Energy/gradient of the per-step functional over interior values.
 
-    def __init__(self, op, spec: DomainSpec, u_prev: np.ndarray, p: float, h: float):
+    ``apply`` evaluates the operator; it defaults to the exact difference
+    loop ``op.apply``.
+    """
+
+    def __init__(self, op, spec: DomainSpec, u_prev: np.ndarray, p: float, h: float,
+                 apply=None):
         self.op = op
+        self.apply = op.apply if apply is None else apply
         self.spec = spec
         self.u_prev = u_prev
         self.p = p
@@ -162,9 +168,11 @@ class _StepFunctional:
         self._full[self.spec.interior_slices] = x
         return self._full
 
-    def energy(self, x: np.ndarray):
-        """Return (E(x), A x) so the operator value can be reused."""
-        a = self.op.apply(self.embed(x))
+    def energy(self, x: np.ndarray, a: np.ndarray | None = None):
+        """Return (E(x), A x) so the operator value can be reused; a known
+        ``a = A x`` skips the apply."""
+        if a is None:
+            a = self.apply(self.embed(x))
         quad = (0.5 / self.h) * np.dot(x.ravel(), x.ravel())
         cross = (1.0 / self.h) * np.dot(self.u_prev.ravel(), x.ravel())
         return float(self.vol * (quad - cross) + self.p_energy(a)), a
@@ -173,7 +181,7 @@ class _StepFunctional:
         return float(self.vol / self.p * np.sum(np.abs(a) ** self.p))
 
     def gradient(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        g2 = self.op.apply(p_flux_values(a, self.p))
+        g2 = self.apply(p_flux_values(a, self.p))
         return (x - self.u_prev) / self.h + g2[self.spec.interior_slices]
 
     def l2(self, x: np.ndarray) -> float:
@@ -215,24 +223,43 @@ class _StepResult:
 
 
 def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
-    fn = _StepFunctional(op, spec, u_prev_int, p, h)
     # Below p = 2 the flux curvature is unbounded at zeros of the operator
     # value and first-order descent has unbounded crawl phases, so every such
-    # step uses the reweighted (majorize-minimize) rule.
+    # step uses the reweighted (majorize-minimize) rule.  The sparse rules
+    # evaluate through the exact difference loop; the matrix-free gradient
+    # rule through the FFT, with linear trials (below).
     if p < 2.0:
-        label, rule = "reweighted", _irls_rule(fn)
+        label, make_rule, apply = "reweighted", _irls_rule, op.apply
     elif getattr(op, "inner_solver", "bb") == "newton":
-        label, rule = "Newton", _newton_rule(fn)
+        label, make_rule, apply = "Newton", _newton_rule, op.apply
     else:
-        label, rule = "gradient", _bb_rule(fn)
+        label, make_rule = "gradient", _bb_rule
+        apply = getattr(op, "apply_fft", op.apply)
+    fn = _StepFunctional(op, spec, u_prev_int, p, h, apply)
+    rule = make_rule(fn)
+    # Linear trials: A(x - t d) = A x - t A d costs one apply per iteration
+    # and none per backtrack, and the trial energies differ only through
+    # x and t.  Re-evaluating A at each trial instead adds the global FFT
+    # rounding to every comparison; at small eps that is several times the
+    # roundoff allowance, the search rejects good steps and the iteration
+    # stagnates.  The carried A x drifts by rounding, so it is evaluated
+    # afresh before a residual is certified.
+    linear = make_rule is _bb_rule
 
     x = np.array(u_prev_int, dtype=float)
     e, a = fn.energy(x)
     g = fn.gradient(x, a)
     res = fn.l2(g)
+    fresh = True
     t = None
     iters = 0
-    while res > tol:
+    while res > tol or not fresh:
+        if res <= tol:  # met on the carried A x: recheck on a fresh one
+            e, a = fn.energy(x)
+            g = fn.gradient(x, a)
+            res = fn.l2(g)
+            fresh = True
+            continue
         if iters >= max_iters:
             raise InnerSolveFailed(
                 f"residual {res:.3e} above tolerance {tol:.3e} "
@@ -243,9 +270,10 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
         # the allowance absorbs floating-point cancellation in E when the
         # true decrease per step drops below the resolution of the energy
         roundoff = 10.0 * np.finfo(float).eps * abs(e)
+        ad = fn.apply(fn.embed(d)) if linear else None
         for _ in range(MAX_BACKTRACKS):
             x_new = x - t * d
-            e_new, a_new = fn.energy(x_new)
+            e_new, a_new = fn.energy(x_new, None if ad is None else a - t * ad)
             if e_new <= e - ARMIJO_C1 * t * slope + roundoff:
                 break
             t *= BACKTRACK_FACTOR
@@ -262,6 +290,7 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
                 residual=res,
             )
         x, e, a = x_new, e_new, a_new
+        fresh = not linear
         g = fn.gradient(x, a)
         res = fn.l2(g)
         iters += 1

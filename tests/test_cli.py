@@ -51,6 +51,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="nx"):
             parse_config(write_cfg(tmp_path, "command = evolve\nnx = many\n"))
 
+    @pytest.mark.parametrize(
+        "line,key",
+        [("epsilon = 0.01", "epsilon"), ("box_lo = 1\nbox_hi = 0", "box"),
+         ("p = nan", "p"), ("T = inf", "T")],
+        ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf"],
+    )
+    def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
+        cfg_path = write_cfg(
+            tmp_path, f"command = evolve\nu0 = zero\nnx = 16\nh = 0.01\n{line}\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("ERROR CONFIG")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(cfg_path)
+
     def test_unknown_command(self, tmp_path):
         with pytest.raises(ConfigError, match="command"):
             parse_config(write_cfg(tmp_path, "command = solve\n"))

@@ -9,6 +9,7 @@ from nlbiharm import (
     NonlocalOperator,
     dirichlet_energy,
     discretize,
+    get_kernel,
     inner_product,
     lp_norm,
     make_domain,
@@ -56,9 +57,12 @@ class TestNonlocalLaplacian:
         st_ = discretize(rk, spec)
         mat = dense_nonlocal_matrix(rk, spec)
         v = rng.standard_normal(spec.padded_shape)
-        ours = nonlocal_laplacian(Field(spec, v), st_).values
         theirs = mat @ v
-        assert np.max(np.abs(ours - theirs)) <= 1e-13 * max(1.0, np.abs(theirs).max())
+        for ours in (
+            nonlocal_laplacian(Field(spec, v), st_).values,
+            NonlocalOperator(st_, spec).apply_fft(v),
+        ):
+            assert np.max(np.abs(ours - theirs)) <= 1e-13 * max(1.0, np.abs(theirs).max())
 
     def test_dense_oracle_equivalence_2d(self, tent2d, rng):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
@@ -66,16 +70,21 @@ class TestNonlocalLaplacian:
         st_ = discretize(rk, spec)
         mat = dense_nonlocal_matrix(rk, spec)
         v = rng.standard_normal(spec.padded_shape)
-        ours = nonlocal_laplacian(Field(spec, v), st_).values.ravel()
         theirs = mat @ v.ravel()
-        assert np.max(np.abs(ours - theirs)) <= 1e-13 * max(1.0, np.abs(theirs).max())
+        for ours in (
+            nonlocal_laplacian(Field(spec, v), st_).values,
+            NonlocalOperator(st_, spec).apply_fft(v),
+        ):
+            err = np.max(np.abs(ours.ravel() - theirs))
+            assert err <= 1e-13 * max(1.0, np.abs(theirs).max())
 
     def test_debug_matrix_matches_apply(self, domain16, stencil16, rng):
         op = NonlocalOperator(stencil16, domain16)
         mat = dense_operator_matrix(op)
         v = rng.standard_normal(domain16.padded_shape)
         ref = mat @ v
-        assert np.max(np.abs(ref - op.apply(v))) <= 1e-13 * np.abs(ref).max()
+        for ours in (op.apply(v), op.apply_fft(v)):
+            assert np.max(np.abs(ref - ours)) <= 1e-13 * np.abs(ref).max()
 
     def test_dx_mismatch_rejected(self, tent1d, stencil64):
         other = make_domain(1, (0.0, 1.0), 32, tent1d, 0.2)
@@ -91,6 +100,47 @@ class TestNonlocalLaplacian:
         rhs = inner_product(f, lg)
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert inner_product(lf, f) <= 1e-12
+
+
+# The stencils the shipped configs and benchmark workloads use, by their
+# number K of nonzero offsets: (dim, box, nx, eps).
+SHIPPED_STENCILS = {
+    24: (1, (0.0, 1.0), 64, 0.2),
+    50: (1, (0.0, 1.0), 256, 0.1),
+    102: (1, (0.0, 1.0), 256, 0.2),
+    204: (1, (0.0, 1.0), 256, 0.4),
+    44: (2, ((0.0, 64.0), (0.0, 64.0)), 64, 4.0),  # denoise, pixel units
+    508: (2, ((0.0, 1.0), (0.0, 1.0)), 64, 0.2),
+}
+
+
+class TestFftEvaluation:
+    """``apply_fft`` against the exact difference loop ``apply``."""
+
+    @pytest.fixture(scope="class", params=sorted(SHIPPED_STENCILS), ids="K{}".format)
+    def op(self, request):
+        dim, box, nx, eps = SHIPPED_STENCILS[request.param]
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, box, nx, kern, eps)
+        op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+        assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
+        return op
+
+    def test_matches_loop(self, op, rng):
+        v = rng.standard_normal(op.spec.padded_shape)
+        exact = op.apply(v)
+        assert np.max(np.abs(op.apply_fft(v) - exact)) <= 1e-13 * np.abs(exact).max()
+
+    def test_constant_gives_exact_zeros(self, op):
+        out = op.apply_fft(np.full(op.spec.padded_shape, 3.7))
+        assert np.all(out == 0.0)
+
+    def test_self_adjoint(self, op, rng):
+        f = rng.standard_normal(op.spec.padded_shape)
+        g = rng.standard_normal(op.spec.padded_shape)
+        lhs = float(np.vdot(op.apply_fft(f), g))
+        rhs = float(np.vdot(f, op.apply_fft(g)))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
 class TestPFlux:

@@ -21,6 +21,7 @@ from nlbiharm import (
 from nlbiharm.stepper import (
     InnerSolveFailed,
     _minimize_step,
+    effective_inner_tol,
     explicit_stability_limit,
 )
 from nlbiharm.localref import LocalOperator
@@ -165,6 +166,21 @@ class TestImplicitStep:
         g = step_gradient(w, u, stencil16, c)
         tol = 1e-8 * max(1.0, lp_norm(u, 2, "omega"))
         assert lp_norm(g, 2, "omega") <= tol
+
+    def test_small_eps_gradient_step_converges(self, tent1d):
+        # At eps = 0.07 the rounding of an FFT-evaluated energy (5e-10 at the
+        # start) is several times the Armijo roundoff allowance: trials that
+        # re-evaluate the operator reject good steps and the iteration
+        # stagnates; linear trials converge.
+        eps = 0.07
+        spec = make_domain(1, (0.0, 1.0), 128, tent1d, eps)
+        st_ = discretize(rescale(tent1d, eps), spec)
+        x = spec.node_coords()[0][spec.interior_slices]
+        u = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
+        c = cfg(p=3.0, h=1e-4, inner_max_iters=50000)
+        w = implicit_step(u, st_, c)
+        tol = effective_inner_tol(NonlocalOperator(st_, spec), c, lp_norm(u, 2, "omega"))
+        assert lp_norm(step_gradient(w, u, st_, c), 2, "omega") <= 2.0 * tol
 
     @pytest.mark.parametrize(
         "p,local", [(3.0, False), (1.5, False), (3.0, True)], ids=["bb", "irls", "newton"]
