@@ -34,7 +34,7 @@ class LocalOperator(NonlocalOperator):
     """
 
     name = "local"
-    inner_solver = "newton"
+    hessian_solve = "sparse"
 
     def __init__(self, spec: DomainSpec):
         if spec.pad_cells < 2:

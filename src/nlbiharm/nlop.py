@@ -16,12 +16,13 @@ It has two evaluations of the same matrix:
   is global: about eps_mach times the largest correlation in the whole
   array, at every node, however small the result there.
 
-The Barzilai-Borwein steps of the implicit stepper, the bulk of the work at
-p >= 2, evaluate through the FFT.  Everything else keeps the loop: the
-reweighted rule for p < 2, whose weights |A x|^(p-2) amplify rounding at
-zeros of A x; damped Newton for the local stencil, whose residuals sit near
-the rounding floor; one-off evaluations; and the tests, where it is the
-oracle for the FFT.
+The implicit stepper's Newton steps for this operator at p >= 2, the bulk of
+the work, evaluate through the FFT: gradients, trials and the two applies of
+each Hessian-vector product of their CG solves.  Everything else keeps the
+loop: the reweighted rule for p < 2, whose weights |A x|^(p-2) amplify
+rounding at zeros of A x; Newton with the direct Hessian solve for the local
+stencil, whose residuals sit near the rounding floor; one-off evaluations;
+and the tests, where it is the oracle for the FFT.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class NonlocalOperator:
     """Matrix-free nonlocal Laplacian bound to one stencil and one grid."""
 
     name = "nonlocal"
-    inner_solver = "bb"
+    hessian_solve = "cg"
 
     def __init__(self, stencil: Stencil, spec: DomainSpec):
         if stencil.dim != spec.dim:

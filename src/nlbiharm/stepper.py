@@ -13,15 +13,17 @@ The minimizer certifies the step through the Euler-Lagrange residual
     (w - u_prev)/h + A(|A w|^(p-2) A w)   restricted to the interior box.
 
 One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
-backtracks t from t0 until E(x - t d) <= E(x) - c1 t slope, so the functional
+backtracks t from 1 until E(x - t d) <= E(x) - c1 t slope, so the functional
 never increases.  A direction rule, picked once per step by regime, supplies
-(d, t0, slope):
+(d, slope):
 
-* Barzilai-Borwein gradient descent, for the nonlocal operator at p >= 2
-  (matrix free): d = g with the BB step length;
-* damped Newton on sparse restricted matrices, for the local reference,
-  whose step Hessian conditions like h/dx^4 and defeats first-order descent
-  at fine grids;
+* damped Newton for p >= 2: d solves the step Hessian
+  H = I/h + A^T diag((p-1)|A x|^(p-2)) A against the gradient, in one of two
+  ways.  The local reference's banded H, which conditions like h/dx^4, is
+  factored directly (sparse).  The nonlocal H is solved matrix free by
+  truncated conjugate gradients (cg) through the FFT evaluation, each
+  product H v costing two operator applies, to a tolerance set by
+  Eisenstat-Walker forcing;
 * iteratively reweighted least squares for 1 < p < 2, where the flux
   curvature is unbounded at zeros of the operator value and first-order
   descent has unbounded crawl phases.
@@ -41,6 +43,15 @@ from .nlop import NonlocalOperator, check_exponent, p_flux_values
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 60
+# Eisenstat-Walker forcing, choice 2 (SIAM J. Sci. Comput. 17, 1996): CG
+# stops at ||H d - g|| <= eta ||g||, eta = min(EW_ETA_MAX, EW_GAMMA *
+# (||g|| / ||g_prev||)^EW_ALPHA), eta_0 = EW_ETA_MAX.  The paper's safeguard
+# acts only when EW_GAMMA * eta_prev^EW_ALPHA > 0.1, never under this cap.
+# Caps 0.9/0.5/0.3/0.1 took 13,813/13,092/12,062/12,168 applies in the
+# nonlocal runs of converge_p3; 0.3 and 0.1 tied on the small studies.
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+EW_ETA_MAX = 0.3
 
 
 class InnerSolveFailed(RuntimeError):
@@ -112,13 +123,19 @@ def effective_inner_tol(op, cfg: StepperConfig, u0_l2: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Per-step scalars plus a recorded subset of states."""
+    """Per-step scalars plus a recorded subset of states.
+
+    ``inner_iters`` and ``applies`` (operator evaluations, Hessian products
+    included) count the work of each implicit step's solve; both are zero at
+    step 0 and in explicit mode.
+    """
 
     times: np.ndarray
     l2_sq: np.ndarray
     energies: np.ndarray
     increments_sq: np.ndarray
     inner_iters: np.ndarray
+    applies: np.ndarray
     residuals: np.ndarray
     state_steps: list[int]
     states: list[Field]
@@ -135,7 +152,7 @@ class Trajectory:
 
 def as_operator(st, spec: DomainSpec):
     """Accept a Stencil or any object with apply/spec (plus restricted_matrix
-    for the sparse direction rules)."""
+    for the sparse Hessian solves)."""
     if isinstance(st, Stencil):
         return NonlocalOperator(st, spec)
     if not hasattr(st, "apply"):
@@ -146,22 +163,29 @@ def as_operator(st, spec: DomainSpec):
 
 
 class _StepFunctional:
-    """Energy/gradient of the per-step functional over interior values.
+    """Energy/gradient/Hessian of the per-step functional over interior
+    values.
 
-    ``apply`` evaluates the operator; it defaults to the exact difference
-    loop ``op.apply``.
+    Operator evaluations go through ``apply``, which counts them in
+    ``applies``; ``evaluate`` defaults to the exact difference loop
+    ``op.apply``.
     """
 
     def __init__(self, op, spec: DomainSpec, u_prev: np.ndarray, p: float, h: float,
-                 apply=None):
+                 evaluate=None):
         self.op = op
-        self.apply = op.apply if apply is None else apply
+        self._evaluate = op.apply if evaluate is None else evaluate
+        self.applies = 0
         self.spec = spec
         self.u_prev = u_prev
         self.p = p
         self.h = h
         self.vol = spec.cell_volume
         self._full = np.zeros(spec.padded_shape)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        self.applies += 1
+        return self._evaluate(values)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         self._full[:] = 0.0
@@ -183,6 +207,15 @@ class _StepFunctional:
     def gradient(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         g2 = self.apply(p_flux_values(a, self.p))
         return (x - self.u_prev) / self.h + g2[self.spec.interior_slices]
+
+    def curvature(self, a: np.ndarray) -> np.ndarray:
+        """(p-1)|a|^(p-2), the second derivative of |.|^p/p at a = A x."""
+        return (self.p - 1.0) * np.abs(a) ** (self.p - 2.0)
+
+    def hessian_product(self, v: np.ndarray, curv: np.ndarray):
+        """Return (H v, A v) for H = I/h + A^T diag(curv) A: two applies."""
+        av = self.apply(self.embed(v))
+        return v / self.h + self.apply(curv * av)[self.spec.interior_slices], av
 
     def l2(self, x: np.ndarray) -> float:
         return math.sqrt(self.vol * float(np.dot(x.ravel(), x.ravel())))
@@ -218,6 +251,7 @@ def _check_pair(w: Field, u_prev: Field) -> None:
 class _StepResult:
     interior: np.ndarray
     iters: int
+    applies: int
     residual: float
     p_energy: float
 
@@ -225,33 +259,26 @@ class _StepResult:
 def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
     # Below p = 2 the flux curvature is unbounded at zeros of the operator
     # value and first-order descent has unbounded crawl phases, so every such
-    # step uses the reweighted (majorize-minimize) rule.  The sparse rules
-    # evaluate through the exact difference loop; the matrix-free gradient
-    # rule through the FFT, with linear trials (below).
+    # step uses the reweighted (majorize-minimize) rule.  The sparse solves
+    # evaluate through the exact difference loop, the matrix-free CG solve
+    # through the FFT, with linear trials (below).
     if p < 2.0:
-        label, make_rule, apply = "reweighted", _irls_rule, op.apply
-    elif getattr(op, "inner_solver", "bb") == "newton":
-        label, make_rule, apply = "Newton", _newton_rule, op.apply
+        fn = _StepFunctional(op, spec, u_prev_int, p, h)
+        label, rule = "reweighted", _irls_rule(fn)
+    elif getattr(op, "hessian_solve", "cg") == "sparse":
+        fn = _StepFunctional(op, spec, u_prev_int, p, h)
+        label, rule = "Newton", _newton_rule(fn, _sparse_solve(fn))
     else:
-        label, make_rule = "gradient", _bb_rule
-        apply = getattr(op, "apply_fft", op.apply)
-    fn = _StepFunctional(op, spec, u_prev_int, p, h, apply)
-    rule = make_rule(fn)
-    # Linear trials: A(x - t d) = A x - t A d costs one apply per iteration
-    # and none per backtrack, and the trial energies differ only through
-    # x and t.  Re-evaluating A at each trial instead adds the global FFT
-    # rounding to every comparison; at small eps that is several times the
-    # roundoff allowance, the search rejects good steps and the iteration
-    # stagnates.  The carried A x drifts by rounding, so it is evaluated
-    # afresh before a residual is certified.
-    linear = make_rule is _bb_rule
+        fn = _StepFunctional(
+            op, spec, u_prev_int, p, h, getattr(op, "apply_fft", op.apply)
+        )
+        label, rule = "Newton", _newton_rule(fn, _cg_solve(fn, tol))
 
     x = np.array(u_prev_int, dtype=float)
     e, a = fn.energy(x)
     g = fn.gradient(x, a)
     res = fn.l2(g)
     fresh = True
-    t = None
     iters = 0
     while res > tol or not fresh:
         if res <= tol:  # met on the carried A x: recheck on a fresh one
@@ -266,11 +293,18 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
                 f"after {max_iters} inner iterations",
                 residual=res,
             )
-        d, t, slope = rule(x, a, g, t)
+        d, slope, ad = rule(x, a, g)
         # the allowance absorbs floating-point cancellation in E when the
         # true decrease per step drops below the resolution of the energy
         roundoff = 10.0 * np.finfo(float).eps * abs(e)
-        ad = fn.apply(fn.embed(d)) if linear else None
+        # Linear trials when the rule supplies ad = A d: A(x - t d) =
+        # A x - t A d costs no apply per backtrack, and the trial energies
+        # differ only through x and t.  Re-evaluating A at each trial instead
+        # adds the global FFT rounding to every comparison, which at small
+        # eps is several times the roundoff allowance.  The carried A x
+        # drifts by rounding, so it is evaluated afresh before a residual is
+        # certified.
+        t = 1.0
         for _ in range(MAX_BACKTRACKS):
             x_new = x - t * d
             e_new, a_new = fn.energy(x_new, None if ad is None else a - t * ad)
@@ -290,37 +324,19 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
                 residual=res,
             )
         x, e, a = x_new, e_new, a_new
-        fresh = not linear
+        fresh = ad is None
         g = fn.gradient(x, a)
         res = fn.l2(g)
         iters += 1
-    return _StepResult(interior=x, iters=iters, residual=res, p_energy=fn.p_energy(a))
+    return _StepResult(
+        interior=x, iters=iters, applies=fn.applies, residual=res,
+        p_energy=fn.p_energy(a),
+    )
 
 
-# Direction rules: rule(x, a, g, t_prev) -> (d, t0, slope) at the iterate x
-# with operator value a = A x and gradient g; t_prev is the step accepted at
-# the previous iterate (None at the first).
-
-
-def _bb_rule(fn):
-    """Steepest descent with the Barzilai-Borwein step <s,s>/<s,y>."""
-    x_old = g_old = None
-
-    def rule(x, a, g, t_prev):
-        nonlocal x_old, g_old
-        t = fn.h
-        if x_old is not None:
-            s = x - x_old
-            y = g - g_old
-            sy = float(np.dot(s.ravel(), y.ravel()))
-            ss = float(np.dot(s.ravel(), s.ravel()))
-            t = ss / sy if sy > 0 and np.isfinite(sy) else t_prev
-            if not np.isfinite(t) or t <= 0:
-                t = fn.h
-        x_old, g_old = x, g
-        return g, t, fn.vol * float(np.dot(g.ravel(), g.ravel()))
-
-    return rule
+# Direction rules: rule(x, a, g) -> (d, slope, ad) at the iterate x with
+# operator value a = A x and gradient g; the loop tries x - t d from t = 1.
+# ad = A d on the padded grid makes the trials linear; None re-evaluates.
 
 
 def _sparse_model(fn):
@@ -346,35 +362,83 @@ def _irls_rule(fn):
     model = _sparse_model(fn)
     rhs = fn.u_prev.ravel() / fn.h
 
-    def rule(x, a, g, t_prev):
+    def rule(x, a, g):
         mag = np.abs(a.ravel())
         floor = 1e-12 * max(float(mag.max()), 1e-300)
         theta = np.maximum(mag, floor) ** (fn.p - 2.0)
         w_model = scipy.sparse.linalg.spsolve(model(theta), rhs)
         direction = w_model.reshape(x.shape) - x
         gd = fn.vol * float(np.dot(g.ravel(), direction.ravel()))
-        return -direction, 1.0, -min(gd, 0.0)
+        return -direction, -min(gd, 0.0), None
 
     return rule
 
 
-def _newton_rule(fn):
-    """Damped Newton for p >= 2: solve the sparse step Hessian
-    eye/h + A^T diag((p-1)|A x|^(p-2)) A against the gradient."""
+def _newton_rule(fn, solve):
+    """Damped Newton for p >= 2: d = H^-1 g for the step Hessian
+    H = I/h + A^T diag((p-1)|A x|^(p-2)) A, solved by ``solve(curv, g)``."""
+
+    def rule(x, a, g):
+        d, ad = solve(fn.curvature(a), g)
+        return d, fn.vol * float(np.dot(g.ravel(), d.ravel())), ad
+
+    return rule
+
+
+def _sparse_solve(fn):
+    """Direct sparse factorization of H, assembled from the operator's
+    restricted matrix: for the banded Hessian of the local stencil."""
     import scipy.sparse.linalg
 
     model = _sparse_model(fn)
 
-    def rule(x, a, g, t_prev):
-        if fn.p == 2.0:
-            curv = np.ones(a.size)
-        else:
-            curv = (fn.p - 1.0) * np.abs(a.ravel()) ** (fn.p - 2.0)
-        direction = scipy.sparse.linalg.spsolve(model(curv), -g.ravel())
-        direction = direction.reshape(x.shape)
-        return -direction, 1.0, -fn.vol * float(np.dot(g.ravel(), direction.ravel()))
+    def solve(curv, g):
+        d = scipy.sparse.linalg.spsolve(model(curv.ravel()), g.ravel())
+        return d.reshape(g.shape), None
 
-    return rule
+    return solve
+
+
+def _cg_solve(fn, tol):
+    """Truncated conjugate gradients on H d = g, matrix free.
+
+    CG stops at the forcing tolerance (floored at half the relative accuracy
+    the step tolerance asks for) or after one iteration per unknown.  Every
+    iterate from d = 0 is a descent direction (H >= I/h); A d accumulates
+    from the products, so the trials are linear at no extra apply.
+    """
+    g_prev = None  # ||g|| at the previous Newton iteration
+
+    def solve(curv, g):
+        nonlocal g_prev
+        rr = float(np.dot(g.ravel(), g.ravel()))
+        g_norm = math.sqrt(rr)
+        eta = EW_ETA_MAX
+        if g_prev is not None:
+            eta = min(eta, EW_GAMMA * (g_norm / g_prev) ** EW_ALPHA)
+        eta = max(eta, 0.5 * tol / fn.l2(g))
+        g_prev = g_norm
+
+        d = np.zeros_like(g)
+        ad = np.zeros(fn.spec.padded_shape)
+        r = g.copy()
+        s = g.copy()
+        stop = eta * eta * rr
+        for _ in range(g.size):
+            hs, a_s = fn.hessian_product(s, curv)
+            alpha = rr / float(np.dot(s.ravel(), hs.ravel()))
+            d += alpha * s
+            ad += alpha * a_s
+            r -= alpha * hs
+            rr_new = float(np.dot(r.ravel(), r.ravel()))
+            if rr_new <= stop:
+                break
+            s *= rr_new / rr
+            s += r
+            rr = rr_new
+        return d, ad
+
+    return solve
 
 
 def implicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
@@ -435,6 +499,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     energies = np.zeros(m + 1)
     increments_sq = np.zeros(m + 1)
     inner_iters = np.zeros(m + 1, dtype=int)
+    applies = np.zeros(m + 1, dtype=int)
     residuals = np.zeros(m + 1)
 
     l2_sq[0] = vol * float(np.dot(x.ravel(), x.ravel()))
@@ -450,6 +515,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
                 )
                 x_new = result.interior
                 inner_iters[j] = result.iters
+                applies[j] = result.applies
                 residuals[j] = result.residual
                 energies[j] = result.p_energy
             else:
@@ -475,6 +541,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
         energies=energies,
         increments_sq=increments_sq,
         inner_iters=inner_iters,
+        applies=applies,
         residuals=residuals,
         state_steps=state_steps,
         states=states,

@@ -32,6 +32,7 @@ def synthetic_trajectory(times, l2_sq, p=2.0):
         energies=np.zeros(n),
         increments_sq=np.zeros(n),
         inner_iters=np.zeros(n, dtype=int),
+        applies=np.zeros(n, dtype=int),
         residuals=np.zeros(n),
         state_steps=[0],
         states=[],

@@ -8,6 +8,7 @@ from nlbiharm import (
     discretize,
     evolve,
     explicit_step,
+    get_kernel,
     implicit_step,
     inner_product,
     lp_norm,
@@ -21,6 +22,7 @@ from nlbiharm import (
 from nlbiharm.stepper import (
     InnerSolveFailed,
     _minimize_step,
+    _StepFunctional,
     effective_inner_tol,
     explicit_stability_limit,
 )
@@ -29,6 +31,7 @@ from nlbiharm.nlop import NonlocalOperator
 
 from oracles import (
     dense_nonlocal_matrix,
+    dense_operator_matrix,
     extension_matrix,
     implicit_p2_trajectory,
 )
@@ -123,6 +126,28 @@ class TestStepGradient:
         ).max()
 
 
+class _SparseNewtonOperator(NonlocalOperator):
+    """The nonlocal operator with the local stencil's direct Hessian solve."""
+
+    hessian_solve = "sparse"
+
+
+class _CountingOperator(NonlocalOperator):
+    """Counts its own evaluations, loop and FFT."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def apply(self, values):
+        self.calls += 1
+        return super().apply(values)
+
+    def apply_fft(self, values):
+        self.calls += 1
+        return super().apply_fft(values)
+
+
 class TestImplicitStep:
     def test_zero_previous_state_is_fixed_point(self, domain16, stencil16):
         z = zero_extend(np.zeros(16), domain16)
@@ -169,9 +194,10 @@ class TestImplicitStep:
 
     def test_small_eps_gradient_step_converges(self, tent1d):
         # At eps = 0.07 the rounding of an FFT-evaluated energy (5e-10 at the
-        # start) is several times the Armijo roundoff allowance: trials that
-        # re-evaluate the operator reject good steps and the iteration
-        # stagnates; linear trials converge.
+        # start) is several times the Armijo roundoff allowance: gradient
+        # steps whose trials re-evaluated the operator stagnated here.  The
+        # Newton-CG steps evaluate through the FFT as well, with linear
+        # trials, and must still certify the step.
         eps = 0.07
         spec = make_domain(1, (0.0, 1.0), 128, tent1d, eps)
         st_ = discretize(rescale(tent1d, eps), spec)
@@ -183,7 +209,7 @@ class TestImplicitStep:
         assert lp_norm(step_gradient(w, u, st_, c), 2, "omega") <= 2.0 * tol
 
     @pytest.mark.parametrize(
-        "p,local", [(3.0, False), (1.5, False), (3.0, True)], ids=["bb", "irls", "newton"]
+        "p,local", [(3.0, False), (1.5, False), (3.0, True)], ids=["newton_cg", "irls", "newton"]
     )
     def test_failure_reports_residual(self, domain16, stencil16, rng, p, local):
         c = cfg(p=p, h=1e-3, inner_max_iters=2)
@@ -192,6 +218,76 @@ class TestImplicitStep:
         with pytest.raises(InnerSolveFailed) as info:
             implicit_step(u, op, c)
         assert info.value.residual > 0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0], ids=["irls", "newton_cg"])
+    def test_applies_count_every_evaluation(self, domain16, stencil16, rng, p):
+        op = _CountingOperator(stencil16, domain16)
+        res = _minimize_step(op, domain16, rng.standard_normal(16), p, 1e-3, 1e-8, 30000)
+        assert res.iters > 0
+        assert res.applies == op.calls
+        u0 = zero_extend(rng.standard_normal(16), domain16)
+        op.calls = 0
+        traj = evolve(u0, op, cfg(p=p, h=1e-3, T=5e-3, inner_max_iters=30000))
+        assert traj.applies[0] == 0
+        assert np.all(traj.applies[1:] > traj.inner_iters[1:])
+        # evolve evaluates A u0 once for the initial energy, outside the steps
+        assert int(traj.applies.sum()) == op.calls - 1
+
+
+# (dim, box, nx, eps) by stencil size K: the 1D stencil of converge_p3 at
+# eps = 0.1, and the denoise stencil (eps = 4 pixels) on a 16 x 16 box so
+# that the dense matrix stays small.
+HESSIAN_STENCILS = {
+    50: (1, (0.0, 1.0), 256, 0.1),
+    44: (2, ((0.0, 16.0), (0.0, 16.0)), 16, 4.0),
+}
+
+
+class TestNewtonStep:
+    @pytest.fixture(scope="class", params=sorted(HESSIAN_STENCILS), ids="K{}".format)
+    def op(self, request):
+        dim, box, nx, eps = HESSIAN_STENCILS[request.param]
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, box, nx, kern, eps)
+        op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+        assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
+        return op
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_hessian_product_matches_dense(self, op, rng, p):
+        spec = op.spec
+        # h at the scale of 1/A^2, so I/h does not swamp the operator term
+        h = 1.0 / op.norm_bound() ** 2
+        shape = spec.nx
+        fn = _StepFunctional(op, spec, np.zeros(shape), p, h, op.apply_fft)
+        x = rng.standard_normal(shape)
+        curv = fn.curvature(op.apply(zero_extend(x, spec).values))
+        v = rng.standard_normal(shape)
+        hv, av = fn.hessian_product(v, curv)
+        am = dense_operator_matrix(op) @ extension_matrix(spec)
+        dense = np.eye(spec.n_interior) / h + am.T @ (curv.ravel()[:, None] * am)
+        expected = dense @ v.ravel()
+        assert fn.applies == 2
+        assert np.max(np.abs(hv.ravel() - expected)) <= 1e-12 * np.abs(expected).max()
+        assert np.max(np.abs(av.ravel() - am @ v.ravel())) <= 1e-12 * np.abs(av).max()
+
+    def test_cg_and_sparse_solves_agree(self, tent1d):
+        eps = 0.2
+        spec = make_domain(1, (0.0, 1.0), 128, tent1d, eps)
+        st_ = discretize(rescale(tent1d, eps), spec)
+        x = spec.node_coords()[0][spec.interior_slices]
+        u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
+        c = cfg(p=3.0, h=1e-4)
+        ops = (NonlocalOperator(st_, spec), _SparseNewtonOperator(st_, spec))
+        tol = effective_inner_tol(ops[0], c, lp_norm(zero_extend(u_int, spec), 2, "omega"))
+        cg, direct = (
+            _minimize_step(op, spec, u_int, c.p, c.h, tol, c.inner_max_iters)
+            for op in ops
+        )
+        assert cg.iters > 0 and direct.iters > 0
+        assert cg.residual <= tol and direct.residual <= tol
+        gap = np.sqrt(spec.cell_volume * np.sum((cg.interior - direct.interior) ** 2))
+        assert gap <= tol
 
 
 class TestExplicitStep:
