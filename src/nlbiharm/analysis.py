@@ -114,11 +114,11 @@ def _rate_rows(params: Sequence[float], errors: Sequence[float]) -> list[tuple]:
     return rows
 
 
-def _require_monotone(kernel: Kernel, allow_non_monotone: bool) -> None:
-    if not allow_non_monotone and not kernel_is_nonincreasing(kernel):
+def _require_monotone(kernel: Kernel) -> None:
+    if not kernel_is_nonincreasing(kernel):
         raise ValueError(
             f"kernel {kernel.name!r} is not nonincreasing; the rescaling-limit "
-            "studies require it (pass allow_non_monotone=True to override)"
+            "studies require it"
         )
 
 
@@ -157,7 +157,6 @@ def consistency_study(
     spec: DomainSpec,
     q: float,
     lap_phi: Callable | None = None,
-    allow_non_monotone: bool = False,
 ) -> StudyReport:
     """Measure ||Delta_NL^eps phi - Delta phi||_{L^q(omega)} along eps.
 
@@ -169,7 +168,7 @@ def consistency_study(
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     _check_decreasing(eps_list, "eps_list")
-    _require_monotone(kernel, allow_non_monotone)
+    _require_monotone(kernel)
     coords = spec.node_coords()
     samples = np.asarray(phi(*coords), dtype=float)
     if lap_phi is None:
@@ -338,7 +337,6 @@ def nonlocal_to_local_study(
     kernel: Kernel,
     eps_list: Sequence[float],
     cfg: StepperConfig,
-    allow_non_monotone: bool = False,
 ) -> StudyReport:
     """Sup-over-time L^p distance between rescaled nonlocal runs and the
     clamped local reference, per eps.
@@ -348,7 +346,7 @@ def nonlocal_to_local_study(
     taken over matching times.
     """
     _check_decreasing(eps_list, "eps_list")
-    _require_monotone(kernel, allow_non_monotone)
+    _require_monotone(kernel)
     spec = u0.spec
     support = max(eps_list) * kernel.support_radius
     if spec.pad < 2.0 * support - 1e-12 * support:
@@ -428,10 +426,10 @@ def contraction_study(
     )
 
 
-def energy_audit(traj: Trajectory, tol_scale: float = 1e-6) -> StudyReport:
+def energy_audit(traj: Trajectory) -> StudyReport:
     """Audit the discrete dissipation chain of a recorded run.
 
-    Checks, with slack tolerance ``tol_scale * max(E_0, 1/2 l2_0)``:
+    Checks, with slack tolerance ``1e-6 * (1/2 l2_0 + E_0)``:
       * per-step dissipation: inc_j/h + E_j <= E_{j-1};
       * its cumulative (telescoped) form;
       * monotonicity of the interior squared norm;
@@ -446,7 +444,7 @@ def energy_audit(traj: Trajectory, tol_scale: float = 1e-6) -> StudyReport:
     l2 = np.asarray(traj.l2_sq)
     h = traj.h
     rhs = 0.5 * l2[0] + e[0]
-    tol = tol_scale * max(rhs, 1e-300)
+    tol = 1e-6 * max(rhs, 1e-300)
 
     per_step_slack = (e[:-1] - e[1:] - inc[1:] / h) if len(e) > 1 else np.array([0.0])
     cumulative_slack = e[0] - e[-1] - float(np.sum(inc[1:])) / h

@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import re
 import sys
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,24 +37,13 @@ from .stepper import StepperConfig, evolve, trajectory_to_csv
 
 
 class ConfigError(ValueError):
-    """Bad experiment config; carries the offending line and key."""
+    """Bad experiment config; names the offending line and key when known."""
 
     def __init__(self, message: str, line: int | None = None, key: str | None = None):
-        where = f" (line {line}" + (f", key {key!r})" if key else ")") if line else ""
-        super().__init__(message + where)
+        where = ", ".join(w for w in (line and f"line {line}", key and f"key {key!r}") if w)
+        super().__init__(f"{message} ({where})" if where else message)
         self.line = line
         self.key = key
-
-
-_COMMANDS = (
-    "evolve",
-    "consistency",
-    "converge",
-    "decay",
-    "poincare",
-    "contraction",
-    "denoise",
-)
 
 
 @dataclass
@@ -94,31 +85,17 @@ class ExperimentConfig:
         )
 
 
-_PARSERS = {
-    "command": str,
-    "kernel": str,
-    "mode": str,
-    "u0": str,
-    "phi": str,
-    "input": str,
-    "dim": int,
-    "nx": int,
-    "inner_max_iters": int,
-    "record_every": int,
-    "seed": int,
-    "box_lo": float,
-    "box_hi": float,
-    "epsilon": float,
-    "p": float,
-    "T": float,
-    "h": float,
-    "inner_tol": float,
-    "q": float,
-    "fit_t_lo": float,
-    "fit_t_hi": float,
-    "fit_floor_ratio": float,
-    "epsilon_list": "list",
-}
+# the schema of a config file: each key parses by its field's type
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _parse_value(hint, value: str):
+    """Parse by field type: ``list[float]`` is a comma list, ``float | None``
+    a float."""
+    if typing.get_origin(hint) is list:
+        item = typing.get_args(hint)[0]
+        return [item(v) for v in value.split(",") if v.strip()]
+    return (typing.get_args(hint) or (hint,))[0](value)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -128,7 +105,6 @@ def parse_config(path) -> ExperimentConfig:
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,14 +112,10 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {raw!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r}", lineno, key)
-        parser = _PARSERS[key]
         try:
-            if parser == "list":
-                parsed = [float(v) for v in value.split(",") if v.strip()]
-            else:
-                parsed = parser(value)
+            parsed = _parse_value(_FIELD_TYPES[key], value)
         except ValueError as err:
             raise ConfigError(f"bad value for {key!r}: {value!r}", lineno, key) from err
         setattr(cfg, key, parsed)
@@ -151,58 +123,54 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _build(build, *keys: str, **words: str):
+    """Call a library constructor, turning its ValueError into a ConfigError
+    for the first of ``keys`` that the message names, directly or through
+    ``words`` (message word -> key); a message naming none is about the
+    first key."""
+    try:
+        return build()
+    except ValueError as err:
+        named = {words.get(w, w) for w in re.findall(r"\w+", str(err))}
+        key = next((k for k in keys if k in named), keys[0])
+        raise ConfigError(str(err), key=key) from err
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.command not in _COMMANDS:
+    """Build what the run builds; only the checks that have no counterpart
+    in the library are written out here."""
+    if cfg.command not in _RUNNERS:
         raise ConfigError(
-            f"command must be one of {', '.join(_COMMANDS)}, got {cfg.command!r}",
+            f"command must be one of {', '.join(_RUNNERS)}, got {cfg.command!r}",
             key="command",
         )
-    if not 1.0 < cfg.p < math.inf:
-        raise ConfigError(f"p must satisfy 1 < p < inf, got {cfg.p}", key="p")
-    if cfg.dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}", key="dim")
-    if cfg.nx < 4:
-        raise ConfigError(f"nx must be >= 4, got {cfg.nx}", key="nx")
-    if not math.isfinite(cfg.box_lo) or not cfg.box_lo < cfg.box_hi < math.inf:
-        raise ConfigError(
-            f"need finite box_lo < box_hi, got {cfg.box_lo}, {cfg.box_hi}", key="box_hi"
-        )
-    if not 0 < cfg.epsilon < math.inf:
-        raise ConfigError(f"epsilon must be positive, got {cfg.epsilon}", key="epsilon")
-    if not 0 < cfg.T < math.inf:
-        raise ConfigError(f"T must be positive and finite, got {cfg.T}", key="T")
-    if cfg.h is not None and not 0 < cfg.h < math.inf:
-        raise ConfigError(f"h must be positive and finite, got {cfg.h}", key="h")
-    if cfg.q < 1:
-        raise ConfigError(f"q must be >= 1, got {cfg.q}", key="q")
-    if cfg.kernel not in ("tent", "quartic", "cosine"):
-        raise ConfigError(f"unknown kernel {cfg.kernel!r}", key="kernel")
-    if cfg.mode not in ("implicit", "explicit"):
-        raise ConfigError(f"mode must be implicit or explicit", key="mode")
     if cfg.u0 not in ("bump", "random", "zero"):
         raise ConfigError(f"u0 must be bump, random, or zero, got {cfg.u0!r}", key="u0")
     if cfg.phi not in ("sin2pi", "quadratic"):
-        raise ConfigError(f"phi must be sin2pi or quadratic", key="phi")
-    if cfg.epsilon_list:
-        if any(e <= 0 for e in cfg.epsilon_list):
-            raise ConfigError("epsilon_list entries must be positive", key="epsilon_list")
-        if any(
-            b >= a for a, b in zip(cfg.epsilon_list, cfg.epsilon_list[1:])
-        ):
-            raise ConfigError(
-                f"epsilon_list must be strictly decreasing, got {cfg.epsilon_list}",
-                key="epsilon_list",
-            )
-    # the rescaled support (eps times the unit radius of every shipped
-    # kernel) must span two cells; denoise works in pixel units, dx = 1
-    dx = 1.0 if cfg.command == "denoise" else (cfg.box_hi - cfg.box_lo) / cfg.nx
-    key = "epsilon_list" if cfg.command in ("consistency", "converge") else "epsilon"
-    scales = cfg.epsilon_list if key == "epsilon_list" else [cfg.epsilon]
-    if scales and min(scales) < 2.0 * dx:
+        raise ConfigError(f"phi must be sin2pi or quadratic, got {cfg.phi!r}", key="phi")
+    if cfg.q < 1:
+        raise ConfigError(f"q must be >= 1, got {cfg.q}", key="q")
+    sweep = cfg.command in ("consistency", "converge")
+    if sweep and not cfg.epsilon_list:
+        raise ConfigError(f"{cfg.command} needs epsilon_list", key="epsilon_list")
+    if any(b >= a for a, b in zip(cfg.epsilon_list, cfg.epsilon_list[1:])):
         raise ConfigError(
-            f"{key} {min(scales):g} under-resolved: need at least 2*dx = {2.0 * dx:g}",
-            key=key,
+            f"epsilon_list must be strictly decreasing, got {cfg.epsilon_list}",
+            key="epsilon_list",
         )
+    if cfg.command == "denoise" and not cfg.input:
+        raise ConfigError("denoise needs an input PGM path", key="input")
+
+    _build(cfg.stepper_config, "p", "T", "h", "mode", "inner_tol", "inner_max_iters",
+           "record_every")
+    _build(lambda: get_kernel(cfg.kernel, cfg.dim), "kernel", "dim")
+    eps_key = "epsilon_list" if sweep else "epsilon"
+    box_key = "box_hi" if math.isfinite(cfg.box_lo) else "box_lo"
+    for eps in cfg.epsilon_list if sweep else [cfg.epsilon]:
+        for nx in (cfg.nx, 2 * cfg.nx) if cfg.command == "poincare" else (cfg.nx,):
+            _build(lambda: _grid(cfg, eps, nx), eps_key, "nx", box_key,
+                   eps=eps_key, box=box_key)
+    _build(lambda: np.random.SeedSequence(cfg.seed), "seed")
 
 
 def _write_manifest(cfg_path, outdir: Path, command: str) -> None:
@@ -212,13 +180,22 @@ def _write_manifest(cfg_path, outdir: Path, command: str) -> None:
         fh.write(f"{digest},{__version__},{command}\n")
 
 
-def _domain_and_stencil(cfg: ExperimentConfig, eps: float | None = None):
-    eps = cfg.epsilon if eps is None else eps
-    kern = get_kernel(cfg.kernel, cfg.dim)
-    box = [(cfg.box_lo, cfg.box_hi)] * cfg.dim
-    spec = make_domain(cfg.dim, box, cfg.nx, kern, eps)
-    stencil = discretize(rescale(kern, eps), spec)
-    return kern, spec, stencil
+def _grid(cfg: ExperimentConfig, eps: float, nx=None):
+    """The kernel and the grid of a run at scale eps: the config's box with
+    nx cells per axis (default cfg.nx), or for denoise the pixel grid of
+    nx = (width, height), one unit per pixel."""
+    nx = cfg.nx if nx is None else nx
+    if cfg.command == "denoise":
+        dim, box = 2, [(0.0, float(n)) for n in np.broadcast_to(nx, 2)]
+    else:
+        dim, box = cfg.dim, [(cfg.box_lo, cfg.box_hi)] * cfg.dim
+    kern = get_kernel(cfg.kernel, dim)
+    return kern, make_domain(dim, box, nx, kern, eps)
+
+
+def _grid_and_stencil(cfg: ExperimentConfig, nx=None):
+    kern, spec = _grid(cfg, cfg.epsilon, nx)
+    return spec, discretize(rescale(kern, cfg.epsilon), spec)
 
 
 def _initial_state(cfg: ExperimentConfig, spec: DomainSpec) -> Field:
@@ -238,7 +215,7 @@ def _emit(report: StudyReport, outdir: Path, filename: str) -> bool:
 
 
 def _run_evolve(cfg, outdir) -> bool:
-    _, spec, st = _domain_and_stencil(cfg)
+    spec, st = _grid_and_stencil(cfg)
     u0 = _initial_state(cfg, spec)
     traj = evolve(u0, st, cfg.stepper_config())
     trajectory_to_csv(traj, outdir / "trajectory.csv")
@@ -246,7 +223,7 @@ def _run_evolve(cfg, outdir) -> bool:
 
 
 def _run_decay(cfg, outdir) -> bool:
-    _, spec, st = _domain_and_stencil(cfg)
+    spec, st = _grid_and_stencil(cfg)
     u0 = _initial_state(cfg, spec)
     scfg = cfg.stepper_config()
     traj = evolve(u0, st, scfg)
@@ -281,11 +258,7 @@ def _run_decay(cfg, outdir) -> bool:
 
 
 def _run_consistency(cfg, outdir) -> bool:
-    if not cfg.epsilon_list:
-        raise ConfigError("consistency needs epsilon_list", key="epsilon_list")
-    kern = get_kernel(cfg.kernel, cfg.dim)
-    box = [(cfg.box_lo, cfg.box_hi)] * cfg.dim
-    spec = make_domain(cfg.dim, box, cfg.nx, kern, max(cfg.epsilon_list))
+    kern, spec = _grid(cfg, max(cfg.epsilon_list))
     span = cfg.box_hi - cfg.box_lo
 
     if cfg.phi == "sin2pi":
@@ -306,24 +279,17 @@ def _run_consistency(cfg, outdir) -> bool:
 
 
 def _run_converge(cfg, outdir) -> bool:
-    if not cfg.epsilon_list:
-        raise ConfigError("converge needs epsilon_list", key="epsilon_list")
-    kern = get_kernel(cfg.kernel, cfg.dim)
-    box = [(cfg.box_lo, cfg.box_hi)] * cfg.dim
-    spec = make_domain(cfg.dim, box, cfg.nx, kern, max(cfg.epsilon_list))
+    kern, spec = _grid(cfg, max(cfg.epsilon_list))
     u0 = _initial_state(cfg, spec)
     report = nonlocal_to_local_study(u0, cfg.p, kern, cfg.epsilon_list, cfg.stepper_config())
     return _emit(report, outdir, "study.csv")
 
 
 def _run_poincare(cfg, outdir) -> bool:
-    kern = get_kernel(cfg.kernel, cfg.dim)
-    box = [(cfg.box_lo, cfg.box_hi)] * cfg.dim
     rows = []
     constants = []
     for nx in (cfg.nx, 2 * cfg.nx):
-        spec = make_domain(cfg.dim, box, nx, kern, cfg.epsilon)
-        st = discretize(rescale(kern, cfg.epsilon), spec)
+        spec, st = _grid_and_stencil(cfg, nx)
         c = poincare_constant(spec, st, q=2)
         rows.append((nx, c, float("nan")))
         constants.append(c)
@@ -344,7 +310,7 @@ def _run_poincare(cfg, outdir) -> bool:
 
 
 def _run_contraction(cfg, outdir) -> bool:
-    _, spec, st = _domain_and_stencil(cfg)
+    spec, st = _grid_and_stencil(cfg)
     rng = np.random.default_rng(cfg.seed)
     u0_a = zero_extend(rng.standard_normal(spec.nx), spec)
     u0_b = zero_extend(
@@ -362,13 +328,8 @@ def _total_variation(values: np.ndarray) -> float:
 
 
 def _run_denoise(cfg, outdir) -> bool:
-    if not cfg.input:
-        raise ConfigError("denoise needs an input PGM path", key="input")
-    kern = get_kernel(cfg.kernel, 2)
     pixels, maxval = read_pgm_pixels(cfg.input)
-    w, h_px = pixels.shape
-    spec = make_domain(2, ((0.0, float(w)), (0.0, float(h_px))), (w, h_px), kern, cfg.epsilon)
-    st = discretize(rescale(kern, cfg.epsilon), spec)
+    spec, st = _grid_and_stencil(cfg, pixels.shape)
     mean = float(pixels.mean())
     u0 = zero_extend(pixels - mean, spec)
     traj = evolve(u0, st, cfg.stepper_config())
@@ -412,9 +373,6 @@ def run(cfg: ExperimentConfig, outdir, cfg_path=None) -> int:
         if cfg_path is not None:
             _write_manifest(cfg_path, outdir, cfg.command)
         passed = _RUNNERS[cfg.command](cfg, outdir)
-    except ConfigError as err:
-        print(f"ERROR CONFIG {err}")
-        return 2
     except OSError as err:
         print(f"ERROR IO {err}")
         return 2
@@ -486,32 +444,27 @@ def read_pgm_pixels(path) -> tuple[np.ndarray, int]:
     return grid, maxval
 
 
-def read_pgm(path, kernel=None, eps: float | None = None) -> Field:
+def read_pgm(path) -> Field:
     """Load a PGM as a 2D field: pixel values scaled to [0, 1] fill the
-    interior box (one unit per pixel); the collar is zero.
-
-    With ``kernel`` and ``eps`` the collar is sized for that rescaled kernel;
-    otherwise it is the two-cell minimum that the local operator needs.
-    """
+    interior box (one unit per pixel); the collar is the two-cell minimum
+    that the local operator needs, and zero."""
     pixels, _ = read_pgm_pixels(path)
     w, h = pixels.shape
-    if kernel is not None and eps is not None:
-        spec = make_domain(2, ((0.0, float(w)), (0.0, float(h))), (w, h), kernel, eps)
-    else:
-        spec = DomainSpec(
-            dim=2,
-            omega_lo=(0.0, 0.0),
-            omega_hi=(float(w), float(h)),
-            nx=(w, h),
-            dx=1.0,
-            pad=2.0,
-            pad_cells=2,
-        )
+    spec = DomainSpec(
+        dim=2,
+        omega_lo=(0.0, 0.0),
+        omega_hi=(float(w), float(h)),
+        nx=(w, h),
+        dx=1.0,
+        pad=2.0,
+        pad_cells=2,
+    )
     return zero_extend(pixels, spec)
 
 
-def write_pgm(f: Field, path, maxval: int = 255, binary: bool = True) -> None:
-    """Write the interior of a 2D field as PGM, clamping to [0, 1] first."""
+def write_pgm(f: Field, path, maxval: int = 255) -> None:
+    """Write the interior of a 2D field as binary PGM (P5), clamping to
+    [0, 1] first."""
     if f.spec.dim != 2:
         raise ValueError("write_pgm needs a 2D field")
     if not 0 < maxval <= 65535:
@@ -520,15 +473,10 @@ def write_pgm(f: Field, path, maxval: int = 255, binary: bool = True) -> None:
     quantized = np.rint(vals * maxval).astype(np.uint16)
     w, h = quantized.shape
     raster = quantized.T  # rows = y
-    header = f"P5\n{w} {h}\n{maxval}\n" if binary else f"P2\n{w} {h}\n{maxval}\n"
+    dtype = ">u2" if maxval > 255 else np.uint8
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            dtype = ">u2" if maxval > 255 else np.uint8
-            fh.write(raster.astype(dtype).tobytes())
-        else:
-            lines = [" ".join(str(int(v)) for v in row) for row in raster]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(raster.astype(dtype).tobytes())
 
 
 def main(argv=None) -> int:

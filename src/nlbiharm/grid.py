@@ -98,8 +98,8 @@ def make_domain(dim, box, nx, kernel, eps, *, pad=None) -> DomainSpec:
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if dim == 1 and np.isscalar(box[0]):
         box = (box,)
     lo = tuple(float(b[0]) for b in box)
@@ -109,8 +109,8 @@ def make_domain(dim, box, nx, kernel, eps, *, pad=None) -> DomainSpec:
     nx_t = _as_axis_tuple(nx, dim, "nx", int)
     if any(n < 4 for n in nx_t):
         raise ValueError(f"nx must be >= 4 on every axis, got {nx_t}")
-    if any(h <= l for l, h in zip(lo, hi)):
-        raise ValueError("box upper bounds must exceed lower bounds")
+    if not all(map(math.isfinite, lo + hi)) or any(h <= l for l, h in zip(lo, hi)):
+        raise ValueError(f"box must be finite with upper above lower bounds, got {lo}, {hi}")
     dxs = [(h - l) / n for l, h, n in zip(lo, hi, nx_t)]
     dx = dxs[0]
     if any(abs(d - dx) > 1e-12 * dx for d in dxs):

@@ -84,27 +84,25 @@ class StepperConfig:
 
     def __post_init__(self):
         check_exponent(self.p)
-        if self.h <= 0:
-            raise ValueError(f"time step must be positive, got {self.h}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"final time T must be positive and finite, got {self.T}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"time step h must be positive and finite, got {self.h}")
         if self.T < self.h:
-            raise ValueError(f"final time {self.T} must be at least one step {self.h}")
+            raise ValueError(
+                f"final time T = {self.T} must be at least one step h = {self.h}"
+            )
         if self.mode not in ("implicit", "explicit"):
             raise ValueError(f"mode must be implicit or explicit, got {self.mode!r}")
-        if self.inner_tol is not None and self.inner_tol <= 0:
-            raise ValueError("inner_tol must be positive")
+        if self.inner_tol is not None and not self.inner_tol > 0:
+            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
         if self.inner_max_iters < 1:
-            raise ValueError("inner_max_iters must be >= 1")
+            raise ValueError(f"inner_max_iters must be >= 1, got {self.inner_max_iters}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
-def resolve_inner_tol(cfg: StepperConfig, u0_l2: float) -> float:
-    if cfg.inner_tol is not None:
-        return cfg.inner_tol
-    return 1e-8 * max(1.0, u0_l2)
-
-
-def effective_inner_tol(op, cfg: StepperConfig, u0_l2: float) -> float:
+def effective_inner_tol(op: NonlocalOperator, cfg: StepperConfig, u0_l2: float) -> float:
     """Requested tolerance, floored at the evaluation noise of the gradient.
 
     One gradient evaluation composes the operator twice, so its floating
@@ -113,11 +111,8 @@ def effective_inner_tol(op, cfg: StepperConfig, u0_l2: float) -> float:
     double precision (the clamped Laplacian at fine grids hits this).  The
     floor is recorded per step through the trajectory residual column.
     """
-    tol = resolve_inner_tol(cfg, u0_l2)
-    bound = getattr(op, "norm_bound", None)
-    if bound is None:
-        return tol
-    floor = np.finfo(float).eps * bound() ** 2 * max(1.0, u0_l2)
+    tol = 1e-8 * max(1.0, u0_l2) if cfg.inner_tol is None else cfg.inner_tol
+    floor = np.finfo(float).eps * op.norm_bound() ** 2 * max(1.0, u0_l2)
     return max(tol, floor)
 
 
@@ -150,13 +145,13 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def as_operator(st, spec: DomainSpec):
-    """Accept a Stencil or any object with apply/spec (plus restricted_matrix
-    for the sparse Hessian solves)."""
+def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
+    """Accept a Stencil or an operator (the local one included) bound to
+    ``spec``."""
     if isinstance(st, Stencil):
         return NonlocalOperator(st, spec)
-    if not hasattr(st, "apply"):
-        raise TypeError(f"expected a Stencil or an operator, got {type(st)!r}")
+    if not isinstance(st, NonlocalOperator):
+        raise TypeError(f"expected a Stencil or a NonlocalOperator, got {type(st)!r}")
     if st.spec != spec:
         raise ValueError("operator bound to a different domain spec")
     return st
@@ -265,13 +260,11 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
     if p < 2.0:
         fn = _StepFunctional(op, spec, u_prev_int, p, h)
         label, rule = "reweighted", _irls_rule(fn)
-    elif getattr(op, "hessian_solve", "cg") == "sparse":
+    elif op.hessian_solve == "sparse":
         fn = _StepFunctional(op, spec, u_prev_int, p, h)
         label, rule = "Newton", _newton_rule(fn, _sparse_solve(fn))
     else:
-        fn = _StepFunctional(
-            op, spec, u_prev_int, p, h, getattr(op, "apply_fft", op.apply)
-        )
+        fn = _StepFunctional(op, spec, u_prev_int, p, h, op.apply_fft)
         label, rule = "Newton", _newton_rule(fn, _cg_solve(fn, tol))
 
     x = np.array(u_prev_int, dtype=float)
@@ -465,19 +458,24 @@ def explicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
     if not u_prev.is_zero_extended():
         raise ValueError("previous state must be exactly zero on exterior nodes")
     op = as_operator(st, u_prev.spec)
-    fn = _StepFunctional(op, u_prev.spec, u_prev.interior_values, cfg.p, cfg.h)
-    x = u_prev.interior_values
+    x_new, _ = _explicit_update(op, u_prev.interior_values, cfg)
+    return zero_extend(x_new, u_prev.spec)
+
+
+def _explicit_update(op, x: np.ndarray, cfg: StepperConfig):
+    """Forward-Euler update of the interior values x, three applies;
+    returns (x_new, E(x_new)), the energy from the guard's own evaluation."""
+    fn = _StepFunctional(op, op.spec, x, cfg.p, cfg.h)
     a = op.apply(fn.embed(x))
     e_prev = fn.p_energy(a)
-    rhs = -op.apply(p_flux_values(a, cfg.p))[u_prev.spec.interior_slices]
+    rhs = -op.apply(p_flux_values(a, cfg.p))[op.spec.interior_slices]
     x_new = x + cfg.h * rhs
-    a_new = op.apply(fn.embed(x_new))
-    e_new = fn.p_energy(a_new)
+    e_new = fn.p_energy(op.apply(fn.embed(x_new)))
     if e_new > e_prev * (1.0 + 1e-12) + 1e-300:
         raise StabilityViolation(
             f"energy increased {e_prev:.6e} -> {e_new:.6e}; reduce the time step"
         )
-    return zero_extend(x_new, u_prev.spec)
+    return x_new, e_new
 
 
 def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
@@ -519,10 +517,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
                 residuals[j] = result.residual
                 energies[j] = result.p_energy
             else:
-                fld = explicit_step(zero_extend(x, spec), op, cfg)
-                x_new = fld.interior_values.copy()
-                a = op.apply(fn.embed(x_new))
-                energies[j] = fn.p_energy(a)
+                x_new, energies[j] = _explicit_update(op, x, cfg)
         except (InnerSolveFailed, StabilityViolation) as err:
             raise type(err)(f"step {j} (t = {j * cfg.h:g}): {err}", *(
                 (err.residual,) if isinstance(err, InnerSolveFailed) else ()

@@ -1,8 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nlbiharm import ConfigError, parse_config, read_pgm, write_pgm
 from nlbiharm.cli import main, read_pgm_pixels
+
+ROOT = Path(__file__).resolve().parents[1]
+INT_KEYS = ("dim", "nx", "inner_max_iters", "record_every", "seed")
+FLOAT_KEYS = ("box_lo", "box_hi", "epsilon", "p", "T", "h", "inner_tol", "q",
+              "fit_t_lo", "fit_t_hi", "fit_floor_ratio")
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -54,8 +61,13 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "line,key",
         [("epsilon = 0.01", "epsilon"), ("box_lo = 1\nbox_hi = 0", "box"),
-         ("p = nan", "p"), ("T = inf", "T")],
-        ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf"],
+         ("p = nan", "p"), ("T = inf", "T"),
+         ("inner_max_iters = 0", "inner_max_iters"), ("record_every = 0", "record_every"),
+         ("inner_tol = -1", "inner_tol"), ("T = 0.001", "'T'"),
+         ("seed = -1\nu0 = random", "seed")],
+        ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf",
+             "inner_max_iters_zero", "record_every_zero", "inner_tol_negative",
+             "T_below_h", "seed_negative"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
         cfg_path = write_cfg(
@@ -67,6 +79,21 @@ class TestParseConfig:
         assert capsys.readouterr().out.startswith("ERROR CONFIG")
         with pytest.raises(ConfigError, match=key):
             parse_config(cfg_path)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
+        + [ROOT / "perfbench" / "configs" / "evolve_2d.cfg"],
+        ids=lambda path: path.stem,
+    )
+    def test_shipped_config_parses_with_field_types(self, path):
+        cfg = parse_config(path)
+        for key in INT_KEYS:
+            assert type(getattr(cfg, key)) is int, key
+        for key in FLOAT_KEYS:
+            assert getattr(cfg, key) is None or type(getattr(cfg, key)) is float, key
+        assert type(cfg.epsilon_list) is list
+        assert all(type(e) is float for e in cfg.epsilon_list)
 
     def test_unknown_command(self, tmp_path):
         with pytest.raises(ConfigError, match="command"):

@@ -326,7 +326,24 @@ class TestExplicitStep:
                 u = explicit_step(u, stencil16, c)
 
 
+    def test_evolve_applies_three_times_per_step(self, domain16, stencil16, rng):
+        op = _CountingOperator(stencil16, domain16)
+        u0 = zero_extend(0.01 * rng.standard_normal(16), domain16)
+        h = 0.5 * explicit_stability_limit(stencil16)
+        traj = evolve(u0, op, cfg(h=h, T=10 * h, mode="explicit"))
+        assert traj.n_steps == 10
+        assert op.calls == 1 + 3 * 10
+        # each energy is the guard's own evaluation, bit for bit
+        for j, state in zip(traj.state_steps, traj.states):
+            assert traj.energies[j] == dirichlet_energy(state, stencil16, 2.0)
+
+
 class TestEvolve:
+    def test_rejects_other_operator_types(self, domain16):
+        u0 = zero_extend(np.zeros(16), domain16)
+        with pytest.raises(TypeError, match="Stencil or a NonlocalOperator"):
+            evolve(u0, object(), cfg())
+
     def test_zero_initial_state(self, domain16, stencil16):
         traj = evolve(zero_extend(np.zeros(16), domain16), stencil16, cfg(h=0.01, T=0.05))
         assert np.all(traj.l2_sq == 0.0)
