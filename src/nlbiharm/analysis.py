@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .grid import DomainSpec, Field, format_float, lp_norm, zero_extend
 from .kernel import Kernel, Stencil, discretize, kernel_is_nonincreasing, rescale
@@ -207,32 +206,27 @@ def consistency_study(
     )
 
 
-def decay_fit(
-    traj: Trajectory,
-    p: float,
-    window: tuple[float, float] | None = None,
-    floor_ratio: float | None = None,
-) -> DecayFit:
-    """Fit the large-time law of the squared interior norm.
-
-    The window defaults to the last 75% of the time range.  ``floor_ratio``
-    optionally truncates the window where l2_sq falls below
-    ``floor_ratio * l2_sq[0]``: past that point an inexact inner solver pins
-    the state and the recorded norms stop carrying decay information.
-    """
+def decay_window(times: np.ndarray, p: float, window: tuple | None = None,
+                 floor_ratio: float | None = None,
+                 l2_sq: np.ndarray | None = None) -> np.ndarray:
+    """Steps of a decay fit, as a mask over ``times``: those in ``window``,
+    cut where ``l2_sq`` (when given) falls below ``floor_ratio * l2_sq[0]``.
+    Past that point an inexact inner solver pins the state and the recorded
+    norms stop carrying decay information.  A window end of None is the end
+    of the time range; with both None the window is its last 75%.  Without
+    ``l2_sq`` it checks a fit before the run."""
     if p < 2:
         raise ValueError(f"decay fit covers p >= 2, got p = {p}")
-    times = np.asarray(traj.times)
-    y = np.asarray(traj.l2_sq)
+    if floor_ratio is not None and not 0 < floor_ratio < 1:
+        raise ValueError(f"floor_ratio must lie in (0, 1), got {floor_ratio}")
     if len(times) < 20:
         raise ValueError(f"need at least 20 recorded steps, got {len(times)}")
-    if window is None:
-        t_lo = times[0] + 0.25 * (times[-1] - times[0])
-        t_hi = times[-1]
-    else:
-        t_lo, t_hi = window
-    if floor_ratio is not None:
-        alive = np.nonzero(y >= floor_ratio * y[0])[0]
+    t_lo, t_hi = window or (None, None)
+    if t_lo is None:
+        t_lo = times[0] + (0.25 * (times[-1] - times[0]) if t_hi is None else 0.0)
+    t_hi = times[-1] if t_hi is None else t_hi
+    if floor_ratio is not None and l2_sq is not None:
+        alive = np.nonzero(l2_sq >= floor_ratio * l2_sq[0])[0]
         if alive.size:
             t_hi = min(t_hi, times[alive[-1]])
     sel = (times >= t_lo) & (times <= t_hi)
@@ -240,11 +234,25 @@ def decay_fit(
         raise ValueError(
             f"fit window [{t_lo:g}, {t_hi:g}] holds fewer than 5 recorded steps"
         )
+    return sel
+
+
+def decay_fit(
+    traj: Trajectory,
+    p: float,
+    window: tuple | None = None,
+    floor_ratio: float | None = None,
+) -> DecayFit:
+    """Fit the large-time law of the squared interior norm over the steps
+    ``decay_window`` selects."""
+    times = np.asarray(traj.times)
+    y = np.asarray(traj.l2_sq)
+    sel = decay_window(times, p, window, floor_ratio, y)
     tw = times[sel]
     yw = y[sel]
     if np.any(yw < 1e-300):
         raise DecayFitDegenerate(
-            f"l2_sq underflows inside the fit window [{t_lo:g}, {t_hi:g}]"
+            f"l2_sq underflows inside the fit window [{tw[0]:g}, {tw[-1]:g}]"
         )
     if p == 2:
         slope, _, r2 = _linear_fit(tw, np.log(yw))
@@ -269,66 +277,48 @@ def decay_fit(
     )
 
 
-def poincare_form_matrix(spec: DomainSpec, stencil: Stencil) -> np.ndarray:
-    """Dense matrix of the constrained difference form over interior nodes:
-    u -> sum_{x in omega} sum_d w_d (u_ext(x + d) - u(x))^2 (volume factor
-    dropped; it cancels in the Rayleigh quotient against the L^2 norm)."""
-    n = spec.n_interior
-    shape = spec.nx
-    mat = np.zeros((n, n))
-    idx = np.arange(n).reshape(shape)
-    for d, w in zip(stencil.offsets, stencil.weights):
-        if not np.any(d):
-            continue
-        w = float(w)
-        # every interior node pays w * u_i^2: the neighbor always exists in
-        # the padded domain (containment guarantees it)
-        mat[np.diag_indices_from(mat)] += w
-        src, dst = [], []
-        for a in range(spec.dim):
-            dd = int(d[a])
-            dst.append(slice(max(-dd, 0), shape[a] - max(dd, 0)))
-            src.append(slice(max(dd, 0), shape[a] + min(dd, 0)))
-        k = idx[tuple(dst)].ravel()
-        j = idx[tuple(src)].ravel()
-        np.add.at(mat, (j, j), w)
-        np.add.at(mat, (k, j), -w)
-        np.add.at(mat, (j, k), -w)
-    return mat
+def poincare_form(spec: DomainSpec, stencil: Stencil) -> Callable:
+    """Matrix-free product B v = -2 (A v)_I + (A 1_I)_I v, one apply each,
+    of the constrained difference form sum_{x in omega} sum_d w_d
+    (u_ext(x + d) - u(x))^2 over flat interior values, A acting on zero
+    extensions (volume factor dropped: it cancels against the L^2 norm)."""
+    op = NonlocalOperator(stencil, spec)
+    interior = spec.interior_slices
+    full = np.zeros(spec.padded_shape)
+    full[interior] = 1.0
+    shift = op.apply_corr(full)[interior].ravel()
+
+    def form(v: np.ndarray) -> np.ndarray:
+        full[interior] = v.reshape(spec.nx)
+        return shift * v - 2.0 * op.apply_corr(full)[interior].ravel()
+
+    return form
 
 
-def poincare_constant(
-    spec: DomainSpec,
-    stencil: Stencil,
-    q: float = 2,
-    tol: float = 1e-8,
-    max_iters: int = 10000,
-) -> float:
-    """Best constant in the discrete constrained Poincare inequality at q = 2.
-
-    Runs shifted inverse power iteration on the difference-form matrix;
-    convergence is declared when the Rayleigh quotient stabilizes to ``tol``
-    relative.  The constant is the reciprocal of the smallest eigenvalue.
-    """
+def poincare_constant(spec: DomainSpec, stencil: Stencil, q: float = 2) -> float:
+    """Best constant in the discrete constrained Poincare inequality at q = 2:
+    1 / lambda_min of ``poincare_form``, by Lanczos with full
+    reorthogonalization (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM
+    1998) from the ones vector, which overlaps the positive ground state,
+    until the Ritz residual is at most 1e-10 times the Ritz value."""
     if q != 2:
         raise ValueError("only q = 2 has the eigenvalue characterization")
-    mat = poincare_form_matrix(spec, stencil)
-    factor = scipy.linalg.cho_factor(mat)
-    x = np.ones(mat.shape[0])
-    x /= np.linalg.norm(x)
-    rq_prev = float(x @ mat @ x)
-    for _ in range(max_iters):
-        y = scipy.linalg.cho_solve(factor, x)
-        norm = np.linalg.norm(y)
-        y /= norm
-        rq = float(y @ mat @ y)
-        if abs(rq - rq_prev) <= tol * abs(rq):
-            return 1.0 / rq
-        rq_prev = rq
-        x = y
-    raise RuntimeError(
-        f"inverse power iteration did not converge in {max_iters} iterations"
-    )
+    form = poincare_form(spec, stencil)
+    n = spec.n_interior
+    basis = [np.full(n, n**-0.5)]
+    alpha, beta = [], []
+    for _ in range(n):
+        w = form(basis[-1])
+        alpha.append(float(basis[-1] @ w))
+        vecs = np.array(basis)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= vecs.T @ (vecs @ w)
+        beta.append(float(np.linalg.norm(w)))
+        ritz, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1), UPLO="U")
+        if beta[-1] * abs(y[-1, 0]) <= 1e-10 * ritz[0]:
+            break
+        basis.append(w / beta[-1])
+    return float(1.0 / ritz[0])
 
 
 def nonlocal_to_local_study(

@@ -26,6 +26,7 @@ from .analysis import (
     consistency_study,
     contraction_study,
     decay_fit,
+    decay_window,
     default_bump,
     energy_audit,
     nonlocal_to_local_study,
@@ -161,15 +162,29 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.command == "denoise" and not cfg.input:
         raise ConfigError("denoise needs an input PGM path", key="input")
 
-    _build(cfg.stepper_config, "p", "T", "h", "mode", "inner_tol", "inner_max_iters",
-           "record_every")
+    scfg = _build(cfg.stepper_config, "p", "T", "h", "mode", "inner_tol",
+                  "inner_max_iters", "record_every")
+    if cfg.command == "decay":
+        win = "fit_t_lo" if cfg.fit_t_lo is not None else (
+            "fit_t_hi" if cfg.fit_t_hi is not None else "T")
+        _build(lambda: decay_window(scfg.step_times(), cfg.p, (cfg.fit_t_lo, cfg.fit_t_hi),
+                                    cfg.fit_floor_ratio),
+               win, "p", "fit_floor_ratio", "T",
+               window=win, floor_ratio="fit_floor_ratio", recorded="T")
     _build(lambda: get_kernel(cfg.kernel, cfg.dim), "kernel", "dim")
     eps_key = "epsilon_list" if sweep else "epsilon"
     box_key = "box_hi" if math.isfinite(cfg.box_lo) else "box_lo"
+    nx_key = "input" if cfg.command == "denoise" else "nx"
+    sizes = (cfg.nx, 2 * cfg.nx) if cfg.command == "poincare" else (cfg.nx,)
+    if cfg.command == "denoise":
+        try:  # the image sizes the grid; an unreadable one is the run's ERROR IO
+            sizes = [_build(lambda: read_pgm_pixels(cfg.input)[0].shape, "input")]
+        except OSError:
+            sizes = []
     for eps in cfg.epsilon_list if sweep else [cfg.epsilon]:
-        for nx in (cfg.nx, 2 * cfg.nx) if cfg.command == "poincare" else (cfg.nx,):
-            _build(lambda: _grid(cfg, eps, nx), eps_key, "nx", box_key,
-                   eps=eps_key, box=box_key)
+        for nx in sizes:
+            _build(lambda: _grid(cfg, eps, nx), eps_key, nx_key, box_key,
+                   eps=eps_key, box=box_key, nx=nx_key)
     _build(lambda: np.random.SeedSequence(cfg.seed), "seed")
 
 
@@ -228,14 +243,8 @@ def _run_decay(cfg, outdir) -> bool:
     scfg = cfg.stepper_config()
     traj = evolve(u0, st, scfg)
     trajectory_to_csv(traj, outdir / "trajectory.csv")
-    window = None
-    if cfg.fit_t_lo is not None or cfg.fit_t_hi is not None:
-        window = (
-            cfg.fit_t_lo if cfg.fit_t_lo is not None else traj.times[0],
-            cfg.fit_t_hi if cfg.fit_t_hi is not None else traj.times[-1],
-        )
-    floor = cfg.fit_floor_ratio if cfg.fit_floor_ratio > 0 else None
-    fit = decay_fit(traj, cfg.p, window=window, floor_ratio=floor)
+    fit = decay_fit(traj, cfg.p, window=(cfg.fit_t_lo, cfg.fit_t_hi),
+                    floor_ratio=cfg.fit_floor_ratio)
     if cfg.p == 2:
         ok = fit.c1 > 0 and fit.r_squared >= 0.99
         rows = [("c1", fit.c1, fit.r_squared)]

@@ -11,18 +11,19 @@ It has two evaluations of the same matrix:
   Differences are formed before scaling, so constants map to exactly zero,
   the operator matrix is exactly symmetric, and the rounding at a node
   depends only on its own neighborhood (local).
-* ``apply_fft``, a zero-padded FFT correlation with the stencil weights
-  minus the in-bounds weight sum times the value, O(N log N).  Its rounding
-  is global: about eps_mach times the largest correlation in the whole
-  array, at every node, however small the result there.
+* ``apply_corr``, the correlation sum_d w_d v(x + d) - S(x) v(x) of
+  v = u - u.flat[0], with S the in-bounds weight sum.  In 1D a direct
+  correlation, O(K N), whose outputs are K-term dot products of their
+  neighbours: local rounding.  In 2D a zero-padded FFT, O(N log N), whose
+  rounding is global: about eps_mach times the largest correlation in the
+  whole array, at every node, however small the result there.
 
-The implicit stepper's Newton steps for this operator at p >= 2, the bulk of
-the work, evaluate through the FFT: gradients, trials and the two applies of
-each Hessian-vector product of their CG solves.  Everything else keeps the
-loop: the reweighted rule for p < 2, whose weights |A x|^(p-2) amplify
-rounding at zeros of A x; Newton with the direct Hessian solve for the local
-stencil, whose residuals sit near the rounding floor; one-off evaluations;
-and the tests, where it is the oracle for the FFT.
+The stepper's Newton-CG steps at p >= 2, the bulk of the work, and the
+Poincare constant's Lanczos solve evaluate through ``apply_corr``.
+Everything else keeps the loop: the reweighted rule for p < 2, whose weights
+|A x|^(p-2) amplify rounding at zeros of A x; Newton with the direct Hessian
+solve for the local stencil, whose residuals sit near the rounding floor;
+one-off evaluations; and the tests, where it is the oracle.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class NonlocalOperator:
             if np.any(d)
         ]
         self._restricted = None
-        self._spectrum = None
+        self._corr = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
@@ -91,42 +92,53 @@ class NonlocalOperator:
             out[dst] += diff
         return out
 
-    def apply_fft(self, values: np.ndarray) -> np.ndarray:
-        """The operator of ``apply`` through FFT correlation, O(N log N).
+    def apply_corr(self, values: np.ndarray) -> np.ndarray:
+        """``apply`` in correlation form, as a new array (module docstring);
+        shifting by the first value keeps constants exactly zero."""
+        if self._corr is None:
+            self._corr = self._build_corr()
+        buf, inner, weight_sum, correlate = self._corr
+        v = buf[inner]
+        np.subtract(values, values.flat[0], out=v)
+        return correlate(buf) - weight_sum * v
 
-        Shifting by the first value keeps constants exactly zero; the
-        rounding of the result is global (see the module docstring).
-        """
-        if self._spectrum is None:
-            self._build_spectrum()
-        spectrum, fft_shape, weight_sum = self._spectrum
-        axes = tuple(range(values.ndim))
-        v = values - values.flat[0]
-        corr = np.fft.irfftn(
-            np.fft.rfftn(v, fft_shape, axes) * spectrum, fft_shape, axes
-        )
-        out = corr[tuple(slice(0, n) for n in v.shape)]
-        out -= weight_sum * v
-        return out
-
-    def _build_spectrum(self) -> None:
-        """Kernel spectrum on a zero-padded grid of n + reach per axis (so
-        the circular correlation never wraps) and the in-bounds weight sum
-        of every node."""
+    def _build_corr(self):
+        """Zero-padded work buffer, the values' slice of it, the in-bounds
+        weight sum and the correlation of the buffer at the values' nodes."""
         shape = self.spec.padded_shape
         st = self.stencil
-        reach = np.abs(st.offsets).max(axis=0)
-        fft_shape = tuple(_fast_len(n + int(r)) for n, r in zip(shape, reach))
-        kern = np.zeros(fft_shape)
+        reach = [int(r) for r in np.abs(st.offsets).max(axis=0)]
         weight_sum = np.zeros(shape)
-        # out[i] = sum_d w_d v[i + d]: place w_d at -d (mod the FFT length)
-        for d, w in zip(st.offsets, st.weights):
-            if np.any(d):
-                kern[tuple(-int(c) % n for c, n in zip(d, fft_shape))] = w
         for (_, dst), w in self._terms:
             weight_sum[dst] += w
+        if len(shape) == 1:  # taps[r + d] = w_d on a buffer of n + 2 r
+            r = reach[0]
+            taps = np.zeros(2 * r + 1)
+            taps[r + st.offsets[:, 0]] = st.weights
+            taps[r] = 0.0  # the zero offset contributes nothing
+            inner = (slice(r, r + shape[0]),)
+            return np.zeros(shape[0] + 2 * r), inner, weight_sum, (
+                lambda b: np.correlate(b, taps, "valid"))
+        # A circular correlation on n + reach per axis never wraps onto a
+        # value.  Its arrays are reused: they exceed glibc's mmap threshold
+        # and would fault in afresh on every call.  out[i] = sum_d w_d v[i + d]
+        # puts w_d at -d (mod the FFT length).
+        fft_shape = tuple(_fast_len(n + r) for n, r in zip(shape, reach))
+        kern = np.zeros(fft_shape)
+        kern[tuple((-st.offsets % fft_shape).T)] = st.weights
+        kern[(0,) * len(shape)] = 0.0
         axes = tuple(range(len(shape)))
-        self._spectrum = (np.fft.rfftn(kern, fft_shape, axes), fft_shape, weight_sum)
+        spectrum = np.fft.rfftn(kern)
+        freq = np.empty_like(spectrum)
+        corr = np.empty(fft_shape)
+        inner = tuple(slice(0, n) for n in shape)
+
+        def correlate(b):
+            np.fft.rfftn(b, out=freq)
+            np.multiply(freq, spectrum, out=freq)
+            return np.fft.irfftn(freq, fft_shape, axes, out=corr)[inner]
+
+        return np.zeros(fft_shape), inner, weight_sum, correlate
 
     def norm_bound(self) -> float:
         """Gershgorin bound 2 * sum(w_d) on the operator norm."""
@@ -139,33 +151,18 @@ class NonlocalOperator:
         if self._restricted is None:
             import scipy.sparse
 
-            spec = self.spec
-            stn = self.stencil
+            spec, st, pc = self.spec, self.stencil, self.spec.pad_cells
             n = spec.n_interior
-            n_pad = int(np.prod(spec.padded_shape))
-            pad_idx = np.arange(n_pad).reshape(spec.padded_shape)
-            col_idx = np.arange(n).reshape(spec.nx)
-            pc = spec.pad_cells
-            rows, cols, vals = [], [], []
-            for d, w in zip(stn.offsets, stn.weights):
-                row_slices = tuple(
-                    slice(pc - int(d[a]), pc - int(d[a]) + spec.nx[a])
-                    for a in range(spec.dim)
-                )
-                rows.append(pad_idx[row_slices].ravel())
-                cols.append(col_idx.ravel())
-                vals.append(np.full(n, float(w)))
-            interior_rows = pad_idx[spec.interior_slices].ravel()
-            rows.append(interior_rows)
-            cols.append(np.arange(n))
-            # interior nodes never see the outer truncation (containment)
-            vals.append(np.full(n, -stn.diag))
+            pad_idx = np.arange(np.prod(spec.padded_shape)).reshape(spec.padded_shape)
+            # column x holds w_d at row x - d for every offset d, and -diag at
+            # x: interior nodes never see the outer truncation (containment)
+            rows = [pad_idx[tuple(slice(pc - c, pc - c + m) for c, m in zip(d, spec.nx))]
+                    for d in st.offsets] + [pad_idx[spec.interior_slices]]
+            cols = np.tile(np.arange(n), len(rows))
+            rows = np.concatenate([r.ravel() for r in rows])
             self._restricted = scipy.sparse.csr_matrix(
-                (
-                    np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols)),
-                ),
-                shape=(n_pad, n),
+                (np.repeat(np.append(st.weights, -st.diag), n), (rows, cols)),
+                shape=(pad_idx.size, n),
             )
         return self._restricted
 

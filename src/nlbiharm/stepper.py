@@ -21,8 +21,8 @@ never increases.  A direction rule, picked once per step by regime, supplies
   H = I/h + A^T diag((p-1)|A x|^(p-2)) A against the gradient, in one of two
   ways.  The local reference's banded H, which conditions like h/dx^4, is
   factored directly (sparse).  The nonlocal H is solved matrix free by
-  truncated conjugate gradients (cg) through the FFT evaluation, each
-  product H v costing two operator applies, to a tolerance set by
+  truncated conjugate gradients (cg) through the correlation evaluation,
+  each product H v costing two operator applies, to a tolerance set by
   Eisenstat-Walker forcing;
 * iteratively reweighted least squares for 1 < p < 2, where the flux
   curvature is unbounded at zeros of the operator value and first-order
@@ -100,6 +100,10 @@ class StepperConfig:
             raise ValueError(f"inner_max_iters must be >= 1, got {self.inner_max_iters}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+    def step_times(self) -> np.ndarray:
+        """Times of step 0 to ceil(T/h), the times a trajectory records."""
+        return np.arange(math.ceil(self.T / self.h - 1e-12) + 1) * self.h
 
 
 def effective_inner_tol(op: NonlocalOperator, cfg: StepperConfig, u0_l2: float) -> float:
@@ -256,7 +260,7 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
     # value and first-order descent has unbounded crawl phases, so every such
     # step uses the reweighted (majorize-minimize) rule.  The sparse solves
     # evaluate through the exact difference loop, the matrix-free CG solve
-    # through the FFT, with linear trials (below).
+    # through the correlation form, with linear trials (below).
     if p < 2.0:
         fn = _StepFunctional(op, spec, u_prev_int, p, h)
         label, rule = "reweighted", _irls_rule(fn)
@@ -264,7 +268,7 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
         fn = _StepFunctional(op, spec, u_prev_int, p, h)
         label, rule = "Newton", _newton_rule(fn, _sparse_solve(fn))
     else:
-        fn = _StepFunctional(op, spec, u_prev_int, p, h, op.apply_fft)
+        fn = _StepFunctional(op, spec, u_prev_int, p, h, op.apply_corr)
         label, rule = "Newton", _newton_rule(fn, _cg_solve(fn, tol))
 
     x = np.array(u_prev_int, dtype=float)
@@ -293,10 +297,10 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
         # Linear trials when the rule supplies ad = A d: A(x - t d) =
         # A x - t A d costs no apply per backtrack, and the trial energies
         # differ only through x and t.  Re-evaluating A at each trial instead
-        # adds the global FFT rounding to every comparison, which at small
-        # eps is several times the roundoff allowance.  The carried A x
-        # drifts by rounding, so it is evaluated afresh before a residual is
-        # certified.
+        # adds the evaluation's rounding to every comparison; the global FFT
+        # rounding is several times the roundoff allowance at small eps.
+        # The carried A x drifts by rounding, so it is evaluated afresh
+        # before a residual is certified.
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             x_new = x - t * d
@@ -485,14 +489,14 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     spec = u0.spec
     op = as_operator(st, spec)
     tol = effective_inner_tol(op, cfg, lp_norm(u0, 2, "omega"))
-    m = math.ceil(cfg.T / cfg.h - 1e-12)
+    times = cfg.step_times()
+    m = len(times) - 1
     vol = spec.cell_volume
 
     fn = _StepFunctional(op, spec, u0.interior_values, cfg.p, cfg.h)
     x = u0.interior_values.copy()
     a0 = op.apply(fn.embed(x))
 
-    times = np.arange(m + 1) * cfg.h
     l2_sq = np.zeros(m + 1)
     energies = np.zeros(m + 1)
     increments_sq = np.zeros(m + 1)

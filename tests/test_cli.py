@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +67,28 @@ class TestParseConfig:
          ("p = nan", "p"), ("T = inf", "T"),
          ("inner_max_iters = 0", "inner_max_iters"), ("record_every = 0", "record_every"),
          ("inner_tol = -1", "inner_tol"), ("T = 0.001", "'T'"),
-         ("seed = -1\nu0 = random", "seed")],
+         ("seed = -1\nu0 = random", "seed"),
+         ("command = decay\np = 1.5", "'p'"),
+         ("command = decay\nfit_t_lo = 0.99", "'fit_t_lo'"),
+         ("command = decay\nT = 0.1", "'T'"),
+         ("command = decay\nfit_floor_ratio = 2", "'fit_floor_ratio'"),
+         ("command = decay\nfit_floor_ratio = 0", "'fit_floor_ratio'"),
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/p6.pgm", "'input'"),
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm", "'input'")],
         ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf",
              "inner_max_iters_zero", "record_every_zero", "inner_tol_negative",
-             "T_below_h", "seed_negative"],
+             "T_below_h", "seed_negative", "decay_p_below_two",
+             "decay_window_few_steps", "decay_run_few_steps",
+             "fit_floor_ratio_above_one", "fit_floor_ratio_zero",
+             "denoise_p6_image", "denoise_image_below_4x4"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
+        # images for the denoise cases: a colour (P6) file and a 3x3 one
+        (tmp_path / "p6.pgm").write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+        (tmp_path / "tiny.pgm").write_bytes(b"P5\n3 3\n255\n" + bytes(9))
         cfg_path = write_cfg(
-            tmp_path, f"command = evolve\nu0 = zero\nnx = 16\nh = 0.01\n{line}\n"
+            tmp_path,
+            f"command = evolve\nu0 = zero\nnx = 16\nh = 0.01\n{line.format(tmp=tmp_path)}\n",
         )
         out = tmp_path / "out"
         out.mkdir()
@@ -283,3 +300,18 @@ class TestDenoise:
                    for r in rows[1:]}
         assert metrics["dirichlet_energy"][1] < metrics["dirichlet_energy"][0]
         assert metrics["total_variation"][1] < metrics["total_variation"][0]
+
+
+class TestImport:
+    def test_cli_loads_no_scipy_linalg_or_sparse(self):
+        # scipy's dense and sparse modules load only inside the sparse solves
+        code = (
+            "import sys, nlbiharm.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.sparse'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        ).stdout
+        assert out.strip() == "[]"

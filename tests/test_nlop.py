@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,7 +62,7 @@ class TestNonlocalLaplacian:
         theirs = mat @ v
         for ours in (
             nonlocal_laplacian(Field(spec, v), st_).values,
-            NonlocalOperator(st_, spec).apply_fft(v),
+            NonlocalOperator(st_, spec).apply_corr(v),
         ):
             assert np.max(np.abs(ours - theirs)) <= 1e-13 * max(1.0, np.abs(theirs).max())
 
@@ -73,7 +75,7 @@ class TestNonlocalLaplacian:
         theirs = mat @ v.ravel()
         for ours in (
             nonlocal_laplacian(Field(spec, v), st_).values,
-            NonlocalOperator(st_, spec).apply_fft(v),
+            NonlocalOperator(st_, spec).apply_corr(v),
         ):
             err = np.max(np.abs(ours.ravel() - theirs))
             assert err <= 1e-13 * max(1.0, np.abs(theirs).max())
@@ -83,7 +85,7 @@ class TestNonlocalLaplacian:
         mat = dense_operator_matrix(op)
         v = rng.standard_normal(domain16.padded_shape)
         ref = mat @ v
-        for ours in (op.apply(v), op.apply_fft(v)):
+        for ours in (op.apply(v), op.apply_corr(v)):
             assert np.max(np.abs(ref - ours)) <= 1e-13 * np.abs(ref).max()
 
     def test_dx_mismatch_rejected(self, tent1d, stencil64):
@@ -115,7 +117,8 @@ SHIPPED_STENCILS = {
 
 
 class TestFftEvaluation:
-    """``apply_fft`` against the exact difference loop ``apply``."""
+    """``apply_corr`` (a direct correlation in 1D, an FFT in 2D) against the
+    exact difference loop ``apply``."""
 
     @pytest.fixture(scope="class", params=sorted(SHIPPED_STENCILS), ids="K{}".format)
     def op(self, request):
@@ -129,18 +132,39 @@ class TestFftEvaluation:
     def test_matches_loop(self, op, rng):
         v = rng.standard_normal(op.spec.padded_shape)
         exact = op.apply(v)
-        assert np.max(np.abs(op.apply_fft(v) - exact)) <= 1e-13 * np.abs(exact).max()
+        assert np.max(np.abs(op.apply_corr(v) - exact)) <= 1e-13 * np.abs(exact).max()
 
     def test_constant_gives_exact_zeros(self, op):
-        out = op.apply_fft(np.full(op.spec.padded_shape, 3.7))
+        out = op.apply_corr(np.full(op.spec.padded_shape, 3.7))
         assert np.all(out == 0.0)
 
     def test_self_adjoint(self, op, rng):
         f = rng.standard_normal(op.spec.padded_shape)
         g = rng.standard_normal(op.spec.padded_shape)
-        lhs = float(np.vdot(op.apply_fft(f), g))
-        rhs = float(np.vdot(f, op.apply_fft(g)))
+        lhs = float(np.vdot(op.apply_corr(f), g))
+        rhs = float(np.vdot(f, op.apply_corr(g)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_results_do_not_alias(self, op, rng):
+        f = rng.standard_normal(op.spec.padded_shape)
+        first = op.apply_corr(f)
+        kept = first.copy()
+        second = op.apply_corr(rng.standard_normal(op.spec.padded_shape))
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_reach_beyond_half_the_grid(self, tent1d, rng):
+        # a collar of 2 cells: 12 nodes, offsets up to 7, so the middle nodes
+        # lose neighbours on both sides
+        spec = make_domain(1, (0.0, 1.0), 8, tent1d, 0.9)
+        st_ = discretize(rescale(tent1d, 0.9), spec)
+        spec = replace(spec, pad_cells=2)
+        reach = int(np.abs(st_.offsets).max())
+        assert 2 * reach >= spec.padded_shape[0]
+        op = NonlocalOperator(st_, spec)
+        v = rng.standard_normal(spec.padded_shape)
+        exact = op.apply(v)
+        assert np.max(np.abs(op.apply_corr(v) - exact)) <= 1e-13 * np.abs(exact).max()
 
 
 class TestPFlux:

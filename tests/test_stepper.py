@@ -133,7 +133,7 @@ class _SparseNewtonOperator(NonlocalOperator):
 
 
 class _CountingOperator(NonlocalOperator):
-    """Counts its own evaluations, loop and FFT."""
+    """Counts its own evaluations, loop and correlation."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -143,9 +143,9 @@ class _CountingOperator(NonlocalOperator):
         self.calls += 1
         return super().apply(values)
 
-    def apply_fft(self, values):
+    def apply_corr(self, values):
         self.calls += 1
-        return super().apply_fft(values)
+        return super().apply_corr(values)
 
 
 class TestImplicitStep:
@@ -259,7 +259,7 @@ class TestNewtonStep:
         # h at the scale of 1/A^2, so I/h does not swamp the operator term
         h = 1.0 / op.norm_bound() ** 2
         shape = spec.nx
-        fn = _StepFunctional(op, spec, np.zeros(shape), p, h, op.apply_fft)
+        fn = _StepFunctional(op, spec, np.zeros(shape), p, h, op.apply_corr)
         x = rng.standard_normal(shape)
         curv = fn.curvature(op.apply(zero_extend(x, spec).values))
         v = rng.standard_normal(shape)
