@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""Time one operator evaluation at the stencils of the shipped studies.
+"""Time one operator evaluation and one direct Hessian solve.
 
 Usage:
     python scripts/bench_apply.py
 
-Prints microseconds per call of the difference loop
+The first table prints microseconds per call of the difference loop
 ``NonlocalOperator.apply`` and of ``apply_corr`` (a direct correlation in
-1D, a zero-padded FFT in 2D) on one random array: the best of REPEATS
-batches, each sized to take about BATCH_S seconds.  Rows are keyed by dim,
-nx (interior cells per axis) and K (nonzero stencil offsets).  The grids
-are the ones the runs use: converge's three scales share the grid padded
-for its largest eps.
+1D, a zero-padded FFT in 2D) on one random array at the stencils of the
+shipped studies.  Rows are keyed by dim, nx (interior cells per axis) and K
+(nonzero stencil offsets).  The grids are the ones the runs use: converge's
+three scales share the grid padded for its largest eps.
+
+The second table times the direct solve of one implicit step's model
+I/h + A^T diag(c) A (``NonlocalOperator.normal_solve``): microseconds per
+assembly of its blocks and per block LDL^T elimination, keyed by dim, n
+(interior unknowns) and the bandwidth, with the block size and the relative
+backward error ||M d - g|| / (||M||_1 ||d||) of the solve.  The weight c is
+the p = 3 Newton curvature 2|A x| at a random state.
+
+Every time is the best of REPEATS batches, each sized to take about
+BATCH_S seconds.
 """
 
 import time
@@ -18,6 +27,8 @@ import time
 import numpy as np
 
 from nlbiharm import NonlocalOperator, discretize, get_kernel, make_domain, rescale
+from nlbiharm.localref import LocalOperator
+from nlbiharm.nlop import BandedNormal
 
 BATCH_S = 0.05
 REPEATS = 5
@@ -31,6 +42,17 @@ CASES = [
     ("denoise", 2, ((0.0, 64.0), (0.0, 64.0)), 64, 4.0, 4.0),
     ("evolve_2d", 2, ((0.0, 1.0), (0.0, 1.0)), 64, 0.2, 0.2),
 ]
+
+# (solve, dim, box, nx, eps of the stencil or None for the local one, grid
+# eps): the local reference of converge, the 2D local Hessian at two sizes,
+# and the battery's 1D nonlocal stencil (K = 24), the reweighted rule's.
+SOLVE_CASES = [
+    ("local", 1, (0.0, 1.0), 256, None, 0.4),
+    ("local", 2, ((0.0, 1.0), (0.0, 1.0)), 16, None, 0.2),
+    ("local", 2, ((0.0, 1.0), (0.0, 1.0)), 64, None, 0.2),
+    ("nonlocal", 1, (0.0, 1.0), 64, 0.2, 0.2),
+]
+SOLVE_H = 1e-4
 
 
 def per_call_us(fn, values) -> float:
@@ -63,7 +85,42 @@ def main() -> int:
         k = sum(bool(np.any(d)) for d in st.offsets)
         print(f"{study:<11} {dim:>3} {nx:>4} {values.size:>6} {k:>4} "
               f"{loop_us:>9.1f} {corr_us:>8.1f} {diff:>9.1e}")
+
+    print()
+    print(f"{'solve':<11} {'dim':>3} {'n':>5} {'band':>4} {'block':>5} "
+          f"{'asm_us':>9} {'solve_us':>9} {'back_err':>9}")
+    for solve, dim, box, nx, eps, grid_eps in SOLVE_CASES:
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, box, nx, kern, grid_eps)
+        if eps is None:
+            op = LocalOperator(spec)
+        else:
+            op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+        x = np.zeros(spec.padded_shape)
+        x[spec.interior_slices] = rng.standard_normal(spec.nx)
+        curv = 2.0 * np.abs(op.apply(x))
+        g = rng.standard_normal(spec.nx)
+        model = BandedNormal(op)
+        model.assemble(curv, 1.0 / SOLVE_H)
+        d = model.eliminate(g)
+        asm_us = per_call_us(lambda c: model.assemble(c, 1.0 / SOLVE_H), curv)
+        solve_us = per_call_us(model.eliminate, g)
+        err = backward_error(op, curv, d, g)
+        print(f"{solve:<11} {dim:>3} {spec.n_interior:>5} {model.width:>4} "
+              f"{model.block:>5} {asm_us:>9.1f} {solve_us:>9.1f} {err:>9.1e}")
     return 0
+
+
+def backward_error(op, curv, d, g) -> float:
+    """||M d - g|| / (||M||_1 ||d||), with M applied through the operator
+    and ||M||_1 bounded by the column sums of |I/h| + |A|^T diag(c) |A|."""
+    spec = op.spec
+    full = np.zeros(spec.padded_shape)
+    full[spec.interior_slices] = d
+    md = d / SOLVE_H + op.apply(curv * op.apply(full))[spec.interior_slices]
+    col = np.abs(op.stencil.weights).sum() + op.stencil.diag  # ||A||_1 bound
+    norm = 1.0 / SOLVE_H + col * col * float(curv.max())
+    return float(np.linalg.norm(md - g) / (norm * np.linalg.norm(d)))
 
 
 if __name__ == "__main__":

@@ -24,6 +24,11 @@ Everything else keeps the loop: the reweighted rule for p < 2, whose weights
 |A x|^(p-2) amplify rounding at zeros of A x; Newton with the direct Hessian
 solve for the local stencil, whose residuals sit near the rounding floor;
 one-off evaluations; and the tests, where it is the oracle.
+
+``normal_solve`` is the direct solve of both of those rules' models,
+shift I + A^T diag(c) A over the interior values: its bands come straight
+from the stencil taps and a block LDL^T eliminates them (``BandedNormal``),
+in numpy alone.
 """
 
 from __future__ import annotations
@@ -81,8 +86,8 @@ class NonlocalOperator:
             for d, w in zip(stencil.offsets, stencil.weights)
             if np.any(d)
         ]
-        self._restricted = None
         self._corr = None
+        self._normal = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
@@ -144,27 +149,119 @@ class NonlocalOperator:
         """Gershgorin bound 2 * sum(w_d) on the operator norm."""
         return 2.0 * self.stencil.diag
 
-    def restricted_matrix(self):
-        """Sparse matrix of (zero-extend, apply) : interior values -> operator
-        values at every padded node.  Backs the sparse inner-step models
-        (reweighted for exponents below two, Newton for the local stencil)."""
-        if self._restricted is None:
-            import scipy.sparse
+    def normal_solve(self, c: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (shift I + A^T diag(c) A) d = rhs over interior values, for
+        A = apply after zero extension and a weight c >= 0 per padded node;
+        block LDL^T on the band (``BandedNormal``), built on the first call
+        and kept.  Backs the direct inner-step solves: the reweighted rule
+        for exponents below two, Newton for the local stencil."""
+        if self._normal is None:
+            self._normal = BandedNormal(self)
+        self._normal.assemble(c, shift)
+        return self._normal.eliminate(rhs)
 
-            spec, st, pc = self.spec, self.stencil, self.spec.pad_cells
-            n = spec.n_interior
-            pad_idx = np.arange(np.prod(spec.padded_shape)).reshape(spec.padded_shape)
-            # column x holds w_d at row x - d for every offset d, and -diag at
-            # x: interior nodes never see the outer truncation (containment)
-            rows = [pad_idx[tuple(slice(pc - c, pc - c + m) for c, m in zip(d, spec.nx))]
-                    for d in st.offsets] + [pad_idx[spec.interior_slices]]
-            cols = np.tile(np.arange(n), len(rows))
-            rows = np.concatenate([r.ravel() for r in rows])
-            self._restricted = scipy.sparse.csr_matrix(
-                (np.repeat(np.append(st.weights, -st.diag), n), (rows, cols)),
-                shape=(pad_idx.size, n),
-            )
-        return self._restricted
+
+# Smallest block of the block LDL^T solve.  Blocks are max(bandwidth,
+# BLOCK_MIN) wide: narrower blocks of a narrow band cost more LAPACK calls
+# than they save in flops (measured on the local 1D Hessian, n = 256).
+BLOCK_MIN = 32
+
+
+class BandedNormal:
+    """M = shift I + A^T diag(c) A over the interior values, as a banded
+    matrix, and its block LDL^T (block Thomas) solve.
+
+    A[y, x] = t_(x-y) for an interior node x and any padded node y, with
+    taps t_e = w_e off the centre and t_0 = w_0 - diag (interior nodes never
+    see the outer truncation), so M[i, i + k] = shift [k = 0] +
+    sum_(e_b - e_a = k) t_a t_b c(i - e_a): one product of the tap-product
+    matrix with c gathered at i - e_a per assembly.  Only k with a nonnegative
+    flat offset are kept, and only pairs (i, i + k) that are both interior.
+
+    The band, padded with identity rows to whole blocks, is block
+    tridiagonal; M is SPD, so block elimination needs no pivoting across
+    blocks (Golub & Van Loan, Matrix Computations, 4th ed., ch. 4).  Only
+    the first ``width`` (the bandwidth) columns of an off-diagonal block
+    are nonzero.
+    """
+
+    def __init__(self, op: NonlocalOperator):
+        spec, st = op.spec, op.stencil
+        dim, nx, n = spec.dim, spec.nx, spec.n_interior
+        offs, inv = np.unique(
+            np.vstack([np.zeros((1, dim), np.int64), st.offsets]), axis=0,
+            return_inverse=True,
+        )
+        taps = np.zeros(len(offs))
+        np.add.at(taps, inv.ravel(), np.append(-st.diag, st.weights))
+        pad_strides = np.cumprod((spec.padded_shape[1:] + (1,))[::-1])[::-1]
+        int_strides = np.cumprod((nx[1:] + (1,))[::-1])[::-1]
+        coords = np.indices(nx).reshape(dim, n)
+        # c at i - e_a for every tap a and interior node i
+        self._gather = ((coords.T + spec.pad_cells) @ pad_strides)[None, :] - (
+            offs @ pad_strides)[:, None]
+        diff = offs[None, :, :] - offs[:, None, :]  # e_b - e_a at [a, b]
+        a_idx, b_idx = np.nonzero(diff @ int_strides >= 0)
+        ks, k_inv = np.unique(diff[a_idx, b_idx], axis=0, return_inverse=True)
+        self._products = np.zeros((len(ks), len(offs)))
+        np.add.at(self._products, (k_inv.ravel(), a_idx), taps[a_idx] * taps[b_idx])
+        self._centre = int(np.flatnonzero(~ks.any(axis=1))[0])
+
+        inside = np.ones((len(ks), n), dtype=bool)
+        for ax in range(dim):
+            moved = coords[ax][None, :] + ks[:, ax][:, None]
+            inside &= (moved >= 0) & (moved < nx[ax])
+        k_of, i = np.nonzero(inside)
+        j = i + (ks @ int_strides)[k_of]
+        src = k_of * n + i
+        width = int((j - i).max())
+        m = min(max(width, BLOCK_MIN), n)
+        nb = -(-n // m)
+        bi, bj, ri, rj = i // m, j // m, i % m, j % m
+        same = bi == bj
+        mirror = same & (i != j)  # the lower triangle of a diagonal block
+        self._diag_src = np.concatenate([src[same], src[mirror]])
+        self._diag_dst = np.concatenate([
+            ((bi * m + ri) * m + rj)[same], ((bi * m + rj) * m + ri)[mirror]])
+        self._off_src = src[~same]
+        self._off_dst = ((bi * m + ri) * (width + 1) + rj)[~same]
+        self.block, self.width = m, width
+        pad = np.arange(n, nb * m)
+        self._diag = np.zeros((nb, m, m))
+        self._diag[pad // m, pad % m, pad % m] = 1.0
+        # the last column of each off-diagonal block holds a right-hand side
+        self._off = np.zeros((nb - 1, m, width + 1))
+
+    def assemble(self, c: np.ndarray, shift: float) -> None:
+        """Write the blocks of M for the weight c (padded shape)."""
+        bands = self._products @ c.ravel()[self._gather]
+        bands[self._centre] += shift
+        self._diag.ravel()[self._diag_dst] = bands.ravel()[self._diag_src]
+        self._off.ravel()[self._off_dst] = bands.ravel()[self._off_src]
+
+    def eliminate(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve M d = rhs (interior shape) with the assembled blocks."""
+        diag, off, w = self._diag, self._off, self.width
+        y = np.zeros(diag.shape[:2])
+        y.ravel()[: rhs.size] = rhs.ravel()
+        # forward: S_j = D_j - B_(j-1)^T x_(j-1) with x_j = S_j^-1 B_j, and
+        # y_j = S_j^-1 (rhs_j - B_(j-1)^T y_(j-1)); B_j reaches only the
+        # first w unknowns of block j + 1.  Back: d_j = y_j - x_j d_(j+1).
+        xs = []
+        schur = diag[0]
+        for j in range(len(off)):
+            off[j, :, w] = y[j]
+            sol = np.linalg.solve(schur, off[j])
+            xs.append(sol[:, :w])
+            y[j] = sol[:, w]
+            b_t = off[j, :, :w].T
+            schur = diag[j + 1].copy()
+            schur[:w, :w] -= b_t @ xs[j]
+            y[j + 1, :w] -= b_t @ y[j]
+        y[-1] = np.linalg.solve(schur, y[-1])
+        for j in range(len(off) - 1, -1, -1):
+            y[j] -= xs[j] @ y[j + 1, :w]
+        return y.ravel()[: rhs.size].reshape(rhs.shape)
 
 
 def nonlocal_laplacian(f: Field, st: Stencil) -> Field:

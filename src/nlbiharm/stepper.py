@@ -19,14 +19,18 @@ never increases.  A direction rule, picked once per step by regime, supplies
 
 * damped Newton for p >= 2: d solves the step Hessian
   H = I/h + A^T diag((p-1)|A x|^(p-2)) A against the gradient, in one of two
-  ways.  The local reference's banded H, which conditions like h/dx^4, is
-  factored directly (sparse).  The nonlocal H is solved matrix free by
-  truncated conjugate gradients (cg) through the correlation evaluation,
+  ways.  The local reference's narrow-banded H, which conditions like
+  h/dx^4, is factored directly (banded: block LDL^T,
+  ``NonlocalOperator.normal_solve``).  The nonlocal H is solved matrix free
+  by truncated conjugate gradients (cg) through the correlation evaluation,
   each product H v costing two operator applies, to a tolerance set by
   Eisenstat-Walker forcing;
 * iteratively reweighted least squares for 1 < p < 2, where the flux
   curvature is unbounded at zeros of the operator value and first-order
-  descent has unbounded crawl phases.
+  descent has unbounded crawl phases; each model is the same banded solve.
+
+An evolution carries the operator value and the flux term of each step's
+certified state into the next step, which starts from that state.
 """
 
 from __future__ import annotations
@@ -203,9 +207,12 @@ class _StepFunctional:
     def p_energy(self, a: np.ndarray) -> float:
         return float(self.vol / self.p * np.sum(np.abs(a) ** self.p))
 
-    def gradient(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        g2 = self.apply(p_flux_values(a, self.p))
-        return (x - self.u_prev) / self.h + g2[self.spec.interior_slices]
+    def flux_term(self, a: np.ndarray) -> np.ndarray:
+        """Interior part of A flux(a), the p-term of the gradient at A x = a."""
+        return self.apply(p_flux_values(a, self.p))[self.spec.interior_slices]
+
+    def gradient(self, x: np.ndarray, flux: np.ndarray) -> np.ndarray:
+        return (x - self.u_prev) / self.h + flux
 
     def curvature(self, a: np.ndarray) -> np.ndarray:
         """(p-1)|a|^(p-2), the second derivative of |.|^p/p at a = A x."""
@@ -235,7 +242,7 @@ def step_gradient(w: Field, u_prev: Field, st, cfg: StepperConfig) -> Field:
     op = as_operator(st, w.spec)
     fn = _StepFunctional(op, w.spec, u_prev.interior_values, cfg.p, cfg.h)
     _, a = fn.energy(w.interior_values)
-    return zero_extend(fn.gradient(w.interior_values, a), w.spec)
+    return zero_extend(fn.gradient(w.interior_values, fn.flux_term(a)), w.spec)
 
 
 def _check_pair(w: Field, u_prev: Field) -> None:
@@ -248,39 +255,54 @@ def _check_pair(w: Field, u_prev: Field) -> None:
 
 @dataclass
 class _StepResult:
+    """A step's solution and work; ``value`` (A x on the padded grid) and
+    ``flux`` (its flux term) are the fresh evaluations that certified it."""
+
     interior: np.ndarray
     iters: int
     applies: int
     residual: float
     p_energy: float
+    value: np.ndarray
+    flux: np.ndarray
 
 
-def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
+def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters,
+                   start=None) -> _StepResult:
+    """Minimize one step from x = u_prev_int.  ``start = (value, flux)`` of
+    the previous step's result, which certified this x with the same
+    evaluation, replaces the two applies that open the step."""
     # Below p = 2 the flux curvature is unbounded at zeros of the operator
     # value and first-order descent has unbounded crawl phases, so every such
-    # step uses the reweighted (majorize-minimize) rule.  The sparse solves
+    # step uses the reweighted (majorize-minimize) rule.  The banded solves
     # evaluate through the exact difference loop, the matrix-free CG solve
     # through the correlation form, with linear trials (below).
     if p < 2.0:
         fn = _StepFunctional(op, spec, u_prev_int, p, h)
         label, rule = "reweighted", _irls_rule(fn)
-    elif op.hessian_solve == "sparse":
+    elif op.hessian_solve == "banded":
         fn = _StepFunctional(op, spec, u_prev_int, p, h)
-        label, rule = "Newton", _newton_rule(fn, _sparse_solve(fn))
+        label, rule = "Newton", _newton_rule(fn, _banded_solve(fn))
     else:
         fn = _StepFunctional(op, spec, u_prev_int, p, h, op.apply_corr)
         label, rule = "Newton", _newton_rule(fn, _cg_solve(fn, tol))
 
     x = np.array(u_prev_int, dtype=float)
-    e, a = fn.energy(x)
-    g = fn.gradient(x, a)
+    if start is None:
+        e, a = fn.energy(x)
+        flux = fn.flux_term(a)
+    else:
+        a, flux = start
+        e, _ = fn.energy(x, a)
+    g = fn.gradient(x, flux)
     res = fn.l2(g)
     fresh = True
     iters = 0
     while res > tol or not fresh:
         if res <= tol:  # met on the carried A x: recheck on a fresh one
             e, a = fn.energy(x)
-            g = fn.gradient(x, a)
+            flux = fn.flux_term(a)
+            g = fn.gradient(x, flux)
             res = fn.l2(g)
             fresh = True
             continue
@@ -322,12 +344,13 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
             )
         x, e, a = x_new, e_new, a_new
         fresh = ad is None
-        g = fn.gradient(x, a)
+        flux = fn.flux_term(a)
+        g = fn.gradient(x, flux)
         res = fn.l2(g)
         iters += 1
     return _StepResult(
         interior=x, iters=iters, applies=fn.applies, residual=res,
-        p_energy=fn.p_energy(a),
+        p_energy=fn.p_energy(a), value=a, flux=flux,
     )
 
 
@@ -336,35 +359,21 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters) -> _StepResult:
 # ad = A d on the padded grid makes the trials linear; None re-evaluates.
 
 
-def _sparse_model(fn):
-    """theta -> eye/h + A^T diag(theta) A over interior values, from the
-    operator's restricted matrix A."""
-    import scipy.sparse
-
-    mat = fn.op.restricted_matrix()
-    mat_t = mat.T.tocsr()
-    eye = scipy.sparse.identity(mat.shape[1], format="csr")
-    return lambda theta: (eye / fn.h + mat_t @ mat.multiply(theta[:, None])).tocsc()
-
-
 def _irls_rule(fn):
     """Iteratively reweighted least squares for exponents 1 < p < 2.
 
     The quadratic upper model with frozen weights |A x|^(p-2) (floored for
     numerical safety) majorizes the p-term for p < 2; its minimizer w gives
-    the direction d = x - w with a unit first trial step.
+    the direction d = x - w with a unit first trial step.  The model
+    I/h + A^T diag(theta) A is solved directly (banded).
     """
-    import scipy.sparse.linalg
-
-    model = _sparse_model(fn)
-    rhs = fn.u_prev.ravel() / fn.h
+    rhs = fn.u_prev / fn.h
 
     def rule(x, a, g):
-        mag = np.abs(a.ravel())
+        mag = np.abs(a)
         floor = 1e-12 * max(float(mag.max()), 1e-300)
         theta = np.maximum(mag, floor) ** (fn.p - 2.0)
-        w_model = scipy.sparse.linalg.spsolve(model(theta), rhs)
-        direction = w_model.reshape(x.shape) - x
+        direction = fn.op.normal_solve(theta, 1.0 / fn.h, rhs) - x
         gd = fn.vol * float(np.dot(g.ravel(), direction.ravel()))
         return -direction, -min(gd, 0.0), None
 
@@ -382,16 +391,12 @@ def _newton_rule(fn, solve):
     return rule
 
 
-def _sparse_solve(fn):
-    """Direct sparse factorization of H, assembled from the operator's
-    restricted matrix: for the banded Hessian of the local stencil."""
-    import scipy.sparse.linalg
-
-    model = _sparse_model(fn)
+def _banded_solve(fn):
+    """Direct solve of H by block LDL^T on its band: for the narrow-banded
+    Hessian of the local stencil."""
 
     def solve(curv, g):
-        d = scipy.sparse.linalg.spsolve(model(curv.ravel()), g.ravel())
-        return d.reshape(g.shape), None
+        return fn.op.normal_solve(curv, 1.0 / fn.h, g), None
 
     return solve
 
@@ -509,12 +514,14 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     state_steps = [0]
     states = [zero_extend(x, spec)]
 
+    start = None  # step 1 evaluates with its own rule's evaluation
     for j in range(1, m + 1):
         try:
             if cfg.mode == "implicit":
                 result = _minimize_step(
-                    op, spec, x, cfg.p, cfg.h, tol, cfg.inner_max_iters
+                    op, spec, x, cfg.p, cfg.h, tol, cfg.inner_max_iters, start
                 )
+                start = result.value, result.flux
                 x_new = result.interior
                 inner_iters[j] = result.iters
                 applies[j] = result.applies

@@ -75,6 +75,25 @@ def dense_operator_matrix(op, max_nodes=6000):
     return mat
 
 
+def restricted_matrix(op):
+    """Dense matrix of (zero-extend, apply): interior values -> operator
+    values at every padded node.
+
+    Column x holds w_d at row x - d for every stencil offset d, and -diag
+    at x: interior nodes never see the outer truncation (containment).
+    """
+    spec, st, pc = op.spec, op.stencil, op.spec.pad_cells
+    n = spec.n_interior
+    pad_idx = np.arange(int(np.prod(spec.padded_shape))).reshape(spec.padded_shape)
+    mat = np.zeros((pad_idx.size, n))
+    cols = np.arange(n)
+    for d, w in zip(st.offsets, st.weights):
+        rows = pad_idx[tuple(slice(pc - c, pc - c + m) for c, m in zip(d, spec.nx))]
+        mat[rows.ravel(), cols] += w
+    mat[pad_idx[spec.interior_slices].ravel(), cols] -= st.diag
+    return mat
+
+
 def dense_local_matrix(spec):
     """Padded-grid central-difference Laplacian matrix with zero fill."""
     shape = spec.padded_shape

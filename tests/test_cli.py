@@ -315,3 +315,32 @@ class TestImport:
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         ).stdout
         assert out.strip() == "[]"
+
+    def test_direct_solves_load_no_scipy(self, tmp_path):
+        # the local reference's Newton steps and a reweighted (p < 2) step
+        # solve their models with numpy alone
+        cfg = write_cfg(tmp_path, "command = converge\nnx = 32\n"
+                        "epsilon_list = 0.4,0.2\np = 3\nT = 0.0005\nh = 0.0001\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from nlbiharm import (StepperConfig, discretize, get_kernel,\n"
+            "    implicit_step, make_domain, rescale, zero_extend)\n"
+            "from nlbiharm.cli import main\n"
+            f"assert main(['--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+            "kern = get_kernel('tent', 1)\n"
+            "spec = make_domain(1, (0.0, 1.0), 32, kern, 0.25)\n"
+            "x = spec.node_coords()[0][spec.interior_slices]\n"
+            "implicit_step(zero_extend(np.sin(np.pi * x), spec),\n"
+            "    discretize(rescale(kern, 0.25), spec),\n"
+            "    StepperConfig(p=1.5, h=1e-3, T=1e-3))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert "PASS nonlocal_to_local.errors_decreasing" in run.stdout
+        assert run.stdout.splitlines()[-1] == "[]"

@@ -21,9 +21,15 @@ from nlbiharm import (
     rescale,
     zero_extend,
 )
+from nlbiharm.localref import LocalOperator
 from nlbiharm.nlop import p_flux_values
 
-from oracles import dense_nonlocal_matrix, dense_operator_matrix, extension_matrix
+from oracles import (
+    dense_nonlocal_matrix,
+    dense_operator_matrix,
+    extension_matrix,
+    restricted_matrix,
+)
 
 
 class TestNonlocalLaplacian:
@@ -165,6 +171,60 @@ class TestFftEvaluation:
         v = rng.standard_normal(spec.padded_shape)
         exact = op.apply(v)
         assert np.max(np.abs(op.apply_corr(v) - exact)) <= 1e-13 * np.abs(exact).max()
+
+
+# name: (dim, box, nx, stencil eps or None for the local stencil, grid eps,
+# nonzero stencil offsets K).  local1d_n250 and nonlocal2d_nx8 (band 36)
+# do not fill a whole number of blocks.
+NORMAL_CASES = {
+    "local1d_n256": (1, (0.0, 1.0), 256, None, 0.4, 2),
+    "local1d_n250": (1, (0.0, 1.0), 250, None, 0.4, 2),
+    "nonlocal1d_K24": (1, (0.0, 1.0), 64, 0.2, 0.2, 24),
+    "nonlocal1d_K50": (1, (0.0, 1.0), 256, 0.1, 0.4, 50),
+    "local2d_nx8": (2, ((0.0, 1.0), (0.0, 1.0)), 8, None, 0.3, 4),
+    "nonlocal2d_nx8": (2, ((0.0, 1.0), (0.0, 1.0)), 8, 0.3, 0.3, 20),
+}
+
+
+class TestNormalSolve:
+    """``normal_solve`` (block LDL^T on the band) against ``np.linalg.solve``
+    of the dense I/h + A^T diag(c) A from the oracle's restricted matrix."""
+
+    @pytest.fixture(scope="class", params=sorted(NORMAL_CASES))
+    def op(self, request):
+        dim, box, nx, eps, grid_eps, k = NORMAL_CASES[request.param]
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, box, nx, kern, grid_eps)
+        if eps is None:
+            op = LocalOperator(spec)
+        else:
+            op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+        assert sum(bool(np.any(d)) for d in op.stencil.offsets) == k
+        return op
+
+    @staticmethod
+    def check(op, c, rng):
+        # h at the scale of 1/A^2, so I/h does not swamp the operator term
+        h = 1.0 / op.norm_bound() ** 2
+        g = rng.standard_normal(op.spec.nx)
+        d = op.normal_solve(c, 1.0 / h, g)
+        am = restricted_matrix(op)
+        dense = np.eye(op.spec.n_interior) / h + am.T @ (c.ravel()[:, None] * am)
+        ref = np.linalg.solve(dense, g.ravel())
+        assert d.shape == g.shape
+        resid = np.linalg.norm(dense @ d.ravel() - g.ravel())
+        assert resid <= 1e-12 * np.linalg.norm(dense, 2) * np.linalg.norm(d)
+        gap = np.linalg.norm(d.ravel() - ref)
+        assert gap <= 1e-12 * np.linalg.cond(dense) * np.linalg.norm(ref)
+
+    def test_matches_dense_solve(self, op, rng):
+        self.check(op, rng.uniform(0.5, 2.0, op.spec.padded_shape), rng)
+
+    def test_reweighting_weights_over_twelve_decades(self, op, rng):
+        # the reweighted rule's floored |A x|^(p-2); the second assembly
+        # rewrites the blocks the first one wrote
+        self.check(op, rng.uniform(0.5, 2.0, op.spec.padded_shape), rng)
+        self.check(op, 10.0 ** rng.uniform(-12.0, 0.0, op.spec.padded_shape), rng)
 
 
 class TestPFlux:

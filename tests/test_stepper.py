@@ -126,10 +126,10 @@ class TestStepGradient:
         ).max()
 
 
-class _SparseNewtonOperator(NonlocalOperator):
+class _BandedNewtonOperator(NonlocalOperator):
     """The nonlocal operator with the local stencil's direct Hessian solve."""
 
-    hessian_solve = "sparse"
+    hessian_solve = "banded"
 
 
 class _CountingOperator(NonlocalOperator):
@@ -278,7 +278,7 @@ class TestNewtonStep:
         x = spec.node_coords()[0][spec.interior_slices]
         u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
         c = cfg(p=3.0, h=1e-4)
-        ops = (NonlocalOperator(st_, spec), _SparseNewtonOperator(st_, spec))
+        ops = (NonlocalOperator(st_, spec), _BandedNewtonOperator(st_, spec))
         tol = effective_inner_tol(ops[0], c, lp_norm(zero_extend(u_int, spec), 2, "omega"))
         cg, direct = (
             _minimize_step(op, spec, u_int, c.p, c.h, tol, c.inner_max_iters)
