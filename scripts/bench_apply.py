@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time one operator evaluation and one direct Hessian solve.
+"""Time one operator evaluation, one direct Hessian solve and one implicit
+step.
 
 Usage:
     python scripts/bench_apply.py
@@ -18,17 +19,27 @@ assembly of its blocks and per block LDL^T elimination, keyed by dim, n
 backward error ||M d - g|| / (||M||_1 ||d||) of the solve.  The weight c is
 the p = 3 Newton curvature 2|A x| at a random state.
 
+The third table runs one implicit step (``stepper._minimize_step``) for
+each way of solving the step model: Newton-CG on converge's 1D K = 50
+stencil, direct Newton on the local 1D Hessian (n = 256), and the direct
+reweighted step below p = 2.  It prints the step's inner iterations,
+operator applies and milliseconds, keyed by dim, n and K.
+
 Every time is the best of REPEATS batches, each sized to take about
-BATCH_S seconds.
+BATCH_S seconds; a step is timed as the best of REPEATS single runs.
 """
 
 import time
 
 import numpy as np
 
-from nlbiharm import NonlocalOperator, discretize, get_kernel, make_domain, rescale
+from nlbiharm import (
+    NonlocalOperator, StepperConfig, default_bump, discretize, get_kernel, lp_norm,
+    make_domain, rescale, zero_extend,
+)
 from nlbiharm.localref import LocalOperator
 from nlbiharm.nlop import BandedNormal
+from nlbiharm.stepper import _minimize_step, effective_inner_tol
 
 BATCH_S = 0.05
 REPEATS = 5
@@ -45,7 +56,7 @@ CASES = [
 
 # (solve, dim, box, nx, eps of the stencil or None for the local one, grid
 # eps): the local reference of converge, the 2D local Hessian at two sizes,
-# and the battery's 1D nonlocal stencil (K = 24), the reweighted rule's.
+# and the battery's 1D nonlocal stencil (K = 24), the reweighted step's.
 SOLVE_CASES = [
     ("local", 1, (0.0, 1.0), 256, None, 0.4),
     ("local", 2, ((0.0, 1.0), (0.0, 1.0)), 16, None, 0.2),
@@ -53,6 +64,17 @@ SOLVE_CASES = [
     ("nonlocal", 1, (0.0, 1.0), 64, 0.2, 0.2),
 ]
 SOLVE_H = 1e-4
+
+# (solver, nx, eps of the stencil or None for the local one, grid eps, p, h,
+# start): converge_p3's first step at its middle scale and for its local
+# reference, a p = 1.5 step on the battery's 1D stencil, and a p = 1.2 step
+# whose reweighted direction once stalled in cancellation.
+STEP_CASES = [
+    ("newton_cg", 256, 0.1, 0.4, 3.0, 1e-4, "bump"),
+    ("newton_direct", 256, None, 0.4, 3.0, 1e-4, "bump"),
+    ("reweighted", 64, 0.2, 0.2, 1.5, 1e-3, "bump"),
+    ("reweighted", 128, 0.2, 0.2, 1.2, 1e-4, "gaussian"),
+]
 
 
 def per_call_us(fn, values) -> float:
@@ -108,6 +130,32 @@ def main() -> int:
         err = backward_error(op, curv, d, g)
         print(f"{solve:<11} {dim:>3} {spec.n_interior:>5} {model.width:>4} "
               f"{model.block:>5} {asm_us:>9.1f} {solve_us:>9.1f} {err:>9.1e}")
+
+    print()
+    print(f"{'step':<13} {'p':>3} {'dim':>3} {'n':>5} {'K':>4} "
+          f"{'iters':>6} {'applies':>7} {'ms':>8}")
+    for solver, nx, eps, grid_eps, p, h, start in STEP_CASES:
+        kern = get_kernel("tent", 1)
+        spec = make_domain(1, (0.0, 1.0), nx, kern, grid_eps)
+        if eps is None:
+            op = LocalOperator(spec)
+        else:
+            op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+        u0 = default_bump(spec)
+        if start == "gaussian":
+            x = spec.node_coords()[0][spec.interior_slices]
+            u0 = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
+        cfg = StepperConfig(p=p, h=h, T=h)
+        tol = effective_inner_tol(op, cfg, lp_norm(u0, 2, "omega"))
+        best = float("inf")
+        for _ in range(REPEATS):
+            begin = time.perf_counter()
+            res = _minimize_step(op, spec, u0.interior_values, p, h, tol,
+                                 cfg.inner_max_iters)
+            best = min(best, time.perf_counter() - begin)
+        k = sum(bool(np.any(d)) for d in op.stencil.offsets)
+        print(f"{solver:<13} {p:>3g} {spec.dim:>3} {spec.n_interior:>5} {k:>4} "
+              f"{res.iters:>6} {res.applies:>7} {best * 1e3:>8.1f}")
     return 0
 
 

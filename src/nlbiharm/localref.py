@@ -34,7 +34,6 @@ class LocalOperator(NonlocalOperator):
     2 (1D) or 2 nx (2D) makes direct factorization cheap.
     """
 
-    name = "local"
     hessian_solve = "banded"
 
     def __init__(self, spec: DomainSpec):

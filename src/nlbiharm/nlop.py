@@ -20,12 +20,12 @@ It has two evaluations of the same matrix:
 
 The stepper's Newton-CG steps at p >= 2, the bulk of the work, and the
 Poincare constant's Lanczos solve evaluate through ``apply_corr``.
-Everything else keeps the loop: the reweighted rule for p < 2, whose weights
-|A x|^(p-2) amplify rounding at zeros of A x; Newton with the direct Hessian
-solve for the local stencil, whose residuals sit near the rounding floor;
-one-off evaluations; and the tests, where it is the oracle.
+Everything else keeps the loop: the steps with the direct model solve, which
+are those below p = 2, whose weights |A x|^(p-2) amplify rounding at zeros
+of A x, and those of the local stencil, whose residuals sit near the
+rounding floor; one-off evaluations; and the tests, where it is the oracle.
 
-``normal_solve`` is the direct solve of both of those rules' models,
+``normal_solve`` is that direct solve of the step model
 shift I + A^T diag(c) A over the interior values: its bands come straight
 from the stencil taps and a block LDL^T eliminates them (``BandedNormal``),
 in numpy alone.
@@ -70,7 +70,6 @@ def _slice_pair(shape, offset):
 class NonlocalOperator:
     """Matrix-free nonlocal Laplacian bound to one stencil and one grid."""
 
-    name = "nonlocal"
     hessian_solve = "cg"
 
     def __init__(self, stencil: Stencil, spec: DomainSpec):
@@ -153,8 +152,8 @@ class NonlocalOperator:
         """Solve (shift I + A^T diag(c) A) d = rhs over interior values, for
         A = apply after zero extension and a weight c >= 0 per padded node;
         block LDL^T on the band (``BandedNormal``), built on the first call
-        and kept.  Backs the direct inner-step solves: the reweighted rule
-        for exponents below two, Newton for the local stencil."""
+        and kept.  The stepper's direct direction solve: every step below
+        p = 2 (reweighted weights), and the local stencil's Newton steps."""
         if self._normal is None:
             self._normal = BandedNormal(self)
         self._normal.assemble(c, shift)

@@ -14,20 +14,25 @@ The minimizer certifies the step through the Euler-Lagrange residual
 
 One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
 backtracks t from 1 until E(x - t d) <= E(x) - c1 t slope, so the functional
-never increases.  A direction rule, picked once per step by regime, supplies
-(d, slope):
+never increases.  The direction is always d = M^-1 g for the step model
+M = I/h + A^T diag(c) A at the iterate; only the weights c depend on p:
 
-* damped Newton for p >= 2: d solves the step Hessian
-  H = I/h + A^T diag((p-1)|A x|^(p-2)) A against the gradient, in one of two
-  ways.  The local reference's narrow-banded H, which conditions like
-  h/dx^4, is factored directly (banded: block LDL^T,
-  ``NonlocalOperator.normal_solve``).  The nonlocal H is solved matrix free
-  by truncated conjugate gradients (cg) through the correlation evaluation,
-  each product H v costing two operator applies, to a tolerance set by
-  Eisenstat-Walker forcing;
-* iteratively reweighted least squares for 1 < p < 2, where the flux
-  curvature is unbounded at zeros of the operator value and first-order
-  descent has unbounded crawl phases; each model is the same banded solve.
+* for p >= 2 they are the flux curvature (p-1)|A x|^(p-2), so M is the step
+  Hessian and d the damped Newton direction;
+* for 1 < p < 2 that curvature is unbounded at zeros of the operator value,
+  and c = |A x|^(p-2) (floored) are the weights of the quadratic upper model
+  that majorizes the p-term: iteratively reweighted least squares, here a
+  quasi-Newton step (lagged diffusivity; Vogel & Oman, SIAM J. Sci. Comput.
+  17, 1996).  Where no weight is floored M x - u_prev/h = g, so x - d is the
+  model's minimizer, formed without the cancellation of the difference
+  between it and x.
+
+M is solved directly (block LDL^T on its band, ``NonlocalOperator.
+normal_solve``, evaluating through the exact difference loop) below p = 2
+and for the local reference's narrow-banded Hessian, which conditions like
+h/dx^4.  The nonlocal Hessian is solved matrix free by truncated conjugate
+gradients through the correlation evaluation, each product M v costing two
+operator applies, to a tolerance set by Eisenstat-Walker forcing.
 
 An evolution carries the operator value and the flux term of each step's
 certified state into the next step, which starts from that state.
@@ -215,8 +220,14 @@ class _StepFunctional:
         return (x - self.u_prev) / self.h + flux
 
     def curvature(self, a: np.ndarray) -> np.ndarray:
-        """(p-1)|a|^(p-2), the second derivative of |.|^p/p at a = A x."""
-        return (self.p - 1.0) * np.abs(a) ** (self.p - 2.0)
+        """Weights c of the step model I/h + A^T diag(c) A at a = A x: for
+        p >= 2 the second derivative (p-1)|a|^(p-2) of |.|^p/p; below 2 the
+        majorizing weights |a|^(p-2), with |a| floored at 1e-12 max|a|."""
+        if self.p >= 2.0:
+            return (self.p - 1.0) * np.abs(a) ** (self.p - 2.0)
+        mag = np.abs(a)
+        floor = 1e-12 * max(float(mag.max()), 1e-300)
+        return np.maximum(mag, floor) ** (self.p - 2.0)
 
     def hessian_product(self, v: np.ndarray, curv: np.ndarray):
         """Return (H v, A v) for H = I/h + A^T diag(curv) A: two applies."""
@@ -272,20 +283,20 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters,
     """Minimize one step from x = u_prev_int.  ``start = (value, flux)`` of
     the previous step's result, which certified this x with the same
     evaluation, replaces the two applies that open the step."""
-    # Below p = 2 the flux curvature is unbounded at zeros of the operator
-    # value and first-order descent has unbounded crawl phases, so every such
-    # step uses the reweighted (majorize-minimize) rule.  The banded solves
-    # evaluate through the exact difference loop, the matrix-free CG solve
-    # through the correlation form, with linear trials (below).
-    if p < 2.0:
+    # One direction d = M^-1 g with the model weights of fn.curvature.  The
+    # direct solve evaluates through the exact difference loop: below p = 2
+    # the weights |A x|^(p-2) amplify rounding at zeros of A x, and the local
+    # Hessian's residuals sit near the rounding floor.  The matrix-free CG
+    # solve evaluates through the correlation form, with linear trials.
+    if p < 2.0 or op.hessian_solve == "banded":
         fn = _StepFunctional(op, spec, u_prev_int, p, h)
-        label, rule = "reweighted", _irls_rule(fn)
-    elif op.hessian_solve == "banded":
-        fn = _StepFunctional(op, spec, u_prev_int, p, h)
-        label, rule = "Newton", _newton_rule(fn, _banded_solve(fn))
+
+        def solve(curv, g):
+            return op.normal_solve(curv, 1.0 / h, g), None
     else:
         fn = _StepFunctional(op, spec, u_prev_int, p, h, op.apply_corr)
-        label, rule = "Newton", _newton_rule(fn, _cg_solve(fn, tol))
+        solve = _cg_solve(fn, tol)
+    label = "reweighted" if p < 2.0 else "Newton"
 
     x = np.array(u_prev_int, dtype=float)
     if start is None:
@@ -312,11 +323,12 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters,
                 f"after {max_iters} inner iterations",
                 residual=res,
             )
-        d, slope, ad = rule(x, a, g)
+        d, ad = solve(fn.curvature(a), g)
+        slope = fn.vol * float(np.dot(g.ravel(), d.ravel()))
         # the allowance absorbs floating-point cancellation in E when the
         # true decrease per step drops below the resolution of the energy
         roundoff = 10.0 * np.finfo(float).eps * abs(e)
-        # Linear trials when the rule supplies ad = A d: A(x - t d) =
+        # Linear trials when the solve supplies ad = A d: A(x - t d) =
         # A x - t A d costs no apply per backtrack, and the trial energies
         # differ only through x and t.  Re-evaluating A at each trial instead
         # adds the evaluation's rounding to every comparison; the global FFT
@@ -352,53 +364,6 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters,
         interior=x, iters=iters, applies=fn.applies, residual=res,
         p_energy=fn.p_energy(a), value=a, flux=flux,
     )
-
-
-# Direction rules: rule(x, a, g) -> (d, slope, ad) at the iterate x with
-# operator value a = A x and gradient g; the loop tries x - t d from t = 1.
-# ad = A d on the padded grid makes the trials linear; None re-evaluates.
-
-
-def _irls_rule(fn):
-    """Iteratively reweighted least squares for exponents 1 < p < 2.
-
-    The quadratic upper model with frozen weights |A x|^(p-2) (floored for
-    numerical safety) majorizes the p-term for p < 2; its minimizer w gives
-    the direction d = x - w with a unit first trial step.  The model
-    I/h + A^T diag(theta) A is solved directly (banded).
-    """
-    rhs = fn.u_prev / fn.h
-
-    def rule(x, a, g):
-        mag = np.abs(a)
-        floor = 1e-12 * max(float(mag.max()), 1e-300)
-        theta = np.maximum(mag, floor) ** (fn.p - 2.0)
-        direction = fn.op.normal_solve(theta, 1.0 / fn.h, rhs) - x
-        gd = fn.vol * float(np.dot(g.ravel(), direction.ravel()))
-        return -direction, -min(gd, 0.0), None
-
-    return rule
-
-
-def _newton_rule(fn, solve):
-    """Damped Newton for p >= 2: d = H^-1 g for the step Hessian
-    H = I/h + A^T diag((p-1)|A x|^(p-2)) A, solved by ``solve(curv, g)``."""
-
-    def rule(x, a, g):
-        d, ad = solve(fn.curvature(a), g)
-        return d, fn.vol * float(np.dot(g.ravel(), d.ravel())), ad
-
-    return rule
-
-
-def _banded_solve(fn):
-    """Direct solve of H by block LDL^T on its band: for the narrow-banded
-    Hessian of the local stencil."""
-
-    def solve(curv, g):
-        return fn.op.normal_solve(curv, 1.0 / fn.h, g), None
-
-    return solve
 
 
 def _cg_solve(fn, tol):

@@ -304,7 +304,7 @@ class TestDenoise:
 
 class TestImport:
     def test_cli_loads_no_scipy_linalg_or_sparse(self):
-        # scipy's dense and sparse modules load only inside the sparse solves
+        # the package imports no scipy, so neither of these loads with the CLI
         code = (
             "import sys, nlbiharm.cli; "
             "print(sorted(m for m in sys.modules "

@@ -221,7 +221,7 @@ class TestNormalSolve:
         self.check(op, rng.uniform(0.5, 2.0, op.spec.padded_shape), rng)
 
     def test_reweighting_weights_over_twelve_decades(self, op, rng):
-        # the reweighted rule's floored |A x|^(p-2); the second assembly
+        # the reweighted step's floored |A x|^(p-2); the second assembly
         # rewrites the blocks the first one wrote
         self.check(op, rng.uniform(0.5, 2.0, op.spec.padded_shape), rng)
         self.check(op, 10.0 ** rng.uniform(-12.0, 0.0, op.spec.padded_shape), rng)

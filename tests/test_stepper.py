@@ -4,6 +4,7 @@ import pytest
 from nlbiharm import (
     StabilityViolation,
     StepperConfig,
+    default_bump,
     dirichlet_energy,
     discretize,
     evolve,
@@ -232,6 +233,58 @@ class TestImplicitStep:
         assert np.all(traj.applies[1:] > traj.inner_iters[1:])
         # evolve evaluates A u0 once for the initial energy, outside the steps
         assert int(traj.applies.sum()) == op.calls - 1
+
+    @pytest.mark.parametrize(
+        "nx,h,steps,start",
+        [(128, 1e-4, 3, "gaussian"), (64, 1e-3, 1, "bump")],
+        ids=["nx128_gaussian", "nx64_bump"],
+    )
+    def test_reweighted_step_certifies_at_p_1_2(self, tent1d, nx, h, steps, start):
+        # A reweighted direction formed as the difference of the model's
+        # minimizer and x cancelled to the residual's last digits here: both
+        # runs sat at residual 4e-8 to 5e-8 against 1e-8 until the iteration
+        # cap.  d = M^-1 g certifies them in a few hundred iterations.
+        eps = 0.2
+        spec = make_domain(1, (0.0, 1.0), nx, tent1d, eps)
+        st_ = discretize(rescale(tent1d, eps), spec)
+        if start == "gaussian":
+            x = spec.node_coords()[0][spec.interior_slices]
+            u0 = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
+        else:
+            u0 = default_bump(spec)
+        c = cfg(p=1.2, h=h, T=steps * h, inner_max_iters=1000)
+        traj = evolve(u0, st_, c)
+        tol = effective_inner_tol(NonlocalOperator(st_, spec), c, lp_norm(u0, 2, "omega"))
+        assert traj.n_steps == steps
+        assert np.all(traj.residuals[1:] <= tol)
+        assert np.all(traj.inner_iters[1:] > 0)
+
+    def test_reweighted_direction_is_model_minimizer(self, tent1d, rng):
+        # Below p = 2 the direct direction solves M d = g for the reweighted
+        # model M = I/h + A^T diag(|A x|^(p-2)) A.  Where no weight is floored
+        # M x - u_prev/h = g, so x - d is the model's minimizer w.
+        p, h, eps = 1.5, 1e-3, 0.2
+        spec = make_domain(1, (0.0, 1.0), 64, tent1d, eps)
+        op = NonlocalOperator(discretize(rescale(tent1d, eps), spec), spec)
+        assert sum(bool(np.any(d)) for d in op.stencil.offsets) == 24
+        u_prev = rng.standard_normal(spec.nx)
+        fn = _StepFunctional(op, spec, u_prev, p, h)
+        x = rng.standard_normal(spec.nx)
+        a = op.apply(zero_extend(x, spec).values)
+        curv = fn.curvature(a)
+        am = dense_operator_matrix(op) @ extension_matrix(spec)
+        a_dense = am @ x
+        # only nodes of A that see the interior carry weight, and none of
+        # them is floored at this state
+        seen = np.abs(am).sum(axis=1) > 0
+        assert np.abs(a_dense[seen]).min() > 1e-10 * np.abs(a_dense).max()
+        theta = np.zeros_like(a_dense)
+        theta[seen] = np.abs(a_dense[seen]) ** (p - 2.0)
+        model = np.eye(spec.n_interior) / h + am.T @ (theta[:, None] * am)
+        w = np.linalg.solve(model, u_prev / h)
+        g = fn.gradient(x, fn.flux_term(a))
+        d = op.normal_solve(curv, 1.0 / h, g)
+        assert np.max(np.abs((x - d) - w)) <= 1e-10 * np.abs(w).max()
 
 
 # (dim, box, nx, eps) by stencil size K: the 1D stencil of converge_p3 at
