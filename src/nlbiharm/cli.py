@@ -32,7 +32,7 @@ from .analysis import (
     nonlocal_to_local_study,
     poincare_constant,
 )
-from .grid import DomainSpec, Field, make_domain, zero_extend
+from .grid import DomainSpec, Field, make_domain, write_csv, zero_extend
 from .kernel import discretize, get_kernel, rescale
 from .stepper import StepperConfig, evolve, trajectory_to_csv
 
@@ -190,9 +190,8 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 def _write_manifest(cfg_path, outdir: Path, command: str) -> None:
     digest = hashlib.sha256(Path(cfg_path).read_bytes()).hexdigest()
-    with open(outdir / "manifest.csv", "w", newline="\n") as fh:
-        fh.write("config_sha256,version,command\n")
-        fh.write(f"{digest},{__version__},{command}\n")
+    write_csv(outdir / "manifest.csv", ("config_sha256", "version", "command"),
+              [(digest, __version__, command)])
 
 
 def _grid(cfg: ExperimentConfig, eps: float, nx=None):

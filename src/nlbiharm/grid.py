@@ -22,6 +22,16 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the column names ``header``, then one line per row; floats
+    render through ``format_float``, everything else through ``str``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (format_float(v) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Geometry of the padded uniform grid.
@@ -221,14 +231,7 @@ def inner_product(f: Field, g: Field, region: str = "omega_e") -> float:
 
 def field_to_csv(f: Field, path) -> None:
     """One padded node per row: ``x[,y],value,region`` with 17 digits."""
-    coords = f.spec.node_coords()
-    mask = f.spec.interior_mask().ravel()
-    vals = f.values.ravel()
-    flat = [c.ravel() for c in coords]
-    header = ("x,value,region" if f.spec.dim == 1 else "x,y,value,region") + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header)
-        for i in range(vals.size):
-            pos = ",".join(format_float(c[i]) for c in flat)
-            tag = "INTERIOR" if mask[i] else "EXTERIOR"
-            fh.write(f"{pos},{format_float(vals[i])},{tag}\n")
+    coords = [c.ravel() for c in f.spec.node_coords()]
+    tags = np.where(f.spec.interior_mask().ravel(), "INTERIOR", "EXTERIOR")
+    header = ("x", "y")[: f.spec.dim] + ("value", "region")
+    write_csv(path, header, zip(*coords, f.values.ravel(), tags))

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DomainSpec, format_float
+from .grid import DomainSpec, write_csv
 
 
 @dataclass(frozen=True)
@@ -195,9 +195,5 @@ def discretize(rk: RescaledKernel, spec: DomainSpec) -> Stencil:
 
 
 def stencil_to_csv(st: Stencil, path) -> None:
-    header = ("dx_offset,weight" if st.dim == 1 else "dx_offset,dy_offset,weight") + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header)
-        for d, w in zip(st.offsets, st.weights):
-            cols = [str(int(v)) for v in d] + [format_float(w)]
-            fh.write(",".join(cols) + "\n")
+    header = ("dx_offset", "dy_offset")[: st.dim] + ("weight",)
+    write_csv(path, header, zip(*st.offsets.T, st.weights))

@@ -27,14 +27,12 @@ class LocalOperator(NonlocalOperator):
     quadrature weight dx^dim) penalizes the normal derivative at rate 1/dx,
     which selects the clamped rather than the hinged plate as dx -> 0.
 
-    Steps at exponents two and above are minimized by damped Newton with a
-    direct solve of the banded step Hessian (``normal_solve``, block
-    LDL^T): the clamped bi-Laplacian Hessian conditions like h/dx^4 and
-    defeats first-order inner solvers at fine grids, while its bandwidth of
-    2 (1D) or 2 nx (2D) makes direct factorization cheap.
+    Being nearest-neighbour, it gets the stepper's direct solve of the step
+    Hessian at every exponent (``normal_solve``, block LDL^T): the clamped
+    bi-Laplacian Hessian conditions like h/dx^4 and defeats first-order
+    inner solvers at fine grids, while its bandwidth of 2 (1D) or 2 nx (2D)
+    makes direct factorization cheap.
     """
-
-    hessian_solve = "banded"
 
     def __init__(self, spec: DomainSpec):
         if spec.pad_cells < 2:

@@ -18,17 +18,10 @@ It has two evaluations of the same matrix:
   rounding is global: about eps_mach times the largest correlation in the
   whole array, at every node, however small the result there.
 
-The stepper's Newton-CG steps at p >= 2, the bulk of the work, and the
-Poincare constant's Lanczos solve evaluate through ``apply_corr``.
-Everything else keeps the loop: the steps with the direct model solve, which
-are those below p = 2, whose weights |A x|^(p-2) amplify rounding at zeros
-of A x, and those of the local stencil, whose residuals sit near the
-rounding floor; one-off evaluations; and the tests, where it is the oracle.
-
-``normal_solve`` is that direct solve of the step model
-shift I + A^T diag(c) A over the interior values: its bands come straight
-from the stencil taps and a block LDL^T eliminates them (``BandedNormal``),
-in numpy alone.
+``normal_solve`` solves the step model shift I + A^T diag(c) A over the
+interior values directly: its bands come straight from the stencil taps and
+a block LDL^T eliminates them (``BandedNormal``), in numpy alone.  Which
+step uses which evaluation and which solve is the stepper's choice.
 """
 
 from __future__ import annotations
@@ -68,9 +61,8 @@ def _slice_pair(shape, offset):
 
 
 class NonlocalOperator:
-    """Matrix-free nonlocal Laplacian bound to one stencil and one grid."""
-
-    hessian_solve = "cg"
+    """Matrix-free nonlocal Laplacian bound to one stencil and one grid;
+    ``reach`` is the stencil's largest |offset| along any axis, in cells."""
 
     def __init__(self, stencil: Stencil, spec: DomainSpec):
         if stencil.dim != spec.dim:
@@ -79,6 +71,7 @@ class NonlocalOperator:
             raise ValueError(f"stencil dx {stencil.dx:g} != domain dx {spec.dx:g}")
         self.spec = spec
         self.stencil = stencil
+        self.reach = int(np.abs(stencil.offsets).max())
         shape = spec.padded_shape
         self._terms = [
             (_slice_pair(shape, d), float(w))
@@ -152,8 +145,8 @@ class NonlocalOperator:
         """Solve (shift I + A^T diag(c) A) d = rhs over interior values, for
         A = apply after zero extension and a weight c >= 0 per padded node;
         block LDL^T on the band (``BandedNormal``), built on the first call
-        and kept.  The stepper's direct direction solve: every step below
-        p = 2 (reweighted weights), and the local stencil's Newton steps."""
+        and kept.  The stepper's direct direction solve, below p = 2 and for
+        nearest-neighbour stencils (``reach == 1``)."""
         if self._normal is None:
             self._normal = BandedNormal(self)
         self._normal.assemble(c, shift)

@@ -27,25 +27,33 @@ M = I/h + A^T diag(c) A at the iterate; only the weights c depend on p:
   model's minimizer, formed without the cancellation of the difference
   between it and x.
 
+The solve and the operator evaluation follow from p and the stencil alone.
 M is solved directly (block LDL^T on its band, ``NonlocalOperator.
-normal_solve``, evaluating through the exact difference loop) below p = 2
-and for the local reference's narrow-banded Hessian, which conditions like
-h/dx^4.  The nonlocal Hessian is solved matrix free by truncated conjugate
-gradients through the correlation evaluation, each product M v costing two
-operator applies, to a tolerance set by Eisenstat-Walker forcing.
+normal_solve``), evaluating through the exact difference loop ``apply``,
+below p = 2, where the weights |A x|^(p-2) amplify rounding at zeros of
+A x, and for nearest-neighbour stencils (``reach == 1``), such as the local
+reference's, whose narrow-banded Hessian conditions like h/dx^4 and leaves
+residuals near the rounding floor.  Every other Hessian is solved matrix
+free by truncated conjugate gradients through the correlation evaluation
+``apply_corr``, each product M v costing two operator applies, to a
+tolerance set by Eisenstat-Walker forcing.
 
-An evolution carries the operator value and the flux term of each step's
-certified state into the next step, which starts from that state.
+An evolution resolves its residual tolerance once (``effective_inner_tol``,
+kept as ``Trajectory.inner_tol``) and carries the operator value and the
+flux term of each step's certified state into the next step, which starts
+from that state.  ``implicit_step`` and ``explicit_step`` are one-step
+evolutions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import DomainSpec, Field, lp_norm, zero_extend
+from .grid import DomainSpec, Field, lp_norm, write_csv, zero_extend
 from .kernel import Stencil
 from .nlop import NonlocalOperator, check_exponent, p_flux_values
 
@@ -135,7 +143,8 @@ class Trajectory:
 
     ``inner_iters`` and ``applies`` (operator evaluations, Hessian products
     included) count the work of each implicit step's solve; both are zero at
-    step 0 and in explicit mode.
+    step 0 and in explicit mode.  ``inner_tol`` is the residual tolerance
+    of every implicit step, resolved once at the start of the run.
     """
 
     times: np.ndarray
@@ -149,6 +158,7 @@ class Trajectory:
     states: list[Field]
     p: float
     h: float
+    inner_tol: float
 
     def state_times(self) -> np.ndarray:
         return self.times[self.state_steps]
@@ -283,12 +293,10 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters,
     """Minimize one step from x = u_prev_int.  ``start = (value, flux)`` of
     the previous step's result, which certified this x with the same
     evaluation, replaces the two applies that open the step."""
-    # One direction d = M^-1 g with the model weights of fn.curvature.  The
-    # direct solve evaluates through the exact difference loop: below p = 2
-    # the weights |A x|^(p-2) amplify rounding at zeros of A x, and the local
-    # Hessian's residuals sit near the rounding floor.  The matrix-free CG
-    # solve evaluates through the correlation form, with linear trials.
-    if p < 2.0 or op.hessian_solve == "banded":
+    # One direction d = M^-1 g with the model weights of fn.curvature; the
+    # solve and the evaluation follow from p and the stencil (module
+    # docstring).
+    if p < 2.0 or op.reach == 1:
         fn = _StepFunctional(op, spec, u_prev_int, p, h)
 
         def solve(curv, g):
@@ -410,15 +418,7 @@ def _cg_solve(fn, tol):
 
 def implicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
     """Solve one implicit step by minimizing the per-step functional."""
-    if not u_prev.is_zero_extended():
-        raise ValueError("previous state must be exactly zero on exterior nodes")
-    op = as_operator(st, u_prev.spec)
-    tol = effective_inner_tol(op, cfg, lp_norm(u_prev, 2, "omega"))
-    result = _minimize_step(
-        op, u_prev.spec, u_prev.interior_values.copy(), cfg.p, cfg.h, tol,
-        cfg.inner_max_iters,
-    )
-    return zero_extend(result.interior, u_prev.spec)
+    return evolve(u_prev, st, replace(cfg, T=cfg.h, mode="implicit")).states[-1]
 
 
 def explicit_stability_limit(st: Stencil) -> float:
@@ -429,22 +429,17 @@ def explicit_stability_limit(st: Stencil) -> float:
 
 def explicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
     """Forward-Euler convenience step with an energy guard."""
-    if not u_prev.is_zero_extended():
-        raise ValueError("previous state must be exactly zero on exterior nodes")
-    op = as_operator(st, u_prev.spec)
-    x_new, _ = _explicit_update(op, u_prev.interior_values, cfg)
-    return zero_extend(x_new, u_prev.spec)
+    return evolve(u_prev, st, replace(cfg, T=cfg.h, mode="explicit")).states[-1]
 
 
 def _explicit_update(op, x: np.ndarray, cfg: StepperConfig):
     """Forward-Euler update of the interior values x, three applies;
     returns (x_new, E(x_new)), the energy from the guard's own evaluation."""
     fn = _StepFunctional(op, op.spec, x, cfg.p, cfg.h)
-    a = op.apply(fn.embed(x))
+    a = fn.apply(fn.embed(x))
     e_prev = fn.p_energy(a)
-    rhs = -op.apply(p_flux_values(a, cfg.p))[op.spec.interior_slices]
-    x_new = x + cfg.h * rhs
-    e_new = fn.p_energy(op.apply(fn.embed(x_new)))
+    x_new = x - cfg.h * fn.flux_term(a)
+    e_new = fn.p_energy(fn.apply(fn.embed(x_new)))
     if e_new > e_prev * (1.0 + 1e-12) + 1e-300:
         raise StabilityViolation(
             f"energy increased {e_prev:.6e} -> {e_new:.6e}; reduce the time step"
@@ -518,27 +513,16 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
         states=states,
         p=cfg.p,
         h=cfg.h,
+        inner_tol=tol,
     )
 
 
 def trajectory_to_csv(traj: Trajectory, path, operator: str = "nonlocal") -> None:
-    from .grid import format_float as ff
-
-    with open(path, "w", newline="\n") as fh:
-        fh.write("step,time,l2_sq,energy,increment_sq,inner_iters,residual,operator\n")
-        for j in range(len(traj.times)):
-            fh.write(
-                ",".join(
-                    [
-                        str(j),
-                        ff(traj.times[j]),
-                        ff(traj.l2_sq[j]),
-                        ff(traj.energies[j]),
-                        ff(traj.increments_sq[j]),
-                        str(int(traj.inner_iters[j])),
-                        ff(traj.residuals[j]),
-                        operator,
-                    ]
-                )
-                + "\n"
-            )
+    columns = (traj.times, traj.l2_sq, traj.energies, traj.increments_sq,
+               traj.inner_iters, traj.residuals)
+    write_csv(
+        path,
+        ("step", "time", "l2_sq", "energy", "increment_sq", "inner_iters",
+         "residual", "operator"),
+        zip(itertools.count(), *columns, itertools.repeat(operator)),
+    )

@@ -37,6 +37,7 @@ def synthetic_trajectory(times, l2_sq, p=2.0):
         states=[],
         p=p,
         h=float(times[1] - times[0]),
+        inner_tol=1e-8,
     )
 
 
@@ -226,6 +227,15 @@ class TestContraction:
             StepperConfig(p=p, h=1e-3, T=0.02, inner_max_iters=30000),
         )
         assert rep.metadata["violations"] == 0
+
+    def test_slack_is_ten_times_the_looser_step_tolerance(self, domain64, stencil64, rng):
+        a = zero_extend(rng.standard_normal(64), domain64)
+        b = zero_extend(4.0 * a.interior_values + 0.1 * rng.standard_normal(64), domain64)
+        c = StepperConfig(p=2.0, h=1e-3, T=5e-3)
+        rep = contraction_study(a, b, stencil64, c)
+        tols = [evolve(u, stencil64, c).inner_tol for u in (a, b)]
+        assert tols[0] < tols[1]
+        assert rep.metadata["slack"] == 10.0 * max(tols)
 
 
 class TestEnergyAudit:

@@ -13,6 +13,7 @@ from nlbiharm import (
     make_domain,
     zero_extend,
 )
+from nlbiharm.grid import write_csv
 
 
 class TestMakeDomain:
@@ -153,6 +154,17 @@ def test_zero_extension_exactness_property(u):
     kern = get_kernel("tent", 1)
     spec = make_domain(1, (0.0, 1.0), 64, kern, 0.2)
     assert zero_extend(u, spec).exterior_max_abs() == 0.0
+
+
+class TestWriteCsv:
+    def test_floats_take_17_digits_and_the_rest_str(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c", "d"),
+                  [(1, 1 / 3, "x", np.float64(0.1)), (np.int64(-2), float("nan"), True, 1e-300)])
+        assert path.read_bytes() == (
+            b"a,b,c,d\n1,0.33333333333333331,x,0.10000000000000001\n"
+            b"-2,nan,True,1e-300\n"
+        )
 
 
 class TestFieldCsv:

@@ -127,18 +127,15 @@ class TestStepGradient:
         ).max()
 
 
-class _BandedNewtonOperator(NonlocalOperator):
-    """The nonlocal operator with the local stencil's direct Hessian solve."""
-
-    hessian_solve = "banded"
-
-
 class _CountingOperator(NonlocalOperator):
-    """Counts its own evaluations, loop and correlation."""
+    """Counts its own evaluations (``calls``, loop and correlation;
+    ``corr_calls``, correlation only) and its direct solves."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.calls = 0
+        self.corr_calls = 0
+        self.solves = 0
 
     def apply(self, values):
         self.calls += 1
@@ -146,7 +143,12 @@ class _CountingOperator(NonlocalOperator):
 
     def apply_corr(self, values):
         self.calls += 1
+        self.corr_calls += 1
         return super().apply_corr(values)
+
+    def normal_solve(self, *args):
+        self.solves += 1
+        return super().normal_solve(*args)
 
 
 class TestImplicitStep:
@@ -324,23 +326,56 @@ class TestNewtonStep:
         assert np.max(np.abs(hv.ravel() - expected)) <= 1e-12 * np.abs(expected).max()
         assert np.max(np.abs(av.ravel() - am @ v.ravel())) <= 1e-12 * np.abs(av).max()
 
-    def test_cg_and_sparse_solves_agree(self, tent1d):
+    def test_cg_step_matches_dense_newton(self, tent1d):
+        # The certified Newton-CG step against an independent minimizer of
+        # the same step functional: plain Newton on the dense operator
+        # matrix of the oracle, each system solved by numpy.
         eps = 0.2
         spec = make_domain(1, (0.0, 1.0), 128, tent1d, eps)
-        st_ = discretize(rescale(tent1d, eps), spec)
+        op = _CountingOperator(discretize(rescale(tent1d, eps), spec), spec)
         x = spec.node_coords()[0][spec.interior_slices]
         u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
         c = cfg(p=3.0, h=1e-4)
-        ops = (NonlocalOperator(st_, spec), _BandedNewtonOperator(st_, spec))
-        tol = effective_inner_tol(ops[0], c, lp_norm(zero_extend(u_int, spec), 2, "omega"))
-        cg, direct = (
-            _minimize_step(op, spec, u_int, c.p, c.h, tol, c.inner_max_iters)
-            for op in ops
-        )
-        assert cg.iters > 0 and direct.iters > 0
-        assert cg.residual <= tol and direct.residual <= tol
-        gap = np.sqrt(spec.cell_volume * np.sum((cg.interior - direct.interior) ** 2))
+        tol = effective_inner_tol(op, c, lp_norm(zero_extend(u_int, spec), 2, "omega"))
+        cg = _minimize_step(op, spec, u_int, c.p, c.h, tol, c.inner_max_iters)
+        assert cg.iters > 0 and cg.residual <= tol
+        assert op.solves == 0 and op.corr_calls > 0
+
+        am = dense_operator_matrix(op) @ extension_matrix(spec)
+        w = u_int.copy()
+        for _ in range(30):
+            a = am @ w
+            g = (w - u_int) / c.h + am.T @ (np.sign(a) * np.abs(a) ** (c.p - 1.0))
+            res = np.sqrt(spec.cell_volume * g @ g)
+            if res <= tol:
+                break
+            curv = (c.p - 1.0) * np.abs(a) ** (c.p - 2.0)
+            w = w - np.linalg.solve(np.eye(w.size) / c.h + am.T @ (curv[:, None] * am), g)
+        assert res <= tol
+        gap = np.sqrt(spec.cell_volume * np.sum((cg.interior - w) ** 2))
         assert gap <= tol
+
+    @pytest.mark.parametrize("nearest", [True, False], ids=["reach1", "reach3"])
+    def test_solve_follows_from_the_stencil(self, tent1d, domain16, stencil16, nearest):
+        # At p = 3 a stencil reaching only nearest neighbours, here the
+        # nonlocal one at eps = 2 dx, takes the direct solve through the loop;
+        # a wider one takes Newton-CG through the correlation.
+        if nearest:
+            spec = make_domain(1, (0.0, 1.0), 32, tent1d, 2 / 32)
+            op = _CountingOperator(discretize(rescale(tent1d, 2 / 32), spec), spec)
+            assert op.stencil.offsets.ravel().tolist() == [-1, 0, 1]
+        else:
+            spec = domain16
+            op = _CountingOperator(stencil16, spec)
+        traj = evolve(default_bump(spec), op, cfg(p=3.0, h=1e-4, T=2e-4))
+        assert np.all(traj.inner_iters[1:] > 0)
+        if nearest:
+            assert op.solves == int(traj.inner_iters.sum())
+            assert op.corr_calls == 0
+        else:
+            assert op.solves == 0
+            assert op.corr_calls > 0
+        assert np.all(traj.residuals[1:] <= traj.inner_tol)
 
 
 class TestExplicitStep:
@@ -458,6 +493,16 @@ class TestEvolve:
         u0 = zero_extend(10 * rng.standard_normal(16), domain16)
         with pytest.raises(InnerSolveFailed, match="step 1"):
             evolve(u0, stencil16, cfg(h=1e-3, T=0.01, inner_max_iters=1))
+
+    @pytest.mark.parametrize("inner_tol", [None, 1e-6])
+    def test_inner_tol_is_the_effective_tolerance(self, domain16, stencil16, rng,
+                                                  inner_tol):
+        u0 = zero_extend(5.0 * rng.standard_normal(16), domain16)
+        c = cfg(p=2.0, h=1e-3, T=3e-3, inner_tol=inner_tol)
+        traj = evolve(u0, stencil16, c)
+        op = NonlocalOperator(stencil16, domain16)
+        assert traj.inner_tol == effective_inner_tol(op, c, lp_norm(u0, 2, "omega"))
+        assert np.all(traj.residuals[1:] <= traj.inner_tol)
 
     def test_recording_schedule(self, domain16, stencil16, rng):
         u0 = zero_extend(rng.standard_normal(16), domain16)
