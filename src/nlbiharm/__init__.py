@@ -16,7 +16,6 @@ from .grid import (
     lp_norm,
     make_domain,
     zero_extend,
-    zeros,
 )
 from .kernel import (
     Kernel,

@@ -15,7 +15,7 @@ import math
 import re
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     StudyReport,
+    _check_decreasing,
     consistency_study,
     contraction_study,
     decay_fit,
@@ -74,16 +75,11 @@ class ExperimentConfig:
     input: str = ""
 
     def stepper_config(self) -> StepperConfig:
-        h = self.h if self.h is not None else self.T / 200.0
-        return StepperConfig(
-            p=self.p,
-            h=h,
-            T=self.T,
-            mode=self.mode,
-            inner_tol=self.inner_tol,
-            inner_max_iters=self.inner_max_iters,
-            record_every=self.record_every,
-        )
+        """The stepper fields of the same names; h defaults to T/200."""
+        values = {f.name: getattr(self, f.name) for f in fields(StepperConfig)}
+        if self.h is None:
+            values["h"] = self.T / 200.0
+        return StepperConfig(**values)
 
 
 # the schema of a config file: each key parses by its field's type
@@ -149,16 +145,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"u0 must be bump, random, or zero, got {cfg.u0!r}", key="u0")
     if cfg.phi not in ("sin2pi", "quadratic"):
         raise ConfigError(f"phi must be sin2pi or quadratic, got {cfg.phi!r}", key="phi")
-    if cfg.q < 1:
-        raise ConfigError(f"q must be >= 1, got {cfg.q}", key="q")
+    if not 1 <= cfg.q < math.inf:
+        raise ConfigError(f"q must be finite and >= 1, got {cfg.q}", key="q")
     sweep = cfg.command in ("consistency", "converge")
     if sweep and not cfg.epsilon_list:
         raise ConfigError(f"{cfg.command} needs epsilon_list", key="epsilon_list")
-    if any(b >= a for a, b in zip(cfg.epsilon_list, cfg.epsilon_list[1:])):
-        raise ConfigError(
-            f"epsilon_list must be strictly decreasing, got {cfg.epsilon_list}",
-            key="epsilon_list",
-        )
+    _build(lambda: _check_decreasing(cfg.epsilon_list, "epsilon_list"), "epsilon_list")
     if cfg.command == "denoise" and not cfg.input:
         raise ConfigError("denoise needs an input PGM path", key="input")
 

@@ -80,8 +80,6 @@ class DomainSpec:
     def node_coords(self) -> list[np.ndarray]:
         """Padded node coordinates, one meshgrid ('ij') array per axis."""
         axes = [self.axis_coords(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return axes
         return list(np.meshgrid(*axes, indexing="ij"))
 
     def interior_mask(self) -> np.ndarray:
@@ -197,10 +195,6 @@ def zero_extend(interior_values, spec: DomainSpec) -> Field:
     return Field(spec, full)
 
 
-def zeros(spec: DomainSpec) -> Field:
-    return Field(spec, np.zeros(spec.padded_shape))
-
-
 def _region_values(f: Field, region: str) -> np.ndarray:
     if region == "omega":
         return f.interior_values.ravel()
@@ -213,8 +207,8 @@ def _region_values(f: Field, region: str) -> np.ndarray:
 
 def lp_norm(f: Field, q: float, region: str = "omega_e") -> float:
     """Midpoint-rule L^q norm over omega, omega_e, or the exterior collar."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
     v = _region_values(f, region)
     total = f.spec.cell_volume * np.sum(np.abs(v) ** q)
     return float(total ** (1.0 / q))

@@ -58,9 +58,10 @@ def get_kernel(name: str, dim: int) -> Kernel:
     return Kernel(name=name, profile=_PROFILES[name], dim=dim)
 
 
-def kernel_is_nonincreasing(kernel: Kernel, samples: int = 4096) -> bool:
-    """Sampled monotonicity check used by the rescaling-limit studies."""
-    r = np.linspace(0.0, kernel.support_radius, samples)
+def kernel_is_nonincreasing(kernel: Kernel) -> bool:
+    """Sampled monotonicity check (4096 samples) used by the rescaling-limit
+    studies."""
+    r = np.linspace(0.0, kernel.support_radius, 4096)
     j = kernel(r)
     if np.any(j < -1e-14):
         return False
@@ -68,26 +69,20 @@ def kernel_is_nonincreasing(kernel: Kernel, samples: int = 4096) -> bool:
     return bool(np.all(np.diff(j) <= 1e-12 * scale))
 
 
-def normalization_constant(kernel: Kernel, dim: int | None = None, samples: int = 8192) -> float:
-    """Reciprocal half second moment of the kernel, by radial quadrature.
+# measure of the unit sphere S^(dim-1) in R^dim
+_SPHERE = {1: 2.0, 2: 2.0 * np.pi}
 
-    Uses a midpoint rule with at least 4096 samples across the support.
+
+def normalization_constant(kernel: Kernel) -> float:
+    """Reciprocal half second moment of the kernel, by radial quadrature:
+    int_{R^dim} J(|z|) |z|^2 dz = |S^(dim-1)| int_0^R J r^(dim+1) dr, by the
+    midpoint rule with 8192 samples across the support.
     """
-    if dim is None:
-        dim = kernel.dim
-    if samples < 4096:
-        raise ValueError("normalization quadrature needs >= 4096 samples")
-    radius = kernel.support_radius
-    r = (np.arange(samples) + 0.5) * (radius / samples)
-    j = kernel(r)
-    if dim == 1:
-        # int_R J(|z|) z^2 dz = 2 * int_0^R J r^2 dr
-        second_moment = 2.0 * np.sum(j * r**2) * (radius / samples)
-    elif dim == 2:
-        # int_{R^2} J(|z|) |z|^2 dz = 2*pi * int_0^R J r^3 dr
-        second_moment = 2.0 * np.pi * np.sum(j * r**3) * (radius / samples)
-    else:
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if kernel.dim not in _SPHERE:
+        raise ValueError(f"dim must be 1 or 2, got {kernel.dim}")
+    dr = kernel.support_radius / 8192
+    r = (np.arange(8192) + 0.5) * dr
+    second_moment = _SPHERE[kernel.dim] * np.sum(kernel(r) * r ** (kernel.dim + 1)) * dr
     c_j = 2.0 / second_moment
     if not np.isfinite(c_j) or c_j <= 0:
         raise AssertionError(f"normalization constant is not finite: {c_j}")
@@ -169,16 +164,12 @@ def discretize(rk: RescaledKernel, spec: DomainSpec) -> Stencil:
     reach = support / dx
     dmax = int(np.ceil(reach - 1e-12)) - 1
     axes = [np.arange(-dmax, dmax + 1)] * spec.dim
-    if spec.dim == 1:
-        offsets = axes[0][:, None]
-        dist_cells = np.abs(axes[0]).astype(float)
-    else:
-        d0, d1 = np.meshgrid(*axes, indexing="ij")
-        offsets = np.column_stack([d0.ravel(), d1.ravel()])
-        dist_cells = np.hypot(np.abs(offsets[:, 0]), np.abs(offsets[:, 1]))
-        keep = dist_cells < reach - 1e-12
-        offsets = offsets[keep]
-        dist_cells = dist_cells[keep]
+    offsets = np.column_stack([d.ravel() for d in np.meshgrid(*axes, indexing="ij")])
+    # hypot, not the root of the summed squares: the two differ in the last bit
+    dist_cells = np.hypot.reduce(np.abs(offsets).astype(float), axis=1)
+    keep = dist_cells < reach - 1e-12
+    offsets = offsets[keep]
+    dist_cells = dist_cells[keep]
     weights = rk(dist_cells * dx) * spec.cell_volume
     raw_half_moment = 0.5 * float(np.sum(weights * (dist_cells * dx) ** 2))
     weights = weights / raw_half_moment

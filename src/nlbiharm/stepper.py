@@ -111,8 +111,8 @@ class StepperConfig:
             )
         if self.mode not in ("implicit", "explicit"):
             raise ValueError(f"mode must be implicit or explicit, got {self.mode!r}")
-        if self.inner_tol is not None and not self.inner_tol > 0:
-            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
+        if self.inner_tol is not None and not 0 < self.inner_tol < math.inf:
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
         if self.inner_max_iters < 1:
             raise ValueError(f"inner_max_iters must be >= 1, got {self.inner_max_iters}")
         if self.record_every < 1:

@@ -17,6 +17,7 @@ from nlbiharm import (
     rescale,
     zero_extend,
 )
+from nlbiharm import analysis
 from nlbiharm.analysis import poincare_form
 from nlbiharm.stepper import Trajectory
 
@@ -80,6 +81,12 @@ class TestConsistencyStudy:
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
         with pytest.raises(ValueError, match="under-resolved"):
             consistency_study(lambda x: x, tent1d, [0.2, 0.01], spec, q=2.0)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_q_not_finite_rejected(self, tent1d, q):
+        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+        with pytest.raises(ValueError, match="q must be finite"):
+            consistency_study(lambda x: x, tent1d, [0.2, 0.1], spec, q=q)
 
 
 class TestDecayFit:
@@ -198,6 +205,20 @@ class TestNonlocalToLocal:
         with pytest.raises(ValueError, match="containment"):
             nonlocal_to_local_study(
                 u0, 2.0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=1e-3, T=0.01)
+            )
+
+    def test_under_resolved_eps_fails_before_any_run(self, tent1d, monkeypatch):
+        # every eps is discretized before the local and nonlocal runs start
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before every eps was discretized")
+
+        monkeypatch.setattr(analysis, "local_evolve", no_run)
+        monkeypatch.setattr(analysis, "evolve", no_run)
+        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
+        with pytest.raises(ValueError, match="under-resolved"):
+            nonlocal_to_local_study(
+                default_bump(spec), 2.0, tent1d, [0.4, 0.02],
+                StepperConfig(p=2.0, h=1e-3, T=0.01),
             )
 
     def test_errors_decrease_small_case(self, tent1d):

@@ -1,13 +1,15 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nlbiharm import ConfigError, parse_config, read_pgm, write_pgm
-from nlbiharm.cli import main, read_pgm_pixels
+from nlbiharm.cli import ExperimentConfig, main, read_pgm_pixels
 
 ROOT = Path(__file__).resolve().parents[1]
 INT_KEYS = ("dim", "nx", "inner_max_iters", "record_every", "seed")
@@ -74,13 +76,15 @@ class TestParseConfig:
          ("command = decay\nfit_floor_ratio = 2", "'fit_floor_ratio'"),
          ("command = decay\nfit_floor_ratio = 0", "'fit_floor_ratio'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/p6.pgm", "'input'"),
-         ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm", "'input'")],
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm", "'input'"),
+         ("inner_tol = inf", "'inner_tol'"), ("q = inf", "'q'"), ("q = nan", "'q'")],
         ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf",
              "inner_max_iters_zero", "record_every_zero", "inner_tol_negative",
              "T_below_h", "seed_negative", "decay_p_below_two",
              "decay_window_few_steps", "decay_run_few_steps",
              "fit_floor_ratio_above_one", "fit_floor_ratio_zero",
-             "denoise_p6_image", "denoise_image_below_4x4"],
+             "denoise_p6_image", "denoise_image_below_4x4",
+             "inner_tol_inf", "q_inf", "q_nan"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
         # images for the denoise cases: a colour (P6) file and a 3x3 one
@@ -115,6 +119,15 @@ class TestParseConfig:
     def test_unknown_command(self, tmp_path):
         with pytest.raises(ConfigError, match="command"):
             parse_config(write_cfg(tmp_path, "command = solve\n"))
+
+    def test_readme_config_table_names_every_field(self):
+        # the first column of the README's "Config keys" table, backticked
+        # keys only, is the config schema
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+        documented = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
+        assert sorted(documented) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 class TestRun:

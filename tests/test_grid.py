@@ -102,6 +102,12 @@ class TestNorms:
         with pytest.raises(ValueError, match="q"):
             lp_norm(f, 0.5)
 
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_q_not_finite_rejected(self, domain64, q):
+        f = zero_extend(np.full(64, 3.0), domain64)
+        with pytest.raises(ValueError, match="q"):
+            lp_norm(f, q)
+
     def test_inner_product_of_one_and_x(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
         x = spec.axis_coords(0)[spec.interior_slices[0]]

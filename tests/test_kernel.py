@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlbiharm import (
+    Kernel,
     discretize,
     get_kernel,
     make_domain,
@@ -37,6 +38,11 @@ class TestNormalizationConstant:
         kern = get_kernel(name, dim)
         oracle = 1.0 / kernel_second_moment(kern.profile, dim)
         assert normalization_constant(kern) == pytest.approx(oracle, rel=1e-6)
+
+    def test_unsupported_dim_rejected(self):
+        kern = Kernel(name="tent", profile=get_kernel("tent", 1).profile, dim=3)
+        with pytest.raises(ValueError, match="dim"):
+            normalization_constant(kern)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -136,6 +142,31 @@ class TestDiscretize:
         radii = np.hypot(*st_.offsets.T) * spec.dx
         assert np.all(radii < 0.125)
         assert st_.half_moment == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("name", ["tent", "quartic", "cosine"])
+    @pytest.mark.parametrize("nx,eps", [(32, 0.125), (40, 0.125), (64, 0.2), (48, 0.3)])
+    def test_2d_lattice_symmetric_bit_exact(self, name, nx, eps):
+        kern = get_kernel(name, 2)
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), nx, kern, eps)
+        st_ = discretize(rescale(kern, eps), spec)
+        by_offset = {(int(a), int(b)): w for (a, b), w in zip(st_.offsets, st_.weights)}
+        for (a, b), w in by_offset.items():
+            for sa in (1, -1):
+                for sb in (1, -1):
+                    assert by_offset[(sa * a, sb * b)] == w
+                    assert by_offset[(sb * b, sa * a)] == w
+        # exactly the lattice points whose hypot distance is below the reach
+        # eps/dx, less the 1e-12 rounding guard
+        reach = eps / spec.dx
+        n = int(np.ceil(reach))
+        inside = {
+            (a, b)
+            for a in range(-n, n + 1)
+            for b in range(-n, n + 1)
+            if np.hypot(abs(a), abs(b)) < reach - 1e-12
+        }
+        assert set(by_offset) == inside
+        assert len(st_.offsets) == len(inside)
 
     def test_csv_dump(self, tmp_path, stencil16):
         path = tmp_path / "stencil.csv"
