@@ -36,11 +36,9 @@ from .nlop import (
 )
 from .stepper import (
     InnerSolveFailed,
-    StabilityViolation,
     StepperConfig,
     Trajectory,
     evolve,
-    explicit_step,
     implicit_step,
     step_energy,
     step_gradient,

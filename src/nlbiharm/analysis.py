@@ -283,14 +283,12 @@ def poincare_form(spec: DomainSpec, stencil: Stencil) -> Callable:
     return form
 
 
-def poincare_constant(spec: DomainSpec, stencil: Stencil, q: float = 2) -> float:
+def poincare_constant(spec: DomainSpec, stencil: Stencil) -> float:
     """Best constant in the discrete constrained Poincare inequality at q = 2:
     1 / lambda_min of ``poincare_form``, by Lanczos with full
     reorthogonalization (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM
     1998) from the ones vector, which overlaps the positive ground state,
     until the Ritz residual is at most 1e-10 times the Ritz value."""
-    if q != 2:
-        raise ValueError("only q = 2 has the eigenvalue characterization")
     form = poincare_form(spec, stencil)
     n = spec.n_interior
     basis = [np.full(n, n**-0.5)]

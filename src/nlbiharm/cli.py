@@ -61,7 +61,6 @@ class ExperimentConfig:
     p: float = 2.0
     T: float = 1.0
     h: float | None = None
-    mode: str = "implicit"
     inner_tol: float | None = None
     inner_max_iters: int = 5000
     record_every: int = 1
@@ -154,7 +153,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.command == "denoise" and not cfg.input:
         raise ConfigError("denoise needs an input PGM path", key="input")
 
-    scfg = _build(cfg.stepper_config, "p", "T", "h", "mode", "inner_tol",
+    scfg = _build(cfg.stepper_config, "p", "T", "h", "inner_tol",
                   "inner_max_iters", "record_every")
     if cfg.command == "decay":
         win = "fit_t_lo" if cfg.fit_t_lo is not None else (
@@ -290,7 +289,7 @@ def _run_poincare(cfg, outdir) -> bool:
     constants = []
     for nx in (cfg.nx, 2 * cfg.nx):
         spec, st = _grid_and_stencil(cfg, nx)
-        c = poincare_constant(spec, st, q=2)
+        c = poincare_constant(spec, st)
         rows.append((nx, c, float("nan")))
         constants.append(c)
     drift = abs(constants[1] - constants[0]) / constants[1]

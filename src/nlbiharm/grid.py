@@ -88,6 +88,19 @@ class DomainSpec:
         return mask
 
 
+def check_dim(dim) -> None:
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+
+
+def check_resolved(support: float, dx: float) -> None:
+    """A kernel support radius must span at least two grid cells."""
+    if support < 2.0 * dx:
+        raise ValueError(
+            f"kernel support under-resolved: eps*R_J = {support:g} < 2*dx = {2 * dx:g}"
+        )
+
+
 def _as_axis_tuple(value, dim, name, cast):
     if np.isscalar(value):
         return tuple(cast(value) for _ in range(dim))
@@ -97,15 +110,14 @@ def _as_axis_tuple(value, dim, name, cast):
     return out
 
 
-def make_domain(dim, box, nx, kernel, eps, *, pad=None) -> DomainSpec:
+def make_domain(dim, box, nx, kernel, eps) -> DomainSpec:
     """Build the padded grid sized for a rescaled kernel of scale eps.
 
     ``box`` is (lo, hi) in 1D or ((lo, hi), (lo, hi)) in 2D; ``nx`` may be a
-    scalar or per-axis.  The padding defaults to exactly twice the rescaled
-    support radius (rounded up to whole cells); ``pad`` overrides it upward.
+    scalar or per-axis.  The padding is exactly twice the rescaled support
+    radius, rounded up to whole cells.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    check_dim(dim)
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if dim == 1 and np.isscalar(box[0]):
@@ -125,15 +137,8 @@ def make_domain(dim, box, nx, kernel, eps, *, pad=None) -> DomainSpec:
         raise ValueError(f"grid spacing must match across axes, got {dxs}")
 
     support = eps * kernel.support_radius
-    if support < 2.0 * dx:
-        raise ValueError(
-            f"kernel support under-resolved: eps*R_J = {support:g} < 2*dx = {2 * dx:g}"
-        )
-    min_pad = 2.0 * support
-    if pad is None:
-        pad = min_pad
-    elif pad < min_pad - 1e-12 * min_pad:
-        raise ValueError(f"pad override {pad:g} below containment minimum {min_pad:g}")
+    check_resolved(support, dx)
+    pad = 2.0 * support
     pad_cells = math.ceil(pad / dx - 1e-12)
     return DomainSpec(
         dim=dim,
@@ -141,7 +146,7 @@ def make_domain(dim, box, nx, kernel, eps, *, pad=None) -> DomainSpec:
         omega_hi=hi,
         nx=nx_t,
         dx=dx,
-        pad=float(pad),
+        pad=pad,
         pad_cells=pad_cells,
     )
 
@@ -180,6 +185,11 @@ class Field:
 
     def is_zero_extended(self) -> bool:
         return self.exterior_max_abs() == 0.0
+
+
+def require_zero_extended(f: Field, what: str) -> None:
+    if not f.is_zero_extended():
+        raise ValueError(f"{what} must be exactly zero on exterior nodes")
 
 
 def zero_extend(interior_values, spec: DomainSpec) -> Field:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DomainSpec, write_csv
+from .grid import DomainSpec, check_dim, check_resolved, write_csv
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ _PROFILES = {"tent": _tent, "quartic": _quartic, "cosine": _cosine}
 def get_kernel(name: str, dim: int) -> Kernel:
     if name not in _PROFILES:
         raise ValueError(f"unknown kernel {name!r}, expected one of {sorted(_PROFILES)}")
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    check_dim(dim)
     return Kernel(name=name, profile=_PROFILES[name], dim=dim)
 
 
@@ -78,8 +77,7 @@ def normalization_constant(kernel: Kernel) -> float:
     int_{R^dim} J(|z|) |z|^2 dz = |S^(dim-1)| int_0^R J r^(dim+1) dr, by the
     midpoint rule with 8192 samples across the support.
     """
-    if kernel.dim not in _SPHERE:
-        raise ValueError(f"dim must be 1 or 2, got {kernel.dim}")
+    check_dim(kernel.dim)
     dr = kernel.support_radius / 8192
     r = (np.arange(8192) + 0.5) * dr
     second_moment = _SPHERE[kernel.dim] * np.sum(kernel(r) * r ** (kernel.dim + 1)) * dr
@@ -153,10 +151,7 @@ def discretize(rk: RescaledKernel, spec: DomainSpec) -> Stencil:
         raise ValueError(f"kernel dim {rk.dim} does not match domain dim {spec.dim}")
     dx = spec.dx
     support = rk.support_radius
-    if support < 2.0 * dx:
-        raise ValueError(
-            f"kernel support under-resolved: eps*R_J = {support:g} < 2*dx = {2 * dx:g}"
-        )
+    check_resolved(support, dx)
     if spec.pad < 2.0 * support - 1e-12 * support:
         raise ValueError(
             f"domain padding {spec.pad:g} below containment minimum {2 * support:g}"

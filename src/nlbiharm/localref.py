@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainSpec, Field
+from .grid import DomainSpec, Field, require_zero_extended
 from .kernel import Stencil
 from .nlop import NonlocalOperator, check_exponent, p_flux_values
 from .stepper import StepperConfig, Trajectory, evolve
@@ -39,10 +39,8 @@ class LocalOperator(NonlocalOperator):
             raise ValueError(
                 f"local operator needs two ghost layers, got pad_cells = {spec.pad_cells}"
             )
-        if spec.dim == 1:
-            offsets = np.array([[-1], [1]], dtype=np.int64)
-        else:
-            offsets = np.array([[-1, 0], [1, 0], [0, -1], [0, 1]], dtype=np.int64)
+        # -e1, +e1, -e2, +e2: the order in which ``apply`` sums
+        offsets = np.concatenate([(-e, e) for e in np.eye(spec.dim, dtype=np.int64)])
         weights = np.full(len(offsets), 1.0 / spec.dx**2)
         stencil = Stencil(
             offsets=offsets,
@@ -57,8 +55,7 @@ class LocalOperator(NonlocalOperator):
 
 def local_laplacian(u: Field) -> Field:
     """Central-difference Laplacian of a constrained field."""
-    if not u.is_zero_extended():
-        raise ValueError("local_laplacian input must be exactly zero on exterior nodes")
+    require_zero_extended(u, "local_laplacian input")
     op = LocalOperator(u.spec)
     return Field(u.spec, op.apply(u.values))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainSpec, Field
+from .grid import DomainSpec, Field, require_zero_extended
 from .kernel import Stencil
 
 
@@ -262,32 +262,23 @@ def nonlocal_laplacian(f: Field, st: Stencil) -> Field:
     return Field(f.spec, op.apply(f.values))
 
 
-def p_flux_values(g: np.ndarray, p: float, delta: float = 0.0) -> np.ndarray:
+def p_flux_values(g: np.ndarray, p: float) -> np.ndarray:
     if p == 2.0:
         return g.copy()
-    if delta > 0.0:
-        return (g * g + delta * delta) ** (0.5 * (p - 2.0)) * g
     # hard-zero convention at g = 0; exponent p-1 > 0 keeps 0**(p-1) = 0
     return np.sign(g) * np.abs(g) ** (p - 1.0)
 
 
-def p_flux(g: Field, p: float, delta: float = 0.0) -> Field:
+def p_flux(g: Field, p: float) -> Field:
     """Pointwise monotone nonlinearity sign(g)|g|^(p-1), exactly 0 at 0."""
     check_exponent(p)
-    if delta < 0.0:
-        raise ValueError(f"flux regularization must be >= 0, got {delta}")
-    return Field(g.spec, p_flux_values(g.values, float(p), float(delta)))
-
-
-def _require_zero_extended(u: Field, what: str) -> None:
-    if not u.is_zero_extended():
-        raise ValueError(f"{what} must be exactly zero on exterior nodes")
+    return Field(g.spec, p_flux_values(g.values, float(p)))
 
 
 def p_biharmonic_rhs(u: Field, st: Stencil, p: float) -> Field:
     """Right-hand side -Delta_NL(|Delta_NL u|^(p-2) Delta_NL u), zero outside."""
     check_exponent(p)
-    _require_zero_extended(u, "p_biharmonic_rhs input")
+    require_zero_extended(u, "p_biharmonic_rhs input")
     op = NonlocalOperator(st, u.spec)
     a = op.apply(u.values)
     rhs = -op.apply(p_flux_values(a, float(p)))
@@ -298,7 +289,7 @@ def p_biharmonic_rhs(u: Field, st: Stencil, p: float) -> Field:
 def dirichlet_energy(u: Field, st: Stencil, p: float) -> float:
     """(1/p) * ||Delta_NL u||_p^p over the padded domain."""
     check_exponent(p)
-    _require_zero_extended(u, "dirichlet_energy input")
+    require_zero_extended(u, "dirichlet_energy input")
     op = NonlocalOperator(st, u.spec)
     a = op.apply(u.values)
     return float(u.spec.cell_volume / p * np.sum(np.abs(a) ** p))

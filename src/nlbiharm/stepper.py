@@ -41,8 +41,7 @@ tolerance set by Eisenstat-Walker forcing.
 An evolution resolves its residual tolerance once (``effective_inner_tol``,
 kept as ``Trajectory.inner_tol``) and carries the operator value and the
 flux term of each step's certified state into the next step, which starts
-from that state.  ``implicit_step`` and ``explicit_step`` are one-step
-evolutions.
+from that state.  ``implicit_step`` is a one-step evolution.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import DomainSpec, Field, lp_norm, write_csv, zero_extend
+from .grid import DomainSpec, Field, lp_norm, require_zero_extended, write_csv, zero_extend
 from .kernel import Stencil
 from .nlop import NonlocalOperator, check_exponent, p_flux_values
 
@@ -79,10 +78,6 @@ class InnerSolveFailed(RuntimeError):
         self.residual = residual
 
 
-class StabilityViolation(RuntimeError):
-    """Explicit step rejected because the energy increased."""
-
-
 @dataclass
 class StepperConfig:
     """Time-stepping parameters.
@@ -94,7 +89,6 @@ class StepperConfig:
     p: float
     h: float
     T: float
-    mode: str = "implicit"
     inner_tol: float | None = None
     inner_max_iters: int = 5000
     record_every: int = 1
@@ -109,8 +103,6 @@ class StepperConfig:
             raise ValueError(
                 f"final time T = {self.T} must be at least one step h = {self.h}"
             )
-        if self.mode not in ("implicit", "explicit"):
-            raise ValueError(f"mode must be implicit or explicit, got {self.mode!r}")
         if self.inner_tol is not None and not 0 < self.inner_tol < math.inf:
             raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
         if self.inner_max_iters < 1:
@@ -142,9 +134,9 @@ class Trajectory:
     """Per-step scalars plus a recorded subset of states.
 
     ``inner_iters`` and ``applies`` (operator evaluations, Hessian products
-    included) count the work of each implicit step's solve; both are zero at
-    step 0 and in explicit mode.  ``inner_tol`` is the residual tolerance
-    of every implicit step, resolved once at the start of the run.
+    included) count the work of each step's solve; both are zero at step 0.
+    ``inner_tol`` is the residual tolerance of every step, resolved once at
+    the start of the run.
     """
 
     times: np.ndarray
@@ -269,9 +261,8 @@ def step_gradient(w: Field, u_prev: Field, st, cfg: StepperConfig) -> Field:
 def _check_pair(w: Field, u_prev: Field) -> None:
     if w.spec != u_prev.spec:
         raise ValueError("fields live on different domain specs")
-    for f, what in ((w, "trial state"), (u_prev, "previous state")):
-        if not f.is_zero_extended():
-            raise ValueError(f"{what} must be exactly zero on exterior nodes")
+    require_zero_extended(w, "trial state")
+    require_zero_extended(u_prev, "previous state")
 
 
 @dataclass
@@ -418,39 +409,12 @@ def _cg_solve(fn, tol):
 
 def implicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
     """Solve one implicit step by minimizing the per-step functional."""
-    return evolve(u_prev, st, replace(cfg, T=cfg.h, mode="implicit")).states[-1]
-
-
-def explicit_stability_limit(st: Stencil) -> float:
-    """Forward-Euler bound for p = 2 from the Gershgorin estimate of the
-    squared operator: h <= 0.9 * 2 / (2 * sum w_d)**2."""
-    return 0.9 * 2.0 / (2.0 * st.diag) ** 2
-
-
-def explicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
-    """Forward-Euler convenience step with an energy guard."""
-    return evolve(u_prev, st, replace(cfg, T=cfg.h, mode="explicit")).states[-1]
-
-
-def _explicit_update(op, x: np.ndarray, cfg: StepperConfig):
-    """Forward-Euler update of the interior values x, three applies;
-    returns (x_new, E(x_new)), the energy from the guard's own evaluation."""
-    fn = _StepFunctional(op, op.spec, x, cfg.p, cfg.h)
-    a = fn.apply(fn.embed(x))
-    e_prev = fn.p_energy(a)
-    x_new = x - cfg.h * fn.flux_term(a)
-    e_new = fn.p_energy(fn.apply(fn.embed(x_new)))
-    if e_new > e_prev * (1.0 + 1e-12) + 1e-300:
-        raise StabilityViolation(
-            f"energy increased {e_prev:.6e} -> {e_new:.6e}; reduce the time step"
-        )
-    return x_new, e_new
+    return evolve(u_prev, st, replace(cfg, T=cfg.h)).states[-1]
 
 
 def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     """March ceil(T/h) steps, auditing norms, energies, and increments."""
-    if not u0.is_zero_extended():
-        raise ValueError("initial state must be exactly zero on exterior nodes")
+    require_zero_extended(u0, "initial state")
     spec = u0.spec
     op = as_operator(st, spec)
     tol = effective_inner_tol(op, cfg, lp_norm(u0, 2, "omega"))
@@ -477,22 +441,19 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     start = None  # step 1 evaluates with its own rule's evaluation
     for j in range(1, m + 1):
         try:
-            if cfg.mode == "implicit":
-                result = _minimize_step(
-                    op, spec, x, cfg.p, cfg.h, tol, cfg.inner_max_iters, start
-                )
-                start = result.value, result.flux
-                x_new = result.interior
-                inner_iters[j] = result.iters
-                applies[j] = result.applies
-                residuals[j] = result.residual
-                energies[j] = result.p_energy
-            else:
-                x_new, energies[j] = _explicit_update(op, x, cfg)
-        except (InnerSolveFailed, StabilityViolation) as err:
-            raise type(err)(f"step {j} (t = {j * cfg.h:g}): {err}", *(
-                (err.residual,) if isinstance(err, InnerSolveFailed) else ()
-            )) from err
+            result = _minimize_step(
+                op, spec, x, cfg.p, cfg.h, tol, cfg.inner_max_iters, start
+            )
+        except InnerSolveFailed as err:
+            raise InnerSolveFailed(
+                f"step {j} (t = {j * cfg.h:g}): {err}", err.residual
+            ) from err
+        start = result.value, result.flux
+        x_new = result.interior
+        inner_iters[j] = result.iters
+        applies[j] = result.applies
+        residuals[j] = result.residual
+        energies[j] = result.p_energy
         delta = x_new - x
         increments_sq[j] = vol * float(np.dot(delta.ravel(), delta.ravel()))
         l2_sq[j] = vol * float(np.dot(x_new.ravel(), x_new.ravel()))

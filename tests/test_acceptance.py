@@ -276,14 +276,14 @@ class TestCriterion10Poincare:
         start = time.perf_counter()
         spec32 = make_domain(1, (0.0, 1.0), 32, tent1d, 0.2)
         st32 = discretize(rescale(tent1d, 0.2), spec32)
-        c_iter = poincare_constant(spec32, st32, q=2)
+        c_iter = poincare_constant(spec32, st32)
         lam = np.linalg.eigvalsh(poincare_dense_matrix(rescale(tent1d, 0.2), spec32))[0]
         assert c_iter == pytest.approx(1.0 / lam, rel=1e-6)
         consts = {}
         for nx in (64, 128):
             spec = make_domain(1, (0.0, 1.0), nx, tent1d, 0.2)
             st = discretize(rescale(tent1d, 0.2), spec)
-            consts[nx] = poincare_constant(spec, st, q=2)
+            consts[nx] = poincare_constant(spec, st)
         assert abs(consts[128] - consts[64]) <= 0.10 * consts[128]
         report(
             f"criterion-10 poincare (C={c_iter:.4f})",

@@ -77,14 +77,15 @@ class TestParseConfig:
          ("command = decay\nfit_floor_ratio = 0", "'fit_floor_ratio'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/p6.pgm", "'input'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm", "'input'"),
-         ("inner_tol = inf", "'inner_tol'"), ("q = inf", "'q'"), ("q = nan", "'q'")],
+         ("inner_tol = inf", "'inner_tol'"), ("q = inf", "'q'"), ("q = nan", "'q'"),
+         ("mode = explicit", "'mode'")],
         ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf",
              "inner_max_iters_zero", "record_every_zero", "inner_tol_negative",
              "T_below_h", "seed_negative", "decay_p_below_two",
              "decay_window_few_steps", "decay_run_few_steps",
              "fit_floor_ratio_above_one", "fit_floor_ratio_zero",
              "denoise_p6_image", "denoise_image_below_4x4",
-             "inner_tol_inf", "q_inf", "q_nan"],
+             "inner_tol_inf", "q_inf", "q_nan", "mode_explicit"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
         # images for the denoise cases: a colour (P6) file and a 3x3 one

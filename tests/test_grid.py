@@ -37,15 +37,6 @@ class TestMakeDomain:
         with pytest.raises(ValueError, match="nx"):
             make_domain(1, (0.0, 1.0), 3, tent1d, 0.5)
 
-    def test_pad_override_extends(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.1, pad=0.5)
-        assert spec.pad == 0.5
-        assert spec.pad_cells == 32
-
-    def test_pad_override_below_containment_rejected(self, tent1d):
-        with pytest.raises(ValueError, match="containment"):
-            make_domain(1, (0.0, 1.0), 64, tent1d, 0.1, pad=0.1)
-
     def test_containment_invariant(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.1)
         assert spec.pad_cells * spec.dx >= 2 * 0.1 * tent1d.support_radius - 1e-15

@@ -51,6 +51,15 @@ class TestLocalLaplacian:
         f = zero_extend(rng.standard_normal(32), spec)
         assert inner_product(local_laplacian(f), f) <= 1e-12
 
+    def test_offsets_are_signed_unit_vectors(self, tent1d, tent2d):
+        # apply sums the offsets in this order, so it fixes the rounding
+        spec1 = local_domain(tent1d, nx=16)
+        assert np.array_equal(LocalOperator(spec1).stencil.offsets, [[-1], [1]])
+        spec2 = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
+        offsets = LocalOperator(spec2).stencil.offsets
+        assert offsets.dtype == np.int64
+        assert np.array_equal(offsets, [[-1, 0], [1, 0], [0, -1], [0, 1]])
+
     def test_needs_two_ghost_layers(self, tent2d):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 8, tent2d, 0.5)
         object.__setattr__(spec, "pad_cells", 1)

@@ -242,16 +242,6 @@ class TestPFlux:
         out = p_flux(g, 1.5)
         assert np.all(out.values == 0.0)
 
-    def test_regularized_variant(self, domain16):
-        g = zero_extend(np.linspace(-1, 1, 16), domain16)
-        hard = p_flux(g, 1.5)
-        soft = p_flux(g, 1.5, delta=1e-3)
-        assert np.all(np.isfinite(soft.values))
-        inz = np.abs(g.interior_values) > 0.5
-        assert hard.interior_values[inz] == pytest.approx(
-            soft.interior_values[inz], rel=1e-3
-        )
-
     def test_bad_exponent_rejected(self, domain16):
         g = zero_extend(np.zeros(16), domain16)
         with pytest.raises(ValueError, match="exponent"):
@@ -350,7 +340,7 @@ class TestBounds:
     ):
         from nlbiharm import poincare_constant
 
-        c_grid = poincare_constant(domain64, stencil64, q=2)
+        c_grid = poincare_constant(domain64, stencil64)
         for _ in range(10):
             u_int = rng.standard_normal(64)
             u_int -= u_int.mean()

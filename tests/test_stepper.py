@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from nlbiharm import (
-    StabilityViolation,
     StepperConfig,
     default_bump,
     dirichlet_energy,
     discretize,
     evolve,
-    explicit_step,
     get_kernel,
     implicit_step,
     inner_product,
@@ -25,7 +23,6 @@ from nlbiharm.stepper import (
     _minimize_step,
     _StepFunctional,
     effective_inner_tol,
-    explicit_stability_limit,
 )
 from nlbiharm.localref import LocalOperator
 from nlbiharm.nlop import NonlocalOperator
@@ -378,54 +375,6 @@ class TestNewtonStep:
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
 
 
-class TestExplicitStep:
-    def test_zero_field(self, domain16, stencil16):
-        z = zero_extend(np.zeros(16), domain16)
-        out = explicit_step(z, stencil16, cfg(h=1e-9))
-        assert np.all(out.values == 0.0)
-
-    def test_richardson_agreement_with_implicit(self, domain16, stencil16, rng):
-        u = zero_extend(0.01 * rng.standard_normal(16), domain16)
-        limit = explicit_stability_limit(stencil16)
-        diffs = []
-        for h in (limit / 8, limit / 16):
-            c = cfg(h=h, T=1.0)
-            a = explicit_step(u, stencil16, c)
-            b = implicit_step(u, stencil16, c)
-            diffs.append(
-                lp_norm(
-                    zero_extend(a.interior_values - b.interior_values, domain16),
-                    2,
-                    "omega",
-                )
-            )
-        # halving h shrinks the gap by ~4 (both schemes are first order and
-        # differ at O(h^2) per step)
-        assert diffs[1] <= 0.35 * diffs[0]
-
-    def test_stability_violation_above_limit(self, domain16, stencil16):
-        limit = explicit_stability_limit(stencil16)
-        spike = np.zeros(16)
-        spike[8] = 1.0
-        u = zero_extend(spike, domain16)
-        c = cfg(h=40 * limit, T=1000 * limit)
-        with pytest.raises(StabilityViolation):
-            for _ in range(10):
-                u = explicit_step(u, stencil16, c)
-
-
-    def test_evolve_applies_three_times_per_step(self, domain16, stencil16, rng):
-        op = _CountingOperator(stencil16, domain16)
-        u0 = zero_extend(0.01 * rng.standard_normal(16), domain16)
-        h = 0.5 * explicit_stability_limit(stencil16)
-        traj = evolve(u0, op, cfg(h=h, T=10 * h, mode="explicit"))
-        assert traj.n_steps == 10
-        assert op.calls == 1 + 3 * 10
-        # each energy is the guard's own evaluation, bit for bit
-        for j, state in zip(traj.state_steps, traj.states):
-            assert traj.energies[j] == dirichlet_energy(state, stencil16, 2.0)
-
-
 class TestEvolve:
     def test_rejects_other_operator_types(self, domain16):
         u0 = zero_extend(np.zeros(16), domain16)
@@ -526,10 +475,6 @@ class TestConfigValidation:
     def test_bad_p(self):
         with pytest.raises(ValueError, match="exponent"):
             StepperConfig(p=1.0, h=0.1, T=1.0)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            StepperConfig(p=2.0, h=0.1, T=1.0, mode="midpoint")
 
     def test_T_below_h(self):
         with pytest.raises(ValueError, match="final time"):
