@@ -9,8 +9,11 @@ The first table prints microseconds per call of the difference loop
 ``NonlocalOperator.apply`` and of ``apply_corr`` (a direct correlation in
 1D, a zero-padded FFT in 2D) on one random array at the stencils of the
 shipped studies.  Rows are keyed by dim, nx (interior cells per axis) and K
-(nonzero stencil offsets).  The grids are the ones the runs use: converge's
-three scales share the grid padded for its largest eps.
+(nonzero stencil offsets).  The padded grids, with ``nodes`` nodes, are
+the runs' own: converge's three scales share the grid padded for its
+largest eps.  The operator is timed on the step grid that
+``stepper.as_operator`` cuts from each, the interior plus the stencil's
+reach, with ``step`` nodes.
 
 The second table times the direct solve of one implicit step's model
 I/h + A^T diag(c) A (``NonlocalOperator.normal_solve``): microseconds per
@@ -22,8 +25,9 @@ the p = 3 Newton curvature 2|A x| at a random state.
 The third table runs one implicit step (``stepper._minimize_step``) for
 each way of solving the step model: Newton-CG on converge's 1D K = 50
 stencil, direct Newton on the local 1D Hessian (n = 256), and the direct
-reweighted step below p = 2.  It prints the step's inner iterations,
-operator applies and milliseconds, keyed by dim, n and K.
+reweighted step below p = 2.  Each nonlocal step runs on its step grid, as
+``evolve`` runs it.  It prints the step's inner iterations, operator
+applies and milliseconds, keyed by dim, n and K.
 
 Every time is the best of REPEATS batches, each sized to take about
 BATCH_S seconds; a step is timed as the best of REPEATS single runs.
@@ -39,7 +43,7 @@ from nlbiharm import (
 )
 from nlbiharm.localref import LocalOperator
 from nlbiharm.nlop import BandedNormal
-from nlbiharm.stepper import _minimize_step, effective_inner_tol
+from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol
 
 BATCH_S = 0.05
 REPEATS = 5
@@ -92,20 +96,21 @@ def per_call_us(fn, values) -> float:
 
 def main() -> int:
     rng = np.random.default_rng(0)
-    print(f"{'study':<11} {'dim':>3} {'nx':>4} {'nodes':>6} {'K':>4} "
+    print(f"{'study':<11} {'dim':>3} {'nx':>4} {'nodes':>6} {'step':>6} {'K':>4} "
           f"{'apply_us':>9} {'corr_us':>8} {'rel_diff':>9}")
     for study, dim, box, nx, eps, grid_eps in CASES:
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, box, nx, kern, grid_eps)
         st = discretize(rescale(kern, eps), spec)
-        op = NonlocalOperator(st, spec)
-        values = rng.standard_normal(spec.padded_shape)
+        op = as_operator(st, spec)
+        values = rng.standard_normal(op.spec.padded_shape)
         exact = op.apply(values)
         diff = np.abs(op.apply_corr(values) - exact).max() / np.abs(exact).max()
         loop_us = per_call_us(op.apply, values)
         corr_us = per_call_us(op.apply_corr, values)
         k = sum(bool(np.any(d)) for d in st.offsets)
-        print(f"{study:<11} {dim:>3} {nx:>4} {values.size:>6} {k:>4} "
+        nodes = int(np.prod(spec.padded_shape))
+        print(f"{study:<11} {dim:>3} {nx:>4} {nodes:>6} {values.size:>6} {k:>4} "
               f"{loop_us:>9.1f} {corr_us:>8.1f} {diff:>9.1e}")
 
     print()
@@ -140,7 +145,7 @@ def main() -> int:
         if eps is None:
             op = LocalOperator(spec)
         else:
-            op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+            op = as_operator(discretize(rescale(kern, eps), spec), spec)
         u0 = default_bump(spec)
         if start == "gaussian":
             x = spec.node_coords()[0][spec.interior_slices]
@@ -150,8 +155,7 @@ def main() -> int:
         best = float("inf")
         for _ in range(REPEATS):
             begin = time.perf_counter()
-            res = _minimize_step(op, spec, u0.interior_values, p, h, tol,
-                                 cfg.inner_max_iters)
+            res = _minimize_step(op, u0.interior_values, p, h, tol, cfg.inner_max_iters)
             best = min(best, time.perf_counter() - begin)
         k = sum(bool(np.any(d)) for d in op.stencil.offsets)
         print(f"{solver:<13} {p:>3g} {spec.dim:>3} {spec.n_interior:>5} {k:>4} "

@@ -18,7 +18,7 @@ from .grid import DomainSpec, Field, lp_norm, write_csv, zero_extend
 from .kernel import Kernel, Stencil, discretize, kernel_is_nonincreasing, rescale
 from .localref import local_evolve
 from .nlop import NonlocalOperator
-from .stepper import StepperConfig, Trajectory, evolve
+from .stepper import StepperConfig, Trajectory, as_operator, evolve
 
 
 class DecayFitDegenerate(RuntimeError):
@@ -269,10 +269,12 @@ def poincare_form(spec: DomainSpec, stencil: Stencil) -> Callable:
     """Matrix-free product B v = -2 (A v)_I + (A 1_I)_I v, one apply each,
     of the constrained difference form sum_{x in omega} sum_d w_d
     (u_ext(x + d) - u(x))^2 over flat interior values, A acting on zero
-    extensions (volume factor dropped: it cancels against the L^2 norm)."""
-    op = NonlocalOperator(stencil, spec)
-    interior = spec.interior_slices
-    full = np.zeros(spec.padded_shape)
+    extensions (volume factor dropped: it cancels against the L^2 norm).
+    It reads A only on the interior, so A runs on the step grid
+    (``as_operator``)."""
+    op = as_operator(stencil, spec)
+    interior = op.spec.interior_slices
+    full = np.zeros(op.spec.padded_shape)
     full[interior] = 1.0
     shift = op.apply_corr(full)[interior].ravel()
 

@@ -41,9 +41,12 @@ class DomainSpec:
         omega_lo, omega_hi: interior box corners, one entry per axis.
         nx: interior cells per axis.
         dx: uniform grid spacing (identical on every axis).
-        pad: physical padding width per side; at least twice the kernel
-            support radius so two operator applications never see the
-            outer truncation from inside the box.
+        pad: physical padding width per side.  A step needs only one
+            stencil reach of it (``stepper.as_operator``).  ``make_domain``
+            pads two kernel supports: one grid then holds every scale of a
+            converge study, and the whole-grid evaluations and field
+            outputs cover all that two operator applications reach from
+            inside the box.
         pad_cells: padding cells per side, ceil(pad / dx).
     """
 

@@ -128,7 +128,8 @@ class Stencil:
     keeps the zero-offset weight so the weight sum tracks the kernel integral
     for diagnostics; the zero offset contributes nothing to the operator.
     ``raw_half_moment`` is the pre-normalization moment, the fidelity
-    diagnostic of the sampled weights.
+    diagnostic of the sampled weights.  ``reach`` is the largest |offset|
+    along any axis, in cells.
     """
 
     offsets: np.ndarray  # (K, dim) int
@@ -143,6 +144,10 @@ class Stencil:
         for name in ("offsets", "weights"):
             arr = getattr(self, name)
             arr.flags.writeable = False
+
+    @property
+    def reach(self) -> int:
+        return int(np.abs(self.offsets).max())
 
 
 def discretize(rk: RescaledKernel, spec: DomainSpec) -> Stencil:

@@ -62,7 +62,7 @@ def _slice_pair(shape, offset):
 
 class NonlocalOperator:
     """Matrix-free nonlocal Laplacian bound to one stencil and one grid;
-    ``reach`` is the stencil's largest |offset| along any axis, in cells."""
+    ``reach`` is ``Stencil.reach``."""
 
     def __init__(self, stencil: Stencil, spec: DomainSpec):
         if stencil.dim != spec.dim:
@@ -71,7 +71,7 @@ class NonlocalOperator:
             raise ValueError(f"stencil dx {stencil.dx:g} != domain dx {spec.dx:g}")
         self.spec = spec
         self.stencil = stencil
-        self.reach = int(np.abs(stencil.offsets).max())
+        self.reach = stencil.reach
         shape = spec.padded_shape
         self._terms = [
             (_slice_pair(shape, d), float(w))
@@ -103,13 +103,11 @@ class NonlocalOperator:
         """Zero-padded work buffer, the values' slice of it, the in-bounds
         weight sum and the correlation of the buffer at the values' nodes."""
         shape = self.spec.padded_shape
-        st = self.stencil
-        reach = [int(r) for r in np.abs(st.offsets).max(axis=0)]
+        st, r = self.stencil, self.reach
         weight_sum = np.zeros(shape)
         for (_, dst), w in self._terms:
             weight_sum[dst] += w
         if len(shape) == 1:  # taps[r + d] = w_d on a buffer of n + 2 r
-            r = reach[0]
             taps = np.zeros(2 * r + 1)
             taps[r + st.offsets[:, 0]] = st.weights
             taps[r] = 0.0  # the zero offset contributes nothing
@@ -120,7 +118,7 @@ class NonlocalOperator:
         # value.  Its arrays are reused: they exceed glibc's mmap threshold
         # and would fault in afresh on every call.  out[i] = sum_d w_d v[i + d]
         # puts w_d at -d (mod the FFT length).
-        fft_shape = tuple(_fast_len(n + r) for n, r in zip(shape, reach))
+        fft_shape = tuple(_fast_len(n + r) for n in shape)
         kern = np.zeros(fft_shape)
         kern[tuple((-st.offsets % fft_shape).T)] = st.weights
         kern[(0,) * len(shape)] = 0.0

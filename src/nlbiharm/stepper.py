@@ -7,10 +7,18 @@ Each implicit step minimizes the per-step functional
 
 over interior values (the exterior stays pinned at zero), where A is the
 injected operator (nonlocal Laplacian, or the finite-difference Laplacian of
-the local reference solver) and the p-term runs over the whole padded domain.
-The minimizer certifies the step through the Euler-Lagrange residual
+the local reference solver).  The minimizer certifies the step through the
+Euler-Lagrange residual
 
     (w - u_prev)/h + A(|A w|^(p-2) A w)   restricted to the interior box.
+
+A step given a stencil runs on the step grid, the interior plus the
+stencil's reach per side (``as_operator``), not on the caller's padded grid.
+That is exact: A w of a zero-extended w vanishes beyond reach of the
+interior, so the p-term over interior +- reach carries all of it, and a
+window-edge node drops only differences of two exterior zeros; the residual
+reads A(flux) only at interior nodes, whose neighbourhoods lie inside the
+window.  Recorded states are zero-extended onto the caller's grid.
 
 One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
 backtracks t from 1 until E(x - t d) <= E(x) - c1 t slope, so the functional
@@ -162,8 +170,12 @@ class Trajectory:
 
 def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
     """Accept a Stencil or an operator (the local one included) bound to
-    ``spec``."""
+    ``spec``.  A stencil is bound to the step grid: ``spec`` with its collar
+    cut to the stencil's reach (module docstring); an operator keeps its own
+    grid."""
     if isinstance(st, Stencil):
+        if st.reach < spec.pad_cells:
+            spec = replace(spec, pad_cells=st.reach, pad=st.reach * spec.dx)
         return NonlocalOperator(st, spec)
     if not isinstance(st, NonlocalOperator):
         raise TypeError(f"expected a Stencil or a NonlocalOperator, got {type(st)!r}")
@@ -174,24 +186,23 @@ def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
 
 class _StepFunctional:
     """Energy/gradient/Hessian of the per-step functional over interior
-    values.
+    values, on the operator's grid.
 
     Operator evaluations go through ``apply``, which counts them in
     ``applies``; ``evaluate`` defaults to the exact difference loop
     ``op.apply``.
     """
 
-    def __init__(self, op, spec: DomainSpec, u_prev: np.ndarray, p: float, h: float,
-                 evaluate=None):
+    def __init__(self, op, u_prev: np.ndarray, p: float, h: float, evaluate=None):
         self.op = op
         self._evaluate = op.apply if evaluate is None else evaluate
         self.applies = 0
-        self.spec = spec
+        self.spec = op.spec
         self.u_prev = u_prev
         self.p = p
         self.h = h
-        self.vol = spec.cell_volume
-        self._full = np.zeros(spec.padded_shape)
+        self.vol = op.spec.cell_volume
+        self._full = np.zeros(op.spec.padded_shape)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         self.applies += 1
@@ -244,7 +255,7 @@ def step_energy(w: Field, u_prev: Field, st, cfg: StepperConfig) -> float:
     """The scalar per-step functional E(w); all integrals by grid quadrature."""
     _check_pair(w, u_prev)
     op = as_operator(st, w.spec)
-    fn = _StepFunctional(op, w.spec, u_prev.interior_values, cfg.p, cfg.h)
+    fn = _StepFunctional(op, u_prev.interior_values, cfg.p, cfg.h)
     e, _ = fn.energy(w.interior_values)
     return e
 
@@ -253,7 +264,7 @@ def step_gradient(w: Field, u_prev: Field, st, cfg: StepperConfig) -> Field:
     """L2(omega) gradient of the per-step functional, zero on the exterior."""
     _check_pair(w, u_prev)
     op = as_operator(st, w.spec)
-    fn = _StepFunctional(op, w.spec, u_prev.interior_values, cfg.p, cfg.h)
+    fn = _StepFunctional(op, u_prev.interior_values, cfg.p, cfg.h)
     _, a = fn.energy(w.interior_values)
     return zero_extend(fn.gradient(w.interior_values, fn.flux_term(a)), w.spec)
 
@@ -267,8 +278,9 @@ def _check_pair(w: Field, u_prev: Field) -> None:
 
 @dataclass
 class _StepResult:
-    """A step's solution and work; ``value`` (A x on the padded grid) and
-    ``flux`` (its flux term) are the fresh evaluations that certified it."""
+    """A step's solution and work; ``value`` (A x on the operator's grid)
+    and ``flux`` (its flux term) are the fresh evaluations that certified
+    it."""
 
     interior: np.ndarray
     iters: int
@@ -279,8 +291,7 @@ class _StepResult:
     flux: np.ndarray
 
 
-def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters,
-                   start=None) -> _StepResult:
+def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepResult:
     """Minimize one step from x = u_prev_int.  ``start = (value, flux)`` of
     the previous step's result, which certified this x with the same
     evaluation, replaces the two applies that open the step."""
@@ -288,12 +299,12 @@ def _minimize_step(op, spec, u_prev_int, p, h, tol, max_iters,
     # solve and the evaluation follow from p and the stencil (module
     # docstring).
     if p < 2.0 or op.reach == 1:
-        fn = _StepFunctional(op, spec, u_prev_int, p, h)
+        fn = _StepFunctional(op, u_prev_int, p, h)
 
         def solve(curv, g):
             return op.normal_solve(curv, 1.0 / h, g), None
     else:
-        fn = _StepFunctional(op, spec, u_prev_int, p, h, op.apply_corr)
+        fn = _StepFunctional(op, u_prev_int, p, h, op.apply_corr)
         solve = _cg_solve(fn, tol)
     label = "reweighted" if p < 2.0 else "Newton"
 
@@ -422,7 +433,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     m = len(times) - 1
     vol = spec.cell_volume
 
-    fn = _StepFunctional(op, spec, u0.interior_values, cfg.p, cfg.h)
+    fn = _StepFunctional(op, u0.interior_values, cfg.p, cfg.h)
     x = u0.interior_values.copy()
     a0 = op.apply(fn.embed(x))
 
@@ -441,9 +452,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     start = None  # step 1 evaluates with its own rule's evaluation
     for j in range(1, m + 1):
         try:
-            result = _minimize_step(
-                op, spec, x, cfg.p, cfg.h, tol, cfg.inner_max_iters, start
-            )
+            result = _minimize_step(op, x, cfg.p, cfg.h, tol, cfg.inner_max_iters, start)
         except InnerSolveFailed as err:
             raise InnerSolveFailed(
                 f"step {j} (t = {j * cfg.h:g}): {err}", err.residual

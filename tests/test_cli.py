@@ -330,6 +330,22 @@ class TestImport:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_module_run_writes_nothing_to_stderr(self, tmp_path):
+        # the package loads ``cli`` only on first use of its names, so runpy
+        # finds it unimported and has nothing to warn about
+        cfg = write_cfg(tmp_path, "command = evolve\nu0 = zero\nnx = 16\n"
+                        "epsilon = 0.25\nT = 0.02\nh = 0.01\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        run = subprocess.run(
+            [sys.executable, "-m", "nlbiharm.cli", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert run.returncode == 0
+        assert "PASS" in run.stdout
+        assert run.stderr == ""
+
     def test_direct_solves_load_no_scipy(self, tmp_path):
         # the local reference's Newton steps and a reweighted (p < 2) step
         # solve their models with numpy alone

@@ -23,6 +23,7 @@ from nlbiharm import (
 )
 from nlbiharm.localref import LocalOperator
 from nlbiharm.nlop import p_flux_values
+from nlbiharm.stepper import as_operator
 
 from oracles import (
     dense_nonlocal_matrix,
@@ -165,12 +166,63 @@ class TestFftEvaluation:
         spec = make_domain(1, (0.0, 1.0), 8, tent1d, 0.9)
         st_ = discretize(rescale(tent1d, 0.9), spec)
         spec = replace(spec, pad_cells=2)
-        reach = int(np.abs(st_.offsets).max())
-        assert 2 * reach >= spec.padded_shape[0]
+        assert 2 * st_.reach >= spec.padded_shape[0]
         op = NonlocalOperator(st_, spec)
         v = rng.standard_normal(spec.padded_shape)
         exact = op.apply(v)
         assert np.max(np.abs(op.apply_corr(v) - exact)) <= 1e-13 * np.abs(exact).max()
+
+
+# (dim, box, nx, stencil eps, grid eps) by K: converge_p3's eps = 0.1 stencil
+# on its grid padded for eps = 0.4, and the stencil of evolve_2d.
+STEP_GRID_STENCILS = {
+    50: (1, (0.0, 1.0), 256, 0.1, 0.4),
+    508: (2, ((0.0, 1.0), (0.0, 1.0)), 64, 0.2, 0.2),
+}
+
+
+class TestStepGrid:
+    """A stencil's step operator (``as_operator``: interior +- reach)
+    against the operator on the whole padded grid, on zero-extended input."""
+
+    @pytest.fixture(scope="class", params=sorted(STEP_GRID_STENCILS), ids="K{}".format)
+    def ops(self, request):
+        dim, box, nx, eps, grid_eps = STEP_GRID_STENCILS[request.param]
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, box, nx, kern, grid_eps)
+        st_ = discretize(rescale(kern, eps), spec)
+        assert sum(bool(np.any(d)) for d in st_.offsets) == request.param
+        step = as_operator(st_, spec)
+        assert step.spec.pad_cells == st_.reach < spec.pad_cells
+        cut = spec.pad_cells - st_.reach
+        window = tuple(slice(cut, cut + n) for n in step.spec.padded_shape)
+        return NonlocalOperator(st_, spec), step, window
+
+    @staticmethod
+    def values(ops, rng):
+        full, step, window = ops
+        u = rng.standard_normal(full.spec.nx)
+        return zero_extend(u, full.spec).values, zero_extend(u, step.spec).values
+
+    def test_loop_apply_bit_identical_on_window(self, ops, rng):
+        full, step, window = ops
+        wide, narrow = self.values(ops, rng)
+        a_wide = full.apply(wide)
+        a_narrow = step.apply(narrow)
+        assert np.array_equal(a_narrow, a_wide[window])
+        a_wide[window] = 0.0
+        assert np.all(a_wide == 0.0)  # A v vanishes beyond reach of omega
+        # the second application is read on the interior only
+        interior = full.spec.interior_slices
+        flux_wide = full.apply(p_flux_values(full.apply(wide), 3.0))[interior]
+        flux_narrow = step.apply(p_flux_values(a_narrow, 3.0))[step.spec.interior_slices]
+        assert np.array_equal(flux_narrow, flux_wide)
+
+    def test_corr_matches_full_loop_on_window(self, ops, rng):
+        full, step, window = ops
+        wide, narrow = self.values(ops, rng)
+        exact = full.apply(wide)[window]
+        assert np.max(np.abs(step.apply_corr(narrow) - exact)) <= 1e-13 * np.abs(exact).max()
 
 
 # name: (dim, box, nx, stencil eps or None for the local stencil, grid eps,

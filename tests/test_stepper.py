@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from nlbiharm.stepper import (
     InnerSolveFailed,
     _minimize_step,
     _StepFunctional,
+    as_operator,
     effective_inner_tol,
 )
 from nlbiharm.localref import LocalOperator
@@ -152,7 +155,7 @@ class TestImplicitStep:
     def test_zero_previous_state_is_fixed_point(self, domain16, stencil16):
         z = zero_extend(np.zeros(16), domain16)
         op = NonlocalOperator(stencil16, domain16)
-        res = _minimize_step(op, domain16, np.zeros(16), 2.0, 1e-3, 1e-8, 100)
+        res = _minimize_step(op, np.zeros(16), 2.0, 1e-3, 1e-8, 100)
         assert res.iters == 0
         assert np.all(res.interior == 0.0)
         out = implicit_step(z, stencil16, cfg())
@@ -222,7 +225,7 @@ class TestImplicitStep:
     @pytest.mark.parametrize("p", [1.5, 3.0], ids=["irls", "newton_cg"])
     def test_applies_count_every_evaluation(self, domain16, stencil16, rng, p):
         op = _CountingOperator(stencil16, domain16)
-        res = _minimize_step(op, domain16, rng.standard_normal(16), p, 1e-3, 1e-8, 30000)
+        res = _minimize_step(op, rng.standard_normal(16), p, 1e-3, 1e-8, 30000)
         assert res.iters > 0
         assert res.applies == op.calls
         u0 = zero_extend(rng.standard_normal(16), domain16)
@@ -267,7 +270,7 @@ class TestImplicitStep:
         op = NonlocalOperator(discretize(rescale(tent1d, eps), spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == 24
         u_prev = rng.standard_normal(spec.nx)
-        fn = _StepFunctional(op, spec, u_prev, p, h)
+        fn = _StepFunctional(op, u_prev, p, h)
         x = rng.standard_normal(spec.nx)
         a = op.apply(zero_extend(x, spec).values)
         curv = fn.curvature(a)
@@ -311,7 +314,7 @@ class TestNewtonStep:
         # h at the scale of 1/A^2, so I/h does not swamp the operator term
         h = 1.0 / op.norm_bound() ** 2
         shape = spec.nx
-        fn = _StepFunctional(op, spec, np.zeros(shape), p, h, op.apply_corr)
+        fn = _StepFunctional(op, np.zeros(shape), p, h, op.apply_corr)
         x = rng.standard_normal(shape)
         curv = fn.curvature(op.apply(zero_extend(x, spec).values))
         v = rng.standard_normal(shape)
@@ -334,7 +337,7 @@ class TestNewtonStep:
         u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
         c = cfg(p=3.0, h=1e-4)
         tol = effective_inner_tol(op, c, lp_norm(zero_extend(u_int, spec), 2, "omega"))
-        cg = _minimize_step(op, spec, u_int, c.p, c.h, tol, c.inner_max_iters)
+        cg = _minimize_step(op, u_int, c.p, c.h, tol, c.inner_max_iters)
         assert cg.iters > 0 and cg.residual <= tol
         assert op.solves == 0 and op.corr_calls > 0
 
@@ -469,6 +472,40 @@ class TestEvolve:
         assert lines[0] == "step,time,l2_sq,energy,increment_sq,inner_iters,residual,operator"
         assert len(lines) == 1 + len(traj.times)
         assert lines[1].endswith("nonlocal")
+
+
+class TestStepGrid:
+    """A stencil steps on the interior plus its reach (``as_operator``)."""
+
+    def test_stencil_binds_to_interior_plus_reach(self, tent1d):
+        # converge_p3's eps = 0.1 stencil on its grid padded for eps = 0.4
+        spec = make_domain(1, (0.0, 1.0), 256, tent1d, 0.4)
+        st_ = discretize(rescale(tent1d, 0.1), spec)
+        op = as_operator(st_, spec)
+        assert op.spec.pad_cells == st_.reach == 25
+        assert op.spec == replace(spec, pad_cells=25, pad=25 * spec.dx)
+        full = NonlocalOperator(st_, spec)
+        assert as_operator(full, spec) is full
+
+    @pytest.mark.parametrize("p", [1.5, 3.0], ids=["reweighted", "newton_cg"])
+    def test_evolve_matches_full_grid_operator(self, tent1d, p):
+        # Two certified steps from states d apart end at most d + 2 h tol
+        # apart (the step map is the resolvent of a monotone operator), so
+        # after j steps the runs differ by at most 2 j h tol.
+        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
+        st_ = discretize(rescale(tent1d, 0.1), spec)
+        u0 = default_bump(spec)
+        c = cfg(p=p, h=1e-4, T=5e-4)
+        step = evolve(u0, st_, c)
+        full = evolve(u0, NonlocalOperator(st_, spec), c)
+        assert step.inner_tol == full.inner_tol
+        tol = step.inner_tol
+        assert np.all(step.residuals[1:] <= tol) and np.all(full.residuals[1:] <= tol)
+        assert step.state_steps == full.state_steps
+        for j, a, b in zip(step.state_steps, step.states, full.states):
+            assert a.spec == spec
+            assert lp_norm(zero_extend(a.interior_values - b.interior_values, spec),
+                           2, "omega") <= 2 * j * c.h * tol
 
 
 class TestConfigValidation:
