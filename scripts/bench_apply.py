@@ -25,9 +25,9 @@ the p = 3 Newton curvature 2|A x| at a random state.
 The third table runs one implicit step (``stepper._minimize_step``) for
 each way of solving the step model: Newton-CG on converge's 1D K = 50
 stencil, direct Newton on the local 1D Hessian (n = 256), and the direct
-reweighted step below p = 2.  Each nonlocal step runs on its step grid, as
-``evolve`` runs it.  It prints the step's inner iterations, operator
-applies and milliseconds, keyed by dim, n and K.
+reweighted step below p = 2.  Each step, the local one included, runs on
+its step grid, as ``evolve`` runs it.  It prints the step's inner
+iterations, operator applies and milliseconds, keyed by dim, n and K.
 
 Every time is the best of REPEATS batches, each sized to take about
 BATCH_S seconds; a step is timed as the best of REPEATS single runs.
@@ -41,7 +41,7 @@ from nlbiharm import (
     NonlocalOperator, StepperConfig, default_bump, discretize, get_kernel, lp_norm,
     make_domain, rescale, zero_extend,
 )
-from nlbiharm.localref import LocalOperator
+from nlbiharm.localref import local_stencil
 from nlbiharm.nlop import BandedNormal
 from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol
 
@@ -119,10 +119,8 @@ def main() -> int:
     for solve, dim, box, nx, eps, grid_eps in SOLVE_CASES:
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, box, nx, kern, grid_eps)
-        if eps is None:
-            op = LocalOperator(spec)
-        else:
-            op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+        st = local_stencil(spec) if eps is None else discretize(rescale(kern, eps), spec)
+        op = NonlocalOperator(st, spec)
         x = np.zeros(spec.padded_shape)
         x[spec.interior_slices] = rng.standard_normal(spec.nx)
         curv = 2.0 * np.abs(op.apply(x))
@@ -142,10 +140,8 @@ def main() -> int:
     for solver, nx, eps, grid_eps, p, h, start in STEP_CASES:
         kern = get_kernel("tent", 1)
         spec = make_domain(1, (0.0, 1.0), nx, kern, grid_eps)
-        if eps is None:
-            op = LocalOperator(spec)
-        else:
-            op = as_operator(discretize(rescale(kern, eps), spec), spec)
+        st = local_stencil(spec) if eps is None else discretize(rescale(kern, eps), spec)
+        op = as_operator(st, spec)
         u0 = default_bump(spec)
         if start == "gaussian":
             x = spec.node_coords()[0][spec.interior_slices]

@@ -61,7 +61,7 @@ from .analysis import (
 # The CLI names load on first use (PEP 562): importing ``cli`` here would put
 # it in sys.modules before ``python -m nlbiharm.cli`` runs it, and runpy
 # warns about that.
-_CLI_NAMES = ("ConfigError", "parse_config", "read_pgm", "run", "write_pgm")
+_CLI_NAMES = ("ConfigError", "parse_config", "run", "write_pgm")
 
 
 def __getattr__(name):

@@ -443,24 +443,6 @@ def read_pgm_pixels(path) -> tuple[np.ndarray, int]:
     return grid, maxval
 
 
-def read_pgm(path) -> Field:
-    """Load a PGM as a 2D field: pixel values scaled to [0, 1] fill the
-    interior box (one unit per pixel); the collar is the two-cell minimum
-    that the local operator needs, and zero."""
-    pixels, _ = read_pgm_pixels(path)
-    w, h = pixels.shape
-    spec = DomainSpec(
-        dim=2,
-        omega_lo=(0.0, 0.0),
-        omega_hi=(float(w), float(h)),
-        nx=(w, h),
-        dx=1.0,
-        pad=2.0,
-        pad_cells=2,
-    )
-    return zero_extend(pixels, spec)
-
-
 def write_pgm(f: Field, path, maxval: int = 255) -> None:
     """Write the interior of a 2D field as binary PGM (P5), clamping to
     [0, 1] first."""

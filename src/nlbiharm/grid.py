@@ -41,13 +41,12 @@ class DomainSpec:
         omega_lo, omega_hi: interior box corners, one entry per axis.
         nx: interior cells per axis.
         dx: uniform grid spacing (identical on every axis).
-        pad: physical padding width per side.  A step needs only one
-            stencil reach of it (``stepper.as_operator``).  ``make_domain``
-            pads two kernel supports: one grid then holds every scale of a
+        pad_cells: collar cells per side.  A step needs only one stencil
+            reach of them (``stepper.as_operator``).  ``make_domain`` pads
+            two kernel supports: one grid then holds every scale of a
             converge study, and the whole-grid evaluations and field
             outputs cover all that two operator applications reach from
             inside the box.
-        pad_cells: padding cells per side, ceil(pad / dx).
     """
 
     dim: int
@@ -55,7 +54,6 @@ class DomainSpec:
     omega_hi: tuple[float, ...]
     nx: tuple[int, ...]
     dx: float
-    pad: float
     pad_cells: int
 
     @property
@@ -141,16 +139,13 @@ def make_domain(dim, box, nx, kernel, eps) -> DomainSpec:
 
     support = eps * kernel.support_radius
     check_resolved(support, dx)
-    pad = 2.0 * support
-    pad_cells = math.ceil(pad / dx - 1e-12)
     return DomainSpec(
         dim=dim,
         omega_lo=lo,
         omega_hi=hi,
         nx=nx_t,
         dx=dx,
-        pad=pad,
-        pad_cells=pad_cells,
+        pad_cells=math.ceil(2.0 * support / dx - 1e-12),
     )
 
 

@@ -115,6 +115,13 @@ def rescale(kernel: Kernel, eps: float) -> RescaledKernel:
     return RescaledKernel(base=kernel, eps=float(eps), c_j=normalization_constant(kernel))
 
 
+def _half_moment(offsets: np.ndarray, weights: np.ndarray, dx: float) -> float:
+    """Discrete half second moment (1/2) sum_d w_d |d dx|^2 of a stencil."""
+    # hypot, not the root of the summed squares: the two differ in the last bit
+    dist = np.hypot.reduce(np.abs(offsets).astype(float), axis=1) * dx
+    return 0.5 * float(np.sum(weights * dist**2))
+
+
 @dataclass(frozen=True)
 class Stencil:
     """Quadrature stencil carrying the discretized rescaled kernel.
@@ -124,26 +131,35 @@ class Stencil:
     by one global factor so the discrete half second moment is exactly one:
     raw midpoint sampling leaves an O(dx^2) moment defect with a large
     support-edge phase constant, and the rescaling (standard moment matching)
-    removes it, making the induced operator exact on quadratics.  ``diag``
-    keeps the zero-offset weight so the weight sum tracks the kernel integral
-    for diagnostics; the zero offset contributes nothing to the operator.
-    ``raw_half_moment`` is the pre-normalization moment, the fidelity
-    diagnostic of the sampled weights.  ``reach`` is the largest |offset|
-    along any axis, in cells.
+    removes it, making the induced operator exact on quadratics.  ``diag``,
+    the weight sum, keeps the zero-offset weight so it tracks the kernel
+    integral for diagnostics; the zero offset contributes nothing to the
+    operator.  ``raw_half_moment`` is the pre-normalization moment, the
+    fidelity diagnostic of the sampled weights.  ``reach`` is the largest
+    |offset| along any axis, in cells.
     """
 
     offsets: np.ndarray  # (K, dim) int
     weights: np.ndarray  # (K,)
     dx: float
-    dim: int
-    diag: float
-    half_moment: float
     raw_half_moment: float = 1.0
 
     def __post_init__(self):
         for name in ("offsets", "weights"):
             arr = getattr(self, name)
             arr.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.offsets.shape[1]
+
+    @property
+    def diag(self) -> float:
+        return float(self.weights.sum())
+
+    @property
+    def half_moment(self) -> float:
+        return _half_moment(self.offsets, self.weights, self.dx)
 
     @property
     def reach(self) -> int:
@@ -157,30 +173,22 @@ def discretize(rk: RescaledKernel, spec: DomainSpec) -> Stencil:
     dx = spec.dx
     support = rk.support_radius
     check_resolved(support, dx)
-    if spec.pad < 2.0 * support - 1e-12 * support:
-        raise ValueError(
-            f"domain padding {spec.pad:g} below containment minimum {2 * support:g}"
-        )
+    if spec.pad_cells * dx < 2.0 * support - 1e-12 * support:
+        raise ValueError(f"domain padding {spec.pad_cells * dx:g} below "
+                         f"containment minimum {2 * support:g}")
     reach = support / dx
     dmax = int(np.ceil(reach - 1e-12)) - 1
     axes = [np.arange(-dmax, dmax + 1)] * spec.dim
     offsets = np.column_stack([d.ravel() for d in np.meshgrid(*axes, indexing="ij")])
-    # hypot, not the root of the summed squares: the two differ in the last bit
     dist_cells = np.hypot.reduce(np.abs(offsets).astype(float), axis=1)
     keep = dist_cells < reach - 1e-12
-    offsets = offsets[keep]
-    dist_cells = dist_cells[keep]
-    weights = rk(dist_cells * dx) * spec.cell_volume
-    raw_half_moment = 0.5 * float(np.sum(weights * (dist_cells * dx) ** 2))
-    weights = weights / raw_half_moment
-    half_moment = 0.5 * float(np.sum(weights * (dist_cells * dx) ** 2))
+    offsets = np.ascontiguousarray(offsets[keep], dtype=np.int64)
+    weights = rk(dist_cells[keep] * dx) * spec.cell_volume
+    raw_half_moment = _half_moment(offsets, weights, dx)
     return Stencil(
-        offsets=np.ascontiguousarray(offsets, dtype=np.int64),
-        weights=np.ascontiguousarray(weights, dtype=float),
+        offsets=offsets,
+        weights=weights / raw_half_moment,
         dx=dx,
-        dim=spec.dim,
-        diag=float(weights.sum()),
-        half_moment=half_moment,
         raw_half_moment=raw_half_moment,
     )
 

@@ -1,10 +1,13 @@
 """Finite-difference reference solver for the classical clamped evolution.
 
-The second-order Laplacian reads zeros outside the interior box (the collar
-supplies at least two ghost layers), which mirrors the volume constraint of
-the nonlocal problem and realizes the clamped boundary data.  Time stepping
-reuses the Rothe minimizer verbatim with this operator injected, so a
-nonlocal-versus-local comparison isolates the spatial operator.
+The classical problem is the eps -> 0 limit of the same per-step functional
+with the second-order Laplacian in place of the nonlocal one, so the
+reference is a stencil (``local_stencil``) that ``local_evolve`` steps like
+any nonlocal stencil.  The Laplacian reads zeros outside the interior box,
+which mirrors the volume constraint of the nonlocal problem and realizes the
+clamped boundary data; a nonlocal-versus-local comparison isolates the
+spatial operator.  ``LocalOperator`` stays for the whole-grid evaluations
+only while the benchmark tracer patches it (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from .nlop import NonlocalOperator, check_exponent, p_flux_values
 from .stepper import StepperConfig, Trajectory, evolve
 
 
-class LocalOperator(NonlocalOperator):
-    """3-point (1D) / 5-point (2D) Laplacian with two-layer zero extension:
-    the nonlocal operator with nearest-neighbour weights 1/dx^2.
+def local_stencil(spec: DomainSpec) -> Stencil:
+    """3-point (1D) / 5-point (2D) Laplacian stencil: offsets -e1, +e1, -e2,
+    +e2 (the order in which ``apply`` sums, which fixes its rounding), each
+    weighted 1/dx^2.
 
     The step energy integrates |Delta_h u|^p over the padded domain, exactly
     like the nonlocal energy.  On the zero extension the operator is nonzero
@@ -33,24 +37,22 @@ class LocalOperator(NonlocalOperator):
     inner solvers at fine grids, while its bandwidth of 2 (1D) or 2 nx (2D)
     makes direct factorization cheap.
     """
+    offsets = np.concatenate([(-e, e) for e in np.eye(spec.dim, dtype=np.int64)])
+    return Stencil(offsets=offsets, weights=np.full(len(offsets), 1.0 / spec.dx**2),
+                   dx=spec.dx)
+
+
+class LocalOperator(NonlocalOperator):
+    """``local_stencil`` on the whole padded grid, for the whole-grid
+    evaluations.  It stays while the benchmark tracer patches its ``apply``;
+    deleting it is ROADMAP item 7's last step, after item 2."""
 
     def __init__(self, spec: DomainSpec):
         if spec.pad_cells < 2:
             raise ValueError(
                 f"local operator needs two ghost layers, got pad_cells = {spec.pad_cells}"
             )
-        # -e1, +e1, -e2, +e2: the order in which ``apply`` sums
-        offsets = np.concatenate([(-e, e) for e in np.eye(spec.dim, dtype=np.int64)])
-        weights = np.full(len(offsets), 1.0 / spec.dx**2)
-        stencil = Stencil(
-            offsets=offsets,
-            weights=weights,
-            dx=spec.dx,
-            dim=spec.dim,
-            diag=float(weights.sum()),
-            half_moment=0.5 * float(np.sum(weights * (spec.dx) ** 2)),
-        )
-        super().__init__(stencil, spec)
+        super().__init__(local_stencil(spec), spec)
 
 
 def local_laplacian(u: Field) -> Field:
@@ -61,8 +63,8 @@ def local_laplacian(u: Field) -> Field:
 
 
 def local_evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
-    """Rothe evolution with the finite-difference Laplacian injected."""
-    return evolve(u0, LocalOperator(u0.spec), cfg)
+    """Rothe evolution of the finite-difference Laplacian's stencil."""
+    return evolve(u0, local_stencil(u0.spec), cfg)
 
 
 def weak_residual(traj: Trajectory, phi, p: float) -> float:

@@ -6,19 +6,22 @@ Each implicit step minimizes the per-step functional
            + 1/p int_padded |A w|^p
 
 over interior values (the exterior stays pinned at zero), where A is the
-injected operator (nonlocal Laplacian, or the finite-difference Laplacian of
-the local reference solver).  The minimizer certifies the step through the
-Euler-Lagrange residual
+operator of the given stencil: the nonlocal Laplacian, or for the local
+reference solver the finite-difference Laplacian's +-e_i stencil.  The
+minimizer certifies the step through the Euler-Lagrange residual
 
     (w - u_prev)/h + A(|A w|^(p-2) A w)   restricted to the interior box.
 
-A step given a stencil runs on the step grid, the interior plus the
-stencil's reach per side (``as_operator``), not on the caller's padded grid.
-That is exact: A w of a zero-extended w vanishes beyond reach of the
-interior, so the p-term over interior +- reach carries all of it, and a
-window-edge node drops only differences of two exterior zeros; the residual
-reads A(flux) only at interior nodes, whose neighbourhoods lie inside the
-window.  Recorded states are zero-extended onto the caller's grid.
+A step runs on the step grid, the interior plus the stencil's reach per
+side (``as_operator``), not on the caller's padded grid.  That is exact:
+A w of a zero-extended w vanishes beyond reach of the interior, so the
+p-term over interior +- reach carries all of it, and a window-edge node
+drops only differences of two exterior zeros; the residual reads A(flux)
+only at interior nodes, whose neighbourhoods lie inside the window.  So the
+collar must cover the reach (the constraint set Omega_J of Andreu, Mazon,
+Rossi & Toledo, Nonlocal Diffusion Problems, AMS 2010), or ``as_operator``
+raises.  Only test doubles pass an operator instead of a stencil.  Recorded
+states are zero-extended onto the caller's grid.
 
 One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
 backtracks t from 1 until E(x - t d) <= E(x) - c1 t slope, so the functional
@@ -169,16 +172,19 @@ class Trajectory:
 
 
 def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
-    """Accept a Stencil or an operator (the local one included) bound to
-    ``spec``.  A stencil is bound to the step grid: ``spec`` with its collar
-    cut to the stencil's reach (module docstring); an operator keeps its own
-    grid."""
-    if isinstance(st, Stencil):
-        if st.reach < spec.pad_cells:
-            spec = replace(spec, pad_cells=st.reach, pad=st.reach * spec.dx)
-        return NonlocalOperator(st, spec)
-    if not isinstance(st, NonlocalOperator):
+    """Bind a Stencil to the step grid, ``spec`` with its collar cut to the
+    stencil's reach; a collar narrower than the reach would truncate the
+    operator and raises.  Only test doubles pass an operator, which keeps
+    its own grid."""
+    if not isinstance(st, (Stencil, NonlocalOperator)):
         raise TypeError(f"expected a Stencil or a NonlocalOperator, got {type(st)!r}")
+    if spec.pad_cells < st.reach:
+        raise ValueError(
+            f"collar of {spec.pad_cells} cells is narrower than the stencil's "
+            f"reach of {st.reach} cells"
+        )
+    if isinstance(st, Stencil):
+        return NonlocalOperator(st, replace(spec, pad_cells=st.reach))
     if st.spec != spec:
         raise ValueError("operator bound to a different domain spec")
     return st

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlbiharm import ConfigError, parse_config, read_pgm, write_pgm
+from nlbiharm import ConfigError, parse_config, write_pgm
 from nlbiharm.cli import ExperimentConfig, main, read_pgm_pixels
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,7 +215,7 @@ class TestPgm:
         w, h = pixels.shape
         spec = DomainSpec(
             dim=2, omega_lo=(0.0, 0.0), omega_hi=(float(w), float(h)),
-            nx=(w, h), dx=1.0, pad=2.0, pad_cells=2,
+            nx=(w, h), dx=1.0, pad_cells=2,
         )
         return zero_extend(pixels, spec)
 
@@ -225,7 +225,7 @@ class TestPgm:
         with open(path, "wb") as fh:
             fh.write(b"P5\n7 5\n255\n")
             fh.write(pixels.T.tobytes())
-        f = read_pgm(path)
+        f = self.make_field(read_pgm_pixels(path)[0])
         out_path = tmp_path / "out.pgm"
         write_pgm(f, out_path, maxval=255)
         again, maxval = read_pgm_pixels(out_path)

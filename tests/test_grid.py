@@ -20,7 +20,6 @@ class TestMakeDomain:
     def test_pad_arithmetic_1d(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.1)
         assert spec.dx == 1.0 / 64
-        assert spec.pad == pytest.approx(0.2)
         assert spec.pad_cells == 13
         assert spec.padded_shape == (90,)
 

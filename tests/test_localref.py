@@ -4,6 +4,8 @@ import pytest
 from nlbiharm import (
     Field,
     StepperConfig,
+    default_bump,
+    evolve,
     inner_product,
     local_evolve,
     local_laplacian,
@@ -11,7 +13,7 @@ from nlbiharm import (
     weak_residual,
     zero_extend,
 )
-from nlbiharm.localref import LocalOperator
+from nlbiharm.localref import LocalOperator, local_stencil
 from oracles import restricted_matrix
 
 
@@ -54,11 +56,16 @@ class TestLocalLaplacian:
     def test_offsets_are_signed_unit_vectors(self, tent1d, tent2d):
         # apply sums the offsets in this order, so it fixes the rounding
         spec1 = local_domain(tent1d, nx=16)
-        assert np.array_equal(LocalOperator(spec1).stencil.offsets, [[-1], [1]])
         spec2 = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
-        offsets = LocalOperator(spec2).stencil.offsets
-        assert offsets.dtype == np.int64
-        assert np.array_equal(offsets, [[-1, 0], [1, 0], [0, -1], [0, 1]])
+        for build in (lambda spec: LocalOperator(spec).stencil, local_stencil):
+            assert np.array_equal(build(spec1).offsets, [[-1], [1]])
+            offsets = build(spec2).offsets
+            assert offsets.dtype == np.int64
+            assert np.array_equal(offsets, [[-1, 0], [1, 0], [0, -1], [0, 1]])
+        for spec in (spec1, spec2):
+            st = local_stencil(spec)
+            assert st.half_moment == pytest.approx(spec.dim, rel=1e-15)
+            assert st.diag == pytest.approx(2 * spec.dim / spec.dx**2, rel=1e-15)
 
     def test_needs_two_ghost_layers(self, tent2d):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 8, tent2d, 0.5)
@@ -127,6 +134,28 @@ class TestLocalEvolve:
         u0 = zero_extend(rng.standard_normal(32), spec)
         traj = local_evolve(u0, StepperConfig(p=p, h=1e-5, T=2e-4, inner_max_iters=200))
         assert np.all(np.diff(traj.energies) <= 1e-6 * traj.energies[0])
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stencil_path_matches_whole_grid_operator(self, tent1d, tent2d, dim, p):
+        # the stencil steps on interior +- 1; the operator keeps the whole
+        # padded grid, whose extra collar holds only zeros
+        if dim == 1:  # converge_p3's grid, padded for eps = 0.4
+            spec = make_domain(1, (0.0, 1.0), 256, tent1d, 0.4)
+        else:
+            spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
+        u0 = default_bump(spec)
+        c = StepperConfig(p=p, h=1e-4, T=5e-4)
+        step = local_evolve(u0, c)
+        full = evolve(u0, LocalOperator(spec), c)
+        assert step.inner_tol == full.inner_tol
+        assert np.array_equal(step.residuals, full.residuals)
+        assert np.array_equal(step.inner_iters, full.inner_iters)
+        assert np.array_equal(step.applies, full.applies)
+        assert step.state_steps == full.state_steps
+        for a, b in zip(step.states, full.states):
+            assert a.spec == spec
+            assert np.array_equal(a.values, b.values)
 
     def test_csv_operator_tag(self, tmp_path, tent1d):
         from nlbiharm import trajectory_to_csv

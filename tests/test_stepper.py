@@ -27,7 +27,7 @@ from nlbiharm.stepper import (
     as_operator,
     effective_inner_tol,
 )
-from nlbiharm.localref import LocalOperator
+from nlbiharm.localref import LocalOperator, local_evolve
 from nlbiharm.nlop import NonlocalOperator
 
 from oracles import (
@@ -483,9 +483,20 @@ class TestStepGrid:
         st_ = discretize(rescale(tent1d, 0.1), spec)
         op = as_operator(st_, spec)
         assert op.spec.pad_cells == st_.reach == 25
-        assert op.spec == replace(spec, pad_cells=25, pad=25 * spec.dx)
+        assert op.spec == replace(spec, pad_cells=25)
         full = NonlocalOperator(st_, spec)
         assert as_operator(full, spec) is full
+
+    def test_collar_narrower_than_reach_rejected(self, tent1d):
+        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
+        st_ = discretize(rescale(tent1d, 0.4), spec)
+        assert st_.reach == 25
+        cut = replace(spec, pad_cells=2)
+        with pytest.raises(ValueError, match="collar"):
+            evolve(default_bump(cut), st_, cfg(h=1e-3, T=5e-3))
+        bare = replace(spec, pad_cells=0)
+        with pytest.raises(ValueError, match="collar"):
+            local_evolve(default_bump(bare), cfg(h=1e-3, T=5e-3))
 
     @pytest.mark.parametrize("p", [1.5, 3.0], ids=["reweighted", "newton_cg"])
     def test_evolve_matches_full_grid_operator(self, tent1d, p):
