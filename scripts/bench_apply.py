@@ -39,7 +39,7 @@ import numpy as np
 
 from nlbiharm import (
     NonlocalOperator, StepperConfig, default_bump, discretize, get_kernel, lp_norm,
-    make_domain, rescale, zero_extend,
+    make_domain, zero_extend,
 )
 from nlbiharm.localref import local_stencil
 from nlbiharm.nlop import BandedNormal
@@ -101,7 +101,7 @@ def main() -> int:
     for study, dim, box, nx, eps, grid_eps in CASES:
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, box, nx, kern, grid_eps)
-        st = discretize(rescale(kern, eps), spec)
+        st = discretize(kern, eps, spec)
         op = as_operator(st, spec)
         values = rng.standard_normal(op.spec.padded_shape)
         exact = op.apply(values)
@@ -119,7 +119,7 @@ def main() -> int:
     for solve, dim, box, nx, eps, grid_eps in SOLVE_CASES:
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, box, nx, kern, grid_eps)
-        st = local_stencil(spec) if eps is None else discretize(rescale(kern, eps), spec)
+        st = local_stencil(spec) if eps is None else discretize(kern, eps, spec)
         op = NonlocalOperator(st, spec)
         x = np.zeros(spec.padded_shape)
         x[spec.interior_slices] = rng.standard_normal(spec.nx)
@@ -140,7 +140,7 @@ def main() -> int:
     for solver, nx, eps, grid_eps, p, h, start in STEP_CASES:
         kern = get_kernel("tent", 1)
         spec = make_domain(1, (0.0, 1.0), nx, kern, grid_eps)
-        st = local_stencil(spec) if eps is None else discretize(rescale(kern, eps), spec)
+        st = local_stencil(spec) if eps is None else discretize(kern, eps, spec)
         op = as_operator(st, spec)
         u0 = default_bump(spec)
         if start == "gaussian":

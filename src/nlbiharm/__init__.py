@@ -19,12 +19,9 @@ from .grid import (
 )
 from .kernel import (
     Kernel,
-    RescaledKernel,
     Stencil,
     discretize,
     get_kernel,
-    normalization_constant,
-    rescale,
     stencil_to_csv,
 )
 from .nlop import (

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import DomainSpec, Field, lp_norm, write_csv, zero_extend
-from .kernel import Kernel, Stencil, discretize, kernel_is_nonincreasing, rescale
+from .kernel import Kernel, Stencil, discretize, kernel_is_nonincreasing
 from .localref import local_evolve
 from .nlop import NonlocalOperator
 from .stepper import StepperConfig, Trajectory, as_operator, evolve
@@ -167,7 +167,7 @@ def consistency_study(
 
     errors = []
     for eps in eps_list:
-        st = discretize(rescale(kernel, eps), spec)
+        st = discretize(kernel, eps, spec)
         op = NonlocalOperator(st, spec)
         diff = op.apply(samples)[interior] - target[interior]
         errors.append(float((vol * np.sum(np.abs(diff) ** q)) ** (1.0 / q)))
@@ -227,12 +227,12 @@ def decay_window(times: np.ndarray, p: float, window: tuple | None = None,
 
 def decay_fit(
     traj: Trajectory,
-    p: float,
     window: tuple | None = None,
     floor_ratio: float | None = None,
 ) -> DecayFit:
     """Fit the large-time law of the squared interior norm over the steps
-    ``decay_window`` selects."""
+    ``decay_window`` selects, by the law of the run's exponent."""
+    p = traj.p
     times = np.asarray(traj.times)
     y = np.asarray(traj.l2_sq)
     sel = decay_window(times, p, window, floor_ratio, y)
@@ -320,13 +320,12 @@ def _distances(traj_a: Trajectory, traj_b: Trajectory, q: float) -> list[float]:
 
 def nonlocal_to_local_study(
     u0: Field,
-    p: float,
     kernel: Kernel,
     eps_list: Sequence[float],
     cfg: StepperConfig,
 ) -> StudyReport:
-    """Sup-over-time L^p distance between rescaled nonlocal runs and the
-    clamped local reference, per eps.
+    """Sup-over-time L^p distance, p = ``cfg.p``, between rescaled nonlocal
+    runs and the clamped local reference, per eps.
 
     All runs share the initial state's grid (padded for the largest eps) and
     the same time step; recording is forced to every step so the supremum is
@@ -336,10 +335,10 @@ def nonlocal_to_local_study(
     _check_decreasing(eps_list, "eps_list")
     _require_monotone(kernel)
     spec = u0.spec
-    stencils = [discretize(rescale(kernel, eps), spec) for eps in eps_list]
+    stencils = [discretize(kernel, eps, spec) for eps in eps_list]
     cfg = replace(cfg, record_every=1)
     local = local_evolve(u0, cfg)
-    errors = [max(_distances(evolve(u0, st, cfg), local, p)) for st in stencils]
+    errors = [max(_distances(evolve(u0, st, cfg), local, cfg.p)) for st in stencils]
 
     rows = _rate_rows(eps_list, errors)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
@@ -349,7 +348,7 @@ def nonlocal_to_local_study(
         rows=rows,
         metadata={
             "kernel": kernel.name,
-            "p": p,
+            "p": cfg.p,
             "nx": spec.nx,
             "h": cfg.h,
             "T": cfg.T,

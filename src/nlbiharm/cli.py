@@ -34,7 +34,7 @@ from .analysis import (
     poincare_constant,
 )
 from .grid import DomainSpec, Field, make_domain, write_csv, zero_extend
-from .kernel import discretize, get_kernel, rescale
+from .kernel import discretize, get_kernel
 from .stepper import StepperConfig, evolve, trajectory_to_csv
 
 
@@ -200,7 +200,7 @@ def _grid(cfg: ExperimentConfig, eps: float, nx=None):
 
 def _grid_and_stencil(cfg: ExperimentConfig, nx=None):
     kern, spec = _grid(cfg, cfg.epsilon, nx)
-    return spec, discretize(rescale(kern, cfg.epsilon), spec)
+    return spec, discretize(kern, cfg.epsilon, spec)
 
 
 def _initial_state(cfg: ExperimentConfig, spec: DomainSpec) -> Field:
@@ -233,7 +233,7 @@ def _run_decay(cfg, outdir) -> bool:
     scfg = cfg.stepper_config()
     traj = evolve(u0, st, scfg)
     trajectory_to_csv(traj, outdir / "trajectory.csv")
-    fit = decay_fit(traj, cfg.p, window=(cfg.fit_t_lo, cfg.fit_t_hi),
+    fit = decay_fit(traj, window=(cfg.fit_t_lo, cfg.fit_t_hi),
                     floor_ratio=cfg.fit_floor_ratio)
     if cfg.p == 2:
         ok = fit.c1 > 0 and fit.r_squared >= 0.99
@@ -280,7 +280,7 @@ def _run_consistency(cfg, outdir) -> bool:
 def _run_converge(cfg, outdir) -> bool:
     kern, spec = _grid(cfg, max(cfg.epsilon_list))
     u0 = _initial_state(cfg, spec)
-    report = nonlocal_to_local_study(u0, cfg.p, kern, cfg.epsilon_list, cfg.stepper_config())
+    report = nonlocal_to_local_study(u0, kern, cfg.epsilon_list, cfg.stepper_config())
     return _emit(report, outdir, "study.csv")
 
 

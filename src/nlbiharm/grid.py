@@ -94,6 +94,11 @@ def check_dim(dim) -> None:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
 
 
+def check_eps(eps) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def check_resolved(support: float, dx: float) -> None:
     """A kernel support radius must span at least two grid cells."""
     if support < 2.0 * dx:
@@ -119,8 +124,7 @@ def make_domain(dim, box, nx, kernel, eps) -> DomainSpec:
     radius, rounded up to whole cells.
     """
     check_dim(dim)
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_eps(eps)
     if dim == 1 and np.isscalar(box[0]):
         box = (box,)
     lo = tuple(float(b[0]) for b in box)

@@ -1,10 +1,13 @@
-"""Radial kernels, the second-moment-normalized rescaled family, and stencils.
+"""Radial kernels and the stencils that discretize them at scale eps.
 
 A kernel is a nonnegative, continuous, nonincreasing radial profile with
-compact support.  Rescaling concentrates it at scale eps and normalizes the
-half second moment to one, so the induced nonlocal Laplacian is consistent
-with the classical Laplacian as eps shrinks.  Discretization samples the
-rescaled kernel at node offsets and attaches the midpoint quadrature weight.
+compact support.  The paper's rescaled kernel
+J_eps(x) = C_J eps^-(N+2) J(|x|/eps) concentrates it at scale eps, with C_J
+setting the half second moment to one, so the induced nonlocal Laplacian is
+consistent with the classical Laplacian as eps shrinks.  The stencil carries
+that normalization: ``discretize`` samples J(|d| dx/eps) at the grid offsets
+and divides the samples by their discrete half second moment, which stands
+in for C_J eps^-(N+2) and the cell volume dx^N together.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DomainSpec, check_dim, check_resolved, write_csv
+from .grid import DomainSpec, check_dim, check_eps, check_resolved, write_csv
 
 
 @dataclass(frozen=True)
@@ -68,53 +71,6 @@ def kernel_is_nonincreasing(kernel: Kernel) -> bool:
     return bool(np.all(np.diff(j) <= 1e-12 * scale))
 
 
-# measure of the unit sphere S^(dim-1) in R^dim
-_SPHERE = {1: 2.0, 2: 2.0 * np.pi}
-
-
-def normalization_constant(kernel: Kernel) -> float:
-    """Reciprocal half second moment of the kernel, by radial quadrature:
-    int_{R^dim} J(|z|) |z|^2 dz = |S^(dim-1)| int_0^R J r^(dim+1) dr, by the
-    midpoint rule with 8192 samples across the support.
-    """
-    check_dim(kernel.dim)
-    dr = kernel.support_radius / 8192
-    r = (np.arange(8192) + 0.5) * dr
-    second_moment = _SPHERE[kernel.dim] * np.sum(kernel(r) * r ** (kernel.dim + 1)) * dr
-    c_j = 2.0 / second_moment
-    if not np.isfinite(c_j) or c_j <= 0:
-        raise AssertionError(f"normalization constant is not finite: {c_j}")
-    return float(c_j)
-
-
-@dataclass(frozen=True)
-class RescaledKernel:
-    """J_eps(x) = c_j * eps**-(dim+2) * J(|x|/eps), supported on |x| < eps*R_J."""
-
-    base: Kernel
-    eps: float
-    c_j: float
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def support_radius(self) -> float:
-        return self.eps * self.base.support_radius
-
-    def __call__(self, dist):
-        dist = np.asarray(dist, dtype=float)
-        scale = self.c_j * self.eps ** -(self.dim + 2)
-        return scale * self.base(dist / self.eps)
-
-
-def rescale(kernel: Kernel, eps: float) -> RescaledKernel:
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return RescaledKernel(base=kernel, eps=float(eps), c_j=normalization_constant(kernel))
-
-
 def _half_moment(offsets: np.ndarray, weights: np.ndarray, dx: float) -> float:
     """Discrete half second moment (1/2) sum_d w_d |d dx|^2 of a stencil."""
     # hypot, not the root of the summed squares: the two differ in the last bit
@@ -127,22 +83,21 @@ class Stencil:
     """Quadrature stencil carrying the discretized rescaled kernel.
 
     ``offsets`` lists every integer node offset with |d|*dx strictly inside
-    the support.  ``weights`` are nodal kernel values times dx**dim, rescaled
-    by one global factor so the discrete half second moment is exactly one:
-    raw midpoint sampling leaves an O(dx^2) moment defect with a large
-    support-edge phase constant, and the rescaling (standard moment matching)
-    removes it, making the induced operator exact on quadratics.  ``diag``,
-    the weight sum, keeps the zero-offset weight so it tracks the kernel
-    integral for diagnostics; the zero offset contributes nothing to the
-    operator.  ``raw_half_moment`` is the pre-normalization moment, the
-    fidelity diagnostic of the sampled weights.  ``reach`` is the largest
-    |offset| along any axis, in cells.
+    the support.  ``weights`` are the nodal kernel samples divided by their
+    discrete half second moment, so that moment is exactly one.  The divisor
+    stands in for the paper's C_J eps^-(N+2) times the cell volume dx^N;
+    multiplying by that constant instead would leave the midpoint rule's
+    moment defect, whose support-edge phase makes it oscillate under
+    refinement.  Moment matching removes it and makes the induced operator
+    exact on quadratics.  ``diag``, the weight sum, keeps the zero-offset
+    weight so it tracks the kernel integral for diagnostics; the zero offset
+    contributes nothing to the operator.  ``reach`` is the largest |offset|
+    along any axis, in cells.
     """
 
     offsets: np.ndarray  # (K, dim) int
     weights: np.ndarray  # (K,)
     dx: float
-    raw_half_moment: float = 1.0
 
     def __post_init__(self):
         for name in ("offsets", "weights"):
@@ -166,12 +121,13 @@ class Stencil:
         return int(np.abs(self.offsets).max())
 
 
-def discretize(rk: RescaledKernel, spec: DomainSpec) -> Stencil:
-    """Sample the rescaled kernel on the grid offsets of ``spec``."""
-    if rk.dim != spec.dim:
-        raise ValueError(f"kernel dim {rk.dim} does not match domain dim {spec.dim}")
+def discretize(kernel: Kernel, eps: float, spec: DomainSpec) -> Stencil:
+    """Sample the kernel at scale eps on the grid offsets of ``spec``."""
+    if kernel.dim != spec.dim:
+        raise ValueError(f"kernel dim {kernel.dim} does not match domain dim {spec.dim}")
+    check_eps(eps)
     dx = spec.dx
-    support = rk.support_radius
+    support = eps * kernel.support_radius
     check_resolved(support, dx)
     if spec.pad_cells * dx < 2.0 * support - 1e-12 * support:
         raise ValueError(f"domain padding {spec.pad_cells * dx:g} below "
@@ -183,14 +139,8 @@ def discretize(rk: RescaledKernel, spec: DomainSpec) -> Stencil:
     dist_cells = np.hypot.reduce(np.abs(offsets).astype(float), axis=1)
     keep = dist_cells < reach - 1e-12
     offsets = np.ascontiguousarray(offsets[keep], dtype=np.int64)
-    weights = rk(dist_cells[keep] * dx) * spec.cell_volume
-    raw_half_moment = _half_moment(offsets, weights, dx)
-    return Stencil(
-        offsets=offsets,
-        weights=weights / raw_half_moment,
-        dx=dx,
-        raw_half_moment=raw_half_moment,
-    )
+    samples = kernel(dist_cells[keep] * dx / eps)
+    return Stencil(offsets=offsets, weights=samples / _half_moment(offsets, samples, dx), dx=dx)
 
 
 def stencil_to_csv(st: Stencil, path) -> None:

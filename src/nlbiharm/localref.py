@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import DomainSpec, Field, require_zero_extended
 from .kernel import Stencil
-from .nlop import NonlocalOperator, check_exponent, p_flux_values
+from .nlop import NonlocalOperator, p_flux_values
 from .stepper import StepperConfig, Trajectory, evolve
 
 
@@ -67,17 +67,16 @@ def local_evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
     return evolve(u0, local_stencil(u0.spec), cfg)
 
 
-def weak_residual(traj: Trajectory, phi, p: float) -> float:
+def weak_residual(traj: Trajectory, phi) -> float:
     """Discrete weak-form residual of a recorded local trajectory.
 
     ``phi(*coords, t)`` must evaluate a smooth test function, compactly
     supported in space-time, on meshgrid coordinate arrays.  The residual
     pairs the recorded states against the time derivative of the test
-    function and the flux against its Laplacian, using trapezoidal weights in
-    time and central time differences; it shrinks at O(h + dx^2) for a valid
-    trajectory.
+    function and the flux at the run's exponent against its Laplacian,
+    using trapezoidal weights in time and central time differences; it
+    shrinks at O(h + dx^2) for a valid trajectory.
     """
-    check_exponent(p)
     if not traj.states:
         raise ValueError("trajectory has no recorded states")
     steps = list(traj.state_steps)
@@ -105,7 +104,7 @@ def weak_residual(traj: Trajectory, phi, p: float) -> float:
         term_time = -vol * float(np.sum(u_int * dphi[interior]))
 
         lap_u = op.apply(traj.states[j].values)
-        flux = p_flux_values(lap_u, p)
+        flux = p_flux_values(lap_u, traj.p)
         # zero-extend phi before differencing: the test function carries the
         # same constraint class as the states, and the pairing runs over the
         # padded domain like the scheme's own energy

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlbiharm import discretize, get_kernel, make_domain, rescale
+from nlbiharm import discretize, get_kernel, make_domain
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +21,7 @@ def domain64(tent1d):
 
 @pytest.fixture(scope="session")
 def stencil64(tent1d, domain64):
-    return discretize(rescale(tent1d, 0.2), domain64)
+    return discretize(tent1d, 0.2, domain64)
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ def domain16(tent1d):
 
 @pytest.fixture(scope="session")
 def stencil16(tent1d, domain16):
-    return discretize(rescale(tent1d, 0.25), domain16)
+    return discretize(tent1d, 0.25, domain16)
 
 
 @pytest.fixture

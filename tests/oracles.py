@@ -11,8 +11,8 @@ import scipy.integrate
 
 
 def kernel_second_moment(profile, dim, radius=1.0):
-    """Half second moment by adaptive quadrature; reciprocal of the
-    normalization constant."""
+    """Half second moment (1/2) int J(|z|) |z|^2 dz by adaptive quadrature;
+    reciprocal of the paper's normalization constant C_J."""
     if dim == 1:
         val, _ = scipy.integrate.quad(lambda r: profile(r) * r**2, 0.0, radius)
         return val  # = 0.5 * int_R J z^2 dz for an even profile
@@ -20,21 +20,29 @@ def kernel_second_moment(profile, dim, radius=1.0):
     return np.pi * val
 
 
+def kernel_mass(profile, dim, radius=1.0):
+    """Kernel integral int J(|z|) dz by adaptive quadrature."""
+    if dim == 1:
+        val, _ = scipy.integrate.quad(profile, 0.0, radius)
+        return 2.0 * val
+    val, _ = scipy.integrate.quad(lambda r: profile(r) * r, 0.0, radius)
+    return 2.0 * np.pi * val
+
+
 def node_coords_flat(spec):
     coords = spec.node_coords()
     return np.column_stack([c.ravel() for c in coords])
 
 
-def dense_nonlocal_matrix(rk, spec):
+def dense_nonlocal_matrix(kernel, eps, spec):
     """Nonlocal Laplacian matrix over all padded nodes from direct kernel
-    evaluation at node distances (truncated at the array edge), with the
-    same unit-moment normalization the package applies: the sampled weights
-    are rescaled so that half the second moment of one full (untruncated)
-    row equals one."""
+    evaluation J(|x - y|/eps) at node distances (truncated at the array
+    edge), with the same unit-moment normalization the package applies: the
+    sampled weights are scaled so that half the second moment of one full
+    (untruncated) row equals one."""
     pts = node_coords_flat(spec)
-    vol = spec.cell_volume
     dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    mat = np.asarray(rk(dist)) * vol
+    mat = np.asarray(kernel(dist / eps))
     np.fill_diagonal(mat, 0.0)
     # moment of a full row: take the row of a node in the middle of the
     # padded block, whose neighborhood is never truncated
@@ -137,10 +145,11 @@ def implicit_p2_trajectory(mat, spec, u0_int, h, m):
     return states
 
 
-def poincare_dense_matrix(rk, spec):
+def poincare_dense_matrix(kernel, eps, spec):
     """Constrained difference-form matrix over interior nodes from direct
     kernel evaluation: sum_{x in omega} sum_{y in omega_e} J(x-y)(u~(y)-u(x))^2,
-    with the package's unit-moment weight normalization."""
+    J = kernel(|x - y|/eps), with the package's unit-moment weight
+    normalization."""
     pts = node_coords_flat(spec)
     interior = spec.interior_mask().ravel()
     int_idx = np.nonzero(interior)[0]
@@ -148,14 +157,14 @@ def poincare_dense_matrix(rk, spec):
         tuple(s // 2 for s in spec.padded_shape), spec.padded_shape
     ))
     dist_c = np.sqrt(((pts - pts[center]) ** 2).sum(axis=1))
-    wc = np.asarray(rk(dist_c)) * spec.cell_volume
+    wc = np.asarray(kernel(dist_c / eps))
     moment = 0.5 * float(np.sum(wc * dist_c**2))
     n = int_idx.size
     mat = np.zeros((n, n))
     col_of = {int(flat): k for k, flat in enumerate(int_idx)}
     for a, flat_a in enumerate(int_idx):
         d = np.sqrt(((pts - pts[flat_a]) ** 2).sum(axis=1))
-        w = np.asarray(rk(d)) * spec.cell_volume / moment
+        w = np.asarray(kernel(d / eps)) / moment
         for flat_b in range(pts.shape[0]):
             if flat_b == flat_a:
                 continue

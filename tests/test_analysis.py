@@ -14,7 +14,6 @@ from nlbiharm import (
     make_domain,
     nonlocal_to_local_study,
     poincare_constant,
-    rescale,
     zero_extend,
 )
 from nlbiharm import analysis
@@ -92,7 +91,7 @@ class TestConsistencyStudy:
 class TestDecayFit:
     def test_planted_exponential(self):
         t = np.linspace(0, 2.0, 201)
-        fit = decay_fit(synthetic_trajectory(t, np.exp(-3.0 * t)), p=2.0)
+        fit = decay_fit(synthetic_trajectory(t, np.exp(-3.0 * t)))
         assert fit.model == "exponential"
         assert fit.c1 == pytest.approx(3.0, abs=1e-6)
         assert fit.r_squared > 0.999999
@@ -100,7 +99,7 @@ class TestDecayFit:
     def test_planted_polynomial_p3(self):
         # l2_sq = (2t+1)^-2 transforms to l2_sq^(-1/2) = 2t + 1 for p = 3
         t = np.linspace(0, 2.0, 201)
-        fit = decay_fit(synthetic_trajectory(t, (2 * t + 1.0) ** -2, p=3.0), p=3.0)
+        fit = decay_fit(synthetic_trajectory(t, (2 * t + 1.0) ** -2, p=3.0))
         assert fit.model == "polynomial"
         assert fit.c2 == pytest.approx(2.0, abs=1e-6)
         assert fit.c3 == pytest.approx(1.0, abs=1e-6)
@@ -108,20 +107,20 @@ class TestDecayFit:
 
     def test_planted_polynomial_unit_slope(self):
         t = np.linspace(0, 2.0, 201)
-        fit = decay_fit(synthetic_trajectory(t, (t + 1.0) ** -2, p=3.0), p=3.0)
+        fit = decay_fit(synthetic_trajectory(t, (t + 1.0) ** -2, p=3.0))
         assert fit.c2 == pytest.approx(1.0, abs=1e-6)
 
     def test_underflow_raises_degenerate(self):
         t = np.linspace(0, 2.0, 101)
         y = np.full_like(t, 1e-310)
         with pytest.raises(DecayFitDegenerate):
-            decay_fit(synthetic_trajectory(t, y), p=2.0)
+            decay_fit(synthetic_trajectory(t, y))
 
     def test_floor_ratio_truncates_window(self):
         t = np.linspace(0, 2.0, 201)
         y = np.maximum(np.exp(-40.0 * t), 1e-17)
         fit = decay_fit(
-            synthetic_trajectory(t, y), p=2.0, window=(0.05, 2.0), floor_ratio=1e-16
+            synthetic_trajectory(t, y), window=(0.05, 2.0), floor_ratio=1e-16
         )
         assert fit.window[1] <= 1.0
         assert fit.c1 == pytest.approx(40.0, rel=1e-3)
@@ -129,14 +128,14 @@ class TestDecayFit:
     def test_needs_enough_steps(self):
         t = np.linspace(0, 1.0, 10)
         with pytest.raises(ValueError, match="20 recorded"):
-            decay_fit(synthetic_trajectory(t, np.exp(-t)), p=2.0)
+            decay_fit(synthetic_trajectory(t, np.exp(-t)))
 
     def test_real_p2_run_tail(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
-        st = discretize(rescale(tent1d, 0.2), spec)
+        st = discretize(tent1d, 0.2, spec)
         u0 = zero_extend(rng.standard_normal(64), spec)
         traj = evolve(u0, st, StepperConfig(p=2.0, h=5e-3, T=2.0))
-        fit = decay_fit(traj, 2.0, window=(0.025, 2.0), floor_ratio=1e-18)
+        fit = decay_fit(traj, window=(0.025, 2.0), floor_ratio=1e-18)
         assert fit.c1 > 0
         assert fit.r_squared >= 0.99
 
@@ -144,41 +143,39 @@ class TestDecayFit:
 class TestPoincare:
     def test_matches_dense_eigensolve(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 32, tent1d, 0.2)
-        st = discretize(rescale(tent1d, 0.2), spec)
+        st = discretize(tent1d, 0.2, spec)
         c_iter = poincare_constant(spec, st)
-        lam = np.linalg.eigvalsh(poincare_dense_matrix(rescale(tent1d, 0.2), spec))[0]
+        lam = np.linalg.eigvalsh(poincare_dense_matrix(tent1d, 0.2, spec))[0]
         assert c_iter == pytest.approx(1.0 / lam, rel=1e-9)
 
     def test_matches_dense_eigensolve_2d(self, tent2d):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 10, tent2d, 0.3)
-        rk = rescale(tent2d, 0.3)
-        c = poincare_constant(spec, discretize(rk, spec))
-        lam = np.linalg.eigvalsh(poincare_dense_matrix(rk, spec))[0]
+        c = poincare_constant(spec, discretize(tent2d, 0.3, spec))
+        lam = np.linalg.eigvalsh(poincare_dense_matrix(tent2d, 0.3, spec))[0]
         assert c == pytest.approx(1.0 / lam, rel=1e-9)
 
     def test_form_matrix_matches_independent_assembly(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
-        rk = rescale(tent1d, 0.25)
-        st = discretize(rk, spec)
+        st = discretize(tent1d, 0.25, spec)
         # the matrix of the matrix-free form, column by column
         ours = np.column_stack([poincare_form(spec, st)(e) for e in np.eye(16)])
-        theirs = poincare_dense_matrix(rk, spec)
+        theirs = poincare_dense_matrix(tent1d, 0.25, spec)
         assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.abs(theirs).max()
 
     def test_positive_and_stable_under_refinement(self, tent1d):
         consts = {}
         for nx in (32, 64):
             spec = make_domain(1, (0.0, 1.0), nx, tent1d, 0.2)
-            st = discretize(rescale(tent1d, 0.2), spec)
+            st = discretize(tent1d, 0.2, spec)
             consts[nx] = poincare_constant(spec, st)
         assert all(c > 0 and np.isfinite(c) for c in consts.values())
         assert abs(consts[64] - consts[32]) <= 0.10 * consts[64]
 
     def test_eigenvalue_minimality_inequality(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 32, tent1d, 0.2)
-        st = discretize(rescale(tent1d, 0.2), spec)
+        st = discretize(tent1d, 0.2, spec)
         c = poincare_constant(spec, st)
-        mat = poincare_dense_matrix(rescale(tent1d, 0.2), spec)
+        mat = poincare_dense_matrix(tent1d, 0.2, spec)
         for _ in range(10):
             u = rng.standard_normal(32)
             form = float(u @ mat @ u) * spec.cell_volume
@@ -191,7 +188,7 @@ class TestNonlocalToLocal:
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
         u0 = zero_extend(np.zeros(64), spec)
         rep = nonlocal_to_local_study(
-            u0, 2.0, tent1d, [0.4], StepperConfig(p=2.0, h=1e-3, T=0.01)
+            u0, tent1d, [0.4], StepperConfig(p=2.0, h=1e-3, T=0.01)
         )
         assert rep.rows[0][1] == 0.0
 
@@ -200,7 +197,7 @@ class TestNonlocalToLocal:
         u0 = zero_extend(np.zeros(64), spec)
         with pytest.raises(ValueError, match="containment"):
             nonlocal_to_local_study(
-                u0, 2.0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=1e-3, T=0.01)
+                u0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=1e-3, T=0.01)
             )
 
     def test_under_resolved_eps_fails_before_any_run(self, tent1d, monkeypatch):
@@ -213,7 +210,7 @@ class TestNonlocalToLocal:
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
         with pytest.raises(ValueError, match="under-resolved"):
             nonlocal_to_local_study(
-                default_bump(spec), 2.0, tent1d, [0.4, 0.02],
+                default_bump(spec), tent1d, [0.4, 0.02],
                 StepperConfig(p=2.0, h=1e-3, T=0.01),
             )
 
@@ -221,7 +218,7 @@ class TestNonlocalToLocal:
         spec = make_domain(1, (0.0, 1.0), 128, tent1d, 0.4)
         u0 = default_bump(spec)
         rep = nonlocal_to_local_study(
-            u0, 2.0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=2e-4, T=2e-3)
+            u0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=2e-4, T=2e-3)
         )
         errs = [r[1] for r in rep.rows]
         assert errs[1] < errs[0]

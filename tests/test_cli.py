@@ -357,14 +357,14 @@ class TestImport:
             "import sys\n"
             "import numpy as np\n"
             "from nlbiharm import (StepperConfig, discretize, get_kernel,\n"
-            "    implicit_step, make_domain, rescale, zero_extend)\n"
+            "    implicit_step, make_domain, zero_extend)\n"
             "from nlbiharm.cli import main\n"
             f"assert main(['--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
             "kern = get_kernel('tent', 1)\n"
             "spec = make_domain(1, (0.0, 1.0), 32, kern, 0.25)\n"
             "x = spec.node_coords()[0][spec.interior_slices]\n"
             "implicit_step(zero_extend(np.sin(np.pi * x), spec),\n"
-            "    discretize(rescale(kern, 0.25), spec),\n"
+            "    discretize(kern, 0.25, spec),\n"
             "    StepperConfig(p=1.5, h=1e-3, T=1e-3))\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )

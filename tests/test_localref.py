@@ -177,7 +177,7 @@ class TestWeakResidual:
             zero_extend(np.zeros(16), spec),
             StepperConfig(p=2, h=1e-3, T=0.01, record_every=1),
         )
-        assert weak_residual(traj, self.phi, 2.0) == 0.0
+        assert weak_residual(traj, self.phi) == 0.0
 
     def test_zero_test_function_bit_exact(self, tent1d, rng):
         spec = local_domain(tent1d, nx=16)
@@ -185,7 +185,7 @@ class TestWeakResidual:
             zero_extend(rng.standard_normal(16), spec),
             StepperConfig(p=2, h=1e-3, T=0.01, record_every=1),
         )
-        assert weak_residual(traj, lambda x, t: np.zeros_like(x), 2.0) == 0.0
+        assert weak_residual(traj, lambda x, t: np.zeros_like(x)) == 0.0
 
     def test_shrinks_under_refinement(self, tent1d):
         residuals = []
@@ -196,7 +196,7 @@ class TestWeakResidual:
             traj = local_evolve(
                 u0, StepperConfig(p=2, h=h, T=0.01, record_every=1)
             )
-            residuals.append(abs(weak_residual(traj, self.phi, 2.0)))
+            residuals.append(abs(weak_residual(traj, self.phi)))
         assert residuals[1] < 0.6 * residuals[0]
 
     def test_requires_full_recording(self, tent1d):
@@ -206,4 +206,4 @@ class TestWeakResidual:
             StepperConfig(p=2, h=1e-3, T=0.01, record_every=5),
         )
         with pytest.raises(ValueError, match="record_every"):
-            weak_residual(traj, self.phi, 2.0)
+            weak_residual(traj, self.phi)

@@ -18,7 +18,6 @@ from nlbiharm import (
     nonlocal_laplacian,
     p_biharmonic_rhs,
     p_flux,
-    rescale,
     zero_extend,
 )
 from nlbiharm.localref import LocalOperator
@@ -44,7 +43,7 @@ class TestNonlocalLaplacian:
         # the moment quadrature error, which is O(dx) or better
         for nx in (64, 128, 256):
             spec = make_domain(1, (0.0, 1.0), nx, tent1d, 0.2)
-            st_ = discretize(rescale(tent1d, 0.2), spec)
+            st_ = discretize(tent1d, 0.2, spec)
             x = spec.node_coords()[0]
             out = nonlocal_laplacian(Field(spec, x**2), st_)
             err = np.max(np.abs(out.interior_values - 2.0))
@@ -62,9 +61,8 @@ class TestNonlocalLaplacian:
 
     def test_dense_oracle_equivalence_1d(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 32, tent1d, 0.25)
-        rk = rescale(tent1d, 0.25)
-        st_ = discretize(rk, spec)
-        mat = dense_nonlocal_matrix(rk, spec)
+        st_ = discretize(tent1d, 0.25, spec)
+        mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         v = rng.standard_normal(spec.padded_shape)
         theirs = mat @ v
         for ours in (
@@ -75,9 +73,8 @@ class TestNonlocalLaplacian:
 
     def test_dense_oracle_equivalence_2d(self, tent2d, rng):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
-        rk = rescale(tent2d, 0.25)
-        st_ = discretize(rk, spec)
-        mat = dense_nonlocal_matrix(rk, spec)
+        st_ = discretize(tent2d, 0.25, spec)
+        mat = dense_nonlocal_matrix(tent2d, 0.25, spec)
         v = rng.standard_normal(spec.padded_shape)
         theirs = mat @ v.ravel()
         for ours in (
@@ -132,7 +129,7 @@ class TestFftEvaluation:
         dim, box, nx, eps = SHIPPED_STENCILS[request.param]
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, box, nx, kern, eps)
-        op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+        op = NonlocalOperator(discretize(kern, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
         return op
 
@@ -164,7 +161,7 @@ class TestFftEvaluation:
         # a collar of 2 cells: 12 nodes, offsets up to 7, so the middle nodes
         # lose neighbours on both sides
         spec = make_domain(1, (0.0, 1.0), 8, tent1d, 0.9)
-        st_ = discretize(rescale(tent1d, 0.9), spec)
+        st_ = discretize(tent1d, 0.9, spec)
         spec = replace(spec, pad_cells=2)
         assert 2 * st_.reach >= spec.padded_shape[0]
         op = NonlocalOperator(st_, spec)
@@ -190,7 +187,7 @@ class TestStepGrid:
         dim, box, nx, eps, grid_eps = STEP_GRID_STENCILS[request.param]
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, box, nx, kern, grid_eps)
-        st_ = discretize(rescale(kern, eps), spec)
+        st_ = discretize(kern, eps, spec)
         assert sum(bool(np.any(d)) for d in st_.offsets) == request.param
         step = as_operator(st_, spec)
         assert step.spec.pad_cells == st_.reach < spec.pad_cells
@@ -250,7 +247,7 @@ class TestNormalSolve:
         if eps is None:
             op = LocalOperator(spec)
         else:
-            op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+            op = NonlocalOperator(discretize(kern, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == k
         return op
 
@@ -320,9 +317,8 @@ class TestPBiharmonicRhs:
 
     def test_spike_matches_dense_composition(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 8, tent1d, 0.5)
-        rk = rescale(tent1d, 0.5)
-        st_ = discretize(rk, spec)
-        mat = dense_nonlocal_matrix(rk, spec)
+        st_ = discretize(tent1d, 0.5, spec)
+        mat = dense_nonlocal_matrix(tent1d, 0.5, spec)
         spike = np.zeros(8)
         spike[4] = 1.0
         u = zero_extend(spike, spec)
@@ -357,9 +353,8 @@ class TestDirichletEnergy:
 
     def test_p2_matches_dense_quadratic_form(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
-        rk = rescale(tent1d, 0.25)
-        st_ = discretize(rk, spec)
-        mat = dense_nonlocal_matrix(rk, spec)
+        st_ = discretize(tent1d, 0.25, spec)
+        mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)
         u_int = rng.standard_normal(16)
         u = zero_extend(u_int, spec)

@@ -14,7 +14,6 @@ from nlbiharm import (
     inner_product,
     lp_norm,
     make_domain,
-    rescale,
     step_energy,
     step_gradient,
     trajectory_to_csv,
@@ -49,9 +48,8 @@ class TestStepEnergy:
 
     def test_p2_matches_dense_forms(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
-        rk = rescale(tent1d, 0.25)
-        st_ = discretize(rk, spec)
-        mat = dense_nonlocal_matrix(rk, spec)
+        st_ = discretize(tent1d, 0.25, spec)
+        mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)
         h = 1e-3
         w_int = rng.standard_normal(16)
@@ -110,9 +108,8 @@ class TestStepGradient:
 
     def test_p2_matches_dense_gradient(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
-        rk = rescale(tent1d, 0.25)
-        st_ = discretize(rk, spec)
-        mat = dense_nonlocal_matrix(rk, spec)
+        st_ = discretize(tent1d, 0.25, spec)
+        mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)
         h = 1e-3
         w_int = rng.standard_normal(16)
@@ -163,9 +160,8 @@ class TestImplicitStep:
 
     def test_matches_dense_linear_solve(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
-        rk = rescale(tent1d, 0.25)
-        st_ = discretize(rk, spec)
-        mat = dense_nonlocal_matrix(rk, spec)
+        st_ = discretize(tent1d, 0.25, spec)
+        mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)
         b = ext.T @ mat @ mat @ ext
         h = 1e-3
@@ -203,7 +199,7 @@ class TestImplicitStep:
         # trials, and must still certify the step.
         eps = 0.07
         spec = make_domain(1, (0.0, 1.0), 128, tent1d, eps)
-        st_ = discretize(rescale(tent1d, eps), spec)
+        st_ = discretize(tent1d, eps, spec)
         x = spec.node_coords()[0][spec.interior_slices]
         u = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
         c = cfg(p=3.0, h=1e-4, inner_max_iters=50000)
@@ -248,7 +244,7 @@ class TestImplicitStep:
         # cap.  d = M^-1 g certifies them in a few hundred iterations.
         eps = 0.2
         spec = make_domain(1, (0.0, 1.0), nx, tent1d, eps)
-        st_ = discretize(rescale(tent1d, eps), spec)
+        st_ = discretize(tent1d, eps, spec)
         if start == "gaussian":
             x = spec.node_coords()[0][spec.interior_slices]
             u0 = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
@@ -267,7 +263,7 @@ class TestImplicitStep:
         # M x - u_prev/h = g, so x - d is the model's minimizer w.
         p, h, eps = 1.5, 1e-3, 0.2
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, eps)
-        op = NonlocalOperator(discretize(rescale(tent1d, eps), spec), spec)
+        op = NonlocalOperator(discretize(tent1d, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == 24
         u_prev = rng.standard_normal(spec.nx)
         fn = _StepFunctional(op, u_prev, p, h)
@@ -304,7 +300,7 @@ class TestNewtonStep:
         dim, box, nx, eps = HESSIAN_STENCILS[request.param]
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, box, nx, kern, eps)
-        op = NonlocalOperator(discretize(rescale(kern, eps), spec), spec)
+        op = NonlocalOperator(discretize(kern, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
         return op
 
@@ -332,7 +328,7 @@ class TestNewtonStep:
         # matrix of the oracle, each system solved by numpy.
         eps = 0.2
         spec = make_domain(1, (0.0, 1.0), 128, tent1d, eps)
-        op = _CountingOperator(discretize(rescale(tent1d, eps), spec), spec)
+        op = _CountingOperator(discretize(tent1d, eps, spec), spec)
         x = spec.node_coords()[0][spec.interior_slices]
         u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
         c = cfg(p=3.0, h=1e-4)
@@ -362,7 +358,7 @@ class TestNewtonStep:
         # a wider one takes Newton-CG through the correlation.
         if nearest:
             spec = make_domain(1, (0.0, 1.0), 32, tent1d, 2 / 32)
-            op = _CountingOperator(discretize(rescale(tent1d, 2 / 32), spec), spec)
+            op = _CountingOperator(discretize(tent1d, 2 / 32, spec), spec)
             assert op.stencil.offsets.ravel().tolist() == [-1, 0, 1]
         else:
             spec = domain16
@@ -406,9 +402,8 @@ class TestEvolve:
 
     def test_p2_oracle_trajectory(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
-        rk = rescale(tent1d, 0.25)
-        st_ = discretize(rk, spec)
-        mat = dense_nonlocal_matrix(rk, spec)
+        st_ = discretize(tent1d, 0.25, spec)
+        mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         h = 1e-3
         u0_int = rng.standard_normal(16)
         m = 50
@@ -434,7 +429,7 @@ class TestEvolve:
 
     def test_2d_dissipation(self, tent2d, rng):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
-        st_ = discretize(rescale(tent2d, 0.25), spec)
+        st_ = discretize(tent2d, 0.25, spec)
         u0 = zero_extend(rng.standard_normal((16, 16)), spec)
         traj = evolve(u0, st_, cfg(p=2.0, h=1e-3, T=0.01))
         assert np.all(np.diff(traj.energies) <= 1e-6 * traj.energies[0])
@@ -480,7 +475,7 @@ class TestStepGrid:
     def test_stencil_binds_to_interior_plus_reach(self, tent1d):
         # converge_p3's eps = 0.1 stencil on its grid padded for eps = 0.4
         spec = make_domain(1, (0.0, 1.0), 256, tent1d, 0.4)
-        st_ = discretize(rescale(tent1d, 0.1), spec)
+        st_ = discretize(tent1d, 0.1, spec)
         op = as_operator(st_, spec)
         assert op.spec.pad_cells == st_.reach == 25
         assert op.spec == replace(spec, pad_cells=25)
@@ -489,7 +484,7 @@ class TestStepGrid:
 
     def test_collar_narrower_than_reach_rejected(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
-        st_ = discretize(rescale(tent1d, 0.4), spec)
+        st_ = discretize(tent1d, 0.4, spec)
         assert st_.reach == 25
         cut = replace(spec, pad_cells=2)
         with pytest.raises(ValueError, match="collar"):
@@ -504,7 +499,7 @@ class TestStepGrid:
         # apart (the step map is the resolvent of a monotone operator), so
         # after j steps the runs differ by at most 2 j h tol.
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
-        st_ = discretize(rescale(tent1d, 0.1), spec)
+        st_ = discretize(tent1d, 0.1, spec)
         u0 = default_bump(spec)
         c = cfg(p=p, h=1e-4, T=5e-4)
         step = evolve(u0, st_, c)
