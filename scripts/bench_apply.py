@@ -24,9 +24,11 @@ the p = 3 Newton curvature 2|A x| at a random state.
 
 The third table runs one implicit step (``stepper._minimize_step``) for
 each way of solving the step model: Newton-CG on converge's 1D K = 50
-stencil, direct Newton on the local 1D Hessian (n = 256), and the direct
-reweighted step below p = 2.  Each step, the local one included, runs on
-its step grid, as ``evolve`` runs it.  It prints the step's inner
+stencil at p = 3 and on evolve_2d's 2D K = 508 stencil at p = 2 (from
+evolve_2d's random start, seed 404; the quadratic step takes one Newton
+iteration), direct Newton on the local 1D Hessian (n = 256), and the
+direct reweighted step below p = 2.  Each step, the local one included,
+runs on its step grid, as ``evolve`` runs it.  It prints the step's inner
 iterations, operator applies and milliseconds, keyed by dim, n and K.
 
 Every time is the best of REPEATS batches, each sized to take about
@@ -69,15 +71,17 @@ SOLVE_CASES = [
 ]
 SOLVE_H = 1e-4
 
-# (solver, nx, eps of the stencil or None for the local one, grid eps, p, h,
-# start): converge_p3's first step at its middle scale and for its local
-# reference, a p = 1.5 step on the battery's 1D stencil, and a p = 1.2 step
-# whose reweighted direction once stalled in cancellation.
+# (solver, dim, nx, eps of the stencil or None for the local one, grid eps,
+# p, h, start) on the unit box: converge_p3's first step at its middle scale
+# and for its local reference, evolve_2d's step, a p = 1.5 step on the
+# battery's 1D stencil, and a p = 1.2 step whose reweighted direction once
+# stalled in cancellation.
 STEP_CASES = [
-    ("newton_cg", 256, 0.1, 0.4, 3.0, 1e-4, "bump"),
-    ("newton_direct", 256, None, 0.4, 3.0, 1e-4, "bump"),
-    ("reweighted", 64, 0.2, 0.2, 1.5, 1e-3, "bump"),
-    ("reweighted", 128, 0.2, 0.2, 1.2, 1e-4, "gaussian"),
+    ("newton_cg", 1, 256, 0.1, 0.4, 3.0, 1e-4, "bump"),
+    ("newton_cg", 2, 64, 0.2, 0.2, 2.0, 5e-3, "random"),
+    ("newton_direct", 1, 256, None, 0.4, 3.0, 1e-4, "bump"),
+    ("reweighted", 1, 64, 0.2, 0.2, 1.5, 1e-3, "bump"),
+    ("reweighted", 1, 128, 0.2, 0.2, 1.2, 1e-4, "gaussian"),
 ]
 
 
@@ -137,15 +141,17 @@ def main() -> int:
     print()
     print(f"{'step':<13} {'p':>3} {'dim':>3} {'n':>5} {'K':>4} "
           f"{'iters':>6} {'applies':>7} {'ms':>8}")
-    for solver, nx, eps, grid_eps, p, h, start in STEP_CASES:
-        kern = get_kernel("tent", 1)
-        spec = make_domain(1, (0.0, 1.0), nx, kern, grid_eps)
+    for solver, dim, nx, eps, grid_eps, p, h, start in STEP_CASES:
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, grid_eps)
         st = local_stencil(spec) if eps is None else discretize(kern, eps, spec)
         op = as_operator(st, spec)
         u0 = default_bump(spec)
         if start == "gaussian":
             x = spec.node_coords()[0][spec.interior_slices]
             u0 = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
+        elif start == "random":  # evolve_2d's u0 = random, seed = 404
+            u0 = zero_extend(np.random.default_rng(404).standard_normal(spec.nx), spec)
         cfg = StepperConfig(p=p, h=h, T=h)
         tol = effective_inner_tol(op, cfg, lp_norm(u0, 2, "omega"))
         best = float("inf")

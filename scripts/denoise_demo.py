@@ -4,7 +4,10 @@
 Usage:
     python scripts/denoise_demo.py [outdir] [--size N] [--noise SIGMA]
 
-Writes noisy.pgm, output.pgm, metrics.csv, and trajectory.csv into outdir.
+Writes noisy.pgm, a copy of the shipped denoise.cfg (its ``input =
+noisy.pgm`` resolves against the config's directory), output.pgm,
+metrics.csv, trajectory.csv and manifest.csv into outdir; the manifest's
+config hash does not depend on outdir.
 """
 
 import argparse
@@ -41,10 +44,9 @@ def main() -> int:
     image = out / "noisy.pgm"
     make_noisy_gradient(image, args.size, args.noise)
 
-    # point the shipped config at the generated image
+    # the shipped config, copied beside the image its ``input`` names
     cfg = out / "denoise.cfg"
-    text = CONFIG.read_text().replace("input = noisy.pgm", f"input = {image}")
-    cfg.write_text(text)
+    cfg.write_text(CONFIG.read_text())
     return cli_main(["--config", str(cfg), "--out", str(out)])
 
 

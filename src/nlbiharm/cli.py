@@ -115,6 +115,8 @@ def parse_config(path) -> ExperimentConfig:
         except ValueError as err:
             raise ConfigError(f"bad value for {key!r}: {value!r}", lineno, key) from err
         setattr(cfg, key, parsed)
+    if cfg.input:  # a relative image path names a file beside the config
+        cfg.input = str(Path(path).parent / cfg.input)
     _validate(cfg)
     return cfg
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,11 +57,11 @@ class DomainSpec:
     dx: float
     pad_cells: int
 
-    @property
+    @cached_property
     def padded_shape(self) -> tuple[int, ...]:
         return tuple(n + 2 * self.pad_cells for n in self.nx)
 
-    @property
+    @cached_property
     def interior_slices(self) -> tuple[slice, ...]:
         return tuple(slice(self.pad_cells, self.pad_cells + n) for n in self.nx)
 
@@ -68,7 +69,7 @@ class DomainSpec:
     def cell_volume(self) -> float:
         return self.dx**self.dim
 
-    @property
+    @cached_property
     def n_interior(self) -> int:
         return int(np.prod(self.nx))
 

@@ -83,8 +83,10 @@ class Stencil:
     """Quadrature stencil carrying the discretized rescaled kernel.
 
     ``offsets`` lists every integer node offset with |d|*dx strictly inside
-    the support.  ``weights`` are the nodal kernel samples divided by their
-    discrete half second moment, so that moment is exactly one.  The divisor
+    the support; they must be closed under negation, with equal weights at
+    d and -d, or the constructor raises.  ``weights`` are the nodal kernel
+    samples divided by their discrete half second moment, so that moment is
+    exactly one.  The divisor
     stands in for the paper's C_J eps^-(N+2) times the cell volume dx^N;
     multiplying by that constant instead would leave the midpoint rule's
     moment defect, whose support-edge phase makes it oscillate under
@@ -103,6 +105,13 @@ class Stencil:
         for name in ("offsets", "weights"):
             arr = getattr(self, name)
             arr.flags.writeable = False
+        # the operator pairs each offset d with -d (``NonlocalOperator.apply``)
+        order = np.lexsort(self.offsets.T)
+        mirror = np.lexsort(-self.offsets.T)
+        if not np.array_equal(self.offsets[order], -self.offsets[mirror]):
+            raise ValueError("stencil offsets are not closed under negation")
+        if not np.array_equal(self.weights[order], self.weights[mirror]):
+            raise ValueError("stencil weights differ between offsets d and -d")
 
     @property
     def dim(self) -> int:

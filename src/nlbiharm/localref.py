@@ -22,8 +22,9 @@ from .stepper import StepperConfig, Trajectory, evolve
 
 def local_stencil(spec: DomainSpec) -> Stencil:
     """3-point (1D) / 5-point (2D) Laplacian stencil: offsets -e1, +e1, -e2,
-    +e2 (the order in which ``apply`` sums, which fixes its rounding), each
-    weighted 1/dx^2.
+    +e2, each weighted 1/dx^2.  ``apply`` sums the pairs +-e1, then +-e2,
+    each as the difference across +e_i, added at its lower node and
+    subtracted at its upper one; that order fixes its rounding.
 
     The step energy integrates |Delta_h u|^p over the padded domain, exactly
     like the nonlocal energy.  On the zero extension the operator is nonzero

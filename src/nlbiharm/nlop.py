@@ -7,16 +7,18 @@ padded domain only.
 
 It has two evaluations of the same matrix:
 
-* ``apply``, the difference loop over the K stencil offsets, O(K N).
-  Differences are formed before scaling, so constants map to exactly zero,
-  the operator matrix is exactly symmetric, and the rounding at a node
-  depends only on its own neighborhood (local).
+* ``apply``, the difference loop over the K/2 pairs +-d of stencil
+  offsets, O(K N): each pair's difference w_d (u(x + d) - u(x)) is added
+  at x and subtracted at x + d.  Differences are formed before scaling, so
+  constants map to exactly zero, the operator matrix is exactly symmetric,
+  and the rounding at a node depends only on its own neighborhood (local).
 * ``apply_corr``, the correlation sum_d w_d v(x + d) - S(x) v(x) of
-  v = u - u.flat[0], with S the in-bounds weight sum.  In 1D a direct
-  correlation, O(K N), whose outputs are K-term dot products of their
-  neighbours: local rounding.  In 2D a zero-padded FFT, O(N log N), whose
-  rounding is global: about eps_mach times the largest correlation in the
-  whole array, at every node, however small the result there.
+  v = u - u.flat[0], with S the in-bounds weight sum, itself the same
+  correlation of the grid's indicator.  In 1D a direct correlation,
+  O(K N), whose outputs are K-term dot products of their neighbours: local
+  rounding.  In 2D a zero-padded FFT, O(N log N), whose rounding is
+  global: about eps_mach times the largest correlation in the whole array,
+  at every node, however small the result there.
 
 ``normal_solve`` solves the step model shift I + A^T diag(c) A over the
 interior values directly: its bands come straight from the stencil taps and
@@ -54,7 +56,6 @@ def _fast_len(n: int) -> int:
 def _slice_pair(shape, offset):
     src, dst = [], []
     for n, d in zip(shape, offset):
-        d = int(d)
         dst.append(slice(max(-d, 0), n - max(d, 0)))
         src.append(slice(max(d, 0), n + min(d, 0)))
     return tuple(src), tuple(dst)
@@ -72,22 +73,33 @@ class NonlocalOperator:
         self.spec = spec
         self.stencil = stencil
         self.reach = stencil.reach
-        shape = spec.padded_shape
-        self._terms = [
-            (_slice_pair(shape, d), float(w))
-            for d, w in zip(stencil.offsets, stencil.weights)
-            if np.any(d)
-        ]
+        self._terms = None
         self._corr = None
         self._normal = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        if self._terms is None:
+            self._terms = self._build_terms()
         out = np.zeros_like(values)
-        for (src, dst), w in self._terms:
+        for src, dst, w in self._terms:
             diff = values[src] - values[dst]
             diff *= w
             out[dst] += diff
+            out[src] -= diff
         return out
+
+    def _build_terms(self):
+        """One (src, dst, w) per +-d pair, for the d whose first nonzero
+        component is positive: the term at x + d of the offset -d is minus
+        the term at x of d (``Stencil`` pairs the weights)."""
+        shape = self.spec.padded_shape
+        origin = (0,) * len(shape)
+        return [
+            (*_slice_pair(shape, d), w)
+            for d, w in zip(map(tuple, self.stencil.offsets.tolist()),
+                            self.stencil.weights.tolist())
+            if d > origin
+        ]
 
     def apply_corr(self, values: np.ndarray) -> np.ndarray:
         """``apply`` in correlation form, as a new array (module docstring);
@@ -104,36 +116,41 @@ class NonlocalOperator:
         weight sum and the correlation of the buffer at the values' nodes."""
         shape = self.spec.padded_shape
         st, r = self.stencil, self.reach
-        weight_sum = np.zeros(shape)
-        for (_, dst), w in self._terms:
-            weight_sum[dst] += w
         if len(shape) == 1:  # taps[r + d] = w_d on a buffer of n + 2 r
             taps = np.zeros(2 * r + 1)
             taps[r + st.offsets[:, 0]] = st.weights
             taps[r] = 0.0  # the zero offset contributes nothing
             inner = (slice(r, r + shape[0]),)
-            return np.zeros(shape[0] + 2 * r), inner, weight_sum, (
-                lambda b: np.correlate(b, taps, "valid"))
-        # A circular correlation on n + reach per axis never wraps onto a
-        # value.  Its arrays are reused: they exceed glibc's mmap threshold
-        # and would fault in afresh on every call.  out[i] = sum_d w_d v[i + d]
-        # puts w_d at -d (mod the FFT length).
-        fft_shape = tuple(_fast_len(n + r) for n in shape)
-        kern = np.zeros(fft_shape)
-        kern[tuple((-st.offsets % fft_shape).T)] = st.weights
-        kern[(0,) * len(shape)] = 0.0
-        axes = tuple(range(len(shape)))
-        spectrum = np.fft.rfftn(kern)
-        freq = np.empty_like(spectrum)
-        corr = np.empty(fft_shape)
-        inner = tuple(slice(0, n) for n in shape)
+            buf = np.zeros(shape[0] + 2 * r)
 
-        def correlate(b):
-            np.fft.rfftn(b, out=freq)
-            np.multiply(freq, spectrum, out=freq)
-            return np.fft.irfftn(freq, fft_shape, axes, out=corr)[inner]
+            def correlate(b):
+                return np.correlate(b, taps, "valid")
+        else:
+            # A circular correlation on n + reach per axis never wraps onto a
+            # value.  Its arrays are reused: they exceed glibc's mmap
+            # threshold and would fault in afresh on every call.  out[i] =
+            # sum_d w_d v[i + d] puts w_d at -d (mod the FFT length).
+            fft_shape = tuple(_fast_len(n + r) for n in shape)
+            kern = np.zeros(fft_shape)
+            kern[tuple((-st.offsets % fft_shape).T)] = st.weights
+            kern[(0,) * len(shape)] = 0.0
+            axes = tuple(range(len(shape)))
+            spectrum = np.fft.rfftn(kern)
+            freq = np.empty_like(spectrum)
+            corr = np.empty(fft_shape)
+            inner = tuple(slice(0, n) for n in shape)
+            buf = np.zeros(fft_shape)
 
-        return np.zeros(fft_shape), inner, weight_sum, correlate
+            def correlate(b):
+                np.fft.rfftn(b, out=freq)
+                np.multiply(freq, spectrum, out=freq)
+                return np.fft.irfftn(freq, fft_shape, axes, out=corr)[inner]
+
+        # the in-bounds weight sum is the correlation of the grid's indicator
+        buf[inner] = 1.0
+        weight_sum = correlate(buf).copy()
+        buf[inner] = 0.0
+        return buf, inner, weight_sum, correlate
 
     def norm_bound(self) -> float:
         """Gershgorin bound 2 * sum(w_d) on the operator norm."""

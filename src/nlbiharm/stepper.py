@@ -45,9 +45,12 @@ below p = 2, where the weights |A x|^(p-2) amplify rounding at zeros of
 A x, and for nearest-neighbour stencils (``reach == 1``), such as the local
 reference's, whose narrow-banded Hessian conditions like h/dx^4 and leaves
 residuals near the rounding floor.  Every other Hessian is solved matrix
-free by truncated conjugate gradients through the correlation evaluation
-``apply_corr``, each product M v costing two operator applies, to a
-tolerance set by Eisenstat-Walker forcing.
+free by conjugate gradients through the correlation evaluation
+``apply_corr``, each product M v costing two operator applies.  Above
+p = 2 CG is truncated at a tolerance set by Eisenstat-Walker forcing.  At
+p = 2 the step functional is quadratic and M its exact Hessian, so one CG
+solve to the residual floor lands on the minimizer, and the step certifies
+after one Newton iteration.
 
 An evolution resolves its residual tolerance once (``effective_inner_tol``,
 kept as ``Trajectory.inner_tol``) and carries the operator value and the
@@ -76,6 +79,9 @@ MAX_BACKTRACKS = 60
 # acts only when EW_GAMMA * eta_prev^EW_ALPHA > 0.1, never under this cap.
 # Caps 0.9/0.5/0.3/0.1 took 13,813/13,092/12,062/12,168 applies in the
 # nonlocal runs of converge_p3; 0.3 and 0.1 tied on the small studies.
+# Not at p = 2, where H is the functional's own constant Hessian: a forced
+# solve only splits one solve into restarts (evolve_2d's step took 4 Newton
+# iterations and 130 applies with forcing, 1 and 95 without).
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_ETA_MAX = 0.3
@@ -383,12 +389,13 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
 
 
 def _cg_solve(fn, tol):
-    """Truncated conjugate gradients on H d = g, matrix free.
+    """Conjugate gradients on H d = g, matrix free.
 
-    CG stops at the forcing tolerance (floored at half the relative accuracy
-    the step tolerance asks for) or after one iteration per unknown.  Every
-    iterate from d = 0 is a descent direction (H >= I/h); A d accumulates
-    from the products, so the trials are linear at no extra apply.
+    CG stops at the forcing tolerance (none at p = 2), floored at half the
+    relative accuracy the step tolerance asks for, or after one iteration
+    per unknown.  Every iterate from d = 0 is a descent direction
+    (H >= I/h); A d accumulates from the products, so the trials are linear
+    at no extra apply.
     """
     g_prev = None  # ||g|| at the previous Newton iteration
 
@@ -396,7 +403,7 @@ def _cg_solve(fn, tol):
         nonlocal g_prev
         rr = float(np.dot(g.ravel(), g.ravel()))
         g_norm = math.sqrt(rr)
-        eta = EW_ETA_MAX
+        eta = EW_ETA_MAX if fn.p != 2.0 else 0.0  # no forcing at p = 2
         if g_prev is not None:
             eta = min(eta, EW_GAMMA * (g_norm / g_prev) ** EW_ALPHA)
         eta = max(eta, 0.5 * tol / fn.l2(g))

@@ -171,7 +171,7 @@ class TestRun:
     def test_solver_error_is_machine_readable(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path,
-            "command = evolve\nu0 = random\nnx = 16\nepsilon = 0.25\n"
+            "command = evolve\nu0 = random\nnx = 16\nepsilon = 0.25\np = 3\n"
             "T = 0.01\nh = 0.001\ninner_max_iters = 1\n",
         )
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlbiharm import (
+    Stencil,
     discretize,
     get_kernel,
     make_domain,
@@ -141,6 +142,33 @@ class TestDiscretize:
         lines = path.read_text().splitlines()
         assert lines[0] == "dx_offset,weight"
         assert len(lines) == 1 + len(stencil16.offsets)
+
+
+class TestStencilPairs:
+    """The operator's loop handles each offset d together with -d, so a
+    stencil must hold both, with one weight."""
+
+    @pytest.mark.parametrize("offsets", [
+        [[-1], [1], [2]],
+        [[0, 1], [0, -1], [1, 1]],
+    ], ids=["1d", "2d"])
+    def test_offsets_not_closed_under_negation_rejected(self, offsets):
+        offsets = np.array(offsets, dtype=np.int64)
+        with pytest.raises(ValueError, match="negation"):
+            Stencil(offsets=offsets, weights=np.ones(len(offsets)), dx=0.1)
+
+    @pytest.mark.parametrize("offsets", [
+        [[-2], [-1], [0], [1], [2]],
+        [[-1, 0], [0, -1], [0, 0], [0, 1], [1, 0]],
+    ], ids=["1d", "2d"])
+    def test_pair_weights_that_differ_rejected(self, offsets):
+        offsets = np.array(offsets, dtype=np.int64)
+        paired = np.ones(len(offsets))
+        unpaired = paired.copy()
+        unpaired[-1] += 2.0**-40
+        Stencil(offsets=offsets, weights=paired, dx=0.1)
+        with pytest.raises(ValueError, match="differ"):
+            Stencil(offsets=offsets, weights=unpaired, dx=0.1)
 
 
 @given(eps=st.floats(0.05, 0.45), name=st.sampled_from(["tent", "quartic", "cosine"]))

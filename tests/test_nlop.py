@@ -222,6 +222,30 @@ class TestStepGrid:
         assert np.max(np.abs(step.apply_corr(narrow) - exact)) <= 1e-13 * np.abs(exact).max()
 
 
+class TestCorrWeightSum:
+    """The in-bounds weight sum S(x) = sum_(d != 0, x + d in the grid) w_d
+    that ``apply_corr`` subtracts, against that sum formed here offset by
+    offset, on the whole padded grid and on the step grid."""
+
+    @pytest.mark.parametrize("grid", ["padded", "step"])
+    @pytest.mark.parametrize("k", [24, 508], ids="K{}".format)
+    def test_matches_in_bounds_sum(self, k, grid):
+        dim, box, nx, eps = SHIPPED_STENCILS[k]
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, box, nx, kern, eps)
+        st_ = discretize(kern, eps, spec)
+        op = NonlocalOperator(st_, spec) if grid == "padded" else as_operator(st_, spec)
+        shape = op.spec.padded_shape
+        op.apply_corr(np.zeros(shape))
+        weight_sum = op._corr[2]
+        expected = np.zeros(shape)
+        for d, w in zip(st_.offsets, st_.weights):
+            if np.any(d):
+                expected[tuple(slice(max(-e, 0), n - max(e, 0))
+                               for n, e in zip(shape, d))] += w
+        assert np.all(np.abs(weight_sum - expected) <= 1e-14 * expected)
+
+
 # name: (dim, box, nx, stencil eps or None for the local stencil, grid eps,
 # nonzero stencil offsets K).  local1d_n250 and nonlocal2d_nx8 (band 36)
 # do not fill a whole number of blocks.

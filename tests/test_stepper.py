@@ -351,6 +351,17 @@ class TestNewtonStep:
         gap = np.sqrt(spec.cell_volume * np.sum((cg.interior - w) ** 2))
         assert gap <= tol
 
+    @pytest.mark.parametrize("dim,nx", [(1, 64), (2, 16)], ids=["1d_nx64", "2d_nx16"])
+    def test_p2_step_certifies_in_one_iteration(self, dim, nx):
+        # At p = 2 the step functional is quadratic and M its exact Hessian:
+        # one CG solve to the residual floor is its minimizer.
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, 0.2)
+        traj = evolve(default_bump(spec), discretize(kern, 0.2, spec),
+                      cfg(p=2.0, h=1e-3, T=3e-3))
+        assert traj.inner_iters[1:].tolist() == [1, 1, 1]
+        assert np.all(traj.residuals[1:] <= traj.inner_tol)
+
     @pytest.mark.parametrize("nearest", [True, False], ids=["reach1", "reach3"])
     def test_solve_follows_from_the_stencil(self, tent1d, domain16, stencil16, nearest):
         # At p = 3 a stencil reaching only nearest neighbours, here the
@@ -439,7 +450,7 @@ class TestEvolve:
     def test_step_error_carries_index(self, domain16, stencil16, rng):
         u0 = zero_extend(10 * rng.standard_normal(16), domain16)
         with pytest.raises(InnerSolveFailed, match="step 1"):
-            evolve(u0, stencil16, cfg(h=1e-3, T=0.01, inner_max_iters=1))
+            evolve(u0, stencil16, cfg(p=3.0, h=1e-3, T=0.01, inner_max_iters=1))
 
     @pytest.mark.parametrize("inner_tol", [None, 1e-6])
     def test_inner_tol_is_the_effective_tolerance(self, domain16, stencil16, rng,
