@@ -6,10 +6,13 @@ Usage:
     python scripts/bench_apply.py
 
 The first table prints microseconds per call of the difference loop
-``NonlocalOperator.apply`` and of ``apply_corr`` (a direct correlation in
-1D, a zero-padded FFT in 2D) on one random array at the stencils of the
-shipped studies.  Rows are keyed by dim, nx (interior cells per axis) and K
-(nonzero stencil offsets).  The padded grids, with ``nodes`` nodes, are
+``NonlocalOperator.apply``, of ``apply_corr`` (a direct correlation in 1D,
+a zero-padded FFT in 2D) and of ``apply_squared`` (A^T A on interior
+values, one correlation with the squared taps, as the p = 2 Hessian
+products run it) on one random array at the stencils of the shipped
+studies, with the relative difference of each correlation from the loop.
+Rows are keyed by dim, nx (interior cells per axis) and K (nonzero
+stencil offsets).  The padded grids, with ``nodes`` nodes, are
 the runs' own: converge's three scales share the grid padded for its
 largest eps.  The operator is timed on the step grid that
 ``stepper.as_operator`` cuts from each, the interior plus the stencil's
@@ -29,10 +32,13 @@ evolve_2d's random start, seed 404; the quadratic step takes one Newton
 iteration), direct Newton on the local 1D Hessian (n = 256), and the
 direct reweighted step below p = 2.  Each step, the local one included,
 runs on its step grid, as ``evolve`` runs it.  It prints the step's inner
-iterations, operator applies and milliseconds, keyed by dim, n and K.
+iterations, operator applies (a squared correlation counts as one) and
+the median, min and max milliseconds, keyed by dim, n and K.
 
-Every time is the best of REPEATS batches, each sized to take about
-BATCH_S seconds; a step is timed as the best of REPEATS single runs.
+A per-call time is the best of REPEATS batches, each sized to take about
+BATCH_S seconds.  A step is timed over STEP_REPEATS single runs in this
+process; their median is its row's time, and min and max show the spread
+(the best of a few runs swung by 2x between invocations on a shared host).
 """
 
 import time
@@ -49,6 +55,7 @@ from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol
 
 BATCH_S = 0.05
 REPEATS = 5
+STEP_REPEATS = 20
 
 # (study, dim, box, nx, eps, eps the grid is padded for)
 CASES = [
@@ -101,7 +108,7 @@ def per_call_us(fn, values) -> float:
 def main() -> int:
     rng = np.random.default_rng(0)
     print(f"{'study':<11} {'dim':>3} {'nx':>4} {'nodes':>6} {'step':>6} {'K':>4} "
-          f"{'apply_us':>9} {'corr_us':>8} {'rel_diff':>9}")
+          f"{'apply_us':>9} {'corr_us':>8} {'sq_us':>8} {'corr_diff':>9} {'sq_diff':>9}")
     for study, dim, box, nx, eps, grid_eps in CASES:
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, box, nx, kern, grid_eps)
@@ -110,12 +117,17 @@ def main() -> int:
         values = rng.standard_normal(op.spec.padded_shape)
         exact = op.apply(values)
         diff = np.abs(op.apply_corr(values) - exact).max() / np.abs(exact).max()
+        interior = rng.standard_normal(op.spec.nx)
+        full = zero_extend(interior, op.spec).values
+        exact_sq = op.apply(op.apply(full))[op.spec.interior_slices]
+        sq_diff = np.abs(op.apply_squared(interior) - exact_sq).max() / np.abs(exact_sq).max()
         loop_us = per_call_us(op.apply, values)
         corr_us = per_call_us(op.apply_corr, values)
+        sq_us = per_call_us(op.apply_squared, interior)
         k = sum(bool(np.any(d)) for d in st.offsets)
         nodes = int(np.prod(spec.padded_shape))
         print(f"{study:<11} {dim:>3} {nx:>4} {nodes:>6} {values.size:>6} {k:>4} "
-              f"{loop_us:>9.1f} {corr_us:>8.1f} {diff:>9.1e}")
+              f"{loop_us:>9.1f} {corr_us:>8.1f} {sq_us:>8.1f} {diff:>9.1e} {sq_diff:>9.1e}")
 
     print()
     print(f"{'solve':<11} {'dim':>3} {'n':>5} {'band':>4} {'block':>5} "
@@ -140,7 +152,7 @@ def main() -> int:
 
     print()
     print(f"{'step':<13} {'p':>3} {'dim':>3} {'n':>5} {'K':>4} "
-          f"{'iters':>6} {'applies':>7} {'ms':>8}")
+          f"{'iters':>6} {'applies':>7} {'ms':>8} {'min_ms':>8} {'max_ms':>8}")
     for solver, dim, nx, eps, grid_eps, p, h, start in STEP_CASES:
         kern = get_kernel("tent", dim)
         spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, grid_eps)
@@ -154,14 +166,15 @@ def main() -> int:
             u0 = zero_extend(np.random.default_rng(404).standard_normal(spec.nx), spec)
         cfg = StepperConfig(p=p, h=h, T=h)
         tol = effective_inner_tol(op, cfg, lp_norm(u0, 2, "omega"))
-        best = float("inf")
-        for _ in range(REPEATS):
+        runs = []
+        for _ in range(STEP_REPEATS):
             begin = time.perf_counter()
             res = _minimize_step(op, u0.interior_values, p, h, tol, cfg.inner_max_iters)
-            best = min(best, time.perf_counter() - begin)
+            runs.append(1e3 * (time.perf_counter() - begin))
         k = sum(bool(np.any(d)) for d in op.stencil.offsets)
         print(f"{solver:<13} {p:>3g} {spec.dim:>3} {spec.n_interior:>5} {k:>4} "
-              f"{res.iters:>6} {res.applies:>7} {best * 1e3:>8.1f}")
+              f"{res.iters:>6} {res.applies:>7} {np.median(runs):>8.1f} "
+              f"{min(runs):>8.1f} {max(runs):>8.1f}")
     return 0
 
 

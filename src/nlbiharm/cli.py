@@ -417,10 +417,9 @@ def read_pgm_pixels(path) -> tuple[np.ndarray, int]:
     magic = tokens[0]
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a PGM file: magic {magic!r}")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError as err:
-        raise ValueError(f"malformed PGM header fields {tokens[1:4]}") from err
+    if not all(t.isdigit() for t in tokens[1:4]):  # ASCII decimal digits only
+        raise ValueError(f"malformed PGM header fields {tokens[1:4]}")
+    width, height, maxval = (int(t) for t in tokens[1:4])
     if width < 1 or height < 1:
         raise ValueError(f"bad PGM dimensions {width}x{height}")
     if not 0 < maxval <= 65535:
@@ -435,10 +434,13 @@ def read_pgm_pixels(path) -> tuple[np.ndarray, int]:
         dtype = ">u2" if wide else np.uint8
         raster = np.frombuffer(payload, dtype=dtype, count=n).astype(float)
     else:
-        values = data[payload_at:].split()
+        values = data[payload_at:].split()[:n]
         if len(values) < n:
             raise ValueError(f"truncated PGM payload: {len(values)} of {n} samples")
-        raster = np.array([int(v) for v in values[:n]], dtype=float)
+        bad = next((v for v in values if not v.isdigit()), None)
+        if bad is not None:
+            raise ValueError(f"PGM sample {bad!r} is not a decimal number")
+        raster = np.array([int(v) for v in values], dtype=float)
     if raster.max(initial=0.0) > maxval:
         raise ValueError("PGM sample exceeds declared maxval")
     grid = raster.reshape(height, width).T / maxval  # (width, height), x-major

@@ -5,7 +5,7 @@ the padded domain sees a truncated neighborhood, with both the neighbor and
 the center contribution dropped together, matching an integral over the
 padded domain only.
 
-It has two evaluations of the same matrix:
+It has two evaluations of the same matrix, and a third of its square:
 
 * ``apply``, the difference loop over the K/2 pairs +-d of stencil
   offsets, O(K N): each pair's difference w_d (u(x + d) - u(x)) is added
@@ -19,6 +19,15 @@ It has two evaluations of the same matrix:
   rounding.  In 2D a zero-padded FFT, O(N log N), whose rounding is
   global: about eps_mach times the largest correlation in the whole array,
   at every node, however small the result there.
+* ``apply_squared``, A^T A v on the interior for v zero-extended from
+  interior values: one correlation with t * t, where t are the taps of A
+  (w_d off the centre, -sum_(d != 0) w_d at it) and t * t reaches 2 reach.
+  A of a zero-extended v is exactly the infinite-grid correlation with t
+  at every node of a grid whose collar covers the reach, and it vanishes
+  beyond reach of the interior, so A^T A v on the interior is t * t
+  correlated with v.  A direct correlation in 1D; in 2D one zero-padded
+  FFT of n + 2 reach per axis, against the two of n + 3 reach that two
+  ``apply_corr`` calls make on the step grid.
 
 ``normal_solve`` solves the step model shift I + A^T diag(c) A over the
 interior values directly: its bands come straight from the stencil taps and
@@ -75,6 +84,7 @@ class NonlocalOperator:
         self.reach = stencil.reach
         self._terms = None
         self._corr = None
+        self._squared = None
         self._normal = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -105,35 +115,66 @@ class NonlocalOperator:
         """``apply`` in correlation form, as a new array (module docstring);
         shifting by the first value keeps constants exactly zero."""
         if self._corr is None:
-            self._corr = self._build_corr()
+            buf, inner, correlate = self._build_corr(self._taps(), self.spec.padded_shape)
+            # the in-bounds weight sum is the correlation of the grid's indicator
+            buf[inner] = 1.0
+            weight_sum = correlate(buf).copy()
+            buf[inner] = 0.0
+            self._corr = buf, inner, weight_sum, correlate
         buf, inner, weight_sum, correlate = self._corr
         v = buf[inner]
         np.subtract(values, values.flat[0], out=v)
         return correlate(buf) - weight_sum * v
 
-    def _build_corr(self):
-        """Zero-padded work buffer, the values' slice of it, the in-bounds
-        weight sum and the correlation of the buffer at the values' nodes."""
-        shape = self.spec.padded_shape
+    def apply_squared(self, interior: np.ndarray) -> np.ndarray:
+        """A(A v) on the interior for v zero-extended from ``interior``, as
+        a new array: one correlation with t * t (module docstring)."""
+        if self._squared is None:
+            taps = self._taps()
+            taps[(self.reach,) * taps.ndim] = -taps.sum()
+            # t is even, so t * t is t correlated with itself
+            if taps.ndim == 1:
+                squared = np.convolve(taps, taps)
+            else:
+                size = tuple(2 * n - 1 for n in taps.shape)
+                axes = tuple(range(taps.ndim))
+                squared = np.fft.irfftn(np.fft.rfftn(taps, size, axes) ** 2, size, axes)
+            self._squared = self._build_corr(squared, self.spec.nx)
+        buf, inner, correlate = self._squared
+        buf[inner] = interior
+        return correlate(buf).copy()
+
+    def _taps(self) -> np.ndarray:
+        """The weights as dense taps of reach r per axis, t[r + d] = w_d,
+        with 0 at the centre: the zero offset contributes nothing."""
         st, r = self.stencil, self.reach
-        if len(shape) == 1:  # taps[r + d] = w_d on a buffer of n + 2 r
-            taps = np.zeros(2 * r + 1)
-            taps[r + st.offsets[:, 0]] = st.weights
-            taps[r] = 0.0  # the zero offset contributes nothing
-            inner = (slice(r, r + shape[0]),)
-            buf = np.zeros(shape[0] + 2 * r)
+        taps = np.zeros((2 * r + 1,) * st.dim)
+        taps[tuple((st.offsets + r).T)] = st.weights
+        taps[(r,) * st.dim] = 0.0
+        return taps
+
+    @staticmethod
+    def _build_corr(taps: np.ndarray, shape):
+        """Zero-padded work buffer for values of ``shape``, the values'
+        slice of it and the correlation sum_d taps[m + d] b[x + d] of the
+        buffer at the values' nodes, for dense taps of reach m per axis."""
+        m = taps.shape[0] // 2
+        if len(shape) == 1:  # on a buffer of n + 2 m
+            inner = (slice(m, m + shape[0]),)
+            buf = np.zeros(shape[0] + 2 * m)
 
             def correlate(b):
                 return np.correlate(b, taps, "valid")
         else:
-            # A circular correlation on n + reach per axis never wraps onto a
+            # A circular correlation on n + m per axis never wraps onto a
             # value.  Its arrays are reused: they exceed glibc's mmap
             # threshold and would fault in afresh on every call.  out[i] =
-            # sum_d w_d v[i + d] puts w_d at -d (mod the FFT length).
-            fft_shape = tuple(_fast_len(n + r) for n in shape)
+            # sum_d taps[m + d] v[i + d] puts taps[m + d] at -d (mod the FFT
+            # length); taps that share a slot (2 m >= length) sit where no
+            # output reads a value.
+            fft_shape = tuple(_fast_len(n + m) for n in shape)
             kern = np.zeros(fft_shape)
-            kern[tuple((-st.offsets % fft_shape).T)] = st.weights
-            kern[(0,) * len(shape)] = 0.0
+            kern[np.ix_(*(np.arange(m, -m - 1, -1) % n for n in fft_shape))] = taps
             axes = tuple(range(len(shape)))
             spectrum = np.fft.rfftn(kern)
             freq = np.empty_like(spectrum)
@@ -146,11 +187,7 @@ class NonlocalOperator:
                 np.multiply(freq, spectrum, out=freq)
                 return np.fft.irfftn(freq, fft_shape, axes, out=corr)[inner]
 
-        # the in-bounds weight sum is the correlation of the grid's indicator
-        buf[inner] = 1.0
-        weight_sum = correlate(buf).copy()
-        buf[inner] = 0.0
-        return buf, inner, weight_sum, correlate
+        return buf, inner, correlate
 
     def norm_bound(self) -> float:
         """Gershgorin bound 2 * sum(w_d) on the operator norm."""

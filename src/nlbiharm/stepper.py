@@ -50,7 +50,11 @@ free by conjugate gradients through the correlation evaluation
 p = 2 CG is truncated at a tolerance set by Eisenstat-Walker forcing.  At
 p = 2 the step functional is quadratic and M its exact Hessian, so one CG
 solve to the residual floor lands on the minimizer, and the step certifies
-after one Newton iteration.
+after one Newton iteration.  There c = 1, and each product M v = v/h +
+E^T A^2 E v (E the zero extension) is one squared correlation
+``apply_squared``, exact on the step grid for the reason above: a third
+evaluation, which never forms A v, so A d for the linear trials costs one
+``apply_corr`` after the CG loop.
 
 An evolution resolves its residual tolerance once (``effective_inner_tol``,
 kept as ``Trajectory.inner_tol``) and carries the operator value and the
@@ -151,7 +155,8 @@ class Trajectory:
     """Per-step scalars plus a recorded subset of states.
 
     ``inner_iters`` and ``applies`` (operator evaluations, Hessian products
-    included) count the work of each step's solve; both are zero at step 0.
+    included; a squared correlation counts as one) count the work of each
+    step's solve; both are zero at step 0.
     ``inner_tol`` is the residual tolerance of every step, resolved once at
     the start of the run.
     """
@@ -255,7 +260,12 @@ class _StepFunctional:
         return np.maximum(mag, floor) ** (self.p - 2.0)
 
     def hessian_product(self, v: np.ndarray, curv: np.ndarray):
-        """Return (H v, A v) for H = I/h + A^T diag(curv) A: two applies."""
+        """Return (H v, A v) for H = I/h + A^T diag(curv) A: two applies.
+        At p = 2, where curv is 1, return (H v, None): A^T A v is one
+        squared correlation (``op.apply_squared``), counted as one apply."""
+        if self.p == 2.0:
+            self.applies += 1
+            return v / self.h + self.op.apply_squared(v), None
         av = self.apply(self.embed(v))
         return v / self.h + self.apply(curv * av)[self.spec.interior_slices], av
 
@@ -394,8 +404,8 @@ def _cg_solve(fn, tol):
     CG stops at the forcing tolerance (none at p = 2), floored at half the
     relative accuracy the step tolerance asks for, or after one iteration
     per unknown.  Every iterate from d = 0 is a descent direction
-    (H >= I/h); A d accumulates from the products, so the trials are linear
-    at no extra apply.
+    (H >= I/h).  A d, for linear trials, accumulates from the products; at
+    p = 2 they do not form A s, and A d costs one apply after the loop.
     """
     g_prev = None  # ||g|| at the previous Newton iteration
 
@@ -410,7 +420,7 @@ def _cg_solve(fn, tol):
         g_prev = g_norm
 
         d = np.zeros_like(g)
-        ad = np.zeros(fn.spec.padded_shape)
+        ad = None if fn.p == 2.0 else np.zeros(fn.spec.padded_shape)
         r = g.copy()
         s = g.copy()
         stop = eta * eta * rr
@@ -418,7 +428,8 @@ def _cg_solve(fn, tol):
             hs, a_s = fn.hessian_product(s, curv)
             alpha = rr / float(np.dot(s.ravel(), hs.ravel()))
             d += alpha * s
-            ad += alpha * a_s
+            if ad is not None:
+                ad += alpha * a_s
             r -= alpha * hs
             rr_new = float(np.dot(r.ravel(), r.ravel()))
             if rr_new <= stop:
@@ -426,6 +437,8 @@ def _cg_solve(fn, tol):
             s *= rr_new / rr
             s += r
             rr = rr_new
+        if ad is None:
+            ad = fn.apply(fn.embed(d))
         return d, ad
 
     return solve

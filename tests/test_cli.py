@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 INT_KEYS = ("dim", "nx", "inner_max_iters", "record_every", "seed")
 FLOAT_KEYS = ("box_lo", "box_hi", "epsilon", "p", "T", "h", "inner_tol", "q",
               "fit_t_lo", "fit_t_hi", "fit_floor_ratio")
+# P2 samples that Python's int() reads but that are not PGM decimal numbers
+NOT_PGM_SAMPLES = {"minus": b"-7", "plus": b"+7", "underscore": b"1_0"}
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -78,19 +80,28 @@ class TestParseConfig:
          ("command = denoise\nepsilon = 4\ninput = {tmp}/p6.pgm", "'input'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm", "'input'"),
          ("inner_tol = inf", "'inner_tol'"), ("q = inf", "'q'"), ("q = nan", "'q'"),
-         ("mode = explicit", "'mode'")],
+         ("mode = explicit", "'mode'"),
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/minus.pgm", "'input'"),
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/plus.pgm", "'input'"),
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/underscore.pgm", "'input'")],
         ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf",
              "inner_max_iters_zero", "record_every_zero", "inner_tol_negative",
              "T_below_h", "seed_negative", "decay_p_below_two",
              "decay_window_few_steps", "decay_run_few_steps",
              "fit_floor_ratio_above_one", "fit_floor_ratio_zero",
              "denoise_p6_image", "denoise_image_below_4x4",
-             "inner_tol_inf", "q_inf", "q_nan", "mode_explicit"],
+             "inner_tol_inf", "q_inf", "q_nan", "mode_explicit",
+             "denoise_p2_negative_sample", "denoise_p2_signed_sample",
+             "denoise_p2_underscore_sample"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
-        # images for the denoise cases: a colour (P6) file and a 3x3 one
+        # images for the denoise cases: a colour (P6) file, a 3x3 one and
+        # 4x4 ASCII (P2) ones, each with one sample that is not PGM
         (tmp_path / "p6.pgm").write_bytes(b"P6\n4 4\n255\n" + bytes(48))
         (tmp_path / "tiny.pgm").write_bytes(b"P5\n3 3\n255\n" + bytes(9))
+        for name, sample in NOT_PGM_SAMPLES.items():
+            (tmp_path / f"{name}.pgm").write_bytes(
+                b"P2\n4 4\n255\n" + sample + b" 10" * 15 + b"\n")
         cfg_path = write_cfg(
             tmp_path,
             f"command = evolve\nu0 = zero\nnx = 16\nh = 0.01\n{line.format(tmp=tmp_path)}\n",
@@ -268,6 +279,26 @@ class TestPgm:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(ValueError, match="magic"):
+            read_pgm_pixels(path)
+
+    @pytest.mark.parametrize("sample", sorted(NOT_PGM_SAMPLES.values()))
+    def test_non_decimal_sample_rejected(self, tmp_path, sample):
+        # int() would read these as -7, 7 and 10
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n" + sample + b" 10 20 30\n")
+        with pytest.raises(ValueError, match="not a decimal number"):
+            read_pgm_pixels(path)
+
+    def test_non_decimal_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2\n+2 2\n255\n1 2 3 4\n")
+        with pytest.raises(ValueError, match="header"):
+            read_pgm_pixels(path)
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n1 2 3 256\n")
+        with pytest.raises(ValueError, match="maxval"):
             read_pgm_pixels(path)
 
     def test_maxval_out_of_range(self, tmp_path):

@@ -222,6 +222,51 @@ class TestStepGrid:
         assert np.max(np.abs(step.apply_corr(narrow) - exact)) <= 1e-13 * np.abs(exact).max()
 
 
+class TestSquaredCorrelation:
+    """``apply_squared``, one correlation with t * t, against the exact
+    difference loop ``apply`` composed twice and read on the interior, on
+    the step grid (``as_operator``) of the stencils its CG products run on.
+    The interior indicator is the worst case for wrap-around."""
+
+    @pytest.fixture(scope="class", params=[24, 50, 204, 44, 508], ids="K{}".format)
+    def op(self, request):
+        dim, box, nx, eps = SHIPPED_STENCILS[request.param]
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, box, nx, kern, eps)
+        op = as_operator(discretize(kern, eps, spec), spec)
+        assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
+        return op
+
+    @staticmethod
+    def check(op, v):
+        full = zero_extend(v, op.spec).values
+        exact = op.apply(op.apply(full))[op.spec.interior_slices]
+        assert np.max(np.abs(op.apply_squared(v) - exact)) <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("values", ["random", "indicator"])
+    def test_matches_loop_twice(self, op, rng, values):
+        shape = op.spec.nx
+        self.check(op, rng.standard_normal(shape) if values == "random" else np.ones(shape))
+
+    def test_results_do_not_alias(self, op, rng):
+        first = op.apply_squared(rng.standard_normal(op.spec.nx))
+        kept = first.copy()
+        second = op.apply_squared(rng.standard_normal(op.spec.nx))
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("dim,nx", [(1, 8), (2, 4)], ids=["1d_nx8", "2d_nx4"])
+    def test_reach_beyond_half_the_interior(self, dim, nx, rng):
+        # t * t reaches 2 r > nx cells: its taps share slots of the 2D FFT
+        # grid, and no shared slot reaches an interior output
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, 0.9)
+        op = as_operator(discretize(kern, 0.9, spec), spec)
+        assert 2 * op.reach > nx
+        self.check(op, rng.standard_normal(op.spec.nx))
+        self.check(op, np.ones(op.spec.nx))
+
+
 class TestCorrWeightSum:
     """The in-bounds weight sum S(x) = sum_(d != 0, x + d in the grid) w_d
     that ``apply_corr`` subtracts, against that sum formed here offset by

@@ -125,13 +125,15 @@ class TestStepGradient:
 
 
 class _CountingOperator(NonlocalOperator):
-    """Counts its own evaluations (``calls``, loop and correlation;
-    ``corr_calls``, correlation only) and its direct solves."""
+    """Counts its own evaluations (``calls``, loop, correlation and squared
+    correlation; ``corr_calls`` and ``squared_calls``, one kind only) and
+    its direct solves."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.calls = 0
         self.corr_calls = 0
+        self.squared_calls = 0
         self.solves = 0
 
     def apply(self, values):
@@ -142,6 +144,11 @@ class _CountingOperator(NonlocalOperator):
         self.calls += 1
         self.corr_calls += 1
         return super().apply_corr(values)
+
+    def apply_squared(self, interior):
+        self.calls += 1
+        self.squared_calls += 1
+        return super().apply_squared(interior)
 
     def normal_solve(self, *args):
         self.solves += 1
@@ -218,12 +225,14 @@ class TestImplicitStep:
             implicit_step(u, op, c)
         assert info.value.residual > 0
 
-    @pytest.mark.parametrize("p", [1.5, 3.0], ids=["irls", "newton_cg"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0], ids=["irls", "newton_cg_p2", "newton_cg"])
     def test_applies_count_every_evaluation(self, domain16, stencil16, rng, p):
         op = _CountingOperator(stencil16, domain16)
         res = _minimize_step(op, rng.standard_normal(16), p, 1e-3, 1e-8, 30000)
         assert res.iters > 0
         assert res.applies == op.calls
+        # at p = 2 each CG product is one squared correlation
+        assert (op.squared_calls > 0) == (p == 2.0)
         u0 = zero_extend(rng.standard_normal(16), domain16)
         op.calls = 0
         traj = evolve(u0, op, cfg(p=p, h=1e-3, T=5e-3, inner_max_iters=30000))
@@ -318,9 +327,12 @@ class TestNewtonStep:
         am = dense_operator_matrix(op) @ extension_matrix(spec)
         dense = np.eye(spec.n_interior) / h + am.T @ (curv.ravel()[:, None] * am)
         expected = dense @ v.ravel()
-        assert fn.applies == 2
         assert np.max(np.abs(hv.ravel() - expected)) <= 1e-12 * np.abs(expected).max()
-        assert np.max(np.abs(av.ravel() - am @ v.ravel())) <= 1e-12 * np.abs(av).max()
+        if p == 2.0:  # one squared correlation, which does not form A v
+            assert fn.applies == 1 and av is None
+        else:
+            assert fn.applies == 2
+            assert np.max(np.abs(av.ravel() - am @ v.ravel())) <= 1e-12 * np.abs(av).max()
 
     def test_cg_step_matches_dense_newton(self, tent1d):
         # The certified Newton-CG step against an independent minimizer of
@@ -411,18 +423,21 @@ class TestEvolve:
         lhs = np.sum(traj.increments_sq[1:]) / c.h + traj.energies[-1]
         assert lhs <= traj.energies[0] * (1 + 1e-6)
 
-    def test_p2_oracle_trajectory(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
-        st_ = discretize(tent1d, 0.25, spec)
-        mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
+    @pytest.mark.parametrize("dim,nx", [(1, 16), (2, 12)], ids=["1d_nx16", "2d_nx12"])
+    def test_p2_oracle_trajectory(self, dim, nx, rng):
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, 0.25)
+        st_ = discretize(kern, 0.25, spec)
+        mat = dense_nonlocal_matrix(kern, 0.25, spec)
         h = 1e-3
-        u0_int = rng.standard_normal(16)
+        u0_int = rng.standard_normal(spec.n_interior)
         m = 50
         oracle = implicit_p2_trajectory(mat, spec, u0_int, h, m)
-        traj = evolve(zero_extend(u0_int, spec), st_, cfg(h=h, T=m * h, record_every=1))
+        u0 = zero_extend(u0_int.reshape(spec.nx), spec)
+        traj = evolve(u0, st_, cfg(h=h, T=m * h, record_every=1))
         worst = 0.0
         for state, ref in zip(traj.states, oracle):
-            err = np.sqrt(spec.cell_volume * np.sum((state.interior_values - ref) ** 2))
+            err = np.sqrt(spec.cell_volume * np.sum((state.interior_values.ravel() - ref) ** 2))
             worst = max(worst, err)
         assert worst <= 1e-6
 
