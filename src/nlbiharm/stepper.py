@@ -25,8 +25,10 @@ states are zero-extended onto the caller's grid.
 
 One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
 backtracks t from 1 until E(x - t d) <= E(x) - c1 t slope, so the functional
-never increases.  The direction is always d = M^-1 g for the step model
-M = I/h + A^T diag(c) A at the iterate; only the weights c depend on p:
+never increases.  Every trial evaluates A(x - t d) afresh, so the accepted
+iterate's residual is its certificate.  The direction is always d = M^-1 g
+for the step model M = I/h + A^T diag(c) A at the iterate; only the weights
+c depend on p:
 
 * for p >= 2 they are the flux curvature (p-1)|A x|^(p-2), so M is the step
   Hessian and d the damped Newton direction;
@@ -53,8 +55,7 @@ solve to the residual floor lands on the minimizer, and the step certifies
 after one Newton iteration.  There c = 1, and each product M v = v/h +
 E^T A^2 E v (E the zero extension) is one squared correlation
 ``apply_squared``, exact on the step grid for the reason above: a third
-evaluation, which never forms A v, so A d for the linear trials costs one
-``apply_corr`` after the CG loop.
+evaluation, which never forms A v.
 
 An evolution resolves its residual tolerance once (``effective_inner_tol``,
 kept as ``Trajectory.inner_tol``) and carries the operator value and the
@@ -259,15 +260,15 @@ class _StepFunctional:
         floor = 1e-12 * max(float(mag.max()), 1e-300)
         return np.maximum(mag, floor) ** (self.p - 2.0)
 
-    def hessian_product(self, v: np.ndarray, curv: np.ndarray):
-        """Return (H v, A v) for H = I/h + A^T diag(curv) A: two applies.
-        At p = 2, where curv is 1, return (H v, None): A^T A v is one
-        squared correlation (``op.apply_squared``), counted as one apply."""
+    def hessian_product(self, v: np.ndarray, curv: np.ndarray) -> np.ndarray:
+        """H v for H = I/h + A^T diag(curv) A: two applies.  At p = 2, where
+        curv is 1, A^T A v is one squared correlation (``op.apply_squared``),
+        counted as one apply."""
         if self.p == 2.0:
             self.applies += 1
-            return v / self.h + self.op.apply_squared(v), None
+            return v / self.h + self.op.apply_squared(v)
         av = self.apply(self.embed(v))
-        return v / self.h + self.apply(curv * av)[self.spec.interior_slices], av
+        return v / self.h + self.apply(curv * av)[self.spec.interior_slices]
 
     def l2(self, x: np.ndarray) -> float:
         return math.sqrt(self.vol * float(np.dot(x.ravel(), x.ravel())))
@@ -324,7 +325,7 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
         fn = _StepFunctional(op, u_prev_int, p, h)
 
         def solve(curv, g):
-            return op.normal_solve(curv, 1.0 / h, g), None
+            return op.normal_solve(curv, 1.0 / h, g)
     else:
         fn = _StepFunctional(op, u_prev_int, p, h, op.apply_corr)
         solve = _cg_solve(fn, tol)
@@ -339,38 +340,23 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
         e, _ = fn.energy(x, a)
     g = fn.gradient(x, flux)
     res = fn.l2(g)
-    fresh = True
     iters = 0
-    while res > tol or not fresh:
-        if res <= tol:  # met on the carried A x: recheck on a fresh one
-            e, a = fn.energy(x)
-            flux = fn.flux_term(a)
-            g = fn.gradient(x, flux)
-            res = fn.l2(g)
-            fresh = True
-            continue
+    while res > tol:
         if iters >= max_iters:
             raise InnerSolveFailed(
                 f"residual {res:.3e} above tolerance {tol:.3e} "
                 f"after {max_iters} inner iterations",
                 residual=res,
             )
-        d, ad = solve(fn.curvature(a), g)
+        d = solve(fn.curvature(a), g)
         slope = fn.vol * float(np.dot(g.ravel(), d.ravel()))
         # the allowance absorbs floating-point cancellation in E when the
         # true decrease per step drops below the resolution of the energy
         roundoff = 10.0 * np.finfo(float).eps * abs(e)
-        # Linear trials when the solve supplies ad = A d: A(x - t d) =
-        # A x - t A d costs no apply per backtrack, and the trial energies
-        # differ only through x and t.  Re-evaluating A at each trial instead
-        # adds the evaluation's rounding to every comparison; the global FFT
-        # rounding is several times the roundoff allowance at small eps.
-        # The carried A x drifts by rounding, so it is evaluated afresh
-        # before a residual is certified.
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             x_new = x - t * d
-            e_new, a_new = fn.energy(x_new, None if ad is None else a - t * ad)
+            e_new, a_new = fn.energy(x_new)
             if e_new <= e - ARMIJO_C1 * t * slope + roundoff:
                 break
             t *= BACKTRACK_FACTOR
@@ -387,7 +373,6 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
                 residual=res,
             )
         x, e, a = x_new, e_new, a_new
-        fresh = ad is None
         flux = fn.flux_term(a)
         g = fn.gradient(x, flux)
         res = fn.l2(g)
@@ -404,8 +389,7 @@ def _cg_solve(fn, tol):
     CG stops at the forcing tolerance (none at p = 2), floored at half the
     relative accuracy the step tolerance asks for, or after one iteration
     per unknown.  Every iterate from d = 0 is a descent direction
-    (H >= I/h).  A d, for linear trials, accumulates from the products; at
-    p = 2 they do not form A s, and A d costs one apply after the loop.
+    (H >= I/h).
     """
     g_prev = None  # ||g|| at the previous Newton iteration
 
@@ -420,16 +404,13 @@ def _cg_solve(fn, tol):
         g_prev = g_norm
 
         d = np.zeros_like(g)
-        ad = None if fn.p == 2.0 else np.zeros(fn.spec.padded_shape)
         r = g.copy()
         s = g.copy()
         stop = eta * eta * rr
         for _ in range(g.size):
-            hs, a_s = fn.hessian_product(s, curv)
+            hs = fn.hessian_product(s, curv)
             alpha = rr / float(np.dot(s.ravel(), hs.ravel()))
             d += alpha * s
-            if ad is not None:
-                ad += alpha * a_s
             r -= alpha * hs
             rr_new = float(np.dot(r.ravel(), r.ravel()))
             if rr_new <= stop:
@@ -437,9 +418,7 @@ def _cg_solve(fn, tol):
             s *= rr_new / rr
             s += r
             rr = rr_new
-        if ad is None:
-            ad = fn.apply(fn.embed(d))
-        return d, ad
+        return d
 
     return solve
 

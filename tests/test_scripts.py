@@ -6,21 +6,47 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("name", ["bench_apply", "denoise_demo", "run_all_studies"])
-def test_script_imports(name):
-    # importing runs the script's own imports from the package, not main()
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name", ["bench_apply", "compare_outputs", "denoise_demo", "run_all_studies"]
+)
+def test_script_imports(name):
+    # importing runs the script's own imports from the package, not main()
+    assert callable(load_script(name).main)
+
+
+def test_compare_outputs_names_the_moved_column(tmp_path):
+    compare = load_script("compare_outputs")
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "study").mkdir(parents=True)
+        (root / "image.pgm").write_bytes(b"P5\n1 1\n255\n\x07")
+    (old / "study" / "a.csv").write_text("step,l2_sq,energy\n0,2.0,4.0\n1,1.0,3.0\n")
+    (new / "study" / "a.csv").write_text("step,l2_sq,energy\n0,2.0,4.0\n1,1.0,3.5\n")
+    lines, same = compare.compare_trees(old, old)
+    assert same
+    assert lines == ["study/a.csv: identical", "image.pgm: byte-identical"]
+    lines, same = compare.compare_trees(old, new)
+    assert not same
+    assert lines == [
+        "study/a.csv: differs",
+        "  step: 0.00e+00",
+        "  l2_sq: 0.00e+00",
+        "  energy: 1.25e-01",
+        "image.pgm: byte-identical",
+    ]
 
 
 def test_denoise_demo_manifest_independent_of_outdir(tmp_path, monkeypatch):
     # the demo's config names its image relative to itself, so two runs into
     # different directories hash the same config
-    spec = importlib.util.spec_from_file_location("denoise_demo", SCRIPTS / "denoise_demo.py")
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
+    demo = load_script("denoise_demo")
     manifests = []
     for name in ("a", "nested/b"):
         out = tmp_path / name
