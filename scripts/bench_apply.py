@@ -9,8 +9,10 @@ The first table prints microseconds per call of the difference loop
 ``NonlocalOperator.apply``, of ``apply_corr`` (a direct correlation in 1D,
 a zero-padded FFT in 2D) and of ``apply_squared`` (A^T A on interior
 values, one correlation with the squared taps, as the p = 2 Hessian
-products run it) on one random array at the stencils of the shipped
-studies, with the relative difference of each correlation from the loop.
+products run it) on one random zero-extended state at the stencils of
+the shipped studies, with the relative difference of each correlation from
+the loop; the script stops with exit status 1 before timing a correlation
+that differs by more than MAX_DIFF.
 Rows are keyed by dim, nx (interior cells per axis) and K (nonzero
 stencil offsets).  The padded grids, with ``nodes`` nodes, are
 the runs' own: converge's three scales share the grid padded for its
@@ -56,6 +58,7 @@ from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol
 BATCH_S = 0.05
 REPEATS = 5
 STEP_REPEATS = 20
+MAX_DIFF = 1e-12
 
 # (study, dim, box, nx, eps, eps the grid is padded for)
 CASES = [
@@ -114,17 +117,20 @@ def main() -> int:
         spec = make_domain(dim, box, nx, kern, grid_eps)
         st = discretize(kern, eps, spec)
         op = as_operator(st, spec)
-        values = rng.standard_normal(op.spec.padded_shape)
+        k = sum(bool(np.any(d)) for d in st.offsets)
+        interior = rng.standard_normal(op.spec.nx)
+        values = zero_extend(interior, op.spec).values
         exact = op.apply(values)
         diff = np.abs(op.apply_corr(values) - exact).max() / np.abs(exact).max()
-        interior = rng.standard_normal(op.spec.nx)
-        full = zero_extend(interior, op.spec).values
-        exact_sq = op.apply(op.apply(full))[op.spec.interior_slices]
+        exact_sq = op.apply(exact)[op.spec.interior_slices]
         sq_diff = np.abs(op.apply_squared(interior) - exact_sq).max() / np.abs(exact_sq).max()
+        if max(diff, sq_diff) > MAX_DIFF:
+            print(f"{study} K={k}: correlation differs from the loop "
+                  f"by {diff:.1e} (apply_corr), {sq_diff:.1e} (apply_squared)")
+            return 1
         loop_us = per_call_us(op.apply, values)
         corr_us = per_call_us(op.apply_corr, values)
         sq_us = per_call_us(op.apply_squared, interior)
-        k = sum(bool(np.any(d)) for d in st.offsets)
         nodes = int(np.prod(spec.padded_shape))
         print(f"{study:<11} {dim:>3} {nx:>4} {nodes:>6} {values.size:>6} {k:>4} "
               f"{loop_us:>9.1f} {corr_us:>8.1f} {sq_us:>8.1f} {diff:>9.1e} {sq_diff:>9.1e}")

@@ -108,6 +108,15 @@ def check_resolved(support: float, dx: float) -> None:
         )
 
 
+def check_collar(pad_cells: int, reach: int) -> None:
+    """A collar must cover the stencil's reach (``nlop`` fast paths)."""
+    if pad_cells < reach:
+        raise ValueError(
+            f"collar of {pad_cells} cells is narrower than the stencil's "
+            f"reach of {reach} cells"
+        )
+
+
 def _as_axis_tuple(value, dim, name, cast):
     if np.isscalar(value):
         return tuple(cast(value) for _ in range(dim))

@@ -91,9 +91,9 @@ class Stencil:
     multiplying by that constant instead would leave the midpoint rule's
     moment defect, whose support-edge phase makes it oscillate under
     refinement.  Moment matching removes it and makes the induced operator
-    exact on quadratics.  ``diag``, the weight sum, keeps the zero-offset
-    weight so it tracks the kernel integral for diagnostics; the zero offset
-    contributes nothing to the operator.  ``reach`` is the largest |offset|
+    exact on quadratics.  Only ``diag``, the weight sum, reads the
+    zero-offset weight, so it tracks the kernel integral for diagnostics;
+    the operator's taps drop it.  ``reach`` is the largest |offset|
     along any axis, in cells.
     """
 

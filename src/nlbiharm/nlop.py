@@ -12,22 +12,22 @@ It has two evaluations of the same matrix, and a third of its square:
   at x and subtracted at x + d.  Differences are formed before scaling, so
   constants map to exactly zero, the operator matrix is exactly symmetric,
   and the rounding at a node depends only on its own neighborhood (local).
-* ``apply_corr``, the correlation sum_d w_d v(x + d) - S(x) v(x) of
-  v = u - u.flat[0], with S the in-bounds weight sum, itself the same
-  correlation of the grid's indicator.  In 1D a direct correlation,
-  O(K N), whose outputs are K-term dot products of their neighbours: local
-  rounding.  In 2D a zero-padded FFT, O(N log N), whose rounding is
-  global: about eps_mach times the largest correlation in the whole array,
-  at every node, however small the result there.
+* ``apply_corr``, the correlation sum_d t_d v(x + d) with the taps t of A
+  (w_d off the centre, -sum_(d != 0) w_d at it), v zero beyond the grid.
+  Once the collar covers the reach (``grid.check_collar``, as all three
+  need) it is ``apply`` at every node for v zero on the collar, and for any
+  v at nodes whose neighbourhood lies inside the grid: the step's states,
+  and its reads of A on the interior.  In 1D a direct correlation, O(K N),
+  whose outputs are K-term dot products of their neighbours: local
+  rounding.  In 2D a zero-padded FFT, O(N log N), whose rounding is global:
+  about eps_mach times the largest correlation in the whole array, at every
+  node, however small the result there.
 * ``apply_squared``, A^T A v on the interior for v zero-extended from
-  interior values: one correlation with t * t, where t are the taps of A
-  (w_d off the centre, -sum_(d != 0) w_d at it) and t * t reaches 2 reach.
-  A of a zero-extended v is exactly the infinite-grid correlation with t
-  at every node of a grid whose collar covers the reach, and it vanishes
-  beyond reach of the interior, so A^T A v on the interior is t * t
-  correlated with v.  A direct correlation in 1D; in 2D one zero-padded
-  FFT of n + 2 reach per axis, against the two of n + 3 reach that two
-  ``apply_corr`` calls make on the step grid.
+  interior values: the same correlation with t * t, which reaches 2 reach.
+  A v vanishes beyond reach of the interior, so A^T A v on the interior is
+  t * t correlated with v.  A direct correlation in 1D; in 2D one
+  zero-padded FFT of n + 2 reach per axis, against the two of n + 3 reach
+  that two ``apply_corr`` calls make on the step grid.
 
 ``normal_solve`` solves the step model shift I + A^T diag(c) A over the
 interior values directly: its bands come straight from the stencil taps and
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainSpec, Field, require_zero_extended
+from .grid import DomainSpec, Field, check_collar, require_zero_extended
 from .kernel import Stencil
 
 
@@ -68,6 +68,42 @@ def _slice_pair(shape, offset):
         dst.append(slice(max(-d, 0), n - max(d, 0)))
         src.append(slice(max(d, 0), n + min(d, 0)))
     return tuple(src), tuple(dst)
+
+
+def _correlation(taps: np.ndarray, shape):
+    """The correlation out(x) = sum_d taps[m + d] v(x + d) for values v of
+    ``shape``, zero beyond them, and dense taps of reach m per axis, as a
+    callable that returns a new array."""
+    m = taps.shape[0] // 2
+    if len(shape) == 1:
+        buf = np.zeros(shape[0] + 2 * m)
+        inner = slice(m, m + shape[0])
+
+        def correlate(values):
+            buf[inner] = values
+            return np.correlate(buf, taps, "valid")
+        return correlate
+    # A circular correlation on n + m per axis never wraps onto a value.
+    # Its arrays are reused: they exceed glibc's mmap threshold and would
+    # fault in afresh on every call.  out[i] = sum_d taps[m + d] v[i + d]
+    # puts taps[m + d] at -d (mod the FFT length); taps that share a slot
+    # (2 m >= length) sit where no output reads a value.
+    fft_shape = tuple(_fast_len(n + m) for n in shape)
+    kern = np.zeros(fft_shape)
+    kern[np.ix_(*(np.arange(m, -m - 1, -1) % n for n in fft_shape))] = taps
+    axes = tuple(range(len(shape)))
+    spectrum = np.fft.rfftn(kern)
+    freq = np.empty_like(spectrum)
+    corr = np.empty(fft_shape)
+    inner = tuple(slice(0, n) for n in shape)
+    buf = np.zeros(fft_shape)
+
+    def correlate(values):
+        buf[inner] = values
+        np.fft.rfftn(buf, out=freq)
+        np.multiply(freq, spectrum, out=freq)
+        return np.fft.irfftn(freq, fft_shape, axes, out=corr)[inner].copy()
+    return correlate
 
 
 class NonlocalOperator:
@@ -112,26 +148,18 @@ class NonlocalOperator:
         ]
 
     def apply_corr(self, values: np.ndarray) -> np.ndarray:
-        """``apply`` in correlation form, as a new array (module docstring);
-        shifting by the first value keeps constants exactly zero."""
+        """The correlation with ``_taps()`` on the operator's grid, as a new
+        array: ``apply`` for zero-extended values, and for any values at
+        nodes whose neighbourhood lies inside the grid (module docstring)."""
         if self._corr is None:
-            buf, inner, correlate = self._build_corr(self._taps(), self.spec.padded_shape)
-            # the in-bounds weight sum is the correlation of the grid's indicator
-            buf[inner] = 1.0
-            weight_sum = correlate(buf).copy()
-            buf[inner] = 0.0
-            self._corr = buf, inner, weight_sum, correlate
-        buf, inner, weight_sum, correlate = self._corr
-        v = buf[inner]
-        np.subtract(values, values.flat[0], out=v)
-        return correlate(buf) - weight_sum * v
+            self._corr = _correlation(self._taps(), self.spec.padded_shape)
+        return self._corr(values)
 
     def apply_squared(self, interior: np.ndarray) -> np.ndarray:
         """A(A v) on the interior for v zero-extended from ``interior``, as
         a new array: one correlation with t * t (module docstring)."""
         if self._squared is None:
             taps = self._taps()
-            taps[(self.reach,) * taps.ndim] = -taps.sum()
             # t is even, so t * t is t correlated with itself
             if taps.ndim == 1:
                 squared = np.convolve(taps, taps)
@@ -139,55 +167,21 @@ class NonlocalOperator:
                 size = tuple(2 * n - 1 for n in taps.shape)
                 axes = tuple(range(taps.ndim))
                 squared = np.fft.irfftn(np.fft.rfftn(taps, size, axes) ** 2, size, axes)
-            self._squared = self._build_corr(squared, self.spec.nx)
-        buf, inner, correlate = self._squared
-        buf[inner] = interior
-        return correlate(buf).copy()
+            self._squared = _correlation(squared, self.spec.nx)
+        return self._squared(interior)
 
     def _taps(self) -> np.ndarray:
-        """The weights as dense taps of reach r per axis, t[r + d] = w_d,
-        with 0 at the centre: the zero offset contributes nothing."""
+        """The taps t of A, dense of reach r per axis: t[r + d] = w_d off the
+        centre and -sum_(d != 0) w_d at it; the zero offset's weight drops
+        out.  Every fast path builds on them, so they check the collar."""
+        check_collar(self.spec.pad_cells, self.reach)
         st, r = self.stencil, self.reach
         taps = np.zeros((2 * r + 1,) * st.dim)
         taps[tuple((st.offsets + r).T)] = st.weights
-        taps[(r,) * st.dim] = 0.0
+        centre = (r,) * st.dim
+        taps[centre] = 0.0
+        taps[centre] = -taps.sum()
         return taps
-
-    @staticmethod
-    def _build_corr(taps: np.ndarray, shape):
-        """Zero-padded work buffer for values of ``shape``, the values'
-        slice of it and the correlation sum_d taps[m + d] b[x + d] of the
-        buffer at the values' nodes, for dense taps of reach m per axis."""
-        m = taps.shape[0] // 2
-        if len(shape) == 1:  # on a buffer of n + 2 m
-            inner = (slice(m, m + shape[0]),)
-            buf = np.zeros(shape[0] + 2 * m)
-
-            def correlate(b):
-                return np.correlate(b, taps, "valid")
-        else:
-            # A circular correlation on n + m per axis never wraps onto a
-            # value.  Its arrays are reused: they exceed glibc's mmap
-            # threshold and would fault in afresh on every call.  out[i] =
-            # sum_d taps[m + d] v[i + d] puts taps[m + d] at -d (mod the FFT
-            # length); taps that share a slot (2 m >= length) sit where no
-            # output reads a value.
-            fft_shape = tuple(_fast_len(n + m) for n in shape)
-            kern = np.zeros(fft_shape)
-            kern[np.ix_(*(np.arange(m, -m - 1, -1) % n for n in fft_shape))] = taps
-            axes = tuple(range(len(shape)))
-            spectrum = np.fft.rfftn(kern)
-            freq = np.empty_like(spectrum)
-            corr = np.empty(fft_shape)
-            inner = tuple(slice(0, n) for n in shape)
-            buf = np.zeros(fft_shape)
-
-            def correlate(b):
-                np.fft.rfftn(b, out=freq)
-                np.multiply(freq, spectrum, out=freq)
-                return np.fft.irfftn(freq, fft_shape, axes, out=corr)[inner]
-
-        return buf, inner, correlate
 
     def norm_bound(self) -> float:
         """Gershgorin bound 2 * sum(w_d) on the operator norm."""
@@ -215,9 +209,9 @@ class BandedNormal:
     """M = shift I + A^T diag(c) A over the interior values, as a banded
     matrix, and its block LDL^T (block Thomas) solve.
 
-    A[y, x] = t_(x-y) for an interior node x and any padded node y, with
-    taps t_e = w_e off the centre and t_0 = w_0 - diag (interior nodes never
-    see the outer truncation), so M[i, i + k] = shift [k = 0] +
+    A[y, x] = t_(x-y) for an interior node x and any padded node y, with the
+    nonzero taps t of ``NonlocalOperator._taps`` (interior nodes never see
+    the outer truncation), so M[i, i + k] = shift [k = 0] +
     sum_(e_b - e_a = k) t_a t_b c(i - e_a): one product of the tap-product
     matrix with c gathered at i - e_a per assembly.  Only k with a nonnegative
     flat offset are kept, and only pairs (i, i + k) that are both interior.
@@ -230,14 +224,11 @@ class BandedNormal:
     """
 
     def __init__(self, op: NonlocalOperator):
-        spec, st = op.spec, op.stencil
+        spec = op.spec
         dim, nx, n = spec.dim, spec.nx, spec.n_interior
-        offs, inv = np.unique(
-            np.vstack([np.zeros((1, dim), np.int64), st.offsets]), axis=0,
-            return_inverse=True,
-        )
-        taps = np.zeros(len(offs))
-        np.add.at(taps, inv.ravel(), np.append(-st.diag, st.weights))
+        full = op._taps()
+        offs = np.argwhere(full) - op.reach
+        taps = full[full != 0.0]
         pad_strides = np.cumprod((spec.padded_shape[1:] + (1,))[::-1])[::-1]
         int_strides = np.cumprod((nx[1:] + (1,))[::-1])[::-1]
         coords = np.indices(nx).reshape(dim, n)

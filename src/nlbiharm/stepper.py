@@ -71,7 +71,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import DomainSpec, Field, lp_norm, require_zero_extended, write_csv, zero_extend
+from .grid import (DomainSpec, Field, check_collar, lp_norm, require_zero_extended,
+                   write_csv, zero_extend)
 from .kernel import Stencil
 from .nlop import NonlocalOperator, check_exponent, p_flux_values
 
@@ -190,11 +191,7 @@ def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
     its own grid."""
     if not isinstance(st, (Stencil, NonlocalOperator)):
         raise TypeError(f"expected a Stencil or a NonlocalOperator, got {type(st)!r}")
-    if spec.pad_cells < st.reach:
-        raise ValueError(
-            f"collar of {spec.pad_cells} cells is narrower than the stencil's "
-            f"reach of {st.reach} cells"
-        )
+    check_collar(spec.pad_cells, st.reach)
     if isinstance(st, Stencil):
         return NonlocalOperator(st, replace(spec, pad_cells=st.reach))
     if st.spec != spec:
