@@ -6,13 +6,14 @@ Usage:
     python scripts/bench_apply.py
 
 The first table prints microseconds per call of the difference loop
-``NonlocalOperator.apply``, of ``apply_corr`` (a direct correlation in 1D,
-a zero-padded FFT in 2D) and of ``apply_squared`` (A^T A on interior
-values, one correlation with the squared taps, as the p = 2 Hessian
-products run it) on one random zero-extended state at the stencils of
-the shipped studies, with the relative difference of each correlation from
-the loop; the script stops with exit status 1 before timing a correlation
-that differs by more than MAX_DIFF.
+``NonlocalOperator.apply``, of the two maps of an implicit step,
+``apply_extended`` (A E on interior values) and ``apply_restricted`` (E^T A
+on grid values, read on the interior), direct correlations in 1D and
+zero-padded FFTs in 2D, and of ``apply_squared`` (A^T A on interior values,
+one correlation with the squared taps, as the p = 2 Hessian products run
+it), with the relative difference of each from the loop on random interior
+values and random grid values (``check_case``); the script stops with exit
+status 1 before timing a case where one differs by more than MAX_DIFF.
 Rows are keyed by dim, nx (interior cells per axis) and K (nonzero
 stencil offsets).  The padded grids, with ``nodes`` nodes, are
 the runs' own: converge's three scales share the grid padded for its
@@ -97,7 +98,7 @@ STEP_CASES = [
 
 def per_call_us(fn, values) -> float:
     start = time.perf_counter()
-    fn(values)  # also builds the work arrays of apply_corr
+    fn(values)  # also builds the work arrays of the correlations
     calls = max(1, int(BATCH_S / (time.perf_counter() - start)))
     best = float("inf")
     for _ in range(REPEATS):
@@ -108,32 +109,48 @@ def per_call_us(fn, values) -> float:
     return best * 1e6
 
 
+def check_case(case, rng):
+    """The padded grid and step operator of one row of CASES, random
+    interior and grid values, and the relative difference from the loop of
+    ``apply_extended``, ``apply_restricted`` and ``apply_squared`` on them."""
+    _, dim, box, nx, eps, grid_eps = case
+    kern = get_kernel("tent", dim)
+    spec = make_domain(dim, box, nx, kern, grid_eps)
+    op = as_operator(discretize(kern, eps, spec), spec)
+    interior = rng.standard_normal(op.spec.nx)
+    values = rng.standard_normal(op.spec.padded_shape)
+    extended = op.apply(zero_extend(interior, op.spec).values)
+    restricted = op.apply(values)[op.spec.interior_slices]
+    squared = op.apply(extended)[op.spec.interior_slices]
+    diffs = [np.abs(got - exact).max() / np.abs(exact).max() for got, exact in (
+        (op.apply_extended(interior), extended),
+        (op.apply_restricted(values), restricted),
+        (op.apply_squared(interior), squared),
+    )]
+    return spec, op, interior, values, diffs
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     print(f"{'study':<11} {'dim':>3} {'nx':>4} {'nodes':>6} {'step':>6} {'K':>4} "
-          f"{'apply_us':>9} {'corr_us':>8} {'sq_us':>8} {'corr_diff':>9} {'sq_diff':>9}")
-    for study, dim, box, nx, eps, grid_eps in CASES:
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, box, nx, kern, grid_eps)
-        st = discretize(kern, eps, spec)
-        op = as_operator(st, spec)
-        k = sum(bool(np.any(d)) for d in st.offsets)
-        interior = rng.standard_normal(op.spec.nx)
-        values = zero_extend(interior, op.spec).values
-        exact = op.apply(values)
-        diff = np.abs(op.apply_corr(values) - exact).max() / np.abs(exact).max()
-        exact_sq = op.apply(exact)[op.spec.interior_slices]
-        sq_diff = np.abs(op.apply_squared(interior) - exact_sq).max() / np.abs(exact_sq).max()
-        if max(diff, sq_diff) > MAX_DIFF:
-            print(f"{study} K={k}: correlation differs from the loop "
-                  f"by {diff:.1e} (apply_corr), {sq_diff:.1e} (apply_squared)")
+          f"{'apply_us':>9} {'ext_us':>7} {'res_us':>7} {'sq_us':>7} "
+          f"{'ext_diff':>8} {'res_diff':>8} {'sq_diff':>8}")
+    for case in CASES:
+        spec, op, interior, values, diffs = check_case(case, rng)
+        k = sum(bool(np.any(d)) for d in op.stencil.offsets)
+        if max(diffs) > MAX_DIFF:
+            print(f"{case[0]} K={k}: a correlation differs from the loop by "
+                  "{:.1e} (apply_extended), {:.1e} (apply_restricted), "
+                  "{:.1e} (apply_squared)".format(*diffs))
             return 1
         loop_us = per_call_us(op.apply, values)
-        corr_us = per_call_us(op.apply_corr, values)
+        ext_us = per_call_us(op.apply_extended, interior)
+        res_us = per_call_us(op.apply_restricted, values)
         sq_us = per_call_us(op.apply_squared, interior)
         nodes = int(np.prod(spec.padded_shape))
-        print(f"{study:<11} {dim:>3} {nx:>4} {nodes:>6} {values.size:>6} {k:>4} "
-              f"{loop_us:>9.1f} {corr_us:>8.1f} {sq_us:>8.1f} {diff:>9.1e} {sq_diff:>9.1e}")
+        print(f"{case[0]:<11} {spec.dim:>3} {case[3]:>4} {nodes:>6} {values.size:>6} {k:>4} "
+              f"{loop_us:>9.1f} {ext_us:>7.1f} {res_us:>7.1f} {sq_us:>7.1f} "
+              + " ".join(f"{d:>8.1e}" for d in diffs))
 
     print()
     print(f"{'solve':<11} {'dim':>3} {'n':>5} {'band':>4} {'block':>5} "

@@ -179,6 +179,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             _build(lambda: _grid(cfg, eps, nx), eps_key, nx_key, box_key,
                    eps=eps_key, box=box_key, nx=nx_key)
     _build(lambda: np.random.SeedSequence(cfg.seed), "seed")
+    if cfg.u0 == "zero" and cfg.command in ("decay", "converge"):
+        # a zero start stays zero: no decay to fit, no error to shrink
+        raise ConfigError(f"{cfg.command} needs a nonzero start, got u0 = zero", key="u0")
 
 
 def _write_manifest(cfg_path, outdir: Path, command: str) -> None:

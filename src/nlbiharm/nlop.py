@@ -5,29 +5,32 @@ the padded domain sees a truncated neighborhood, with both the neighbor and
 the center contribution dropped together, matching an integral over the
 padded domain only.
 
-It has two evaluations of the same matrix, and a third of its square:
+It has four evaluations of the same matrix, one of them of its square:
 
 * ``apply``, the difference loop over the K/2 pairs +-d of stencil
   offsets, O(K N): each pair's difference w_d (u(x + d) - u(x)) is added
   at x and subtracted at x + d.  Differences are formed before scaling, so
   constants map to exactly zero, the operator matrix is exactly symmetric,
   and the rounding at a node depends only on its own neighborhood (local).
-* ``apply_corr``, the correlation sum_d t_d v(x + d) with the taps t of A
-  (w_d off the centre, -sum_(d != 0) w_d at it), v zero beyond the grid.
-  Once the collar covers the reach (``grid.check_collar``, as all three
-  need) it is ``apply`` at every node for v zero on the collar, and for any
-  v at nodes whose neighbourhood lies inside the grid: the step's states,
-  and its reads of A on the interior.  In 1D a direct correlation, O(K N),
-  whose outputs are K-term dot products of their neighbours: local
-  rounding.  In 2D a zero-padded FFT, O(N log N), whose rounding is global:
-  about eps_mach times the largest correlation in the whole array, at every
-  node, however small the result there.
-* ``apply_squared``, A^T A v on the interior for v zero-extended from
-  interior values: the same correlation with t * t, which reaches 2 reach.
-  A v vanishes beyond reach of the interior, so A^T A v on the interior is
-  t * t correlated with v.  A direct correlation in 1D; in 2D one
-  zero-padded FFT of n + 2 reach per axis, against the two of n + 3 reach
-  that two ``apply_corr`` calls make on the step grid.
+* ``apply_extended`` and its transpose ``apply_restricted``, the two maps
+  of an implicit step: A E v, the operator on the zero extension E v of
+  interior values v, on the operator's grid, and E^T A y, the operator on
+  any grid values y, read on the interior.  Once the collar covers the
+  reach (``grid.check_collar``, as every fast path needs) both are
+  correlations with the taps t of A (w_d off the centre, -sum_(d != 0) w_d
+  at it), exact for every input, and each computes only the values it
+  returns: the n + 2 reach per axis within reach of the interior, beyond
+  which A E v vanishes, and the n interior ones.  In 1D a direct
+  correlation, O(K N), whose outputs are K-term dot products of their
+  neighbours: local rounding.  In 2D both share one zero-padded FFT of
+  n + 2 reach per axis, O(N log N), with v at offset reach for A E and y at
+  offset 0 for E^T A, so that neither wraps onto a value.  Its rounding is
+  global: about eps_mach times the largest correlation in the whole array,
+  at every node, however small the result there.
+* ``apply_squared``, E^T A A E v on the interior: the same correlation
+  with t * t, which reaches 2 reach, on the n interior values.  A direct
+  correlation in 1D; in 2D one zero-padded FFT of n + 2 reach per axis,
+  against the two that ``apply_extended`` and ``apply_restricted`` make.
 
 ``normal_solve`` solves the step model shift I + A^T diag(c) A over the
 interior values directly: its bands come straight from the stencil taps and
@@ -70,40 +73,34 @@ def _slice_pair(shape, offset):
     return tuple(src), tuple(dst)
 
 
-def _correlation(taps: np.ndarray, shape):
-    """The correlation out(x) = sum_d taps[m + d] v(x + d) for values v of
-    ``shape``, zero beyond them, and dense taps of reach m per axis, as a
-    callable that returns a new array."""
+def _fft_correlations(taps: np.ndarray, fft_shape, placements):
+    """The correlation out(x) = sum_d taps[m + d] v(x + d), dense taps of
+    reach m per axis, as circular correlations on ``fft_shape``: for each
+    (at, read) of ``placements`` a callable that writes its values at
+    ``at`` of an array zero elsewhere and returns the correlation read at
+    ``read``, as a new array.  The callables share the kernel spectrum and
+    the work arrays, which are reused: they exceed glibc's mmap threshold
+    and would fault in afresh on every call.  out[i] = sum_d taps[m + d]
+    v[i + d] puts taps[m + d] at -d (mod the FFT length); taps that share a
+    slot (2 m >= length) must sit where no read sees a value."""
     m = taps.shape[0] // 2
-    if len(shape) == 1:
-        buf = np.zeros(shape[0] + 2 * m)
-        inner = slice(m, m + shape[0])
-
-        def correlate(values):
-            buf[inner] = values
-            return np.correlate(buf, taps, "valid")
-        return correlate
-    # A circular correlation on n + m per axis never wraps onto a value.
-    # Its arrays are reused: they exceed glibc's mmap threshold and would
-    # fault in afresh on every call.  out[i] = sum_d taps[m + d] v[i + d]
-    # puts taps[m + d] at -d (mod the FFT length); taps that share a slot
-    # (2 m >= length) sit where no output reads a value.
-    fft_shape = tuple(_fast_len(n + m) for n in shape)
     kern = np.zeros(fft_shape)
     kern[np.ix_(*(np.arange(m, -m - 1, -1) % n for n in fft_shape))] = taps
-    axes = tuple(range(len(shape)))
+    axes = tuple(range(len(fft_shape)))
     spectrum = np.fft.rfftn(kern)
     freq = np.empty_like(spectrum)
     corr = np.empty(fft_shape)
-    inner = tuple(slice(0, n) for n in shape)
-    buf = np.zeros(fft_shape)
 
-    def correlate(values):
-        buf[inner] = values
-        np.fft.rfftn(buf, out=freq)
-        np.multiply(freq, spectrum, out=freq)
-        return np.fft.irfftn(freq, fft_shape, axes, out=corr)[inner].copy()
-    return correlate
+    def correlation(at, read):
+        buf = np.zeros(fft_shape)
+
+        def correlate(values):
+            buf[at] = values
+            np.fft.rfftn(buf, out=freq)
+            np.multiply(freq, spectrum, out=freq)
+            return np.fft.irfftn(freq, fft_shape, axes, out=corr)[read].copy()
+        return correlate
+    return [correlation(at, read) for at, read in placements]
 
 
 class NonlocalOperator:
@@ -119,7 +116,7 @@ class NonlocalOperator:
         self.stencil = stencil
         self.reach = stencil.reach
         self._terms = None
-        self._corr = None
+        self._maps = None
         self._squared = None
         self._normal = None
 
@@ -147,27 +144,67 @@ class NonlocalOperator:
             if d > origin
         ]
 
-    def apply_corr(self, values: np.ndarray) -> np.ndarray:
-        """The correlation with ``_taps()`` on the operator's grid, as a new
-        array: ``apply`` for zero-extended values, and for any values at
-        nodes whose neighbourhood lies inside the grid (module docstring)."""
-        if self._corr is None:
-            self._corr = _correlation(self._taps(), self.spec.padded_shape)
-        return self._corr(values)
+    def apply_extended(self, interior: np.ndarray) -> np.ndarray:
+        """A E v: the operator on the zero extension of ``interior`` values,
+        on the operator's grid, as a new array (module docstring)."""
+        if self._maps is None:
+            self._maps = self._step_maps()
+        return self._maps[0](interior)
+
+    def apply_restricted(self, values: np.ndarray) -> np.ndarray:
+        """E^T A y: the operator on grid ``values``, read on the interior, as
+        a new array (module docstring)."""
+        if self._maps is None:
+            self._maps = self._step_maps()
+        return self._maps[1](values)
+
+    def _step_maps(self):
+        """A E and E^T A as callables: correlations on the window of nodes
+        within reach of the interior, which is the whole grid unless the
+        collar is wider than the reach."""
+        taps, r, nx = self._taps(), self.reach, self.spec.nx
+        if taps.ndim == 1:
+            extended, restricted = (lambda v: np.correlate(v, taps, "full"),
+                                    lambda y: np.correlate(y, taps, "valid"))
+        else:
+            inner = tuple(slice(r, r + n) for n in nx)
+            whole = tuple(slice(0, n + 2 * r) for n in nx)
+            fft_shape = tuple(_fast_len(n + 2 * r) for n in nx)
+            extended, restricted = _fft_correlations(
+                taps, fft_shape, ((inner, whole), (whole, inner)))
+        cut = self.spec.pad_cells - r
+        if cut == 0:
+            return extended, restricted
+        window = tuple(slice(cut, cut + n + 2 * r) for n in nx)
+        shape = self.spec.padded_shape
+
+        def wide_extended(v):
+            out = np.zeros(shape)
+            out[window] = extended(v)
+            return out
+        return wide_extended, lambda y: restricted(y[window])
 
     def apply_squared(self, interior: np.ndarray) -> np.ndarray:
         """A(A v) on the interior for v zero-extended from ``interior``, as
         a new array: one correlation with t * t (module docstring)."""
         if self._squared is None:
-            taps = self._taps()
+            taps, m, nx = self._taps(), 2 * self.reach, self.spec.nx
             # t is even, so t * t is t correlated with itself
             if taps.ndim == 1:
                 squared = np.convolve(taps, taps)
+                buf = np.zeros(nx[0] + 2 * m)
+
+                def correlate(values):
+                    buf[m:m + nx[0]] = values
+                    return np.correlate(buf, squared, "valid")
+                self._squared = correlate
             else:
                 size = tuple(2 * n - 1 for n in taps.shape)
                 axes = tuple(range(taps.ndim))
                 squared = np.fft.irfftn(np.fft.rfftn(taps, size, axes) ** 2, size, axes)
-            self._squared = _correlation(squared, self.spec.nx)
+                first = tuple(slice(0, n) for n in nx)
+                fft_shape = tuple(_fast_len(n + m) for n in nx)
+                self._squared, = _fft_correlations(squared, fft_shape, ((first, first),))
         return self._squared(interior)
 
     def _taps(self) -> np.ndarray:

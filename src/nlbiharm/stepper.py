@@ -47,13 +47,15 @@ below p = 2, where the weights |A x|^(p-2) amplify rounding at zeros of
 A x, and for nearest-neighbour stencils (``reach == 1``), such as the local
 reference's, whose narrow-banded Hessian conditions like h/dx^4 and leaves
 residuals near the rounding floor.  Every other Hessian is solved matrix
-free by conjugate gradients through the correlation evaluation
-``apply_corr``, each product M v costing two operator applies.  Above
-p = 2 CG is truncated at a tolerance set by Eisenstat-Walker forcing.  At
-p = 2 the step functional is quadratic and M its exact Hessian, so one CG
-solve to the residual floor lands on the minimizer, and the step certifies
-after one Newton iteration.  There c = 1, and each product M v = v/h +
-E^T A^2 E v (E the zero extension) is one squared correlation
+free by conjugate gradients, evaluating through the two correlations of
+the step: A E (E the zero extension of interior values) for energies and
+trials, ``apply_extended``, and its transpose E^T A for the flux term,
+``apply_restricted``; each product M v = v/h + E^T A (c A E v) costs two
+operator applies.  Above p = 2 CG is truncated at a tolerance set by
+Eisenstat-Walker forcing.  At p = 2 the step functional is quadratic and M
+its exact Hessian, so one CG solve to the residual floor lands on the
+minimizer, and the step certifies after one Newton iteration.  There
+c = 1, and each product M v = v/h + E^T A^2 E v is one squared correlation
 ``apply_squared``, exact on the step grid for the reason above: a third
 evaluation, which never forms A v.
 
@@ -199,40 +201,54 @@ def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
     return st
 
 
+def _loop_maps(op):
+    """A E and E^T A (``_StepFunctional``) through the exact difference
+    loop ``op.apply``."""
+    full = np.zeros(op.spec.padded_shape)  # zero beyond the interior
+    interior = op.spec.interior_slices
+
+    def extended(x):
+        full[interior] = x
+        return op.apply(full)
+
+    def restricted(values):
+        return op.apply(values)[interior]
+    return extended, restricted
+
+
 class _StepFunctional:
     """Energy/gradient/Hessian of the per-step functional over interior
     values, on the operator's grid.
 
-    Operator evaluations go through ``apply``, which counts them in
-    ``applies``; ``evaluate`` defaults to the exact difference loop
-    ``op.apply``.
+    Operator evaluations go through the two maps of the step, each counted
+    in ``applies``: ``extended``, A E x on the operator's grid for interior
+    values x, and its transpose ``restricted``, E^T A y on the interior for
+    grid values y.  ``maps`` is that pair of callables and defaults to the
+    exact difference loop ``op.apply`` (``_loop_maps``).
     """
 
-    def __init__(self, op, u_prev: np.ndarray, p: float, h: float, evaluate=None):
+    def __init__(self, op, u_prev: np.ndarray, p: float, h: float, maps=None):
         self.op = op
-        self._evaluate = op.apply if evaluate is None else evaluate
+        self._extended, self._restricted = _loop_maps(op) if maps is None else maps
         self.applies = 0
-        self.spec = op.spec
         self.u_prev = u_prev
         self.p = p
         self.h = h
         self.vol = op.spec.cell_volume
-        self._full = np.zeros(op.spec.padded_shape)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
+    def extended(self, x: np.ndarray) -> np.ndarray:
         self.applies += 1
-        return self._evaluate(values)
+        return self._extended(x)
 
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        self._full[:] = 0.0
-        self._full[self.spec.interior_slices] = x
-        return self._full
+    def restricted(self, values: np.ndarray) -> np.ndarray:
+        self.applies += 1
+        return self._restricted(values)
 
     def energy(self, x: np.ndarray, a: np.ndarray | None = None):
         """Return (E(x), A x) so the operator value can be reused; a known
         ``a = A x`` skips the apply."""
         if a is None:
-            a = self.apply(self.embed(x))
+            a = self.extended(x)
         quad = (0.5 / self.h) * np.dot(x.ravel(), x.ravel())
         cross = (1.0 / self.h) * np.dot(self.u_prev.ravel(), x.ravel())
         return float(self.vol * (quad - cross) + self.p_energy(a)), a
@@ -242,7 +258,7 @@ class _StepFunctional:
 
     def flux_term(self, a: np.ndarray) -> np.ndarray:
         """Interior part of A flux(a), the p-term of the gradient at A x = a."""
-        return self.apply(p_flux_values(a, self.p))[self.spec.interior_slices]
+        return self.restricted(p_flux_values(a, self.p))
 
     def gradient(self, x: np.ndarray, flux: np.ndarray) -> np.ndarray:
         return (x - self.u_prev) / self.h + flux
@@ -264,8 +280,7 @@ class _StepFunctional:
         if self.p == 2.0:
             self.applies += 1
             return v / self.h + self.op.apply_squared(v)
-        av = self.apply(self.embed(v))
-        return v / self.h + self.apply(curv * av)[self.spec.interior_slices]
+        return v / self.h + self.restricted(curv * self.extended(v))
 
     def l2(self, x: np.ndarray) -> float:
         return math.sqrt(self.vol * float(np.dot(x.ravel(), x.ravel())))
@@ -324,7 +339,7 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
         def solve(curv, g):
             return op.normal_solve(curv, 1.0 / h, g)
     else:
-        fn = _StepFunctional(op, u_prev_int, p, h, op.apply_corr)
+        fn = _StepFunctional(op, u_prev_int, p, h, (op.apply_extended, op.apply_restricted))
         solve = _cg_solve(fn, tol)
     label = "reweighted" if p < 2.0 else "Newton"
 
@@ -437,7 +452,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
 
     fn = _StepFunctional(op, u0.interior_values, cfg.p, cfg.h)
     x = u0.interior_values.copy()
-    a0 = op.apply(fn.embed(x))
+    a0 = fn.extended(x)  # the loop apply, before any step's evaluation
 
     l2_sq = np.zeros(m + 1)
     energies = np.zeros(m + 1)

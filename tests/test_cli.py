@@ -83,7 +83,9 @@ class TestParseConfig:
          ("mode = explicit", "'mode'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/minus.pgm", "'input'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/plus.pgm", "'input'"),
-         ("command = denoise\nepsilon = 4\ninput = {tmp}/underscore.pgm", "'input'")],
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/underscore.pgm", "'input'"),
+         ("command = decay", "'u0'"),
+         ("command = converge\nepsilon_list = 0.4,0.2\nT = 0.02", "'u0'")],
         ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf",
              "inner_max_iters_zero", "record_every_zero", "inner_tol_negative",
              "T_below_h", "seed_negative", "decay_p_below_two",
@@ -92,7 +94,7 @@ class TestParseConfig:
              "denoise_p6_image", "denoise_image_below_4x4",
              "inner_tol_inf", "q_inf", "q_nan", "mode_explicit",
              "denoise_p2_negative_sample", "denoise_p2_signed_sample",
-             "denoise_p2_underscore_sample"],
+             "denoise_p2_underscore_sample", "decay_zero_start", "converge_zero_start"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
         # images for the denoise cases: a colour (P6) file, a 3x3 one and
@@ -216,6 +218,26 @@ class TestRun:
         lines = (out / "study.csv").read_text().splitlines()
         assert lines[0] == "epsilon,error,pair_order"
         assert "PASS consistency.order_at_least_linear" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "dim,nx,code,line",
+        [(1, 64, 0, "PASS"), (2, 32, 1, "FAIL")],
+        ids=["1d_rounding_floor", "2d_half_strength"],
+    )
+    def test_consistency_quadratic(self, tmp_path, capsys, dim, nx, code, line):
+        # In 1D both errors (about 3.0e-13) sit at the rounding floor of the
+        # operator and the fd4 target, so their fitted order is noise.  In
+        # 2D the operator has half the strength of the Laplacian (ROADMAP
+        # item 1): an error of 2.0 at every eps, which must fail.
+        cfg_path = write_cfg(
+            tmp_path,
+            f"command = consistency\ndim = {dim}\nnx = {nx}\nphi = quadratic\n"
+            "epsilon_list = 0.2,0.1\n",
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == code
+        assert f"{line} consistency.order_at_least_linear" in capsys.readouterr().out
 
 
 class TestPgm:

@@ -63,12 +63,15 @@ class TestNonlocalLaplacian:
         spec = make_domain(1, (0.0, 1.0), 32, tent1d, 0.25)
         st_ = discretize(tent1d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
-        # apply_corr serves zero-extended input; the loop any input
+        # the loop and E^T A take any input; A E takes interior values
+        op = NonlocalOperator(st_, spec)
         v = rng.standard_normal(spec.padded_shape)
-        u = zero_extend(rng.standard_normal(spec.nx), spec).values
+        u_int = rng.standard_normal(spec.nx)
+        u = zero_extend(u_int, spec).values
         for ours, theirs in (
             (nonlocal_laplacian(Field(spec, v), st_).values, mat @ v),
-            (NonlocalOperator(st_, spec).apply_corr(u), mat @ u),
+            (op.apply_extended(u_int), mat @ u),
+            (op.apply_restricted(v), (mat @ v)[spec.interior_slices]),
         ):
             assert np.max(np.abs(ours - theirs)) <= 1e-13 * max(1.0, np.abs(theirs).max())
 
@@ -76,11 +79,15 @@ class TestNonlocalLaplacian:
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
         st_ = discretize(tent2d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent2d, 0.25, spec)
+        op = NonlocalOperator(st_, spec)
         v = rng.standard_normal(spec.padded_shape)
-        u = zero_extend(rng.standard_normal(spec.nx), spec).values
+        u_int = rng.standard_normal(spec.nx)
+        u = zero_extend(u_int, spec).values
+        interior = spec.interior_mask().ravel()
         for ours, theirs in (
             (nonlocal_laplacian(Field(spec, v), st_).values, mat @ v.ravel()),
-            (NonlocalOperator(st_, spec).apply_corr(u), mat @ u.ravel()),
+            (op.apply_extended(u_int), mat @ u.ravel()),
+            (op.apply_restricted(v), (mat @ v.ravel())[interior]),
         ):
             err = np.max(np.abs(ours.ravel() - theirs))
             assert err <= 1e-13 * max(1.0, np.abs(theirs).max())
@@ -89,8 +96,10 @@ class TestNonlocalLaplacian:
         op = NonlocalOperator(stencil16, domain16)
         mat = dense_operator_matrix(op)
         v = rng.standard_normal(domain16.padded_shape)
-        u = zero_extend(rng.standard_normal(domain16.nx), domain16).values
-        for ours, ref in ((op.apply(v), mat @ v), (op.apply_corr(u), mat @ u)):
+        u_int = rng.standard_normal(domain16.nx)
+        u = zero_extend(u_int, domain16).values
+        for ours, ref in ((op.apply(v), mat @ v), (op.apply_extended(u_int), mat @ u),
+                          (op.apply_restricted(v), (mat @ v)[domain16.interior_slices])):
             assert np.max(np.abs(ref - ours)) <= 1e-13 * np.abs(ref).max()
 
     def test_dx_mismatch_rejected(self, tent1d, stencil64):
@@ -122,8 +131,10 @@ SHIPPED_STENCILS = {
 
 
 class TestFftEvaluation:
-    """``apply_corr`` (a direct correlation in 1D, an FFT in 2D) against the
-    exact difference loop ``apply``, on zero-extended input."""
+    """The step maps ``apply_extended`` (A E) and ``apply_restricted``
+    (E^T A), direct correlations in 1D and FFTs in 2D, against the exact
+    difference loop ``apply`` on the whole padded grid, whose collar is
+    wider than the reach."""
 
     @pytest.fixture(scope="class", params=sorted(SHIPPED_STENCILS), ids="K{}".format)
     def op(self, request):
@@ -135,24 +146,29 @@ class TestFftEvaluation:
         return op
 
     def test_matches_loop(self, op, rng):
-        v = zero_extend(rng.standard_normal(op.spec.nx), op.spec).values
-        exact = op.apply(v)
-        assert np.max(np.abs(op.apply_corr(v) - exact)) <= 1e-13 * np.abs(exact).max()
+        v = rng.standard_normal(op.spec.nx)
+        exact = op.apply(zero_extend(v, op.spec).values)
+        assert np.max(np.abs(op.apply_extended(v) - exact)) <= 1e-13 * np.abs(exact).max()
+        y = rng.standard_normal(op.spec.padded_shape)
+        exact = op.apply(y)[op.spec.interior_slices]
+        assert np.max(np.abs(op.apply_restricted(y) - exact)) <= 1e-13 * np.abs(exact).max()
 
     def test_self_adjoint(self, op, rng):
-        f = rng.standard_normal(op.spec.padded_shape)
-        g = rng.standard_normal(op.spec.padded_shape)
-        lhs = float(np.vdot(op.apply_corr(f), g))
-        rhs = float(np.vdot(f, op.apply_corr(g)))
+        # <A E v, y> = <v, E^T A y>
+        v = rng.standard_normal(op.spec.nx)
+        y = rng.standard_normal(op.spec.padded_shape)
+        lhs = float(np.vdot(op.apply_extended(v), y))
+        rhs = float(np.vdot(v, op.apply_restricted(y)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_results_do_not_alias(self, op, rng):
-        f = rng.standard_normal(op.spec.padded_shape)
-        first = op.apply_corr(f)
-        kept = first.copy()
-        second = op.apply_corr(rng.standard_normal(op.spec.padded_shape))
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, kept)
+        for apply, shape in ((op.apply_extended, op.spec.nx),
+                             (op.apply_restricted, op.spec.padded_shape)):
+            first = apply(rng.standard_normal(shape))
+            kept = first.copy()
+            second = apply(rng.standard_normal(shape))
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, kept)
 
     def test_collar_narrower_than_reach_rejected(self):
         # a one-cell collar: every fast path would truncate the operator at
@@ -165,7 +181,8 @@ class TestFftEvaluation:
             assert st_.reach > 1
             shape = spec.padded_shape
             for call in (
-                lambda op: op.apply_corr(np.zeros(shape)),
+                lambda op: op.apply_extended(np.zeros(spec.nx)),
+                lambda op: op.apply_restricted(np.zeros(shape)),
                 lambda op: op.apply_squared(np.zeros(spec.nx)),
                 lambda op: op.normal_solve(np.ones(shape), 1.0, np.zeros(spec.nx)),
             ):
@@ -222,7 +239,8 @@ class TestStepGrid:
         full, step, window = ops
         wide, narrow = self.values(ops, rng)
         exact = full.apply(wide)[window]
-        assert np.max(np.abs(step.apply_corr(narrow) - exact)) <= 1e-13 * np.abs(exact).max()
+        got = step.apply_extended(narrow[step.spec.interior_slices])
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.abs(exact).max()
 
     def test_corr_matches_loop_on_interior_for_any_values(self, ops, rng):
         # the flux term and the p > 2 Hessian products correlate values that
@@ -231,8 +249,61 @@ class TestStepGrid:
         v = rng.standard_normal(step.spec.padded_shape)
         interior = step.spec.interior_slices
         exact = step.apply(v)[interior]
-        got = step.apply_corr(v)[interior]
+        got = step.apply_restricted(v)
         assert np.max(np.abs(got - exact)) <= 1e-13 * np.abs(exact).max()
+
+
+# Step grids (``as_operator``) of the step maps, (dim, box, nx, eps): the
+# stencils that run them, and interiors narrower than 2 reach, where a
+# too-short FFT would wrap.  The fixture adds an operator that keeps a
+# collar wider than its reach, as the stepper's test doubles do.
+STEP_MAP_GRIDS = {
+    **{f"K{k}": SHIPPED_STENCILS[k] for k in (24, 50, 204, 44, 508)},
+    "1d_nx8": (1, [(0.0, 1.0)], 8, 0.9),
+    "2d_nx4": (2, [(0.0, 1.0)] * 2, 4, 0.9),
+}
+
+
+class TestStepMaps:
+    """``apply_extended`` (A E) and ``apply_restricted`` (E^T A) against the
+    exact difference loop ``apply``, and against each other."""
+
+    @pytest.fixture(scope="class", params=[*STEP_MAP_GRIDS, "wide_collar"])
+    def op(self, request):
+        if request.param == "wide_collar":
+            kern = get_kernel("tent", 1)
+            spec = make_domain(1, (0.0, 1.0), 16, kern, 0.25)
+            op = NonlocalOperator(discretize(kern, 0.25, spec), spec)
+            assert spec.pad_cells > op.reach
+            return op
+        dim, box, nx, eps = STEP_MAP_GRIDS[request.param]
+        kern = get_kernel("tent", dim)
+        spec = make_domain(dim, box, nx, kern, eps)
+        op = as_operator(discretize(kern, eps, spec), spec)
+        assert op.spec.pad_cells == op.reach
+        assert request.param.startswith("K") or 2 * op.reach > nx
+        return op
+
+    def test_extended_is_loop_of_zero_extension(self, op, rng):
+        v = rng.standard_normal(op.spec.nx)
+        exact = op.apply(zero_extend(v, op.spec).values)
+        got = op.apply_extended(v)
+        assert got.shape == op.spec.padded_shape
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.abs(exact).max()
+
+    def test_restricted_is_loop_on_interior(self, op, rng):
+        y = rng.standard_normal(op.spec.padded_shape)
+        exact = op.apply(y)[op.spec.interior_slices]
+        got = op.apply_restricted(y)
+        assert got.shape == op.spec.nx
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.abs(exact).max()
+
+    def test_adjoint_pair(self, op, rng):
+        v = rng.standard_normal(op.spec.nx)
+        y = rng.standard_normal(op.spec.padded_shape)
+        lhs = float(np.vdot(op.apply_extended(v), y))
+        rhs = float(np.vdot(v, op.apply_restricted(y)))
+        assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
 
 
 class TestSquaredCorrelation:
@@ -278,10 +349,13 @@ class TestSquaredCorrelation:
         assert 2 * op.reach > nx
         self.check(op, rng.standard_normal(op.spec.nx))
         self.check(op, np.ones(op.spec.nx))
-        # apply_corr on the same grid, whose collar equals the reach
-        v = zero_extend(rng.standard_normal(op.spec.nx), op.spec).values
-        exact = op.apply(v)
-        assert np.max(np.abs(op.apply_corr(v) - exact)) <= 1e-13 * np.abs(exact).max()
+        # A E and E^T A on the same grid, whose collar equals the reach
+        v = rng.standard_normal(op.spec.nx)
+        exact = op.apply(zero_extend(v, op.spec).values)
+        assert np.max(np.abs(op.apply_extended(v) - exact)) <= 1e-13 * np.abs(exact).max()
+        y = rng.standard_normal(op.spec.padded_shape)
+        exact = op.apply(y)[op.spec.interior_slices]
+        assert np.max(np.abs(op.apply_restricted(y) - exact)) <= 1e-13 * np.abs(exact).max()
 
 
 # name: (dim, box, nx, stencil eps or None for the local stencil, grid eps,

@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -19,6 +20,15 @@ def load_script(name):
 def test_script_imports(name):
     # importing runs the script's own imports from the package, not main()
     assert callable(load_script(name).main)
+
+
+def test_bench_apply_correlations_match_the_loop():
+    # the exit-1 gate of bench_apply.py on every case, without its timings
+    bench = load_script("bench_apply")
+    rng = np.random.default_rng(0)
+    for case in bench.CASES:
+        diffs = bench.check_case(case, rng)[-1]
+        assert max(diffs) <= bench.MAX_DIFF, (case, diffs)
 
 
 def test_compare_outputs_names_the_moved_column(tmp_path):

@@ -125,9 +125,10 @@ class TestStepGradient:
 
 
 class _CountingOperator(NonlocalOperator):
-    """Counts its own evaluations (``calls``, loop, correlation and squared
-    correlation; ``corr_calls`` and ``squared_calls``, one kind only) and
-    its direct solves; ``order`` names each evaluation's method in turn."""
+    """Counts its own evaluations (``calls``, loop, both correlation maps
+    and squared correlation; ``corr_calls``, the two maps, and
+    ``squared_calls``) and its direct solves; ``order`` names each
+    evaluation's method in turn."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -142,11 +143,17 @@ class _CountingOperator(NonlocalOperator):
         self.order.append("apply")
         return super().apply(values)
 
-    def apply_corr(self, values):
+    def apply_extended(self, interior):
         self.calls += 1
         self.corr_calls += 1
-        self.order.append("apply_corr")
-        return super().apply_corr(values)
+        self.order.append("apply_extended")
+        return super().apply_extended(interior)
+
+    def apply_restricted(self, values):
+        self.calls += 1
+        self.corr_calls += 1
+        self.order.append("apply_restricted")
+        return super().apply_restricted(values)
 
     def apply_squared(self, interior):
         self.calls += 1
@@ -322,7 +329,8 @@ class TestNewtonStep:
         # h at the scale of 1/A^2, so I/h does not swamp the operator term
         h = 1.0 / op.norm_bound() ** 2
         shape = spec.nx
-        fn = _StepFunctional(op, np.zeros(shape), p, h, op.apply_corr)
+        fn = _StepFunctional(op, np.zeros(shape), p, h,
+                             (op.apply_extended, op.apply_restricted))
         x = rng.standard_normal(shape)
         curv = fn.curvature(op.apply(zero_extend(x, spec).values))
         v = rng.standard_normal(shape)
@@ -486,7 +494,7 @@ class TestEvolve:
         op = _CountingOperator(stencil16, domain16)
         evolve(zero_extend(rng.standard_normal(16), domain16), op, cfg(p=p, h=1e-3, T=2e-3))
         assert op.order[0] == "apply"
-        assert "apply_squared" in op.order or "apply_corr" in op.order
+        assert "apply_squared" in op.order or "apply_extended" in op.order
 
     def test_step_error_carries_index(self, domain16, stencil16, rng):
         u0 = zero_extend(10 * rng.standard_normal(16), domain16)
