@@ -130,6 +130,26 @@ def check_case(case, rng):
     return spec, op, interior, values, diffs
 
 
+def step_case(case):
+    """The padded grid and step operator of one row of STEP_CASES, the
+    step's residual tolerance, and a function that runs the row's implicit
+    step once from its start and returns the result."""
+    _, dim, nx, eps, grid_eps, p, h, start = case
+    kern = get_kernel("tent", dim)
+    spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, grid_eps)
+    st = local_stencil(spec) if eps is None else discretize(kern, eps, spec)
+    op = as_operator(st, spec)
+    u0 = default_bump(spec)
+    if start == "gaussian":
+        x = spec.node_coords()[0][spec.interior_slices]
+        u0 = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
+    elif start == "random":  # evolve_2d's u0 = random, seed = 404
+        u0 = zero_extend(np.random.default_rng(404).standard_normal(spec.nx), spec)
+    tol = effective_inner_tol(op, lp_norm(u0, 2, "omega"))
+    max_iters = StepperConfig(p=p, h=h, T=h).inner_max_iters
+    return spec, op, tol, lambda: _minimize_step(op, u0.interior_values, p, h, tol, max_iters)
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     print(f"{'study':<11} {'dim':>3} {'nx':>4} {'nodes':>6} {'step':>6} {'K':>4} "
@@ -176,25 +196,15 @@ def main() -> int:
     print()
     print(f"{'step':<13} {'p':>3} {'dim':>3} {'n':>5} {'K':>4} "
           f"{'iters':>6} {'applies':>7} {'ms':>8} {'min_ms':>8} {'max_ms':>8}")
-    for solver, dim, nx, eps, grid_eps, p, h, start in STEP_CASES:
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, grid_eps)
-        st = local_stencil(spec) if eps is None else discretize(kern, eps, spec)
-        op = as_operator(st, spec)
-        u0 = default_bump(spec)
-        if start == "gaussian":
-            x = spec.node_coords()[0][spec.interior_slices]
-            u0 = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
-        elif start == "random":  # evolve_2d's u0 = random, seed = 404
-            u0 = zero_extend(np.random.default_rng(404).standard_normal(spec.nx), spec)
-        cfg = StepperConfig(p=p, h=h, T=h)
-        tol = effective_inner_tol(op, cfg, lp_norm(u0, 2, "omega"))
+    for case in STEP_CASES:
+        spec, op, _, step = step_case(case)
         runs = []
         for _ in range(STEP_REPEATS):
             begin = time.perf_counter()
-            res = _minimize_step(op, u0.interior_values, p, h, tol, cfg.inner_max_iters)
+            res = step()
             runs.append(1e3 * (time.perf_counter() - begin))
         k = sum(bool(np.any(d)) for d in op.stencil.offsets)
+        solver, p = case[0], case[5]
         print(f"{solver:<13} {p:>3g} {spec.dim:>3} {spec.n_interior:>5} {k:>4} "
               f"{res.iters:>6} {res.applies:>7} {np.median(runs):>8.1f} "
               f"{min(runs):>8.1f} {max(runs):>8.1f}")

@@ -9,7 +9,7 @@ report worst-case slacks of the energy inequalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -342,15 +342,14 @@ def nonlocal_to_local_study(
     runs and the clamped local reference, per eps.
 
     All runs share the initial state's grid (padded for the largest eps) and
-    the same time step; recording is forced to every step so the supremum is
-    taken over matching times.  Every eps is discretized before any run, so
-    a grid that cannot hold some scale fails before the evolutions.
+    the same time step, so the supremum is taken over matching times.  Every
+    eps is discretized before any run, so a grid that cannot hold some scale
+    fails before the evolutions.
     """
     _check_decreasing(eps_list, "eps_list")
     _require_monotone(kernel)
     spec = u0.spec
     stencils = [discretize(kernel, eps, spec) for eps in eps_list]
-    cfg = replace(cfg, record_every=1)
     local = local_evolve(u0, cfg)
     errors = [max(_distances(evolve(u0, st, cfg), local, cfg.p)) for st in stencils]
 
@@ -379,7 +378,6 @@ def contraction_study(
     runs' step tolerances."""
     if u0_a.spec != u0_b.spec:
         raise ValueError("initial states live on different domain specs")
-    cfg = replace(cfg, record_every=1)
     traj_a = evolve(u0_a, st, cfg)
     traj_b = evolve(u0_b, st, cfg)
     slack = 10.0 * max(traj_a.inner_tol, traj_b.inner_tol)

@@ -61,9 +61,7 @@ class ExperimentConfig:
     p: float = 2.0
     T: float = 1.0
     h: float | None = None
-    inner_tol: float | None = None
     inner_max_iters: int = 5000
-    record_every: int = 1
     seed: int = 0
     u0: str = "bump"
     q: float = 2.0
@@ -149,14 +147,14 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not 1 <= cfg.q < math.inf:
         raise ConfigError(f"q must be finite and >= 1, got {cfg.q}", key="q")
     sweep = cfg.command in ("consistency", "converge")
-    if sweep and not cfg.epsilon_list:
-        raise ConfigError(f"{cfg.command} needs epsilon_list", key="epsilon_list")
+    if sweep and len(cfg.epsilon_list) < 2:
+        # one scale has no pair to compare: no order, no decrease to test
+        raise ConfigError(f"{cfg.command} needs two or more scales", key="epsilon_list")
     _build(lambda: _check_decreasing(cfg.epsilon_list, "epsilon_list"), "epsilon_list")
     if cfg.command == "denoise" and not cfg.input:
         raise ConfigError("denoise needs an input PGM path", key="input")
 
-    scfg = _build(cfg.stepper_config, "p", "T", "h", "inner_tol",
-                  "inner_max_iters", "record_every")
+    scfg = _build(cfg.stepper_config, "p", "T", "h", "inner_max_iters")
     if cfg.command == "decay":
         win = "fit_t_lo" if cfg.fit_t_lo is not None else (
             "fit_t_hi" if cfg.fit_t_hi is not None else "T")

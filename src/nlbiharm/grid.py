@@ -100,11 +100,11 @@ def check_eps(eps) -> None:
         raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
-def check_resolved(support: float, dx: float) -> None:
-    """A kernel support radius must span at least two grid cells."""
-    if support < 2.0 * dx:
+def check_resolved(eps: float, dx: float) -> None:
+    """The rescaled support radius eps must span at least two grid cells."""
+    if eps < 2.0 * dx:
         raise ValueError(
-            f"kernel support under-resolved: eps*R_J = {support:g} < 2*dx = {2 * dx:g}"
+            f"kernel support under-resolved: eps = {eps:g} < 2*dx = {2 * dx:g}"
         )
 
 
@@ -130,8 +130,9 @@ def make_domain(dim, box, nx, kernel, eps) -> DomainSpec:
     """Build the padded grid sized for a rescaled kernel of scale eps.
 
     ``box`` is (lo, hi) in 1D or ((lo, hi), (lo, hi)) in 2D; ``nx`` may be a
-    scalar or per-axis.  The padding is exactly twice the rescaled support
-    radius, rounded up to whole cells.
+    scalar or per-axis.  The padding is twice the rescaled support radius
+    eps (every kernel is supported on the unit ball), rounded up to whole
+    cells; ``kernel`` is not read.
     """
     check_dim(dim)
     check_eps(eps)
@@ -151,15 +152,14 @@ def make_domain(dim, box, nx, kernel, eps) -> DomainSpec:
     if any(abs(d - dx) > 1e-12 * dx for d in dxs):
         raise ValueError(f"grid spacing must match across axes, got {dxs}")
 
-    support = eps * kernel.support_radius
-    check_resolved(support, dx)
+    check_resolved(eps, dx)
     return DomainSpec(
         dim=dim,
         omega_lo=lo,
         omega_hi=hi,
         nx=nx_t,
         dx=dx,
-        pad_cells=math.ceil(2.0 * support / dx - 1e-12),
+        pad_cells=math.ceil(2.0 * eps / dx - 1e-12),
     )
 
 

@@ -1,7 +1,7 @@
 """Radial kernels and the stencils that discretize them at scale eps.
 
-A kernel is a nonnegative, continuous, nonincreasing radial profile with
-compact support.  The paper's rescaled kernel
+A kernel is a nonnegative, continuous, nonincreasing radial profile
+supported on the unit ball.  The paper's rescaled kernel
 J_eps(x) = C_J eps^-(N+2) J(|x|/eps) concentrates it at scale eps, with C_J
 setting the half second moment to one, so the induced nonlocal Laplacian is
 consistent with the classical Laplacian as eps shrinks.  The stencil carries
@@ -22,16 +22,15 @@ from .grid import DomainSpec, check_dim, check_eps, check_resolved, write_csv
 
 @dataclass(frozen=True)
 class Kernel:
-    """Radial profile r -> J(r) with support [0, support_radius)."""
+    """Radial profile r -> J(r) with support [0, 1): the unit ball."""
 
     name: str
     profile: Callable[[np.ndarray], np.ndarray]
     dim: int
-    support_radius: float = 1.0
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        inside = r < self.support_radius
+        inside = r < 1.0
         out = np.zeros_like(r)
         if np.any(inside):
             out[inside] = self.profile(r[inside])
@@ -63,7 +62,7 @@ def get_kernel(name: str, dim: int) -> Kernel:
 def kernel_is_nonincreasing(kernel: Kernel) -> bool:
     """Sampled monotonicity check (4096 samples) used by the rescaling-limit
     studies."""
-    r = np.linspace(0.0, kernel.support_radius, 4096)
+    r = np.linspace(0.0, 1.0, 4096)
     j = kernel(r)
     if np.any(j < -1e-14):
         return False
@@ -136,12 +135,11 @@ def discretize(kernel: Kernel, eps: float, spec: DomainSpec) -> Stencil:
         raise ValueError(f"kernel dim {kernel.dim} does not match domain dim {spec.dim}")
     check_eps(eps)
     dx = spec.dx
-    support = eps * kernel.support_radius
-    check_resolved(support, dx)
-    if spec.pad_cells * dx < 2.0 * support - 1e-12 * support:
+    check_resolved(eps, dx)
+    if spec.pad_cells * dx < 2.0 * eps - 1e-12 * eps:
         raise ValueError(f"domain padding {spec.pad_cells * dx:g} below "
-                         f"containment minimum {2 * support:g}")
-    reach = support / dx
+                         f"containment minimum {2 * eps:g}")
+    reach = eps / dx
     dmax = int(np.ceil(reach - 1e-12)) - 1
     axes = [np.arange(-dmax, dmax + 1)] * spec.dim
     offsets = np.column_stack([d.ravel() for d in np.meshgrid(*axes, indexing="ij")])

@@ -80,9 +80,6 @@ def weak_residual(traj: Trajectory, phi) -> float:
     """
     if not traj.states:
         raise ValueError("trajectory has no recorded states")
-    steps = list(traj.state_steps)
-    if steps != list(range(len(traj.times))):
-        raise ValueError("weak_residual needs record_every = 1 trajectories")
     spec = traj.states[0].spec
     op = LocalOperator(spec)
     h = traj.h

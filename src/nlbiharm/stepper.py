@@ -59,10 +59,11 @@ c = 1, and each product M v = v/h + E^T A^2 E v is one squared correlation
 ``apply_squared``, exact on the step grid for the reason above: a third
 evaluation, which never forms A v.
 
-An evolution resolves its residual tolerance once (``effective_inner_tol``,
-kept as ``Trajectory.inner_tol``) and carries the operator value and the
-flux term of each step's certified state into the next step, which starts
-from that state.  ``implicit_step`` is a one-step evolution.
+An evolution resolves its residual tolerance once, from its initial state
+(``effective_inner_tol``, kept as ``Trajectory.inner_tol``), records the
+state of every step, and carries the operator value and the flux term of
+each step's certified state into the next step, which starts from that
+state.  ``implicit_step`` is a one-step evolution.
 """
 
 from __future__ import annotations
@@ -107,16 +108,15 @@ class InnerSolveFailed(RuntimeError):
 class StepperConfig:
     """Time-stepping parameters.
 
-    ``inner_tol = None`` resolves to 1e-8 * max(1, ||u0||_2) at the start of
-    a run, which keeps dissipation-slack checks scale invariant.
+    Every step certifies to one residual tolerance, which
+    ``effective_inner_tol`` resolves from the initial state at the start of
+    a run; the trajectory records every state.
     """
 
     p: float
     h: float
     T: float
-    inner_tol: float | None = None
     inner_max_iters: int = 5000
-    record_every: int = 1
 
     def __post_init__(self):
         check_exponent(self.p)
@@ -128,20 +128,18 @@ class StepperConfig:
             raise ValueError(
                 f"final time T = {self.T} must be at least one step h = {self.h}"
             )
-        if self.inner_tol is not None and not 0 < self.inner_tol < math.inf:
-            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
         if self.inner_max_iters < 1:
             raise ValueError(f"inner_max_iters must be >= 1, got {self.inner_max_iters}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     def step_times(self) -> np.ndarray:
         """Times of step 0 to ceil(T/h), the times a trajectory records."""
         return np.arange(math.ceil(self.T / self.h - 1e-12) + 1) * self.h
 
 
-def effective_inner_tol(op: NonlocalOperator, cfg: StepperConfig, u0_l2: float) -> float:
-    """Requested tolerance, floored at the evaluation noise of the gradient.
+def effective_inner_tol(op: NonlocalOperator, u0_l2: float) -> float:
+    """Residual tolerance of every step of a run from a state of L^2 norm
+    ``u0_l2``: 1e-8 * max(1, u0_l2), which keeps dissipation-slack checks
+    scale invariant, floored at the evaluation noise of the gradient.
 
     One gradient evaluation composes the operator twice, so its floating
     point noise scales like eps_mach * bound**2 * scale where ``bound`` is
@@ -149,14 +147,13 @@ def effective_inner_tol(op: NonlocalOperator, cfg: StepperConfig, u0_l2: float) 
     double precision (the clamped Laplacian at fine grids hits this).  The
     floor is recorded per step through the trajectory residual column.
     """
-    tol = 1e-8 * max(1.0, u0_l2) if cfg.inner_tol is None else cfg.inner_tol
-    floor = np.finfo(float).eps * op.norm_bound() ** 2 * max(1.0, u0_l2)
-    return max(tol, floor)
+    scale = max(1.0, u0_l2)
+    return max(1e-8 * scale, np.finfo(float).eps * op.norm_bound() ** 2 * scale)
 
 
 @dataclass
 class Trajectory:
-    """Per-step scalars plus a recorded subset of states.
+    """Per-step scalars and the state of every step.
 
     ``inner_iters`` and ``applies`` (operator evaluations, Hessian products
     included; a squared correlation counts as one) count the work of each
@@ -172,14 +169,10 @@ class Trajectory:
     inner_iters: np.ndarray
     applies: np.ndarray
     residuals: np.ndarray
-    state_steps: list[int]
     states: list[Field]
     p: float
     h: float
     inner_tol: float
-
-    def state_times(self) -> np.ndarray:
-        return self.times[self.state_steps]
 
     @property
     def n_steps(self) -> int:
@@ -445,7 +438,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     require_zero_extended(u0, "initial state")
     spec = u0.spec
     op = as_operator(st, spec)
-    tol = effective_inner_tol(op, cfg, lp_norm(u0, 2, "omega"))
+    tol = effective_inner_tol(op, lp_norm(u0, 2, "omega"))
     times = cfg.step_times()
     m = len(times) - 1
     vol = spec.cell_volume
@@ -463,7 +456,6 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
 
     l2_sq[0] = vol * float(np.dot(x.ravel(), x.ravel()))
     energies[0] = fn.p_energy(a0)
-    state_steps = [0]
     states = [zero_extend(x, spec)]
 
     start = None  # step 1 evaluates with its own rule's evaluation
@@ -484,9 +476,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
         increments_sq[j] = vol * float(np.dot(delta.ravel(), delta.ravel()))
         l2_sq[j] = vol * float(np.dot(x_new.ravel(), x_new.ravel()))
         x = x_new
-        if j % cfg.record_every == 0 or j == m:
-            state_steps.append(j)
-            states.append(zero_extend(x, spec))
+        states.append(zero_extend(x, spec))
 
     return Trajectory(
         times=times,
@@ -496,7 +486,6 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
         inner_iters=inner_iters,
         applies=applies,
         residuals=residuals,
-        state_steps=state_steps,
         states=states,
         p=cfg.p,
         h=cfg.h,
@@ -504,12 +493,14 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     )
 
 
-def trajectory_to_csv(traj: Trajectory, path, operator: str = "nonlocal") -> None:
+def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """Write the per-step scalars; the schema's ``operator`` column reads
+    ``nonlocal`` on every row."""
     columns = (traj.times, traj.l2_sq, traj.energies, traj.increments_sq,
                traj.inner_iters, traj.residuals)
     write_csv(
         path,
         ("step", "time", "l2_sq", "energy", "increment_sq", "inner_iters",
          "residual", "operator"),
-        zip(itertools.count(), *columns, itertools.repeat(operator)),
+        zip(itertools.count(), *columns, itertools.repeat("nonlocal")),
     )

@@ -152,7 +152,7 @@ class TestCriterion5OracleTrajectory:
         refs = implicit_p2_trajectory(mat, spec, u0_int, h, m)
         traj = evolve(
             zero_extend(u0_int, spec), st,
-            StepperConfig(p=2.0, h=h, T=m * h, record_every=1),
+            StepperConfig(p=2.0, h=h, T=m * h),
         )
         worst = max(
             np.sqrt(spec.cell_volume * np.sum((s.interior_values - r) ** 2))

@@ -33,7 +33,6 @@ def synthetic_trajectory(times, l2_sq, p=2.0):
         inner_iters=np.zeros(n, dtype=int),
         applies=np.zeros(n, dtype=int),
         residuals=np.zeros(n),
-        state_steps=[0],
         states=[],
         p=p,
         h=float(times[1] - times[0]),

@@ -12,8 +12,8 @@ from nlbiharm import ConfigError, parse_config, write_pgm
 from nlbiharm.cli import ExperimentConfig, main, read_pgm_pixels
 
 ROOT = Path(__file__).resolve().parents[1]
-INT_KEYS = ("dim", "nx", "inner_max_iters", "record_every", "seed")
-FLOAT_KEYS = ("box_lo", "box_hi", "epsilon", "p", "T", "h", "inner_tol", "q",
+INT_KEYS = ("dim", "nx", "inner_max_iters", "seed")
+FLOAT_KEYS = ("box_lo", "box_hi", "epsilon", "p", "T", "h", "q",
               "fit_t_lo", "fit_t_hi", "fit_floor_ratio")
 # P2 samples that Python's int() reads but that are not PGM decimal numbers
 NOT_PGM_SAMPLES = {"minus": b"-7", "plus": b"+7", "underscore": b"1_0"}
@@ -69,8 +69,9 @@ class TestParseConfig:
         "line,key",
         [("epsilon = 0.01", "epsilon"), ("box_lo = 1\nbox_hi = 0", "box"),
          ("p = nan", "p"), ("T = inf", "T"),
-         ("inner_max_iters = 0", "inner_max_iters"), ("record_every = 0", "record_every"),
-         ("inner_tol = -1", "inner_tol"), ("T = 0.001", "'T'"),
+         ("inner_max_iters = 0", "inner_max_iters"),
+         ("record_every = 0", "unknown key 'record_every'"),
+         ("inner_tol = -1", "unknown key 'inner_tol'"), ("T = 0.001", "'T'"),
          ("seed = -1\nu0 = random", "seed"),
          ("command = decay\np = 1.5", "'p'"),
          ("command = decay\nfit_t_lo = 0.99", "'fit_t_lo'"),
@@ -79,22 +80,27 @@ class TestParseConfig:
          ("command = decay\nfit_floor_ratio = 0", "'fit_floor_ratio'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/p6.pgm", "'input'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm", "'input'"),
-         ("inner_tol = inf", "'inner_tol'"), ("q = inf", "'q'"), ("q = nan", "'q'"),
+         ("inner_tol = inf", "unknown key 'inner_tol'"),
+         ("q = inf", "'q'"), ("q = nan", "'q'"),
          ("mode = explicit", "'mode'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/minus.pgm", "'input'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/plus.pgm", "'input'"),
          ("command = denoise\nepsilon = 4\ninput = {tmp}/underscore.pgm", "'input'"),
          ("command = decay", "'u0'"),
-         ("command = converge\nepsilon_list = 0.4,0.2\nT = 0.02", "'u0'")],
+         ("command = converge\nepsilon_list = 0.4,0.2\nT = 0.02", "'u0'"),
+         ("command = converge\nu0 = bump\nnx = 64\nepsilon_list = 0.2\np = 2\n"
+          "T = 0.001\nh = 0.0001", "'epsilon_list'"),
+         ("command = consistency\nnx = 64\nepsilon_list = 0.2", "'epsilon_list'")],
         ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf",
-             "inner_max_iters_zero", "record_every_zero", "inner_tol_negative",
+             "inner_max_iters_zero", "record_every_unknown", "inner_tol_unknown",
              "T_below_h", "seed_negative", "decay_p_below_two",
              "decay_window_few_steps", "decay_run_few_steps",
              "fit_floor_ratio_above_one", "fit_floor_ratio_zero",
              "denoise_p6_image", "denoise_image_below_4x4",
-             "inner_tol_inf", "q_inf", "q_nan", "mode_explicit",
+             "inner_tol_inf_unknown", "q_inf", "q_nan", "mode_explicit",
              "denoise_p2_negative_sample", "denoise_p2_signed_sample",
-             "denoise_p2_underscore_sample", "decay_zero_start", "converge_zero_start"],
+             "denoise_p2_underscore_sample", "decay_zero_start", "converge_zero_start",
+             "converge_one_scale", "consistency_one_scale"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
         # images for the denoise cases: a colour (P6) file, a 3x3 one and

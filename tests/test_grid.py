@@ -38,7 +38,7 @@ class TestMakeDomain:
 
     def test_containment_invariant(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.1)
-        assert spec.pad_cells * spec.dx >= 2 * 0.1 * tent1d.support_radius - 1e-15
+        assert spec.pad_cells * spec.dx >= 2 * 0.1 * 1.0 - 1e-15
 
     def test_cell_centered_nodes(self, domain64):
         x = domain64.axis_coords(0)

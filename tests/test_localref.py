@@ -120,7 +120,7 @@ class TestLocalEvolve:
             refs.append(u.copy())
         traj = local_evolve(
             zero_extend(refs[0], spec),
-            StepperConfig(p=2, h=h, T=m * h, record_every=1),
+            StepperConfig(p=2, h=h, T=m * h),
         )
         worst = max(
             np.sqrt(spec.cell_volume * np.sum((s.interior_values - r) ** 2))
@@ -152,18 +152,10 @@ class TestLocalEvolve:
         assert np.array_equal(step.residuals, full.residuals)
         assert np.array_equal(step.inner_iters, full.inner_iters)
         assert np.array_equal(step.applies, full.applies)
-        assert step.state_steps == full.state_steps
+        assert len(step.states) == len(full.states)
         for a, b in zip(step.states, full.states):
             assert a.spec == spec
             assert np.array_equal(a.values, b.values)
-
-    def test_csv_operator_tag(self, tmp_path, tent1d):
-        from nlbiharm import trajectory_to_csv
-
-        spec = local_domain(tent1d, nx=16)
-        traj = local_evolve(zero_extend(np.zeros(16), spec), StepperConfig(p=2, h=0.01, T=0.03))
-        trajectory_to_csv(traj, tmp_path / "t.csv", operator="local")
-        assert (tmp_path / "t.csv").read_text().splitlines()[1].endswith("local")
 
 
 class TestWeakResidual:
@@ -175,7 +167,7 @@ class TestWeakResidual:
         spec = local_domain(tent1d, nx=16)
         traj = local_evolve(
             zero_extend(np.zeros(16), spec),
-            StepperConfig(p=2, h=1e-3, T=0.01, record_every=1),
+            StepperConfig(p=2, h=1e-3, T=0.01),
         )
         assert weak_residual(traj, self.phi) == 0.0
 
@@ -183,7 +175,7 @@ class TestWeakResidual:
         spec = local_domain(tent1d, nx=16)
         traj = local_evolve(
             zero_extend(rng.standard_normal(16), spec),
-            StepperConfig(p=2, h=1e-3, T=0.01, record_every=1),
+            StepperConfig(p=2, h=1e-3, T=0.01),
         )
         assert weak_residual(traj, lambda x, t: np.zeros_like(x)) == 0.0
 
@@ -193,17 +185,6 @@ class TestWeakResidual:
             spec = local_domain(tent1d, nx=nx)
             x = spec.axis_coords(0)[spec.interior_slices[0]]
             u0 = zero_extend(np.sin(np.pi * x) ** 2, spec)
-            traj = local_evolve(
-                u0, StepperConfig(p=2, h=h, T=0.01, record_every=1)
-            )
+            traj = local_evolve(u0, StepperConfig(p=2, h=h, T=0.01))
             residuals.append(abs(weak_residual(traj, self.phi)))
         assert residuals[1] < 0.6 * residuals[0]
-
-    def test_requires_full_recording(self, tent1d):
-        spec = local_domain(tent1d, nx=16)
-        traj = local_evolve(
-            zero_extend(np.zeros(16), spec),
-            StepperConfig(p=2, h=1e-3, T=0.01, record_every=5),
-        )
-        with pytest.raises(ValueError, match="record_every"):
-            weak_residual(traj, self.phi)

@@ -31,6 +31,15 @@ def test_bench_apply_correlations_match_the_loop():
         assert max(diffs) <= bench.MAX_DIFF, (case, diffs)
 
 
+def test_bench_apply_steps_certify():
+    # every row of bench_apply.py's step table, run once without its timings
+    bench = load_script("bench_apply")
+    for case in bench.STEP_CASES:
+        _, _, tol, step = bench.step_case(case)
+        res = step()
+        assert res.iters > 0 and res.residual <= tol, (case, res.residual, tol)
+
+
 def test_compare_outputs_names_the_moved_column(tmp_path):
     compare = load_script("compare_outputs")
     old, new = tmp_path / "old", tmp_path / "new"

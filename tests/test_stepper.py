@@ -221,7 +221,7 @@ class TestImplicitStep:
         u = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
         c = cfg(p=3.0, h=1e-4, inner_max_iters=50000)
         w = implicit_step(u, st_, c)
-        tol = effective_inner_tol(NonlocalOperator(st_, spec), c, lp_norm(u, 2, "omega"))
+        tol = effective_inner_tol(NonlocalOperator(st_, spec), lp_norm(u, 2, "omega"))
         assert lp_norm(step_gradient(w, u, st_, c), 2, "omega") <= 2.0 * tol
 
     @pytest.mark.parametrize(
@@ -271,7 +271,7 @@ class TestImplicitStep:
             u0 = default_bump(spec)
         c = cfg(p=1.2, h=h, T=steps * h, inner_max_iters=1000)
         traj = evolve(u0, st_, c)
-        tol = effective_inner_tol(NonlocalOperator(st_, spec), c, lp_norm(u0, 2, "omega"))
+        tol = effective_inner_tol(NonlocalOperator(st_, spec), lp_norm(u0, 2, "omega"))
         assert traj.n_steps == steps
         assert np.all(traj.residuals[1:] <= tol)
         assert np.all(traj.inner_iters[1:] > 0)
@@ -352,7 +352,7 @@ class TestNewtonStep:
         x = spec.node_coords()[0][spec.interior_slices]
         u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
         c = cfg(p=3.0, h=1e-4)
-        tol = effective_inner_tol(op, c, lp_norm(zero_extend(u_int, spec), 2, "omega"))
+        tol = effective_inner_tol(op, lp_norm(zero_extend(u_int, spec), 2, "omega"))
         cg = _minimize_step(op, u_int, c.p, c.h, tol, c.inner_max_iters)
         assert cg.iters > 0 and cg.residual <= tol
         assert op.solves == 0 and op.corr_calls > 0
@@ -448,7 +448,8 @@ class TestEvolve:
         m = 50
         oracle = implicit_p2_trajectory(mat, spec, u0_int, h, m)
         u0 = zero_extend(u0_int.reshape(spec.nx), spec)
-        traj = evolve(u0, st_, cfg(h=h, T=m * h, record_every=1))
+        traj = evolve(u0, st_, cfg(h=h, T=m * h))
+        assert len(traj.states) == m + 1  # every state is recorded
         worst = 0.0
         for state, ref in zip(traj.states, oracle):
             err = np.sqrt(spec.cell_volume * np.sum((state.interior_values.ravel() - ref) ** 2))
@@ -457,7 +458,7 @@ class TestEvolve:
 
     def test_contraction_of_nearby_trajectories(self, domain16, stencil16, rng):
         u0 = rng.standard_normal(16)
-        c = cfg(p=2.0, h=1e-3, T=0.03, record_every=1)
+        c = cfg(p=2.0, h=1e-3, T=0.03)
         t1 = evolve(zero_extend(u0, domain16), stencil16, c)
         t2 = evolve(zero_extend(u0 + 0.01 * rng.standard_normal(16), domain16), stencil16, c)
         dists = [
@@ -501,22 +502,13 @@ class TestEvolve:
         with pytest.raises(InnerSolveFailed, match="step 1"):
             evolve(u0, stencil16, cfg(p=3.0, h=1e-3, T=0.01, inner_max_iters=1))
 
-    @pytest.mark.parametrize("inner_tol", [None, 1e-6])
-    def test_inner_tol_is_the_effective_tolerance(self, domain16, stencil16, rng,
-                                                  inner_tol):
+    def test_inner_tol_is_the_effective_tolerance(self, domain16, stencil16, rng):
         u0 = zero_extend(5.0 * rng.standard_normal(16), domain16)
-        c = cfg(p=2.0, h=1e-3, T=3e-3, inner_tol=inner_tol)
+        c = cfg(p=2.0, h=1e-3, T=3e-3)
         traj = evolve(u0, stencil16, c)
         op = NonlocalOperator(stencil16, domain16)
-        assert traj.inner_tol == effective_inner_tol(op, c, lp_norm(u0, 2, "omega"))
+        assert traj.inner_tol == effective_inner_tol(op, lp_norm(u0, 2, "omega"))
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
-
-    def test_recording_schedule(self, domain16, stencil16, rng):
-        u0 = zero_extend(rng.standard_normal(16), domain16)
-        traj = evolve(u0, stencil16, cfg(h=1e-3, T=0.01, record_every=4))
-        assert traj.state_steps == [0, 4, 8, 10]
-        assert len(traj.states) == 4
-        assert list(traj.state_times()) == pytest.approx([0.0, 4e-3, 8e-3, 1e-2])
 
     def test_csv_schema(self, tmp_path, domain16, stencil16, rng):
         u0 = zero_extend(rng.standard_normal(16), domain16)
@@ -567,8 +559,8 @@ class TestStepGrid:
         assert step.inner_tol == full.inner_tol
         tol = step.inner_tol
         assert np.all(step.residuals[1:] <= tol) and np.all(full.residuals[1:] <= tol)
-        assert step.state_steps == full.state_steps
-        for j, a, b in zip(step.state_steps, step.states, full.states):
+        assert len(step.states) == len(full.states)
+        for j, (a, b) in enumerate(zip(step.states, full.states)):
             assert a.spec == spec
             assert lp_norm(zero_extend(a.interior_values - b.interior_values, spec),
                            2, "omega") <= 2 * j * c.h * tol
