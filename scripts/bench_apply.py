@@ -60,6 +60,7 @@ BATCH_S = 0.05
 REPEATS = 5
 STEP_REPEATS = 20
 MAX_DIFF = 1e-12
+TENT = get_kernel("tent")
 
 # (study, dim, box, nx, eps, eps the grid is padded for)
 CASES = [
@@ -114,9 +115,8 @@ def check_case(case, rng):
     interior and grid values, and the relative difference from the loop of
     ``apply_extended``, ``apply_restricted`` and ``apply_squared`` on them."""
     _, dim, box, nx, eps, grid_eps = case
-    kern = get_kernel("tent", dim)
-    spec = make_domain(dim, box, nx, kern, grid_eps)
-    op = as_operator(discretize(kern, eps, spec), spec)
+    spec = make_domain(dim, box, nx, grid_eps)
+    op = as_operator(discretize(TENT, eps, spec), spec)
     interior = rng.standard_normal(op.spec.nx)
     values = rng.standard_normal(op.spec.padded_shape)
     extended = op.apply(zero_extend(interior, op.spec).values)
@@ -135,9 +135,8 @@ def step_case(case):
     step's residual tolerance, and a function that runs the row's implicit
     step once from its start and returns the result."""
     _, dim, nx, eps, grid_eps, p, h, start = case
-    kern = get_kernel("tent", dim)
-    spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, grid_eps)
-    st = local_stencil(spec) if eps is None else discretize(kern, eps, spec)
+    spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, grid_eps)
+    st = local_stencil(spec) if eps is None else discretize(TENT, eps, spec)
     op = as_operator(st, spec)
     u0 = default_bump(spec)
     if start == "gaussian":
@@ -176,9 +175,8 @@ def main() -> int:
     print(f"{'solve':<11} {'dim':>3} {'n':>5} {'band':>4} {'block':>5} "
           f"{'asm_us':>9} {'solve_us':>9} {'back_err':>9}")
     for solve, dim, box, nx, eps, grid_eps in SOLVE_CASES:
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, box, nx, kern, grid_eps)
-        st = local_stencil(spec) if eps is None else discretize(kern, eps, spec)
+        spec = make_domain(dim, box, nx, grid_eps)
+        st = local_stencil(spec) if eps is None else discretize(TENT, eps, spec)
         op = NonlocalOperator(st, spec)
         x = np.zeros(spec.padded_shape)
         x[spec.interior_slices] = rng.standard_normal(spec.nx)

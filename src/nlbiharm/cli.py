@@ -33,7 +33,7 @@ from .analysis import (
     nonlocal_to_local_study,
     poincare_constant,
 )
-from .grid import DomainSpec, Field, make_domain, write_csv, zero_extend
+from .grid import DomainSpec, Field, check_dim, make_domain, write_csv, zero_extend
 from .kernel import discretize, get_kernel
 from .stepper import StepperConfig, evolve, trajectory_to_csv
 
@@ -54,8 +54,6 @@ class ExperimentConfig:
     kernel: str = "tent"
     dim: int = 1
     nx: int = 64
-    box_lo: float = 0.0
-    box_hi: float = 1.0
     epsilon: float = 0.2
     epsilon_list: list[float] = field(default_factory=list)
     p: float = 2.0
@@ -67,7 +65,6 @@ class ExperimentConfig:
     q: float = 2.0
     phi: str = "sin2pi"
     fit_t_lo: float | None = None
-    fit_t_hi: float | None = None
     fit_floor_ratio: float = 1e-18
     input: str = ""
 
@@ -156,15 +153,13 @@ def _validate(cfg: ExperimentConfig) -> None:
 
     scfg = _build(cfg.stepper_config, "p", "T", "h", "inner_max_iters")
     if cfg.command == "decay":
-        win = "fit_t_lo" if cfg.fit_t_lo is not None else (
-            "fit_t_hi" if cfg.fit_t_hi is not None else "T")
-        _build(lambda: decay_window(scfg.step_times(), cfg.p, (cfg.fit_t_lo, cfg.fit_t_hi),
+        win = "fit_t_lo" if cfg.fit_t_lo is not None else "T"
+        _build(lambda: decay_window(scfg.step_times(), cfg.p, (cfg.fit_t_lo, None),
                                     cfg.fit_floor_ratio),
                win, "p", "fit_floor_ratio", "T",
                window=win, floor_ratio="fit_floor_ratio", recorded="T")
-    _build(lambda: get_kernel(cfg.kernel, cfg.dim), "kernel", "dim")
+    _build(lambda: (get_kernel(cfg.kernel), check_dim(cfg.dim)), "kernel", "dim")
     eps_key = "epsilon_list" if sweep else "epsilon"
-    box_key = "box_hi" if math.isfinite(cfg.box_lo) else "box_lo"
     nx_key = "input" if cfg.command == "denoise" else "nx"
     sizes = (cfg.nx, 2 * cfg.nx) if cfg.command == "poincare" else (cfg.nx,)
     if cfg.command == "denoise":
@@ -174,8 +169,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             sizes = []
     for eps in cfg.epsilon_list if sweep else [cfg.epsilon]:
         for nx in sizes:
-            _build(lambda: _grid(cfg, eps, nx), eps_key, nx_key, box_key,
-                   eps=eps_key, box=box_key, nx=nx_key)
+            _build(lambda: _grid(cfg, eps, nx), eps_key, nx_key, eps=eps_key, nx=nx_key)
     _build(lambda: np.random.SeedSequence(cfg.seed), "seed")
     if cfg.u0 == "zero" and cfg.command in ("decay", "converge"):
         # a zero start stays zero: no decay to fit, no error to shrink
@@ -188,22 +182,21 @@ def _write_manifest(cfg_path, outdir: Path, command: str) -> None:
               [(digest, __version__, command)])
 
 
-def _grid(cfg: ExperimentConfig, eps: float, nx=None):
-    """The kernel and the grid of a run at scale eps: the config's box with
-    nx cells per axis (default cfg.nx), or for denoise the pixel grid of
-    nx = (width, height), one unit per pixel."""
+def _grid(cfg: ExperimentConfig, eps: float, nx=None) -> DomainSpec:
+    """The grid of a run at scale eps: the unit box with nx cells per axis
+    (default cfg.nx), or for denoise the pixel grid of nx = (width, height),
+    one unit per pixel."""
     nx = cfg.nx if nx is None else nx
     if cfg.command == "denoise":
         dim, box = 2, [(0.0, float(n)) for n in np.broadcast_to(nx, 2)]
     else:
-        dim, box = cfg.dim, [(cfg.box_lo, cfg.box_hi)] * cfg.dim
-    kern = get_kernel(cfg.kernel, dim)
-    return kern, make_domain(dim, box, nx, kern, eps)
+        dim, box = cfg.dim, [(0.0, 1.0)] * cfg.dim
+    return make_domain(dim, box, nx, eps)
 
 
 def _grid_and_stencil(cfg: ExperimentConfig, nx=None):
-    kern, spec = _grid(cfg, cfg.epsilon, nx)
-    return spec, discretize(kern, cfg.epsilon, spec)
+    spec = _grid(cfg, cfg.epsilon, nx)
+    return spec, discretize(get_kernel(cfg.kernel), cfg.epsilon, spec)
 
 
 def _initial_state(cfg: ExperimentConfig, spec: DomainSpec) -> Field:
@@ -236,8 +229,7 @@ def _run_decay(cfg, outdir) -> bool:
     scfg = cfg.stepper_config()
     traj = evolve(u0, st, scfg)
     trajectory_to_csv(traj, outdir / "trajectory.csv")
-    fit = decay_fit(traj, window=(cfg.fit_t_lo, cfg.fit_t_hi),
-                    floor_ratio=cfg.fit_floor_ratio)
+    fit = decay_fit(traj, window=(cfg.fit_t_lo, None), floor_ratio=cfg.fit_floor_ratio)
     if cfg.p == 2:
         ok = fit.c1 > 0 and fit.r_squared >= 0.99
         rows = [("c1", fit.c1, fit.r_squared)]
@@ -260,15 +252,14 @@ def _run_decay(cfg, outdir) -> bool:
 
 
 def _run_consistency(cfg, outdir) -> bool:
-    kern, spec = _grid(cfg, max(cfg.epsilon_list))
-    span = cfg.box_hi - cfg.box_lo
+    spec = _grid(cfg, max(cfg.epsilon_list))
 
     if cfg.phi == "sin2pi":
 
         def phi(*coords):
             out = np.ones_like(coords[0])
             for c in coords:
-                out = out * np.sin(2 * np.pi * (c - cfg.box_lo) / span)
+                out = out * np.sin(2 * np.pi * c)
             return out
 
     else:
@@ -276,14 +267,15 @@ def _run_consistency(cfg, outdir) -> bool:
         def phi(*coords):
             return sum(c**2 for c in coords)
 
-    report = consistency_study(phi, kern, cfg.epsilon_list, spec, cfg.q)
+    report = consistency_study(phi, get_kernel(cfg.kernel), cfg.epsilon_list, spec, cfg.q)
     return _emit(report, outdir, "study.csv")
 
 
 def _run_converge(cfg, outdir) -> bool:
-    kern, spec = _grid(cfg, max(cfg.epsilon_list))
+    spec = _grid(cfg, max(cfg.epsilon_list))
     u0 = _initial_state(cfg, spec)
-    report = nonlocal_to_local_study(u0, kern, cfg.epsilon_list, cfg.stepper_config())
+    report = nonlocal_to_local_study(u0, get_kernel(cfg.kernel), cfg.epsilon_list,
+                                     cfg.stepper_config())
     return _emit(report, outdir, "study.csv")
 
 

@@ -126,13 +126,13 @@ def _as_axis_tuple(value, dim, name, cast):
     return out
 
 
-def make_domain(dim, box, nx, kernel, eps) -> DomainSpec:
+def make_domain(dim, box, nx, eps) -> DomainSpec:
     """Build the padded grid sized for a rescaled kernel of scale eps.
 
     ``box`` is (lo, hi) in 1D or ((lo, hi), (lo, hi)) in 2D; ``nx`` may be a
     scalar or per-axis.  The padding is twice the rescaled support radius
-    eps (every kernel is supported on the unit ball), rounded up to whole
-    cells; ``kernel`` is not read.
+    eps, rounded up to whole cells: every kernel is supported on the unit
+    ball, so the grid needs no kernel.
     """
     check_dim(dim)
     check_eps(eps)

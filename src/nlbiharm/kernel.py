@@ -1,13 +1,14 @@
 """Radial kernels and the stencils that discretize them at scale eps.
 
 A kernel is a nonnegative, continuous, nonincreasing radial profile
-supported on the unit ball.  The paper's rescaled kernel
-J_eps(x) = C_J eps^-(N+2) J(|x|/eps) concentrates it at scale eps, with C_J
-setting the half second moment to one, so the induced nonlocal Laplacian is
-consistent with the classical Laplacian as eps shrinks.  The stencil carries
-that normalization: ``discretize`` samples J(|d| dx/eps) at the grid offsets
-and divides the samples by their discrete half second moment, which stands
-in for C_J eps^-(N+2) and the cell volume dx^N together.
+supported on the unit ball; it holds no dimension.  The paper's rescaled
+kernel J_eps(x) = C_J eps^-(N+2) J(|x|/eps) concentrates it at scale eps,
+with C_J setting the half second moment to one, so the induced nonlocal
+Laplacian is consistent with the classical Laplacian as eps shrinks.  The
+dimension N enters only through the domain, and so does the stencil:
+``discretize`` samples J(|d| dx/eps) at the grid offsets of the domain's
+dimension and divides the samples by their discrete half second moment,
+which stands in for C_J eps^-(N+2) and the cell volume dx^N together.
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DomainSpec, check_dim, check_eps, check_resolved, write_csv
+from .grid import DomainSpec, check_eps, check_resolved, write_csv
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Radial profile r -> J(r) with support [0, 1): the unit ball."""
+    """Radial profile r -> J(r) with support [0, 1): the unit ball, in any dimension."""
 
     name: str
     profile: Callable[[np.ndarray], np.ndarray]
-    dim: int
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -52,11 +52,11 @@ def _cosine(r):
 _PROFILES = {"tent": _tent, "quartic": _quartic, "cosine": _cosine}
 
 
-def get_kernel(name: str, dim: int) -> Kernel:
+def get_kernel(name: str) -> Kernel:
+    """The kernel named ``tent``, ``quartic`` or ``cosine``."""
     if name not in _PROFILES:
         raise ValueError(f"unknown kernel {name!r}, expected one of {sorted(_PROFILES)}")
-    check_dim(dim)
-    return Kernel(name=name, profile=_PROFILES[name], dim=dim)
+    return Kernel(name=name, profile=_PROFILES[name])
 
 
 def kernel_is_nonincreasing(kernel: Kernel) -> bool:
@@ -131,8 +131,6 @@ class Stencil:
 
 def discretize(kernel: Kernel, eps: float, spec: DomainSpec) -> Stencil:
     """Sample the kernel at scale eps on the grid offsets of ``spec``."""
-    if kernel.dim != spec.dim:
-        raise ValueError(f"kernel dim {kernel.dim} does not match domain dim {spec.dim}")
     check_eps(eps)
     dx = spec.dx
     check_resolved(eps, dx)

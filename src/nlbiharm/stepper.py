@@ -128,6 +128,10 @@ class StepperConfig:
             raise ValueError(
                 f"final time T = {self.T} must be at least one step h = {self.h}"
             )
+        if not math.isfinite(self.T / self.h):
+            raise ValueError(
+                f"final time T = {self.T} over step h = {self.h} is not a finite step count"
+            )
         if self.inner_max_iters < 1:
             raise ValueError(f"inner_max_iters must be >= 1, got {self.inner_max_iters}")
 

@@ -6,17 +6,17 @@ from nlbiharm import discretize, get_kernel, make_domain
 
 @pytest.fixture(scope="session")
 def tent1d():
-    return get_kernel("tent", 1)
+    return get_kernel("tent")
 
 
 @pytest.fixture(scope="session")
 def tent2d():
-    return get_kernel("tent", 2)
+    return get_kernel("tent")
 
 
 @pytest.fixture(scope="session")
-def domain64(tent1d):
-    return make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+def domain64():
+    return make_domain(1, (0.0, 1.0), 64, 0.2)
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +25,8 @@ def stencil64(tent1d, domain64):
 
 
 @pytest.fixture(scope="session")
-def domain16(tent1d):
-    return make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
+def domain16():
+    return make_domain(1, (0.0, 1.0), 16, 0.25)
 
 
 @pytest.fixture(scope="session")

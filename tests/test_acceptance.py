@@ -51,8 +51,8 @@ class TestCriterion1OperatorAlgebra:
             (2, ((0.0, 1.0), (0.0, 1.0)), 32, 0.25),
         ]
         for dim, box, nx, eps in cases:
-            kern = get_kernel("tent", dim)
-            spec = make_domain(dim, box, nx, kern, eps)
+            kern = get_kernel("tent")
+            spec = make_domain(dim, box, nx, eps)
             st = discretize(kern, eps, spec)
             for _ in range(100):
                 from nlbiharm import Field
@@ -70,8 +70,8 @@ class TestCriterion1OperatorAlgebra:
 
         for dim, box, nx, eps in [(1, (0.0, 1.0), 32, 0.25),
                                   (2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)]:
-            kern = get_kernel("tent", dim)
-            spec = make_domain(dim, box, nx, kern, eps)
+            kern = get_kernel("tent")
+            spec = make_domain(dim, box, nx, eps)
             st = discretize(kern, eps, spec)
             mat = dense_nonlocal_matrix(kern, eps, spec)
             from nlbiharm import Field
@@ -144,7 +144,7 @@ class TestCriterion5OracleTrajectory:
     def test_matches_dense_linear_solver(self, tent1d):
         start = time.perf_counter()
         rng = np.random.default_rng(505)
-        spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
+        spec = make_domain(1, (0.0, 1.0), 16, 0.25)
         st = discretize(tent1d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         h, m = 1e-3, 50
@@ -202,7 +202,7 @@ class TestCriterion6DecayRates:
 class TestCriterion7Consistency:
     def test_sine_order_and_quadratic_floor(self, tent1d):
         start = time.perf_counter()
-        spec = make_domain(1, (0.0, 1.0), 512, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 512, 0.2)
         eps_list = [0.2, 0.1, 0.05]
         rep = consistency_study(
             lambda x: np.sin(2 * np.pi * x), tent1d, eps_list, spec, q=2.0
@@ -222,7 +222,7 @@ class TestCriterion8NonlocalToLocal:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_errors_halve_along_eps(self, tent1d, p):
         start = time.perf_counter()
-        spec = make_domain(1, (0.0, 1.0), 256, tent1d, 0.4)
+        spec = make_domain(1, (0.0, 1.0), 256, 0.4)
         u0 = default_bump(spec)
         rep = nonlocal_to_local_study(
             u0, tent1d, [0.4, 0.2, 0.1],
@@ -271,14 +271,14 @@ class TestCriterion9Contraction:
 class TestCriterion10Poincare:
     def test_power_iteration_and_refinement_stability(self, tent1d):
         start = time.perf_counter()
-        spec32 = make_domain(1, (0.0, 1.0), 32, tent1d, 0.2)
+        spec32 = make_domain(1, (0.0, 1.0), 32, 0.2)
         st32 = discretize(tent1d, 0.2, spec32)
         c_iter = poincare_constant(spec32, st32)
         lam = np.linalg.eigvalsh(poincare_dense_matrix(tent1d, 0.2, spec32))[0]
         assert c_iter == pytest.approx(1.0 / lam, rel=1e-6)
         consts = {}
         for nx in (64, 128):
-            spec = make_domain(1, (0.0, 1.0), nx, tent1d, 0.2)
+            spec = make_domain(1, (0.0, 1.0), nx, 0.2)
             st = discretize(tent1d, 0.2, spec)
             consts[nx] = poincare_constant(spec, st)
         assert abs(consts[128] - consts[64]) <= 0.10 * consts[128]

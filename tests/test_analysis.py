@@ -44,7 +44,7 @@ class TestConsistencyStudy:
     def test_quadratic_is_exact_to_quadrature(self, tent1d):
         # the second-moment normalization makes quadratics exact up to the
         # stencil quadrature error, well below 5 dx^2
-        spec = make_domain(1, (0.0, 1.0), 512, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 512, 0.2)
         report = consistency_study(
             lambda x: x**2, tent1d, [0.2, 0.1, 0.05], spec, q=2.0
         )
@@ -52,7 +52,7 @@ class TestConsistencyStudy:
             assert err <= 5.0 * spec.dx**2
 
     def test_sine_order_near_two(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 512, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 512, 0.2)
         report = consistency_study(
             lambda x: np.sin(2 * np.pi * x), tent1d, [0.2, 0.1, 0.05], spec, q=2.0
         )
@@ -63,7 +63,7 @@ class TestConsistencyStudy:
         assert errors[0] > errors[1] > errors[2]
 
     def test_constant_gives_quadrature_zero(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 128, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 128, 0.2)
         report = consistency_study(
             lambda x: np.ones_like(x), tent1d, [0.2, 0.1], spec, q=2.0,
             lap_phi=lambda x: np.zeros_like(x),
@@ -71,18 +71,18 @@ class TestConsistencyStudy:
         assert all(row[1] <= 1e-12 for row in report.rows)
 
     def test_eps_must_decrease(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 128, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 128, 0.2)
         with pytest.raises(ValueError, match="decreasing"):
             consistency_study(lambda x: x, tent1d, [0.1, 0.2], spec, q=2.0)
 
     def test_resolution_guard_propagates(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         with pytest.raises(ValueError, match="under-resolved"):
             consistency_study(lambda x: x, tent1d, [0.2, 0.01], spec, q=2.0)
 
     @pytest.mark.parametrize("q", [np.inf, np.nan])
     def test_q_not_finite_rejected(self, tent1d, q):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         with pytest.raises(ValueError, match="q must be finite"):
             consistency_study(lambda x: x, tent1d, [0.2, 0.1], spec, q=q)
 
@@ -130,7 +130,7 @@ class TestDecayFit:
             decay_fit(synthetic_trajectory(t, np.exp(-t)))
 
     def test_real_p2_run_tail(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         st = discretize(tent1d, 0.2, spec)
         u0 = zero_extend(rng.standard_normal(64), spec)
         traj = evolve(u0, st, StepperConfig(p=2.0, h=5e-3, T=2.0))
@@ -141,20 +141,20 @@ class TestDecayFit:
 
 class TestPoincare:
     def test_matches_dense_eigensolve(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 32, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 32, 0.2)
         st = discretize(tent1d, 0.2, spec)
         c_iter = poincare_constant(spec, st)
         lam = np.linalg.eigvalsh(poincare_dense_matrix(tent1d, 0.2, spec))[0]
         assert c_iter == pytest.approx(1.0 / lam, rel=1e-9)
 
     def test_matches_dense_eigensolve_2d(self, tent2d):
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 10, tent2d, 0.3)
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 10, 0.3)
         c = poincare_constant(spec, discretize(tent2d, 0.3, spec))
         lam = np.linalg.eigvalsh(poincare_dense_matrix(tent2d, 0.3, spec))[0]
         assert c == pytest.approx(1.0 / lam, rel=1e-9)
 
     def test_form_matrix_matches_independent_assembly(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
+        spec = make_domain(1, (0.0, 1.0), 16, 0.25)
         st = discretize(tent1d, 0.25, spec)
         # the matrix of the matrix-free form, column by column
         ours = np.column_stack([poincare_form(spec, st)(e) for e in np.eye(16)])
@@ -164,14 +164,14 @@ class TestPoincare:
     def test_positive_and_stable_under_refinement(self, tent1d):
         consts = {}
         for nx in (32, 64):
-            spec = make_domain(1, (0.0, 1.0), nx, tent1d, 0.2)
+            spec = make_domain(1, (0.0, 1.0), nx, 0.2)
             st = discretize(tent1d, 0.2, spec)
             consts[nx] = poincare_constant(spec, st)
         assert all(c > 0 and np.isfinite(c) for c in consts.values())
         assert abs(consts[64] - consts[32]) <= 0.10 * consts[64]
 
     def test_eigenvalue_minimality_inequality(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 32, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 32, 0.2)
         st = discretize(tent1d, 0.2, spec)
         c = poincare_constant(spec, st)
         mat = poincare_dense_matrix(tent1d, 0.2, spec)
@@ -184,7 +184,7 @@ class TestPoincare:
 
 class TestNonlocalToLocal:
     def test_zero_initial_state_gives_zero_error(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.4)
         u0 = zero_extend(np.zeros(64), spec)
         rep = nonlocal_to_local_study(
             u0, tent1d, [0.4], StepperConfig(p=2.0, h=1e-3, T=0.01)
@@ -192,7 +192,7 @@ class TestNonlocalToLocal:
         assert rep.rows[0][1] == 0.0
 
     def test_padding_must_cover_largest_eps(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         u0 = zero_extend(np.zeros(64), spec)
         with pytest.raises(ValueError, match="containment"):
             nonlocal_to_local_study(
@@ -206,7 +206,7 @@ class TestNonlocalToLocal:
 
         monkeypatch.setattr(analysis, "local_evolve", no_run)
         monkeypatch.setattr(analysis, "evolve", no_run)
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.4)
         with pytest.raises(ValueError, match="under-resolved"):
             nonlocal_to_local_study(
                 default_bump(spec), tent1d, [0.4, 0.02],
@@ -214,7 +214,7 @@ class TestNonlocalToLocal:
             )
 
     def test_errors_decrease_small_case(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 128, tent1d, 0.4)
+        spec = make_domain(1, (0.0, 1.0), 128, 0.4)
         u0 = default_bump(spec)
         rep = nonlocal_to_local_study(
             u0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=2e-4, T=2e-3)

@@ -13,8 +13,7 @@ from nlbiharm.cli import ExperimentConfig, main, read_pgm_pixels
 
 ROOT = Path(__file__).resolve().parents[1]
 INT_KEYS = ("dim", "nx", "inner_max_iters", "seed")
-FLOAT_KEYS = ("box_lo", "box_hi", "epsilon", "p", "T", "h", "q",
-              "fit_t_lo", "fit_t_hi", "fit_floor_ratio")
+FLOAT_KEYS = ("epsilon", "p", "T", "h", "q", "fit_t_lo", "fit_floor_ratio")
 # P2 samples that Python's int() reads but that are not PGM decimal numbers
 NOT_PGM_SAMPLES = {"minus": b"-7", "plus": b"+7", "underscore": b"1_0"}
 
@@ -67,7 +66,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "line,key",
-        [("epsilon = 0.01", "epsilon"), ("box_lo = 1\nbox_hi = 0", "box"),
+        [("epsilon = 0.01", "epsilon"), ("box_lo = 1", "unknown key 'box_lo'"),
          ("p = nan", "p"), ("T = inf", "T"),
          ("inner_max_iters = 0", "inner_max_iters"),
          ("record_every = 0", "unknown key 'record_every'"),
@@ -90,8 +89,12 @@ class TestParseConfig:
          ("command = converge\nepsilon_list = 0.4,0.2\nT = 0.02", "'u0'"),
          ("command = converge\nu0 = bump\nnx = 64\nepsilon_list = 0.2\np = 2\n"
           "T = 0.001\nh = 0.0001", "'epsilon_list'"),
-         ("command = consistency\nnx = 64\nepsilon_list = 0.2", "'epsilon_list'")],
-        ids=["under_resolved_epsilon", "empty_box", "p_nan", "T_inf",
+         ("command = consistency\nnx = 64\nepsilon_list = 0.2", "'epsilon_list'"),
+         ("T = 1e300\nh = 1e-300", "'T'"),
+         ("command = decay\nT = 1e300\nh = 1e-300", "'T'"),
+         ("dim = 3", "'dim'"),
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm\ndim = 3", "'dim'")],
+        ids=["under_resolved_epsilon", "box_lo_unknown", "p_nan", "T_inf",
              "inner_max_iters_zero", "record_every_unknown", "inner_tol_unknown",
              "T_below_h", "seed_negative", "decay_p_below_two",
              "decay_window_few_steps", "decay_run_few_steps",
@@ -100,7 +103,9 @@ class TestParseConfig:
              "inner_tol_inf_unknown", "q_inf", "q_nan", "mode_explicit",
              "denoise_p2_negative_sample", "denoise_p2_signed_sample",
              "denoise_p2_underscore_sample", "decay_zero_start", "converge_zero_start",
-             "converge_one_scale", "consistency_one_scale"],
+             "converge_one_scale", "consistency_one_scale",
+             "step_count_overflow", "decay_step_count_overflow",
+             "dim_three", "denoise_dim_three"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
         # images for the denoise cases: a colour (P6) file, a 3x3 one and
@@ -419,8 +424,8 @@ class TestImport:
             "    implicit_step, make_domain, zero_extend)\n"
             "from nlbiharm.cli import main\n"
             f"assert main(['--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
-            "kern = get_kernel('tent', 1)\n"
-            "spec = make_domain(1, (0.0, 1.0), 32, kern, 0.25)\n"
+            "kern = get_kernel('tent')\n"
+            "spec = make_domain(1, (0.0, 1.0), 32, 0.25)\n"
             "x = spec.node_coords()[0][spec.interior_slices]\n"
             "implicit_step(zero_extend(np.sin(np.pi * x), spec),\n"
             "    discretize(kern, 0.25, spec),\n"

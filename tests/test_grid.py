@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from nlbiharm import (
     Field,
     field_to_csv,
-    get_kernel,
     inner_product,
     lp_norm,
     make_domain,
@@ -17,27 +16,27 @@ from nlbiharm.grid import write_csv
 
 
 class TestMakeDomain:
-    def test_pad_arithmetic_1d(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.1)
+    def test_pad_arithmetic_1d(self):
+        spec = make_domain(1, (0.0, 1.0), 64, 0.1)
         assert spec.dx == 1.0 / 64
         assert spec.pad_cells == 13
         assert spec.padded_shape == (90,)
 
-    def test_pad_arithmetic_2d(self, tent2d):
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 32, tent2d, 0.125)
+    def test_pad_arithmetic_2d(self):
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 32, 0.125)
         assert spec.padded_shape == (48, 48)
         assert spec.cell_volume == pytest.approx((1.0 / 32) ** 2)
 
-    def test_under_resolved_kernel_rejected(self, tent1d):
+    def test_under_resolved_kernel_rejected(self):
         with pytest.raises(ValueError, match="under-resolved"):
-            make_domain(1, (0.0, 1.0), 64, tent1d, 0.01)
+            make_domain(1, (0.0, 1.0), 64, 0.01)
 
-    def test_small_nx_rejected(self, tent1d):
+    def test_small_nx_rejected(self):
         with pytest.raises(ValueError, match="nx"):
-            make_domain(1, (0.0, 1.0), 3, tent1d, 0.5)
+            make_domain(1, (0.0, 1.0), 3, 0.5)
 
-    def test_containment_invariant(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.1)
+    def test_containment_invariant(self):
+        spec = make_domain(1, (0.0, 1.0), 64, 0.1)
         assert spec.pad_cells * spec.dx >= 2 * 0.1 * 1.0 - 1e-15
 
     def test_cell_centered_nodes(self, domain64):
@@ -48,8 +47,8 @@ class TestMakeDomain:
 
 
 class TestZeroExtend:
-    def test_ones_flanked_by_zeros(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 4, tent1d, 0.5)
+    def test_ones_flanked_by_zeros(self):
+        spec = make_domain(1, (0.0, 1.0), 4, 0.5)
         f = zero_extend(np.ones(4), spec)
         assert np.all(f.interior_values == 1.0)
         assert f.exterior_max_abs() == 0.0
@@ -76,8 +75,8 @@ class TestNorms:
         f = zero_extend(np.ones(64), domain64)
         assert lp_norm(f, 2, "omega") == pytest.approx(1.0, abs=1e-12)
 
-    def test_linear_profile_against_analytic_integral(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+    def test_linear_profile_against_analytic_integral(self):
+        spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         x = spec.axis_coords(0)[spec.interior_slices[0]]
         f = zero_extend(x, spec)
         # int_0^1 x^2 dx = 1/3
@@ -98,8 +97,8 @@ class TestNorms:
         with pytest.raises(ValueError, match="q"):
             lp_norm(f, q)
 
-    def test_inner_product_of_one_and_x(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+    def test_inner_product_of_one_and_x(self):
+        spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         x = spec.axis_coords(0)[spec.interior_slices[0]]
         f = zero_extend(np.ones(64), spec)
         g = zero_extend(x, spec)
@@ -110,9 +109,9 @@ class TestNorms:
         g = zero_extend(rng.standard_normal(64), domain64)
         assert inner_product(f, g) == inner_product(g, f)
 
-    def test_spec_mismatch_rejected(self, tent1d):
-        a = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
-        b = make_domain(1, (0.0, 1.0), 64, tent1d, 0.25)
+    def test_spec_mismatch_rejected(self):
+        a = make_domain(1, (0.0, 1.0), 64, 0.2)
+        b = make_domain(1, (0.0, 1.0), 64, 0.25)
         with pytest.raises(ValueError, match="spec"):
             inner_product(zero_extend(np.ones(64), a), zero_extend(np.ones(64), b))
 
@@ -125,8 +124,7 @@ interior_arrays = hnp.arrays(
 @given(u=interior_arrays)
 @settings(max_examples=50, deadline=None)
 def test_norm_consistency_property(u):
-    kern = get_kernel("tent", 1)
-    spec = make_domain(1, (0.0, 1.0), 64, kern, 0.2)
+    spec = make_domain(1, (0.0, 1.0), 64, 0.2)
     f = zero_extend(u, spec)
     ip = inner_product(f, f, "omega_e")
     nrm = lp_norm(f, 2, "omega_e")
@@ -136,8 +134,7 @@ def test_norm_consistency_property(u):
 @given(u=interior_arrays, q=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 @settings(max_examples=50, deadline=None)
 def test_region_additivity_property(u, q):
-    kern = get_kernel("tent", 1)
-    spec = make_domain(1, (0.0, 1.0), 64, kern, 0.2)
+    spec = make_domain(1, (0.0, 1.0), 64, 0.2)
     f = Field(spec, np.roll(zero_extend(u, spec).values, 3))  # exterior nonzero
     whole = lp_norm(f, q, "omega_e") ** q
     parts = lp_norm(f, q, "omega") ** q + lp_norm(f, q, "exterior") ** q
@@ -147,8 +144,7 @@ def test_region_additivity_property(u, q):
 @given(u=interior_arrays)
 @settings(max_examples=30, deadline=None)
 def test_zero_extension_exactness_property(u):
-    kern = get_kernel("tent", 1)
-    spec = make_domain(1, (0.0, 1.0), 64, kern, 0.2)
+    spec = make_domain(1, (0.0, 1.0), 64, 0.2)
     assert zero_extend(u, spec).exterior_max_abs() == 0.0
 
 
@@ -164,8 +160,8 @@ class TestWriteCsv:
 
 
 class TestFieldCsv:
-    def test_header_and_precision(self, tmp_path, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 4, tent1d, 0.5)
+    def test_header_and_precision(self, tmp_path):
+        spec = make_domain(1, (0.0, 1.0), 4, 0.5)
         f = zero_extend([1 / 3, 0.0, 2.0, -1.0], spec)
         path = tmp_path / "field.csv"
         field_to_csv(f, path)
@@ -177,8 +173,8 @@ class TestFieldCsv:
         assert row[2] == "INTERIOR"
         assert lines[1].split(",")[2] == "EXTERIOR"
 
-    def test_2d_header(self, tmp_path, tent2d):
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 4, tent2d, 0.5)
+    def test_2d_header(self, tmp_path):
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 4, 0.5)
         f = zero_extend(np.ones((4, 4)), spec)
         path = tmp_path / "field2.csv"
         field_to_csv(f, path)

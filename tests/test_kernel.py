@@ -18,11 +18,11 @@ from oracles import kernel_mass, kernel_second_moment
 class TestNormalizationConstant:
     def test_unsupported_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
-            get_kernel("tent", 3)
+            make_domain(3, (0.0, 1.0), 16, 0.25)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
-            get_kernel("gaussian", 1)
+            get_kernel("gaussian")
 
 
 class TestRescale:
@@ -45,7 +45,7 @@ class TestRescale:
 
     def test_monotonicity_check(self, tent1d):
         assert kernel_is_nonincreasing(tent1d)
-        bad = get_kernel("tent", 1)
+        bad = get_kernel("tent")
         object.__setattr__(bad, "profile", lambda r: r)
         assert not kernel_is_nonincreasing(bad)
 
@@ -57,7 +57,7 @@ class TestDiscretize:
         assert len(st_.offsets) == 7
 
     def test_offset_count_31(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.25)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.25)
         st_ = discretize(tent1d, 0.25, spec)
         assert len(st_.offsets) == 31
 
@@ -74,12 +74,12 @@ class TestDiscretize:
         eps = 0.2
         for dim, nxs in ((1, (32, 64, 128, 256, 512)), (2, (16, 32, 64))):
             for name in ("tent", "quartic", "cosine"):
-                kern = get_kernel(name, dim)
+                kern = get_kernel(name)
                 c_j = 1.0 / kernel_second_moment(kern.profile, dim)
                 integral = c_j * kernel_mass(kern.profile, dim) / eps**2
                 errs = {}
                 for nx in nxs:
-                    spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, eps)
+                    spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, eps)
                     st_ = discretize(kern, eps, spec)
                     errs[nx] = abs(st_.diag / integral - 1.0)
                     assert errs[nx] <= 0.5 / nx, (name, dim, nx)
@@ -87,25 +87,25 @@ class TestDiscretize:
                 assert errs[nxs[-1]] < errs[nxs[0]], (name, dim)
 
     def test_scaling_law_bit_exact(self, tent1d):
-        spec1 = make_domain(1, (0.0, 1.0), 64, tent1d, 0.25)
-        spec2 = make_domain(1, (0.0, 2.0), 64, tent1d, 0.5)
+        spec1 = make_domain(1, (0.0, 1.0), 64, 0.25)
+        spec2 = make_domain(1, (0.0, 2.0), 64, 0.5)
         st1 = discretize(tent1d, 0.25, spec1)
         st2 = discretize(tent1d, 0.5, spec2)
         assert np.array_equal(st1.offsets, st2.offsets)
         assert np.array_equal(st2.weights * 4.0, st1.weights)
 
     def test_resolution_guard(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.2)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         with pytest.raises(ValueError, match="under-resolved"):
             discretize(tent1d, 0.02, spec)
 
     def test_padding_guard(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.1)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.1)
         with pytest.raises(ValueError, match="padding"):
             discretize(tent1d, 0.3, spec)
 
     def test_2d_offsets_inside_disc(self, tent2d):
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 32, tent2d, 0.125)
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 32, 0.125)
         st_ = discretize(tent2d, 0.125, spec)
         radii = np.hypot(*st_.offsets.T) * spec.dx
         assert np.all(radii < 0.125)
@@ -114,8 +114,8 @@ class TestDiscretize:
     @pytest.mark.parametrize("name", ["tent", "quartic", "cosine"])
     @pytest.mark.parametrize("nx,eps", [(32, 0.125), (40, 0.125), (64, 0.2), (48, 0.3)])
     def test_2d_lattice_symmetric_bit_exact(self, name, nx, eps):
-        kern = get_kernel(name, 2)
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), nx, kern, eps)
+        kern = get_kernel(name)
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), nx, eps)
         st_ = discretize(kern, eps, spec)
         by_offset = {(int(a), int(b)): w for (a, b), w in zip(st_.offsets, st_.weights)}
         for (a, b), w in by_offset.items():
@@ -174,8 +174,8 @@ class TestStencilPairs:
 @given(eps=st.floats(0.05, 0.45), name=st.sampled_from(["tent", "quartic", "cosine"]))
 @settings(max_examples=25, deadline=None)
 def test_stencil_properties(eps, name):
-    kern = get_kernel(name, 1)
-    spec = make_domain(1, (0.0, 1.0), 64, kern, eps)
+    kern = get_kernel(name)
+    spec = make_domain(1, (0.0, 1.0), 64, eps)
     st_ = discretize(kern, eps, spec)
     assert np.all(st_.weights >= 0)
     assert st_.weights[np.all(st_.offsets == 0, axis=1)][0] >= 0

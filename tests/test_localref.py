@@ -17,13 +17,13 @@ from nlbiharm.localref import LocalOperator, local_stencil
 from oracles import restricted_matrix
 
 
-def local_domain(tent1d, nx=64, eps=0.2):
-    return make_domain(1, (0.0, 1.0), nx, tent1d, eps)
+def local_domain(nx=64, eps=0.2):
+    return make_domain(1, (0.0, 1.0), nx, eps)
 
 
 class TestLocalLaplacian:
-    def test_constant_interior(self, tent1d):
-        spec = local_domain(tent1d, nx=16)
+    def test_constant_interior(self):
+        spec = local_domain(nx=16)
         u = zero_extend(np.ones(16), spec)
         out = local_laplacian(u).interior_values
         inv_dx2 = 1.0 / spec.dx**2
@@ -31,8 +31,8 @@ class TestLocalLaplacian:
         assert out[-1] == pytest.approx(-inv_dx2, rel=1e-13)
         assert np.all(out[1:-1] == 0.0)
 
-    def test_sine_against_analytic(self, tent1d):
-        spec = local_domain(tent1d, nx=128)
+    def test_sine_against_analytic(self):
+        spec = local_domain(nx=128)
         x = spec.axis_coords(0)[spec.interior_slices[0]]
         u = zero_extend(np.sin(np.pi * x), spec)
         out = local_laplacian(u).interior_values
@@ -40,23 +40,23 @@ class TestLocalLaplacian:
         err = np.abs(out - target)[2:-2].max()
         assert err <= 5e-3
 
-    def test_symmetry(self, tent1d, rng):
-        spec = local_domain(tent1d, nx=32)
+    def test_symmetry(self, rng):
+        spec = local_domain(nx=32)
         f = zero_extend(rng.standard_normal(32), spec)
         g = zero_extend(rng.standard_normal(32), spec)
         lhs = inner_product(local_laplacian(f), g)
         rhs = inner_product(f, local_laplacian(g))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_negative_semidefinite(self, tent1d, rng):
-        spec = local_domain(tent1d, nx=32)
+    def test_negative_semidefinite(self, rng):
+        spec = local_domain(nx=32)
         f = zero_extend(rng.standard_normal(32), spec)
         assert inner_product(local_laplacian(f), f) <= 1e-12
 
-    def test_offsets_are_signed_unit_vectors(self, tent1d, tent2d):
+    def test_offsets_are_signed_unit_vectors(self):
         # apply sums the offsets in this order, so it fixes the rounding
-        spec1 = local_domain(tent1d, nx=16)
-        spec2 = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
+        spec1 = local_domain(nx=16)
+        spec2 = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
         for build in (lambda spec: LocalOperator(spec).stencil, local_stencil):
             assert np.array_equal(build(spec1).offsets, [[-1], [1]])
             offsets = build(spec2).offsets
@@ -67,22 +67,22 @@ class TestLocalLaplacian:
             assert st.half_moment == pytest.approx(spec.dim, rel=1e-15)
             assert st.diag == pytest.approx(2 * spec.dim / spec.dx**2, rel=1e-15)
 
-    def test_needs_two_ghost_layers(self, tent2d):
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 8, tent2d, 0.5)
+    def test_needs_two_ghost_layers(self):
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 8, 0.5)
         object.__setattr__(spec, "pad_cells", 1)
         with pytest.raises(ValueError, match="ghost"):
             LocalOperator(spec)
 
-    def test_unconstrained_input_rejected(self, tent1d):
-        spec = local_domain(tent1d, nx=16)
+    def test_unconstrained_input_rejected(self):
+        spec = local_domain(nx=16)
         with pytest.raises(ValueError, match="zero on exterior"):
             local_laplacian(Field(spec, np.ones(spec.padded_shape)))
 
-    def test_clamped_form_eigenvalue(self, tent1d):
+    def test_clamped_form_eigenvalue(self):
         # the padded-domain energy realizes the clamped beam: its smallest
         # eigenvalue approaches 4.7300407**4, not the hinged pi**4; the
         # wall-flux penalty converges slowly, so the proximity band is wide
-        spec = local_domain(tent1d, nx=256)
+        spec = local_domain(nx=256)
         op = LocalOperator(spec)
         mat = restricted_matrix(op)
         b = mat.T @ mat
@@ -90,8 +90,8 @@ class TestLocalLaplacian:
         assert abs(lam - 4.7300407**4) / 4.7300407**4 < 0.05
         assert lam > 2 * np.pi**4
 
-    def test_restricted_matrix_matches_apply(self, tent1d, rng):
-        spec = local_domain(tent1d, nx=32)
+    def test_restricted_matrix_matches_apply(self, rng):
+        spec = local_domain(nx=32)
         op = LocalOperator(spec)
         x = rng.standard_normal(32)
         via_matrix = (restricted_matrix(op) @ x).reshape(spec.padded_shape)
@@ -100,13 +100,13 @@ class TestLocalLaplacian:
 
 
 class TestLocalEvolve:
-    def test_zero_trajectory(self, tent1d):
-        spec = local_domain(tent1d, nx=16)
+    def test_zero_trajectory(self):
+        spec = local_domain(nx=16)
         traj = local_evolve(zero_extend(np.zeros(16), spec), StepperConfig(p=2, h=0.01, T=0.05))
         assert np.all(traj.l2_sq == 0.0)
 
-    def test_p2_dense_oracle_trajectory(self, tent1d, rng):
-        spec = local_domain(tent1d, nx=16, eps=0.25)
+    def test_p2_dense_oracle_trajectory(self, rng):
+        spec = local_domain(nx=16, eps=0.25)
         op = LocalOperator(spec)
         mat = restricted_matrix(op)  # padded x interior
         b = mat.T @ mat
@@ -129,21 +129,21 @@ class TestLocalEvolve:
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_energies_nonincreasing(self, tent1d, rng, p):
-        spec = local_domain(tent1d, nx=32)
+    def test_energies_nonincreasing(self, rng, p):
+        spec = local_domain(nx=32)
         u0 = zero_extend(rng.standard_normal(32), spec)
         traj = local_evolve(u0, StepperConfig(p=p, h=1e-5, T=2e-4, inner_max_iters=200))
         assert np.all(np.diff(traj.energies) <= 1e-6 * traj.energies[0])
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_stencil_path_matches_whole_grid_operator(self, tent1d, tent2d, dim, p):
+    def test_stencil_path_matches_whole_grid_operator(self, dim, p):
         # the stencil steps on interior +- 1; the operator keeps the whole
         # padded grid, whose extra collar holds only zeros
         if dim == 1:  # converge_p3's grid, padded for eps = 0.4
-            spec = make_domain(1, (0.0, 1.0), 256, tent1d, 0.4)
+            spec = make_domain(1, (0.0, 1.0), 256, 0.4)
         else:
-            spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
+            spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
         u0 = default_bump(spec)
         c = StepperConfig(p=p, h=1e-4, T=5e-4)
         step = local_evolve(u0, c)
@@ -163,26 +163,26 @@ class TestWeakResidual:
     def phi(x, t):
         return np.sin(np.pi * x) * t * (0.01 - t)
 
-    def test_zero_trajectory(self, tent1d):
-        spec = local_domain(tent1d, nx=16)
+    def test_zero_trajectory(self):
+        spec = local_domain(nx=16)
         traj = local_evolve(
             zero_extend(np.zeros(16), spec),
             StepperConfig(p=2, h=1e-3, T=0.01),
         )
         assert weak_residual(traj, self.phi) == 0.0
 
-    def test_zero_test_function_bit_exact(self, tent1d, rng):
-        spec = local_domain(tent1d, nx=16)
+    def test_zero_test_function_bit_exact(self, rng):
+        spec = local_domain(nx=16)
         traj = local_evolve(
             zero_extend(rng.standard_normal(16), spec),
             StepperConfig(p=2, h=1e-3, T=0.01),
         )
         assert weak_residual(traj, lambda x, t: np.zeros_like(x)) == 0.0
 
-    def test_shrinks_under_refinement(self, tent1d):
+    def test_shrinks_under_refinement(self):
         residuals = []
         for nx, h in ((32, 2e-4), (64, 1e-4)):
-            spec = local_domain(tent1d, nx=nx)
+            spec = local_domain(nx=nx)
             x = spec.axis_coords(0)[spec.interior_slices[0]]
             u0 = zero_extend(np.sin(np.pi * x) ** 2, spec)
             traj = local_evolve(u0, StepperConfig(p=2, h=h, T=0.01))

@@ -42,7 +42,7 @@ class TestNonlocalLaplacian:
         # 0.5 * int J_eps z^2 dz = 1 makes the operator exact on x^2 up to
         # the moment quadrature error, which is O(dx) or better
         for nx in (64, 128, 256):
-            spec = make_domain(1, (0.0, 1.0), nx, tent1d, 0.2)
+            spec = make_domain(1, (0.0, 1.0), nx, 0.2)
             st_ = discretize(tent1d, 0.2, spec)
             x = spec.node_coords()[0]
             out = nonlocal_laplacian(Field(spec, x**2), st_)
@@ -60,7 +60,7 @@ class TestNonlocalLaplacian:
         assert out[center + 2] == pytest.approx(by_offset[-2], rel=1e-14)
 
     def test_dense_oracle_equivalence_1d(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 32, tent1d, 0.25)
+        spec = make_domain(1, (0.0, 1.0), 32, 0.25)
         st_ = discretize(tent1d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         # the loop and E^T A take any input; A E takes interior values
@@ -76,7 +76,7 @@ class TestNonlocalLaplacian:
             assert np.max(np.abs(ours - theirs)) <= 1e-13 * max(1.0, np.abs(theirs).max())
 
     def test_dense_oracle_equivalence_2d(self, tent2d, rng):
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
         st_ = discretize(tent2d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent2d, 0.25, spec)
         op = NonlocalOperator(st_, spec)
@@ -102,8 +102,8 @@ class TestNonlocalLaplacian:
                           (op.apply_restricted(v), (mat @ v)[domain16.interior_slices])):
             assert np.max(np.abs(ref - ours)) <= 1e-13 * np.abs(ref).max()
 
-    def test_dx_mismatch_rejected(self, tent1d, stencil64):
-        other = make_domain(1, (0.0, 1.0), 32, tent1d, 0.2)
+    def test_dx_mismatch_rejected(self, stencil64):
+        other = make_domain(1, (0.0, 1.0), 32, 0.2)
         with pytest.raises(ValueError, match="dx"):
             nonlocal_laplacian(zero_extend(np.zeros(32), other), stencil64)
 
@@ -139,8 +139,8 @@ class TestFftEvaluation:
     @pytest.fixture(scope="class", params=sorted(SHIPPED_STENCILS), ids="K{}".format)
     def op(self, request):
         dim, box, nx, eps = SHIPPED_STENCILS[request.param]
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, box, nx, kern, eps)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, box, nx, eps)
         op = NonlocalOperator(discretize(kern, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
         return op
@@ -174,8 +174,8 @@ class TestFftEvaluation:
         # a one-cell collar: every fast path would truncate the operator at
         # interior nodes (K = 24 in 1D, reach 12; nx = 12, eps = 0.3 in 2D)
         for dim, nx, eps in ((1, 64, 0.2), (2, 12, 0.3)):
-            kern = get_kernel("tent", dim)
-            spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, eps)
+            kern = get_kernel("tent")
+            spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, eps)
             st_ = discretize(kern, eps, spec)
             spec = replace(spec, pad_cells=1)
             assert st_.reach > 1
@@ -205,8 +205,8 @@ class TestStepGrid:
     @pytest.fixture(scope="class", params=sorted(STEP_GRID_STENCILS), ids="K{}".format)
     def ops(self, request):
         dim, box, nx, eps, grid_eps = STEP_GRID_STENCILS[request.param]
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, box, nx, kern, grid_eps)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, box, nx, grid_eps)
         st_ = discretize(kern, eps, spec)
         assert sum(bool(np.any(d)) for d in st_.offsets) == request.param
         step = as_operator(st_, spec)
@@ -271,14 +271,14 @@ class TestStepMaps:
     @pytest.fixture(scope="class", params=[*STEP_MAP_GRIDS, "wide_collar"])
     def op(self, request):
         if request.param == "wide_collar":
-            kern = get_kernel("tent", 1)
-            spec = make_domain(1, (0.0, 1.0), 16, kern, 0.25)
+            kern = get_kernel("tent")
+            spec = make_domain(1, (0.0, 1.0), 16, 0.25)
             op = NonlocalOperator(discretize(kern, 0.25, spec), spec)
             assert spec.pad_cells > op.reach
             return op
         dim, box, nx, eps = STEP_MAP_GRIDS[request.param]
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, box, nx, kern, eps)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, box, nx, eps)
         op = as_operator(discretize(kern, eps, spec), spec)
         assert op.spec.pad_cells == op.reach
         assert request.param.startswith("K") or 2 * op.reach > nx
@@ -315,8 +315,8 @@ class TestSquaredCorrelation:
     @pytest.fixture(scope="class", params=[24, 50, 204, 44, 508], ids="K{}".format)
     def op(self, request):
         dim, box, nx, eps = SHIPPED_STENCILS[request.param]
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, box, nx, kern, eps)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, box, nx, eps)
         op = as_operator(discretize(kern, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
         return op
@@ -343,8 +343,8 @@ class TestSquaredCorrelation:
     def test_reach_beyond_half_the_interior(self, dim, nx, rng):
         # t * t reaches 2 r > nx cells: its taps share slots of the 2D FFT
         # grid, and no shared slot reaches an interior output
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, 0.9)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, 0.9)
         op = as_operator(discretize(kern, 0.9, spec), spec)
         assert 2 * op.reach > nx
         self.check(op, rng.standard_normal(op.spec.nx))
@@ -378,8 +378,8 @@ class TestNormalSolve:
     @pytest.fixture(scope="class", params=sorted(NORMAL_CASES))
     def op(self, request):
         dim, box, nx, eps, grid_eps, k = NORMAL_CASES[request.param]
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, box, nx, kern, grid_eps)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, box, nx, grid_eps)
         if eps is None:
             op = LocalOperator(spec)
         else:
@@ -452,7 +452,7 @@ class TestPBiharmonicRhs:
         assert np.all(out.values == 0.0)
 
     def test_spike_matches_dense_composition(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 8, tent1d, 0.5)
+        spec = make_domain(1, (0.0, 1.0), 8, 0.5)
         st_ = discretize(tent1d, 0.5, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.5, spec)
         spike = np.zeros(8)
@@ -488,7 +488,7 @@ class TestDirichletEnergy:
         assert dirichlet_energy(u, stencil64, 2.0) == 0.0
 
     def test_p2_matches_dense_quadratic_form(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
+        spec = make_domain(1, (0.0, 1.0), 16, 0.25)
         st_ = discretize(tent1d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)

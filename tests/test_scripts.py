@@ -1,10 +1,14 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -73,3 +77,29 @@ def test_denoise_demo_manifest_independent_of_outdir(tmp_path, monkeypatch):
         assert demo.main() == 0
         manifests.append((out / "manifest.csv").read_bytes())
     assert manifests[0] == manifests[1]
+
+
+def test_benchmark_tracer_finds_every_patched_name(tmp_path):
+    # perfbench/run.py --trace 1 wraps package names by their strings, so a
+    # rename in the package shows here as a skipped name or as no steps.  It
+    # runs in its own process: Tracer.uninstall leaves some methods wrapped.
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text("command = evolve\nnx = 16\nepsilon = 0.25\nT = 0.05\nh = 0.01\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = (
+        "import spans\n"
+        "from nlbiharm import cli\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "assert tracer.skipped == [], tracer.skipped\n"
+        f"argv = ['--config', {str(cfg)!r}, '--out', {str(out)!r}]\n"
+        "assert tracer.span('cli.study.evolve', lambda: cli.main(argv)) == 0\n"
+        "tracer.uninstall()\n"
+        "layers = spans.layer_metrics(tracer, 1.0)\n"
+        "assert layers['stepper.steps'] > 0, layers\n"
+    )
+    path = os.pathsep.join(str(ROOT / d) for d in ("perfbench", "src"))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stdout + run.stderr

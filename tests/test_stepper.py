@@ -47,7 +47,7 @@ class TestStepEnergy:
         assert step_energy(z, z, stencil16, cfg()) == 0.0
 
     def test_p2_matches_dense_forms(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
+        spec = make_domain(1, (0.0, 1.0), 16, 0.25)
         st_ = discretize(tent1d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)
@@ -107,7 +107,7 @@ class TestStepGradient:
             assert fd == pytest.approx(pairing, rel=tol)
 
     def test_p2_matches_dense_gradient(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
+        spec = make_domain(1, (0.0, 1.0), 16, 0.25)
         st_ = discretize(tent1d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)
@@ -177,7 +177,7 @@ class TestImplicitStep:
         assert np.all(out.values == 0.0)
 
     def test_matches_dense_linear_solve(self, tent1d, rng):
-        spec = make_domain(1, (0.0, 1.0), 16, tent1d, 0.25)
+        spec = make_domain(1, (0.0, 1.0), 16, 0.25)
         st_ = discretize(tent1d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)
@@ -215,7 +215,7 @@ class TestImplicitStep:
         # roundoff allowance.  Newton-CG steps evaluate every trial with the
         # step's correlation (a direct one in 1D) and must certify the step.
         eps = 0.07
-        spec = make_domain(1, (0.0, 1.0), 128, tent1d, eps)
+        spec = make_domain(1, (0.0, 1.0), 128, eps)
         st_ = discretize(tent1d, eps, spec)
         x = spec.node_coords()[0][spec.interior_slices]
         u = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
@@ -262,7 +262,7 @@ class TestImplicitStep:
         # runs sat at residual 4e-8 to 5e-8 against 1e-8 until the iteration
         # cap.  d = M^-1 g certifies them in a few hundred iterations.
         eps = 0.2
-        spec = make_domain(1, (0.0, 1.0), nx, tent1d, eps)
+        spec = make_domain(1, (0.0, 1.0), nx, eps)
         st_ = discretize(tent1d, eps, spec)
         if start == "gaussian":
             x = spec.node_coords()[0][spec.interior_slices]
@@ -281,7 +281,7 @@ class TestImplicitStep:
         # model M = I/h + A^T diag(|A x|^(p-2)) A.  Where no weight is floored
         # M x - u_prev/h = g, so x - d is the model's minimizer w.
         p, h, eps = 1.5, 1e-3, 0.2
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, eps)
+        spec = make_domain(1, (0.0, 1.0), 64, eps)
         op = NonlocalOperator(discretize(tent1d, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == 24
         u_prev = rng.standard_normal(spec.nx)
@@ -317,8 +317,8 @@ class TestNewtonStep:
     @pytest.fixture(scope="class", params=sorted(HESSIAN_STENCILS), ids="K{}".format)
     def op(self, request):
         dim, box, nx, eps = HESSIAN_STENCILS[request.param]
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, box, nx, kern, eps)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, box, nx, eps)
         op = NonlocalOperator(discretize(kern, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
         return op
@@ -347,7 +347,7 @@ class TestNewtonStep:
         # the same step functional: plain Newton on the dense operator
         # matrix of the oracle, each system solved by numpy.
         eps = 0.2
-        spec = make_domain(1, (0.0, 1.0), 128, tent1d, eps)
+        spec = make_domain(1, (0.0, 1.0), 128, eps)
         op = _CountingOperator(discretize(tent1d, eps, spec), spec)
         x = spec.node_coords()[0][spec.interior_slices]
         u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
@@ -375,8 +375,8 @@ class TestNewtonStep:
     def test_p2_step_certifies_in_one_iteration(self, dim, nx):
         # At p = 2 the step functional is quadratic and M its exact Hessian:
         # one CG solve to the residual floor is its minimizer.
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, 0.2)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, 0.2)
         st_ = discretize(kern, 0.2, spec)
         u0 = default_bump(spec)
         traj = evolve(u0, st_, cfg(p=2.0, h=1e-3, T=3e-3))
@@ -394,7 +394,7 @@ class TestNewtonStep:
         # nonlocal one at eps = 2 dx, takes the direct solve through the loop;
         # a wider one takes Newton-CG through the correlation.
         if nearest:
-            spec = make_domain(1, (0.0, 1.0), 32, tent1d, 2 / 32)
+            spec = make_domain(1, (0.0, 1.0), 32, 2 / 32)
             op = _CountingOperator(discretize(tent1d, 2 / 32, spec), spec)
             assert op.stencil.offsets.ravel().tolist() == [-1, 0, 1]
         else:
@@ -439,8 +439,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize("dim,nx", [(1, 16), (2, 12)], ids=["1d_nx16", "2d_nx12"])
     def test_p2_oracle_trajectory(self, dim, nx, rng):
-        kern = get_kernel("tent", dim)
-        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, kern, 0.25)
+        kern = get_kernel("tent")
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, 0.25)
         st_ = discretize(kern, 0.25, spec)
         mat = dense_nonlocal_matrix(kern, 0.25, spec)
         h = 1e-3
@@ -469,7 +469,7 @@ class TestEvolve:
         assert all(b <= a + slack for a, b in zip(dists, dists[1:]))
 
     def test_2d_dissipation(self, tent2d, rng):
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
         st_ = discretize(tent2d, 0.25, spec)
         u0 = zero_extend(rng.standard_normal((16, 16)), spec)
         traj = evolve(u0, st_, cfg(p=2.0, h=1e-3, T=0.01))
@@ -480,7 +480,7 @@ class TestEvolve:
     def test_2d_p3_dissipation(self, tent2d, rng):
         # test_2d_dissipation's grid and start above p = 2, where each
         # Armijo trial is evaluated by the 2D FFT correlation
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, tent2d, 0.25)
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
         st_ = discretize(tent2d, 0.25, spec)
         u0 = zero_extend(rng.standard_normal((16, 16)), spec)
         traj = evolve(u0, st_, cfg(p=3.0, h=1e-3, T=0.01))
@@ -526,7 +526,7 @@ class TestStepGrid:
 
     def test_stencil_binds_to_interior_plus_reach(self, tent1d):
         # converge_p3's eps = 0.1 stencil on its grid padded for eps = 0.4
-        spec = make_domain(1, (0.0, 1.0), 256, tent1d, 0.4)
+        spec = make_domain(1, (0.0, 1.0), 256, 0.4)
         st_ = discretize(tent1d, 0.1, spec)
         op = as_operator(st_, spec)
         assert op.spec.pad_cells == st_.reach == 25
@@ -535,7 +535,7 @@ class TestStepGrid:
         assert as_operator(full, spec) is full
 
     def test_collar_narrower_than_reach_rejected(self, tent1d):
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.4)
         st_ = discretize(tent1d, 0.4, spec)
         assert st_.reach == 25
         cut = replace(spec, pad_cells=2)
@@ -550,7 +550,7 @@ class TestStepGrid:
         # Two certified steps from states d apart end at most d + 2 h tol
         # apart (the step map is the resolvent of a monotone operator), so
         # after j steps the runs differ by at most 2 j h tol.
-        spec = make_domain(1, (0.0, 1.0), 64, tent1d, 0.4)
+        spec = make_domain(1, (0.0, 1.0), 64, 0.4)
         st_ = discretize(tent1d, 0.1, spec)
         u0 = default_bump(spec)
         c = cfg(p=p, h=1e-4, T=5e-4)
