@@ -6,14 +6,17 @@ Usage:
     python scripts/bench_apply.py
 
 The first table prints microseconds per call of the difference loop
-``NonlocalOperator.apply``, of the two maps of an implicit step,
-``apply_extended`` (A E on interior values) and ``apply_restricted`` (E^T A
-on grid values, read on the interior), direct correlations in 1D and
-zero-padded FFTs in 2D, and of ``apply_squared`` (A^T A on interior values,
-one correlation with the squared taps, as the p = 2 Hessian products run
-it), with the relative difference of each from the loop on random interior
-values and random grid values (``check_case``); the script stops with exit
-status 1 before timing a case where one differs by more than MAX_DIFF.
+``NonlocalOperator.apply`` and of the three evaluations of an implicit
+step, all on the step window: ``apply_extended`` (A E on interior values),
+``apply_restricted`` (E^T A on window values, read on the interior) and
+``apply_squared`` (E^T A A E on interior values, as the p = 2 Hessian
+products run it).  ``NonlocalOperator._step_maps`` builds all three: direct
+correlations in 1D, with the taps and with their square; in 2D one
+zero-padded FFT plan, whose kernel spectrum the square takes squared.  Each
+row shows the relative difference of each from the loop on random interior
+values and random window values (``check_case``); the script stops with
+exit status 1 before timing a case where one differs by more than
+MAX_DIFF.
 Rows are keyed by dim, nx (interior cells per axis) and K (nonzero
 stencil offsets).  The padded grids, with ``nodes`` nodes, are
 the runs' own: converge's three scales share the grid padded for its

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import DomainSpec, Field, lp_norm, write_csv, zero_extend
+from .grid import DomainSpec, Field, lp_norm, lq_sum_norm, write_csv, zero_extend
 from .kernel import Kernel, Stencil, discretize, kernel_is_nonincreasing
 from .localref import local_evolve
 from .nlop import NonlocalOperator
@@ -187,7 +187,7 @@ def consistency_study(
         st = discretize(kernel, eps, spec)
         op = NonlocalOperator(st, spec)
         diff = op.apply(samples)[interior] - target[interior]
-        errors.append(float((vol * np.sum(np.abs(diff) ** q)) ** (1.0 / q)))
+        errors.append(lq_sum_norm(diff, q, vol))
         resolved &= errors[-1] > scale * (op.norm_bound() + fd4_sum)
 
     rows = _rate_rows(eps_list, errors)
@@ -211,25 +211,24 @@ def consistency_study(
     )
 
 
-def decay_window(times: np.ndarray, p: float, window: tuple | None = None,
+def decay_window(times: np.ndarray, p: float, t_lo: float | None = None,
                  floor_ratio: float | None = None,
                  l2_sq: np.ndarray | None = None) -> np.ndarray:
-    """Steps of a decay fit, as a mask over ``times``: those in ``window``,
-    cut where ``l2_sq`` (when given) falls below ``floor_ratio * l2_sq[0]``.
+    """Steps of a decay fit, as a mask over ``times``: those from ``t_lo``
+    (by default the last 75% of the time range) to the end of the run, cut
+    where ``l2_sq`` (when given) falls below ``floor_ratio * l2_sq[0]``.
     Past that point an inexact inner solver pins the state and the recorded
-    norms stop carrying decay information.  A window end of None is the end
-    of the time range; with both None the window is its last 75%.  Without
-    ``l2_sq`` it checks a fit before the run."""
+    norms stop carrying decay information.  Without ``l2_sq`` it checks a
+    fit before the run."""
     if p < 2:
         raise ValueError(f"decay fit covers p >= 2, got p = {p}")
     if floor_ratio is not None and not 0 < floor_ratio < 1:
         raise ValueError(f"floor_ratio must lie in (0, 1), got {floor_ratio}")
     if len(times) < 20:
         raise ValueError(f"need at least 20 recorded steps, got {len(times)}")
-    t_lo, t_hi = window or (None, None)
     if t_lo is None:
-        t_lo = times[0] + (0.25 * (times[-1] - times[0]) if t_hi is None else 0.0)
-    t_hi = times[-1] if t_hi is None else t_hi
+        t_lo = times[0] + 0.25 * (times[-1] - times[0])
+    t_hi = times[-1]
     if floor_ratio is not None and l2_sq is not None:
         alive = np.nonzero(l2_sq >= floor_ratio * l2_sq[0])[0]
         if alive.size:
@@ -244,7 +243,7 @@ def decay_window(times: np.ndarray, p: float, window: tuple | None = None,
 
 def decay_fit(
     traj: Trajectory,
-    window: tuple | None = None,
+    t_lo: float | None = None,
     floor_ratio: float | None = None,
 ) -> DecayFit:
     """Fit the large-time law of the squared interior norm over the steps
@@ -252,7 +251,7 @@ def decay_fit(
     p = traj.p
     times = np.asarray(traj.times)
     y = np.asarray(traj.l2_sq)
-    sel = decay_window(times, p, window, floor_ratio, y)
+    sel = decay_window(times, p, t_lo, floor_ratio, y)
     tw = times[sel]
     yw = y[sel]
     if np.any(yw < 1e-300):

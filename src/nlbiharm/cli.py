@@ -154,7 +154,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     scfg = _build(cfg.stepper_config, "p", "T", "h", "inner_max_iters")
     if cfg.command == "decay":
         win = "fit_t_lo" if cfg.fit_t_lo is not None else "T"
-        _build(lambda: decay_window(scfg.step_times(), cfg.p, (cfg.fit_t_lo, None),
+        _build(lambda: decay_window(scfg.step_times(), cfg.p, cfg.fit_t_lo,
                                     cfg.fit_floor_ratio),
                win, "p", "fit_floor_ratio", "T",
                window=win, floor_ratio="fit_floor_ratio", recorded="T")
@@ -229,7 +229,7 @@ def _run_decay(cfg, outdir) -> bool:
     scfg = cfg.stepper_config()
     traj = evolve(u0, st, scfg)
     trajectory_to_csv(traj, outdir / "trajectory.csv")
-    fit = decay_fit(traj, window=(cfg.fit_t_lo, None), floor_ratio=cfg.fit_floor_ratio)
+    fit = decay_fit(traj, t_lo=cfg.fit_t_lo, floor_ratio=cfg.fit_floor_ratio)
     if cfg.p == 2:
         ok = fit.c1 > 0 and fit.r_squared >= 0.99
         rows = [("c1", fit.c1, fit.r_squared)]

@@ -231,8 +231,20 @@ def lp_norm(f: Field, q: float, region: str = "omega_e") -> float:
     """Midpoint-rule L^q norm over omega, omega_e, or the exterior collar."""
     if not 1 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
-    v = _region_values(f, region)
-    total = f.spec.cell_volume * np.sum(np.abs(v) ** q)
+    return lq_sum_norm(_region_values(f, region), q, f.spec.cell_volume)
+
+
+def lq_sum_norm(values: np.ndarray, q: float, cell_volume: float) -> float:
+    """(cell_volume sum |v|^q)^(1/q).  Where that sum over- or underflows
+    for nonzero data (a large q), it is taken over |v| / max|v| instead and
+    the root scaled back by max|v|."""
+    mag = np.abs(values)
+    with np.errstate(over="ignore"):
+        total = cell_volume * np.sum(mag ** q)
+    if not 0.0 < total < math.inf:
+        peak = float(mag.max(initial=0.0))
+        if peak > 0.0:
+            return float(peak * (cell_volume * np.sum((mag / peak) ** q)) ** (1.0 / q))
     return float(total ** (1.0 / q))
 
 

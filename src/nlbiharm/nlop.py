@@ -12,25 +12,25 @@ It has four evaluations of the same matrix, one of them of its square:
   at x and subtracted at x + d.  Differences are formed before scaling, so
   constants map to exactly zero, the operator matrix is exactly symmetric,
   and the rounding at a node depends only on its own neighborhood (local).
-* ``apply_extended`` and its transpose ``apply_restricted``, the two maps
-  of an implicit step: A E v, the operator on the zero extension E v of
-  interior values v, on the operator's grid, and E^T A y, the operator on
-  any grid values y, read on the interior.  Once the collar covers the
-  reach (``grid.check_collar``, as every fast path needs) both are
-  correlations with the taps t of A (w_d off the centre, -sum_(d != 0) w_d
-  at it), exact for every input, and each computes only the values it
-  returns: the n + 2 reach per axis within reach of the interior, beyond
-  which A E v vanishes, and the n interior ones.  In 1D a direct
-  correlation, O(K N), whose outputs are K-term dot products of their
-  neighbours: local rounding.  In 2D both share one zero-padded FFT of
-  n + 2 reach per axis, O(N log N), with v at offset reach for A E and y at
-  offset 0 for E^T A, so that neither wraps onto a value.  Its rounding is
-  global: about eps_mach times the largest correlation in the whole array,
-  at every node, however small the result there.
-* ``apply_squared``, E^T A A E v on the interior: the same correlation
-  with t * t, which reaches 2 reach, on the n interior values.  A direct
-  correlation in 1D; in 2D one zero-padded FFT of n + 2 reach per axis,
-  against the two that ``apply_extended`` and ``apply_restricted`` make.
+* the three evaluations of an implicit step, all on the step window, the
+  n + 2 reach nodes per axis within reach of the interior, whatever the
+  operator's collar: ``apply_extended``, A E v, the operator on the zero
+  extension E v of interior values v, which vanishes beyond the window;
+  its transpose ``apply_restricted``, E^T A y, the operator on window
+  values y read on the interior; and ``apply_squared``, E^T A A E v, the
+  Hessian product at p = 2.  Once the collar covers the reach
+  (``grid.check_collar``, as every fast path needs) they are correlations
+  with the taps t of A (w_d off the centre, -sum_(d != 0) w_d at it), and
+  with t * t, which reaches 2 reach, for the square.  Each is exact for
+  every input and computes only the values it returns.  In 1D they are
+  direct correlations, O(K N), whose outputs are K-term dot products of
+  their neighbours: local rounding.  In 2D one FFT plan of n + 2 reach per
+  axis serves all three, O(N log N), with one kernel spectrum and one set
+  of work arrays: v at offset reach for A E, y at offset 0 for E^T A, and
+  v at offset 0 times ``spectrum**2`` for the square, so that none wraps
+  onto a value.  Its rounding is global: about eps_mach times the largest
+  correlation in the whole array, at every node, however small the result
+  there.
 
 ``normal_solve`` solves the step model shift I + A^T diag(c) A over the
 interior values directly: its bands come straight from the stencil taps and
@@ -76,13 +76,14 @@ def _slice_pair(shape, offset):
 def _fft_correlations(taps: np.ndarray, fft_shape, placements):
     """The correlation out(x) = sum_d taps[m + d] v(x + d), dense taps of
     reach m per axis, as circular correlations on ``fft_shape``: for each
-    (at, read) of ``placements`` a callable that writes its values at
-    ``at`` of an array zero elsewhere and returns the correlation read at
+    (at, read, power) of ``placements`` a callable that writes its values
+    at ``at`` of an array zero elsewhere and returns the correlation, made
+    ``power`` times over (the kernel spectrum to that power), read at
     ``read``, as a new array.  The callables share the kernel spectrum and
     the work arrays, which are reused: they exceed glibc's mmap threshold
     and would fault in afresh on every call.  out[i] = sum_d taps[m + d]
     v[i + d] puts taps[m + d] at -d (mod the FFT length); taps that share a
-    slot (2 m >= length) must sit where no read sees a value."""
+    slot (2 power m >= length) must sit where no read sees a value."""
     m = taps.shape[0] // 2
     kern = np.zeros(fft_shape)
     kern[np.ix_(*(np.arange(m, -m - 1, -1) % n for n in fft_shape))] = taps
@@ -91,16 +92,17 @@ def _fft_correlations(taps: np.ndarray, fft_shape, placements):
     freq = np.empty_like(spectrum)
     corr = np.empty(fft_shape)
 
-    def correlation(at, read):
+    def correlation(at, read, power):
         buf = np.zeros(fft_shape)
+        factor = spectrum if power == 1 else spectrum ** power
 
         def correlate(values):
             buf[at] = values
             np.fft.rfftn(buf, out=freq)
-            np.multiply(freq, spectrum, out=freq)
+            np.multiply(freq, factor, out=freq)
             return np.fft.irfftn(freq, fft_shape, axes, out=corr)[read].copy()
         return correlate
-    return [correlation(at, read) for at, read in placements]
+    return [correlation(*placement) for placement in placements]
 
 
 class NonlocalOperator:
@@ -117,7 +119,6 @@ class NonlocalOperator:
         self.reach = stencil.reach
         self._terms = None
         self._maps = None
-        self._squared = None
         self._normal = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -146,66 +147,45 @@ class NonlocalOperator:
 
     def apply_extended(self, interior: np.ndarray) -> np.ndarray:
         """A E v: the operator on the zero extension of ``interior`` values,
-        on the operator's grid, as a new array (module docstring)."""
-        if self._maps is None:
-            self._maps = self._step_maps()
-        return self._maps[0](interior)
+        on the step window, as a new array (module docstring)."""
+        return self._step_map(0)(interior)
 
     def apply_restricted(self, values: np.ndarray) -> np.ndarray:
-        """E^T A y: the operator on grid ``values``, read on the interior, as
-        a new array (module docstring)."""
-        if self._maps is None:
-            self._maps = self._step_maps()
-        return self._maps[1](values)
-
-    def _step_maps(self):
-        """A E and E^T A as callables: correlations on the window of nodes
-        within reach of the interior, which is the whole grid unless the
-        collar is wider than the reach."""
-        taps, r, nx = self._taps(), self.reach, self.spec.nx
-        if taps.ndim == 1:
-            extended, restricted = (lambda v: np.correlate(v, taps, "full"),
-                                    lambda y: np.correlate(y, taps, "valid"))
-        else:
-            inner = tuple(slice(r, r + n) for n in nx)
-            whole = tuple(slice(0, n + 2 * r) for n in nx)
-            fft_shape = tuple(_fast_len(n + 2 * r) for n in nx)
-            extended, restricted = _fft_correlations(
-                taps, fft_shape, ((inner, whole), (whole, inner)))
-        cut = self.spec.pad_cells - r
-        if cut == 0:
-            return extended, restricted
-        window = tuple(slice(cut, cut + n + 2 * r) for n in nx)
-        shape = self.spec.padded_shape
-
-        def wide_extended(v):
-            out = np.zeros(shape)
-            out[window] = extended(v)
-            return out
-        return wide_extended, lambda y: restricted(y[window])
+        """E^T A y: the operator on step-window ``values``, read on the
+        interior, as a new array (module docstring)."""
+        return self._step_map(1)(values)
 
     def apply_squared(self, interior: np.ndarray) -> np.ndarray:
-        """A(A v) on the interior for v zero-extended from ``interior``, as
-        a new array: one correlation with t * t (module docstring)."""
-        if self._squared is None:
-            taps, m, nx = self._taps(), 2 * self.reach, self.spec.nx
-            # t is even, so t * t is t correlated with itself
-            if taps.ndim == 1:
-                squared = np.convolve(taps, taps)
-                buf = np.zeros(nx[0] + 2 * m)
+        """E^T A A E v on the interior, as a new array: one correlation with
+        t * t (module docstring)."""
+        return self._step_map(2)(interior)
 
-                def correlate(values):
-                    buf[m:m + nx[0]] = values
-                    return np.correlate(buf, squared, "valid")
-                self._squared = correlate
-            else:
-                size = tuple(2 * n - 1 for n in taps.shape)
-                axes = tuple(range(taps.ndim))
-                squared = np.fft.irfftn(np.fft.rfftn(taps, size, axes) ** 2, size, axes)
-                first = tuple(slice(0, n) for n in nx)
-                fft_shape = tuple(_fast_len(n + m) for n in nx)
-                self._squared, = _fft_correlations(squared, fft_shape, ((first, first),))
-        return self._squared(interior)
+    def _step_map(self, k: int):
+        if self._maps is None:
+            self._maps = self._step_maps()
+        return self._maps[k]
+
+    def _step_maps(self):
+        """A E, E^T A and E^T A A E as callables on the step window, the
+        interior plus the reach per axis, whatever the collar."""
+        taps, r, nx = self._taps(), self.reach, self.spec.nx
+        if taps.ndim == 1:
+            # t is even, so t * t is t correlated with itself
+            squared, m = np.convolve(taps, taps), 2 * r
+            buf = np.zeros(nx[0] + 2 * m)
+
+            def correlate_squared(values):
+                buf[m:m + nx[0]] = values
+                return np.correlate(buf, squared, "valid")
+            return (lambda v: np.correlate(v, taps, "full"),
+                    lambda y: np.correlate(y, taps, "valid"),
+                    correlate_squared)
+        inner = tuple(slice(r, r + n) for n in nx)
+        whole = tuple(slice(0, n + 2 * r) for n in nx)
+        first = tuple(slice(0, n) for n in nx)
+        fft_shape = tuple(_fast_len(n + 2 * r) for n in nx)
+        return _fft_correlations(
+            taps, fft_shape, ((inner, whole, 1), (whole, inner, 1), (first, first, 2)))
 
     def _taps(self) -> np.ndarray:
         """The taps t of A, dense of reach r per axis: t[r + d] = w_d off the

@@ -20,8 +20,9 @@ drops only differences of two exterior zeros; the residual reads A(flux)
 only at interior nodes, whose neighbourhoods lie inside the window.  So the
 collar must cover the reach (the constraint set Omega_J of Andreu, Mazon,
 Rossi & Toledo, Nonlocal Diffusion Problems, AMS 2010), or ``as_operator``
-raises.  Only test doubles pass an operator instead of a stencil.  Recorded
-states are zero-extended onto the caller's grid.
+raises.  Only test doubles pass an operator instead of a stencil: its loop
+keeps the operator's grid and its correlations the step window, whatever
+its collar.  Recorded states are zero-extended onto the caller's grid.
 
 One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
 backtracks t from 1 until E(x - t d) <= E(x) - c1 t slope, so the functional
@@ -186,8 +187,8 @@ class Trajectory:
 def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
     """Bind a Stencil to the step grid, ``spec`` with its collar cut to the
     stencil's reach; a collar narrower than the reach would truncate the
-    operator and raises.  Only test doubles pass an operator, which keeps
-    its own grid."""
+    operator and raises.  Only test doubles pass an operator; its step
+    evaluations live on the step window whatever its collar (``nlop``)."""
     if not isinstance(st, (Stencil, NonlocalOperator)):
         raise TypeError(f"expected a Stencil or a NonlocalOperator, got {type(st)!r}")
     check_collar(spec.pad_cells, st.reach)
@@ -215,13 +216,14 @@ def _loop_maps(op):
 
 class _StepFunctional:
     """Energy/gradient/Hessian of the per-step functional over interior
-    values, on the operator's grid.
+    values.
 
     Operator evaluations go through the two maps of the step, each counted
-    in ``applies``: ``extended``, A E x on the operator's grid for interior
-    values x, and its transpose ``restricted``, E^T A y on the interior for
-    grid values y.  ``maps`` is that pair of callables and defaults to the
-    exact difference loop ``op.apply`` (``_loop_maps``).
+    in ``applies``: ``extended``, A E x for interior values x, and its
+    transpose ``restricted``, E^T A y on the interior for values y where A E
+    lives.  ``maps`` is that pair of callables and defaults to the exact
+    difference loop ``op.apply`` on the operator's grid (``_loop_maps``);
+    the operator's correlations live on the step window (``nlop``).
     """
 
     def __init__(self, op, u_prev: np.ndarray, p: float, h: float, maps=None):

@@ -119,7 +119,7 @@ class TestDecayFit:
         t = np.linspace(0, 2.0, 201)
         y = np.maximum(np.exp(-40.0 * t), 1e-17)
         fit = decay_fit(
-            synthetic_trajectory(t, y), window=(0.05, 2.0), floor_ratio=1e-16
+            synthetic_trajectory(t, y), t_lo=0.05, floor_ratio=1e-16
         )
         assert fit.window[1] <= 1.0
         assert fit.c1 == pytest.approx(40.0, rel=1e-3)
@@ -134,7 +134,7 @@ class TestDecayFit:
         st = discretize(tent1d, 0.2, spec)
         u0 = zero_extend(rng.standard_normal(64), spec)
         traj = evolve(u0, st, StepperConfig(p=2.0, h=5e-3, T=2.0))
-        fit = decay_fit(traj, window=(0.025, 2.0), floor_ratio=1e-18)
+        fit = decay_fit(traj, t_lo=0.025, floor_ratio=1e-18)
         assert fit.c1 > 0
         assert fit.r_squared >= 0.99
 

@@ -230,6 +230,24 @@ class TestRun:
         assert lines[0] == "epsilon,error,pair_order"
         assert "PASS consistency.order_at_least_linear" in capsys.readouterr().out
 
+    def test_consistency_huge_q_has_finite_errors(self, tmp_path, capsys):
+        # at q = 1e300 the plain sum |d|^q overflows at one scale and
+        # underflows at the other; the errors must stay finite and carry
+        # the order of the max norm
+        cfg_path = write_cfg(
+            tmp_path,
+            "command = consistency\nnx = 128\nepsilon_list = 0.2,0.1\nq = 1e300\n",
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "study.csv").read_text().splitlines()[1:]]
+        errors = [float(row[1]) for row in rows]
+        assert all(0.0 < e < np.inf for e in errors)
+        assert float(rows[1][2]) >= 1.5
+        assert "PASS consistency.order_at_least_linear" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "dim,nx,code,line",
         [(1, 64, 0, "PASS"), (2, 32, 1, "FAIL")],

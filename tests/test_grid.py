@@ -86,6 +86,13 @@ class TestNorms:
         f = zero_extend(np.zeros(64), domain64)
         assert lp_norm(f, 2) == 0.0
 
+    def test_huge_q_tends_to_the_max_norm(self, domain64, rng):
+        # sum |v|^q over- and underflows at q = 1e300: the norm rescales by
+        # max|v|, and the L^q norm of a unit box tends to the max norm
+        v = rng.standard_normal(64)
+        f = zero_extend(v, domain64)
+        assert abs(lp_norm(f, 1e300, "omega") - np.abs(v).max()) <= 1e-12
+
     def test_q_below_one_rejected(self, domain64):
         f = zero_extend(np.zeros(64), domain64)
         with pytest.raises(ValueError, match="q"):

@@ -32,6 +32,17 @@ from oracles import (
 )
 
 
+def step_window(op):
+    """The step window of ``op``'s grid, the interior plus the reach per
+    axis: where A E v can be nonzero, and what E^T A reads."""
+    cut = op.spec.pad_cells - op.reach
+    return tuple(slice(cut, cut + n + 2 * op.reach) for n in op.spec.nx)
+
+
+def window_shape(op):
+    return tuple(n + 2 * op.reach for n in op.spec.nx)
+
+
 class TestNonlocalLaplacian:
     def test_constant_maps_to_exact_zero(self, domain64, stencil64):
         f = Field(domain64, np.full(domain64.padded_shape, 3.7))
@@ -63,15 +74,17 @@ class TestNonlocalLaplacian:
         spec = make_domain(1, (0.0, 1.0), 32, 0.25)
         st_ = discretize(tent1d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
-        # the loop and E^T A take any input; A E takes interior values
+        # the loop takes any input; A E takes interior values and returns
+        # the step window, and E^T A takes window values
         op = NonlocalOperator(st_, spec)
+        window = step_window(op)
         v = rng.standard_normal(spec.padded_shape)
         u_int = rng.standard_normal(spec.nx)
         u = zero_extend(u_int, spec).values
         for ours, theirs in (
             (nonlocal_laplacian(Field(spec, v), st_).values, mat @ v),
-            (op.apply_extended(u_int), mat @ u),
-            (op.apply_restricted(v), (mat @ v)[spec.interior_slices]),
+            (op.apply_extended(u_int), (mat @ u)[window]),
+            (op.apply_restricted(v[window]), (mat @ v)[spec.interior_slices]),
         ):
             assert np.max(np.abs(ours - theirs)) <= 1e-13 * max(1.0, np.abs(theirs).max())
 
@@ -80,14 +93,15 @@ class TestNonlocalLaplacian:
         st_ = discretize(tent2d, 0.25, spec)
         mat = dense_nonlocal_matrix(tent2d, 0.25, spec)
         op = NonlocalOperator(st_, spec)
+        window = step_window(op)
         v = rng.standard_normal(spec.padded_shape)
         u_int = rng.standard_normal(spec.nx)
         u = zero_extend(u_int, spec).values
         interior = spec.interior_mask().ravel()
         for ours, theirs in (
             (nonlocal_laplacian(Field(spec, v), st_).values, mat @ v.ravel()),
-            (op.apply_extended(u_int), mat @ u.ravel()),
-            (op.apply_restricted(v), (mat @ v.ravel())[interior]),
+            (op.apply_extended(u_int), (mat @ u.ravel()).reshape(u.shape)[window].ravel()),
+            (op.apply_restricted(v[window]), (mat @ v.ravel())[interior]),
         ):
             err = np.max(np.abs(ours.ravel() - theirs))
             assert err <= 1e-13 * max(1.0, np.abs(theirs).max())
@@ -95,11 +109,14 @@ class TestNonlocalLaplacian:
     def test_debug_matrix_matches_apply(self, domain16, stencil16, rng):
         op = NonlocalOperator(stencil16, domain16)
         mat = dense_operator_matrix(op)
+        window = step_window(op)
         v = rng.standard_normal(domain16.padded_shape)
         u_int = rng.standard_normal(domain16.nx)
         u = zero_extend(u_int, domain16).values
-        for ours, ref in ((op.apply(v), mat @ v), (op.apply_extended(u_int), mat @ u),
-                          (op.apply_restricted(v), (mat @ v)[domain16.interior_slices])):
+        for ours, ref in ((op.apply(v), mat @ v),
+                          (op.apply_extended(u_int), (mat @ u)[window]),
+                          (op.apply_restricted(v[window]),
+                           (mat @ v)[domain16.interior_slices])):
             assert np.max(np.abs(ref - ours)) <= 1e-13 * np.abs(ref).max()
 
     def test_dx_mismatch_rejected(self, stencil64):
@@ -134,7 +151,7 @@ class TestFftEvaluation:
     """The step maps ``apply_extended`` (A E) and ``apply_restricted``
     (E^T A), direct correlations in 1D and FFTs in 2D, against the exact
     difference loop ``apply`` on the whole padded grid, whose collar is
-    wider than the reach."""
+    wider than the reach, read on the step window."""
 
     @pytest.fixture(scope="class", params=sorted(SHIPPED_STENCILS), ids="K{}".format)
     def op(self, request):
@@ -146,24 +163,27 @@ class TestFftEvaluation:
         return op
 
     def test_matches_loop(self, op, rng):
+        window = step_window(op)
         v = rng.standard_normal(op.spec.nx)
         exact = op.apply(zero_extend(v, op.spec).values)
-        assert np.max(np.abs(op.apply_extended(v) - exact)) <= 1e-13 * np.abs(exact).max()
+        got = op.apply_extended(v)
+        assert np.max(np.abs(got - exact[window])) <= 1e-13 * np.abs(exact).max()
         y = rng.standard_normal(op.spec.padded_shape)
         exact = op.apply(y)[op.spec.interior_slices]
-        assert np.max(np.abs(op.apply_restricted(y) - exact)) <= 1e-13 * np.abs(exact).max()
+        got = op.apply_restricted(y[window])
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.abs(exact).max()
 
     def test_self_adjoint(self, op, rng):
         # <A E v, y> = <v, E^T A y>
         v = rng.standard_normal(op.spec.nx)
-        y = rng.standard_normal(op.spec.padded_shape)
+        y = rng.standard_normal(window_shape(op))
         lhs = float(np.vdot(op.apply_extended(v), y))
         rhs = float(np.vdot(v, op.apply_restricted(y)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_results_do_not_alias(self, op, rng):
         for apply, shape in ((op.apply_extended, op.spec.nx),
-                             (op.apply_restricted, op.spec.padded_shape)):
+                             (op.apply_restricted, window_shape(op))):
             first = apply(rng.standard_normal(shape))
             kept = first.copy()
             second = apply(rng.standard_normal(shape))
@@ -242,6 +262,16 @@ class TestStepGrid:
         got = step.apply_extended(narrow[step.spec.interior_slices])
         assert np.max(np.abs(got - exact)) <= 1e-13 * np.abs(exact).max()
 
+    def test_step_evaluations_ignore_the_collar(self, ops, rng):
+        # the step evaluations live on the step window, so the operator on
+        # the whole padded grid returns the step operator's arrays
+        full, step, _ = ops
+        v = rng.standard_normal(full.spec.nx)
+        y = rng.standard_normal(step.spec.padded_shape)
+        for name, arg in (("apply_extended", v), ("apply_restricted", y),
+                          ("apply_squared", v)):
+            assert np.array_equal(getattr(full, name)(arg), getattr(step, name)(arg)), name
+
     def test_corr_matches_loop_on_interior_for_any_values(self, ops, rng):
         # the flux term and the p > 2 Hessian products correlate values that
         # are not zero on the collar and read the result on the interior
@@ -256,7 +286,8 @@ class TestStepGrid:
 # Step grids (``as_operator``) of the step maps, (dim, box, nx, eps): the
 # stencils that run them, and interiors narrower than 2 reach, where a
 # too-short FFT would wrap.  The fixture adds an operator that keeps a
-# collar wider than its reach, as the stepper's test doubles do.
+# collar wider than its reach, as the stepper's test doubles do: its maps
+# live on the step window, and its loop on the whole grid.
 STEP_MAP_GRIDS = {
     **{f"K{k}": SHIPPED_STENCILS[k] for k in (24, 50, 204, 44, 508)},
     "1d_nx8": (1, [(0.0, 1.0)], 8, 0.9),
@@ -285,25 +316,42 @@ class TestStepMaps:
         return op
 
     def test_extended_is_loop_of_zero_extension(self, op, rng):
+        window = step_window(op)
         v = rng.standard_normal(op.spec.nx)
         exact = op.apply(zero_extend(v, op.spec).values)
         got = op.apply_extended(v)
-        assert got.shape == op.spec.padded_shape
-        assert np.max(np.abs(got - exact)) <= 1e-13 * np.abs(exact).max()
+        assert got.shape == window_shape(op)
+        assert np.max(np.abs(got - exact[window])) <= 1e-13 * np.abs(exact).max()
+        exact[window] = 0.0
+        assert np.all(exact == 0.0)  # the loop vanishes beyond the window
 
     def test_restricted_is_loop_on_interior(self, op, rng):
         y = rng.standard_normal(op.spec.padded_shape)
         exact = op.apply(y)[op.spec.interior_slices]
-        got = op.apply_restricted(y)
+        got = op.apply_restricted(y[step_window(op)])
         assert got.shape == op.spec.nx
         assert np.max(np.abs(got - exact)) <= 1e-13 * np.abs(exact).max()
 
     def test_adjoint_pair(self, op, rng):
         v = rng.standard_normal(op.spec.nx)
-        y = rng.standard_normal(op.spec.padded_shape)
+        y = rng.standard_normal(window_shape(op))
         lhs = float(np.vdot(op.apply_extended(v), y))
         rhs = float(np.vdot(v, op.apply_restricted(y)))
         assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
+
+    def test_interleaved_evaluations_keep_their_results(self, op, rng):
+        # in 2D the three evaluations share one FFT plan and its work
+        # arrays: each result must be its own array, equal to the same call
+        # on an operator that evaluated nothing else
+        v, w = rng.standard_normal((2, *op.spec.nx))
+        y = rng.standard_normal(window_shape(op))
+        calls = [("apply_extended", v), ("apply_squared", w), ("apply_restricted", y),
+                 ("apply_squared", v), ("apply_extended", w), ("apply_restricted", y)]
+        got = [getattr(op, name)(arg) for name, arg in calls]
+        for i, (name, arg) in enumerate(calls):
+            alone = getattr(NonlocalOperator(op.stencil, op.spec), name)(arg)
+            assert np.array_equal(got[i], alone), name
+            assert not any(np.shares_memory(got[i], other) for other in got[:i])
 
 
 class TestSquaredCorrelation:

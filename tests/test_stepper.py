@@ -319,7 +319,7 @@ class TestNewtonStep:
         dim, box, nx, eps = HESSIAN_STENCILS[request.param]
         kern = get_kernel("tent")
         spec = make_domain(dim, box, nx, eps)
-        op = NonlocalOperator(discretize(kern, eps, spec), spec)
+        op = as_operator(discretize(kern, eps, spec), spec)
         assert sum(bool(np.any(d)) for d in op.stencil.offsets) == request.param
         return op
 
