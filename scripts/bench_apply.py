@@ -19,8 +19,9 @@ exit status 1 before timing a case where one differs by more than
 MAX_DIFF.
 Rows are keyed by dim, nx (interior cells per axis) and K (nonzero
 stencil offsets).  The padded grids, with ``nodes`` nodes, are
-the runs' own: converge's three scales share the grid padded for its
-largest eps.  The operator is timed on the step grid that
+the runs' own: converge's three scales share the grid padded one kernel
+support of its largest eps, 462 nodes.  The operator is timed on the step
+grid that
 ``stepper.as_operator`` cuts from each, the interior plus the stencil's
 reach, with ``step`` nodes.
 

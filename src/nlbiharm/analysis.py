@@ -342,8 +342,8 @@ def nonlocal_to_local_study(
 
     All runs share the initial state's grid (padded for the largest eps) and
     the same time step, so the supremum is taken over matching times.  Every
-    eps is discretized before any run, so a grid that cannot hold some scale
-    fails before the evolutions.
+    eps is discretized before any run, so a collar narrower than some
+    stencil's reach fails before the evolutions (``grid.check_collar``).
     """
     _check_decreasing(eps_list, "eps_list")
     _require_monotone(kernel)

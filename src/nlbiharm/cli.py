@@ -96,6 +96,7 @@ def parse_config(path) -> ExperimentConfig:
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     cfg = ExperimentConfig()
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,6 +106,9 @@ def parse_config(path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r}", lineno, key)
+        if key in first_line:
+            raise ConfigError(f"key set twice, first on line {first_line[key]}", lineno, key)
+        first_line[key] = lineno
         try:
             parsed = _parse_value(_FIELD_TYPES[key], value)
         except ValueError as err:
@@ -147,6 +151,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if sweep and len(cfg.epsilon_list) < 2:
         # one scale has no pair to compare: no order, no decrease to test
         raise ConfigError(f"{cfg.command} needs two or more scales", key="epsilon_list")
+    if not sweep and cfg.epsilon_list:
+        raise ConfigError(f"{cfg.command} runs at the one scale epsilon", key="epsilon_list")
     _build(lambda: _check_decreasing(cfg.epsilon_list, "epsilon_list"), "epsilon_list")
     if cfg.command == "denoise" and not cfg.input:
         raise ConfigError("denoise needs an input PGM path", key="input")

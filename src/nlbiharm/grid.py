@@ -42,12 +42,10 @@ class DomainSpec:
         omega_lo, omega_hi: interior box corners, one entry per axis.
         nx: interior cells per axis.
         dx: uniform grid spacing (identical on every axis).
-        pad_cells: collar cells per side.  A step needs only one stencil
-            reach of them (``stepper.as_operator``).  ``make_domain`` pads
-            two kernel supports: one grid then holds every scale of a
-            converge study, and the whole-grid evaluations and field
-            outputs cover all that two operator applications reach from
-            inside the box.
+        pad_cells: collar cells per side, at least the reach of every
+            stencil on the grid (``check_collar``): the operator of a
+            zero-extended state vanishes beyond it.  ``make_domain`` pads
+            one kernel support, the reach + 1 of its scale's stencil.
     """
 
     dim: int
@@ -108,8 +106,13 @@ def check_resolved(eps: float, dx: float) -> None:
         )
 
 
+def support_cells(eps: float, dx: float) -> int:
+    """The support eps in whole cells: the reach + 1 of its stencil."""
+    return math.ceil(eps / dx - 1e-12)
+
+
 def check_collar(pad_cells: int, reach: int) -> None:
-    """A collar must cover the stencil's reach (``nlop`` fast paths)."""
+    """A collar must cover the stencil's reach wherever a stencil meets a grid."""
     if pad_cells < reach:
         raise ValueError(
             f"collar of {pad_cells} cells is narrower than the stencil's "
@@ -130,9 +133,9 @@ def make_domain(dim, box, nx, eps) -> DomainSpec:
     """Build the padded grid sized for a rescaled kernel of scale eps.
 
     ``box`` is (lo, hi) in 1D or ((lo, hi), (lo, hi)) in 2D; ``nx`` may be a
-    scalar or per-axis.  The padding is twice the rescaled support radius
-    eps, rounded up to whole cells: every kernel is supported on the unit
-    ball, so the grid needs no kernel.
+    scalar or per-axis.  The padding is the support eps in whole cells
+    (``support_cells``), so it holds the stencil at eps or any smaller scale:
+    every kernel is supported on the unit ball, so the grid needs no kernel.
     """
     check_dim(dim)
     check_eps(eps)
@@ -159,7 +162,7 @@ def make_domain(dim, box, nx, eps) -> DomainSpec:
         omega_hi=hi,
         nx=nx_t,
         dx=dx,
-        pad_cells=math.ceil(2.0 * eps / dx - 1e-12),
+        pad_cells=support_cells(eps, dx),
     )
 
 

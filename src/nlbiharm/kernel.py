@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DomainSpec, check_eps, check_resolved, write_csv
+from .grid import DomainSpec, check_collar, check_eps, check_resolved, support_cells, write_csv
 
 
 @dataclass(frozen=True)
@@ -130,19 +130,17 @@ class Stencil:
 
 
 def discretize(kernel: Kernel, eps: float, spec: DomainSpec) -> Stencil:
-    """Sample the kernel at scale eps on the grid offsets of ``spec``."""
+    """Sample the kernel at scale eps on the grid offsets of ``spec``, whose
+    collar must cover the stencil's reach (``grid.check_collar``)."""
     check_eps(eps)
     dx = spec.dx
     check_resolved(eps, dx)
-    if spec.pad_cells * dx < 2.0 * eps - 1e-12 * eps:
-        raise ValueError(f"domain padding {spec.pad_cells * dx:g} below "
-                         f"containment minimum {2 * eps:g}")
-    reach = eps / dx
-    dmax = int(np.ceil(reach - 1e-12)) - 1
+    dmax = support_cells(eps, dx) - 1
+    check_collar(spec.pad_cells, dmax)
     axes = [np.arange(-dmax, dmax + 1)] * spec.dim
     offsets = np.column_stack([d.ravel() for d in np.meshgrid(*axes, indexing="ij")])
     dist_cells = np.hypot.reduce(np.abs(offsets).astype(float), axis=1)
-    keep = dist_cells < reach - 1e-12
+    keep = dist_cells < eps / dx - 1e-12
     offsets = np.ascontiguousarray(offsets[keep], dtype=np.int64)
     samples = kernel(dist_cells[keep] * dx / eps)
     return Stencil(offsets=offsets, weights=samples / _half_moment(offsets, samples, dx), dx=dx)

@@ -45,14 +45,11 @@ def local_stencil(spec: DomainSpec) -> Stencil:
 
 class LocalOperator(NonlocalOperator):
     """``local_stencil`` on the whole padded grid, for the whole-grid
-    evaluations.  It stays while the benchmark tracer patches its ``apply``;
-    deleting it is ROADMAP item 7's last step, after item 2."""
+    evaluations; its reach of 1 needs a one-cell collar.  It stays while the
+    benchmark tracer patches its ``apply``; deleting it is ROADMAP item 7's
+    last step, after item 2."""
 
     def __init__(self, spec: DomainSpec):
-        if spec.pad_cells < 2:
-            raise ValueError(
-                f"local operator needs two ghost layers, got pad_cells = {spec.pad_cells}"
-            )
         super().__init__(local_stencil(spec), spec)
 
 

@@ -19,7 +19,7 @@ It has four evaluations of the same matrix, one of them of its square:
   its transpose ``apply_restricted``, E^T A y, the operator on window
   values y read on the interior; and ``apply_squared``, E^T A A E v, the
   Hessian product at p = 2.  Once the collar covers the reach
-  (``grid.check_collar``, as every fast path needs) they are correlations
+  (``grid.check_collar``, as every operator checks) they are correlations
   with the taps t of A (w_d off the centre, -sum_(d != 0) w_d at it), and
   with t * t, which reaches 2 reach, for the square.  Each is exact for
   every input and computes only the values it returns.  In 1D they are
@@ -106,14 +106,15 @@ def _fft_correlations(taps: np.ndarray, fft_shape, placements):
 
 
 class NonlocalOperator:
-    """Matrix-free nonlocal Laplacian bound to one stencil and one grid;
-    ``reach`` is ``Stencil.reach``."""
+    """Matrix-free nonlocal Laplacian bound to one stencil and one grid whose
+    collar covers ``reach``, the ``Stencil.reach`` (``grid.check_collar``)."""
 
     def __init__(self, stencil: Stencil, spec: DomainSpec):
         if stencil.dim != spec.dim:
             raise ValueError(f"stencil dim {stencil.dim} != domain dim {spec.dim}")
         if abs(stencil.dx - spec.dx) > 1e-12 * spec.dx:
             raise ValueError(f"stencil dx {stencil.dx:g} != domain dx {spec.dx:g}")
+        check_collar(spec.pad_cells, stencil.reach)
         self.spec = spec
         self.stencil = stencil
         self.reach = stencil.reach
@@ -190,8 +191,7 @@ class NonlocalOperator:
     def _taps(self) -> np.ndarray:
         """The taps t of A, dense of reach r per axis: t[r + d] = w_d off the
         centre and -sum_(d != 0) w_d at it; the zero offset's weight drops
-        out.  Every fast path builds on them, so they check the collar."""
-        check_collar(self.spec.pad_cells, self.reach)
+        out."""
         st, r = self.stencil, self.reach
         taps = np.zeros((2 * r + 1,) * st.dim)
         taps[tuple((st.offsets + r).T)] = st.weights

@@ -186,8 +186,8 @@ class Trajectory:
 
 def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
     """Bind a Stencil to the step grid, ``spec`` with its collar cut to the
-    stencil's reach; a collar narrower than the reach would truncate the
-    operator and raises.  Only test doubles pass an operator; its step
+    stencil's reach; a narrower collar raises (``grid.check_collar``).
+    Only test doubles pass an operator; its step
     evaluations live on the step window whatever its collar (``nlop``)."""
     if not isinstance(st, (Stencil, NonlocalOperator)):
         raise TypeError(f"expected a Stencil or a NonlocalOperator, got {type(st)!r}")

@@ -194,7 +194,7 @@ class TestNonlocalToLocal:
     def test_padding_must_cover_largest_eps(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         u0 = zero_extend(np.zeros(64), spec)
-        with pytest.raises(ValueError, match="containment"):
+        with pytest.raises(ValueError, match="collar"):
             nonlocal_to_local_study(
                 u0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=1e-3, T=0.01)
             )

@@ -93,7 +93,13 @@ class TestParseConfig:
          ("T = 1e300\nh = 1e-300", "'T'"),
          ("command = decay\nT = 1e300\nh = 1e-300", "'T'"),
          ("dim = 3", "'dim'"),
-         ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm\ndim = 3", "'dim'")],
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/tiny.pgm\ndim = 3", "'dim'"),
+         ("nx = 64\nnx = 32", r"first on line 4 \(line 5, key 'nx'\)"),
+         ("epsilon_list = 0.1,0.05", "'epsilon_list'"),
+         ("command = decay\nepsilon_list = 0.1,0.05", "'epsilon_list'"),
+         ("command = poincare\nepsilon_list = 0.1,0.05", "'epsilon_list'"),
+         ("command = contraction\nepsilon_list = 0.1,0.05", "'epsilon_list'"),
+         ("command = denoise\nepsilon_list = 0.1,0.05", "'epsilon_list'")],
         ids=["under_resolved_epsilon", "box_lo_unknown", "p_nan", "T_inf",
              "inner_max_iters_zero", "record_every_unknown", "inner_tol_unknown",
              "T_below_h", "seed_negative", "decay_p_below_two",
@@ -105,7 +111,9 @@ class TestParseConfig:
              "denoise_p2_underscore_sample", "decay_zero_start", "converge_zero_start",
              "converge_one_scale", "consistency_one_scale",
              "step_count_overflow", "decay_step_count_overflow",
-             "dim_three", "denoise_dim_three"],
+             "dim_three", "denoise_dim_three", "nx_set_twice", "evolve_epsilon_list",
+             "decay_epsilon_list", "poincare_epsilon_list",
+             "contraction_epsilon_list", "denoise_epsilon_list"],
     )
     def test_bad_config_exits_config_error(self, tmp_path, capsys, line, key):
         # images for the denoise cases: a colour (P6) file, a 3x3 one and
@@ -115,10 +123,13 @@ class TestParseConfig:
         for name, sample in NOT_PGM_SAMPLES.items():
             (tmp_path / f"{name}.pgm").write_bytes(
                 b"P2\n4 4\n255\n" + sample + b" 10" * 15 + b"\n")
-        cfg_path = write_cfg(
-            tmp_path,
-            f"command = evolve\nu0 = zero\nnx = 16\nh = 0.01\n{line.format(tmp=tmp_path)}\n",
-        )
+        # the base sets only the keys the case leaves unset: a key set
+        # twice is itself a config error
+        case = line.format(tmp=tmp_path)
+        keys = {entry.split("=")[0].strip() for entry in case.splitlines()}
+        base = {"command": "evolve", "u0": "zero", "nx": "16", "h": "0.01"}
+        cfg_path = write_cfg(tmp_path, "".join(
+            f"{k} = {v}\n" for k, v in base.items() if k not in keys) + case + "\n")
         out = tmp_path / "out"
         out.mkdir()
         assert main(["--config", str(cfg_path), "--out", str(out)]) == 2

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,26 +8,60 @@ from hypothesis.extra import numpy as hnp
 
 from nlbiharm import (
     Field,
+    discretize,
     field_to_csv,
+    get_kernel,
     inner_product,
     lp_norm,
     make_domain,
+    parse_config,
     zero_extend,
 )
+from nlbiharm.cli import _grid
 from nlbiharm.grid import write_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def shipped_grids(dim):
+    """(grid, scales) of every unit-box grid of dimension ``dim`` that a
+    shipped config runs on, padded for the largest of its scales; the
+    denoise pixel grid is left out."""
+    grids = []
+    for path in sorted((ROOT / "scripts" / "configs").glob("*.cfg")) + [
+            ROOT / "perfbench" / "configs" / "evolve_2d.cfg"]:
+        cfg = parse_config(path)
+        if cfg.command != "denoise" and cfg.dim == dim:
+            scales = cfg.epsilon_list or [cfg.epsilon]
+            sizes = (cfg.nx, 2 * cfg.nx) if cfg.command == "poincare" else (cfg.nx,)
+            grids += [(_grid(cfg, max(scales), nx), scales) for nx in sizes]
+    assert grids
+    return grids
+
+
+def pad_is_reach_plus_one(dim):
+    for spec, scales in shipped_grids(dim):
+        reach = discretize(get_kernel("tent"), max(scales), spec).reach
+        assert spec.pad_cells == reach + 1, (spec.nx, scales)
 
 
 class TestMakeDomain:
     def test_pad_arithmetic_1d(self):
         spec = make_domain(1, (0.0, 1.0), 64, 0.1)
         assert spec.dx == 1.0 / 64
-        assert spec.pad_cells == 13
-        assert spec.padded_shape == (90,)
+        assert spec.pad_cells == 7
+        assert spec.padded_shape == (78,)
+        # converge_p3's grid: 256 cells padded for eps = 0.4
+        assert make_domain(1, (0.0, 1.0), 256, 0.4).padded_shape == (462,)
+        pad_is_reach_plus_one(1)
 
     def test_pad_arithmetic_2d(self):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 32, 0.125)
-        assert spec.padded_shape == (48, 48)
+        assert spec.padded_shape == (40, 40)
         assert spec.cell_volume == pytest.approx((1.0 / 32) ** 2)
+        # evolve_2d's grid
+        assert make_domain(2, [(0.0, 1.0)] * 2, 64, 0.2).padded_shape == (90, 90)
+        pad_is_reach_plus_one(2)
 
     def test_under_resolved_kernel_rejected(self):
         with pytest.raises(ValueError, match="under-resolved"):
@@ -36,8 +72,13 @@ class TestMakeDomain:
             make_domain(1, (0.0, 1.0), 3, 0.5)
 
     def test_containment_invariant(self):
-        spec = make_domain(1, (0.0, 1.0), 64, 0.1)
-        assert spec.pad_cells * spec.dx >= 2 * 0.1 * 1.0 - 1e-15
+        # one grid holds every scale of its config: the collar, one support
+        # of the largest scale, exceeds the reach of every scale's stencil
+        for dim in (1, 2):
+            for spec, scales in shipped_grids(dim):
+                for eps in scales:
+                    reach = discretize(get_kernel("tent"), eps, spec).reach
+                    assert reach < spec.pad_cells, (spec.nx, eps)
 
     def test_cell_centered_nodes(self, domain64):
         x = domain64.axis_coords(0)

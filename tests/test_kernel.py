@@ -100,8 +100,9 @@ class TestDiscretize:
             discretize(tent1d, 0.02, spec)
 
     def test_padding_guard(self, tent1d):
+        # a collar of 7 cells, a reach of 19
         spec = make_domain(1, (0.0, 1.0), 64, 0.1)
-        with pytest.raises(ValueError, match="padding"):
+        with pytest.raises(ValueError, match="collar"):
             discretize(tent1d, 0.3, spec)
 
     def test_2d_offsets_inside_disc(self, tent2d):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,11 +69,33 @@ class TestLocalLaplacian:
             assert st.half_moment == pytest.approx(spec.dim, rel=1e-15)
             assert st.diag == pytest.approx(2 * spec.dim / spec.dx**2, rel=1e-15)
 
-    def test_needs_two_ghost_layers(self):
+    def test_needs_a_collar(self):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 8, 0.5)
-        object.__setattr__(spec, "pad_cells", 1)
-        with pytest.raises(ValueError, match="ghost"):
-            LocalOperator(spec)
+        assert LocalOperator(replace(spec, pad_cells=1)).reach == 1
+        with pytest.raises(ValueError, match="collar"):
+            LocalOperator(replace(spec, pad_cells=0))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_cell_collar_matches_the_padded_grid(self, dim):
+        # the operator reaches one cell, so the evaluations on a one-cell
+        # collar equal those on make_domain's wider one bit for bit
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, 16, 0.25)
+        cut = replace(spec, pad_cells=1)
+        T = 5e-3
+        traj = local_evolve(default_bump(spec), StepperConfig(p=3.0, h=1e-3, T=T))
+        states = [zero_extend(s.interior_values, cut) for s in traj.states]
+        near = tuple(slice(spec.pad_cells - 1, spec.pad_cells + n + 1) for n in spec.nx)
+        for wide_u, cut_u in zip(traj.states, states):
+            wide = local_laplacian(wide_u).values
+            assert np.count_nonzero(wide) == np.count_nonzero(wide[near])
+            assert np.array_equal(wide[near], local_laplacian(cut_u).values)
+
+        def phi(*args):
+            *xs, t = args
+            return np.prod([np.sin(np.pi * x) for x in xs], axis=0) * t * (T - t)
+        wide_r = weak_residual(traj, phi)
+        assert wide_r != 0.0
+        assert weak_residual(replace(traj, states=states), phi) == wide_r
 
     def test_unconstrained_input_rejected(self):
         spec = local_domain(nx=16)

@@ -191,8 +191,9 @@ class TestFftEvaluation:
             assert np.array_equal(first, kept)
 
     def test_collar_narrower_than_reach_rejected(self):
-        # a one-cell collar: every fast path would truncate the operator at
-        # interior nodes (K = 24 in 1D, reach 12; nx = 12, eps = 0.3 in 2D)
+        # a one-cell collar: every evaluation, the loop as much as the fast
+        # paths, would truncate the operator at interior nodes (K = 24 in
+        # 1D, reach 12; nx = 12, eps = 0.3 in 2D)
         for dim, nx, eps in ((1, 64, 0.2), (2, 12, 0.3)):
             kern = get_kernel("tent")
             spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, eps)
@@ -200,7 +201,13 @@ class TestFftEvaluation:
             spec = replace(spec, pad_cells=1)
             assert st_.reach > 1
             shape = spec.padded_shape
+            u = zero_extend(np.ones(spec.nx), spec)
+            with pytest.raises(ValueError, match="collar"):
+                nonlocal_laplacian(u, st_)
+            with pytest.raises(ValueError, match="collar"):
+                dirichlet_energy(u, st_, 3.0)
             for call in (
+                lambda op: op.apply(np.zeros(shape)),
                 lambda op: op.apply_extended(np.zeros(spec.nx)),
                 lambda op: op.apply_restricted(np.zeros(shape)),
                 lambda op: op.apply_squared(np.zeros(spec.nx)),

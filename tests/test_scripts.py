@@ -103,3 +103,24 @@ def test_benchmark_tracer_finds_every_patched_name(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_run_all_studies_passes_every_study(tmp_path):
+    # the shipped battery: each study prints at least one PASS line and none
+    # prints FAIL, so a change that breaks a shipped check fails here
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_all_studies.py"), str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stdout + run.stderr
+    passes, study = {}, None
+    for line in run.stdout.splitlines():
+        assert not line.startswith("FAIL"), line
+        if line.startswith("== "):
+            study = line.strip("= ")
+            passes[study] = 0
+        elif line.startswith("PASS "):
+            passes[study] += 1
+    stems = {p.stem for p in (SCRIPTS / "configs").glob("*.cfg")} - {"denoise"}
+    assert set(passes) == stems
+    assert all(passes.values()), passes
