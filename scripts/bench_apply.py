@@ -12,7 +12,10 @@ step, all on the step window: ``apply_extended`` (A E on interior values),
 ``apply_squared`` (E^T A A E on interior values, as the p = 2 Hessian
 products run it).  ``NonlocalOperator._step_maps`` builds all three: direct
 correlations in 1D, with the taps and with their square; in 2D one
-zero-padded FFT plan, whose kernel spectrum the square takes squared.  Each
+zero-padded FFT plan, whose kernel spectrum the square takes squared.  On
+the 2D rows ``tau_us`` times the tau solve that preconditions the 2D p = 2
+CG (``NonlocalOperator.tau_solve``, two dense DST-I products per axis).
+Each
 row shows the relative difference of each from the loop on random interior
 values and random window values (``check_case``); the script stops with
 exit status 1 before timing a case where one differs by more than
@@ -34,9 +37,10 @@ the p = 3 Newton curvature 2|A x| at a random state.
 
 The third table runs one implicit step (``stepper._minimize_step``) for
 each way of solving the step model: Newton-CG on converge's 1D K = 50
-stencil at p = 3 and on evolve_2d's 2D K = 508 stencil at p = 2 (from
-evolve_2d's random start, seed 404; the quadratic step takes one Newton
-iteration), direct Newton on the local 1D Hessian (n = 256), and the
+stencil at p = 3 and, tau-preconditioned, on evolve_2d's 2D K = 508 stencil
+at p = 2 and on a 2D nx = 128, eps = 0.1 stencil (both from evolve_2d's
+random start, seed 404; the quadratic step takes one Newton iteration),
+direct Newton on the local 1D Hessian (n = 256), and the
 direct reweighted step below p = 2.  Each step, the local one included,
 runs on its step grid, as ``evolve`` runs it.  It prints the step's inner
 iterations, operator applies (a squared correlation counts as one) and
@@ -89,12 +93,13 @@ SOLVE_H = 1e-4
 
 # (solver, dim, nx, eps of the stencil or None for the local one, grid eps,
 # p, h, start) on the unit box: converge_p3's first step at its middle scale
-# and for its local reference, evolve_2d's step, a p = 1.5 step on the
-# battery's 1D stencil, and a p = 1.2 step whose reweighted direction once
-# stalled in cancellation.
+# and for its local reference, evolve_2d's step and the same step on a finer
+# 2D grid, a p = 1.5 step on the battery's 1D stencil, and a p = 1.2 step
+# whose reweighted direction once stalled in cancellation.
 STEP_CASES = [
     ("newton_cg", 1, 256, 0.1, 0.4, 3.0, 1e-4, "bump"),
     ("newton_cg", 2, 64, 0.2, 0.2, 2.0, 5e-3, "random"),
+    ("newton_cg", 2, 128, 0.1, 0.1, 2.0, 5e-3, "random"),
     ("newton_direct", 1, 256, None, 0.4, 3.0, 1e-4, "bump"),
     ("reweighted", 1, 64, 0.2, 0.2, 1.5, 1e-3, "bump"),
     ("reweighted", 1, 128, 0.2, 0.2, 1.2, 1e-4, "gaussian"),
@@ -156,7 +161,7 @@ def step_case(case):
 def main() -> int:
     rng = np.random.default_rng(0)
     print(f"{'study':<11} {'dim':>3} {'nx':>4} {'nodes':>6} {'step':>6} {'K':>4} "
-          f"{'apply_us':>9} {'ext_us':>7} {'res_us':>7} {'sq_us':>7} "
+          f"{'apply_us':>9} {'ext_us':>7} {'res_us':>7} {'sq_us':>7} {'tau_us':>7} "
           f"{'ext_diff':>8} {'res_diff':>8} {'sq_diff':>8}")
     for case in CASES:
         spec, op, interior, values, diffs = check_case(case, rng)
@@ -170,9 +175,12 @@ def main() -> int:
         ext_us = per_call_us(op.apply_extended, interior)
         res_us = per_call_us(op.apply_restricted, values)
         sq_us = per_call_us(op.apply_squared, interior)
+        tau = "-"
+        if spec.dim == 2:  # the shift of evolve_2d's h = 5e-3
+            tau = f"{per_call_us(op.tau_solve(1.0 / 5e-3), interior):.1f}"
         nodes = int(np.prod(spec.padded_shape))
         print(f"{case[0]:<11} {spec.dim:>3} {case[3]:>4} {nodes:>6} {values.size:>6} {k:>4} "
-              f"{loop_us:>9.1f} {ext_us:>7.1f} {res_us:>7.1f} {sq_us:>7.1f} "
+              f"{loop_us:>9.1f} {ext_us:>7.1f} {res_us:>7.1f} {sq_us:>7.1f} {tau:>7} "
               + " ".join(f"{d:>8.1e}" for d in diffs))
 
     print()

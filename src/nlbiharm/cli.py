@@ -79,6 +79,20 @@ class ExperimentConfig:
 # the schema of a config file: each key parses by its field's type
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
+# the keys each command's run reads besides ``command``; ``seed`` too where
+# it reads ``u0 = random``
+_STEPPER_KEYS = tuple(f.name for f in fields(StepperConfig))
+_READS = {
+    "evolve": {"kernel", "dim", "nx", "epsilon", *_STEPPER_KEYS, "u0"},
+    "decay": {"kernel", "dim", "nx", "epsilon", *_STEPPER_KEYS, "u0",
+              "fit_t_lo", "fit_floor_ratio"},
+    "consistency": {"kernel", "dim", "nx", "epsilon_list", "q", "phi"},
+    "converge": {"kernel", "dim", "nx", "epsilon_list", *_STEPPER_KEYS, "u0"},
+    "poincare": {"kernel", "dim", "nx", "epsilon"},
+    "contraction": {"kernel", "dim", "nx", "epsilon", *_STEPPER_KEYS, "seed"},
+    "denoise": {"kernel", "epsilon", *_STEPPER_KEYS, "input"},
+}
+
 
 def _parse_value(hint, value: str):
     """Parse by field type: ``list[float]`` is a comma list, ``float | None``
@@ -116,7 +130,7 @@ def parse_config(path) -> ExperimentConfig:
         setattr(cfg, key, parsed)
     if cfg.input:  # a relative image path names a file beside the config
         cfg.input = str(Path(path).parent / cfg.input)
-    _validate(cfg)
+    _validate(cfg, first_line)
     return cfg
 
 
@@ -133,9 +147,10 @@ def _build(build, *keys: str, **words: str):
         raise ConfigError(str(err), key=key) from err
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    """Build what the run builds; only the checks that have no counterpart
-    in the library are written out here."""
+def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
+    """Build what the run builds, then reject the first key set (``lines``,
+    key -> line) that the run never reads; only the checks that have no
+    counterpart in the library are written out here."""
     if cfg.command not in _RUNNERS:
         raise ConfigError(
             f"command must be one of {', '.join(_RUNNERS)}, got {cfg.command!r}",
@@ -180,6 +195,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.u0 == "zero" and cfg.command in ("decay", "converge"):
         # a zero start stays zero: no decay to fit, no error to shrink
         raise ConfigError(f"{cfg.command} needs a nonzero start, got u0 = zero", key="u0")
+    reads = _READS[cfg.command] | {"command"}
+    if "u0" in reads and cfg.u0 == "random":
+        reads = reads | {"seed"}
+    for key, line in lines.items():
+        if key not in reads:
+            raise ConfigError(f"{cfg.command} does not read this key", line, key)
 
 
 def _write_manifest(cfg_path, outdir: Path, command: str) -> None:

@@ -34,8 +34,17 @@ It has four evaluations of the same matrix, one of them of its square:
 
 ``normal_solve`` solves the step model shift I + A^T diag(c) A over the
 interior values directly: its bands come straight from the stencil taps and
-a block LDL^T eliminates them (``BandedNormal``), in numpy alone.  Which
-step uses which evaluation and which solve is the stepper's choice.
+a block LDL^T eliminates them (``BandedNormal``), in numpy alone.
+``tau_solve`` inverts the tau-algebra approximation of the p = 2 model
+shift I + E^T A^2 E, a (block) Toeplitz section with symbol lambda^2, where
+lambda(xi) = sum_d t_d prod_a cos(xi_a d_a) is the symbol of the taps
+(even along each axis): P^-1 = S diag(1 / (shift + lambda^2)) S at the
+DST-I frequencies xi_a = pi k / (n_a + 1), k = 1..n_a, with S the
+orthonormal DST-I per axis, its own inverse (Bini & Capovani, Linear
+Algebra Appl. 52/53, 1983; Chan & Ng, SIAM Review 38, 1996).  It is built
+for 2D grids, where S is kept as a dense n x n matrix per axis, so one solve
+is two matrix products per axis and a scaling.  Which step uses which
+evaluation and which solve is the stepper's choice.
 """
 
 from __future__ import annotations
@@ -121,6 +130,7 @@ class NonlocalOperator:
         self._terms = None
         self._maps = None
         self._normal = None
+        self._tau = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         if self._terms is None:
@@ -214,6 +224,45 @@ class NonlocalOperator:
             self._normal = BandedNormal(self)
         self._normal.assemble(c, shift)
         return self._normal.eliminate(rhs)
+
+    def tau_solve(self, shift: float):
+        """P^-1 = S diag(1 / (shift + lambda^2)) S over the interior values of
+        a 2D grid, as a callable returning a new array (module docstring):
+        the stepper's preconditioner for the p = 2 model shift I + E^T A^2 E.
+        S, lambda^2 and two work arrays are built on the first call and
+        kept, so a solve allocates only its result; a call computes only
+        1 / (shift + lambda^2)."""
+        if self._tau is None:
+            self._tau = self._tau_basis()
+        (s0, s1), symbol_sq, (work, moved) = self._tau
+        scale = 1.0 / (shift + symbol_sq)
+
+        def solve(values):
+            # S_0 V S_1 (each S symmetric and its own inverse), scaled, and back
+            np.matmul(s0, values, out=work)
+            np.matmul(work, s1, out=moved)
+            np.multiply(moved, scale, out=moved)
+            np.matmul(s0, moved, out=work)
+            return work @ s1
+        return solve
+
+    def _tau_basis(self):
+        """The orthonormal DST-I matrix of each axis (one per distinct
+        length), lambda^2 at the DST-I frequencies, and two work arrays, on
+        the interior shape."""
+        if self.spec.dim != 2:
+            raise ValueError(f"the tau solve needs a 2D grid, got dim {self.spec.dim}")
+        symbol, offsets = self._taps(), np.arange(-self.reach, self.reach + 1)
+        sines = {}
+        for n in self.spec.nx:
+            k = np.arange(1, n + 1)
+            xi = np.pi * k / (n + 1)
+            if n not in sines:
+                sines[n] = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, xi))
+            # contracts the first offset axis left, appends this axis's frequencies
+            symbol = symbol.T @ np.cos(np.outer(offsets, xi))
+        work = (np.empty(self.spec.nx), np.empty(self.spec.nx))
+        return [sines[n] for n in self.spec.nx], symbol ** 2, work
 
 
 # Smallest block of the block LDL^T solve.  Blocks are max(bandwidth,

@@ -58,7 +58,13 @@ its exact Hessian, so one CG solve to the residual floor lands on the
 minimizer, and the step certifies after one Newton iteration.  There
 c = 1, and each product M v = v/h + E^T A^2 E v is one squared correlation
 ``apply_squared``, exact on the step grid for the reason above: a third
-evaluation, which never forms A v.
+evaluation, which never forms A v.  In 2D that CG is preconditioned with
+the operator's tau solve P^-1 = S diag(1 / (1/h + lambda^2)) S
+(``NonlocalOperator.tau_solve``), whose DST-I basis is built on the first
+solve and kept on the operator: on the evolve_2d step it cuts the CG
+products from 45 to 17.  Everywhere else CG is plain: in 1D the tau solve
+costs more than it saves (converge_p2 took 1,641 products without it and
+2,015 with it), and above p = 2 it has not been measured.
 
 An evolution resolves its residual tolerance once, from its initial state
 (``effective_inner_tol``, kept as ``Trajectory.inner_tol``), records the
@@ -395,14 +401,16 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
 
 
 def _cg_solve(fn, tol):
-    """Conjugate gradients on H d = g, matrix free.
+    """Conjugate gradients on H d = g, matrix free; at p = 2 in 2D
+    preconditioned with the operator's tau solve (module docstring).
 
     CG stops at the forcing tolerance (none at p = 2), floored at half the
     relative accuracy the step tolerance asks for, or after one iteration
-    per unknown.  Every iterate from d = 0 is a descent direction
-    (H >= I/h).
+    per unknown, on the residual H d - g itself, with or without P.  Every
+    iterate from d = 0 is a descent direction (H >= I/h, and P SPD).
     """
     g_prev = None  # ||g|| at the previous Newton iteration
+    tau = fn.p == 2.0 and fn.op.spec.dim == 2
 
     def solve(curv, g):
         nonlocal g_prev
@@ -413,22 +421,30 @@ def _cg_solve(fn, tol):
             eta = min(eta, EW_GAMMA * (g_norm / g_prev) ** EW_ALPHA)
         eta = max(eta, 0.5 * tol / fn.l2(g))
         g_prev = g_norm
+        precondition = fn.op.tau_solve(1.0 / fn.h) if tau else None
 
         d = np.zeros_like(g)
         r = g.copy()
-        s = g.copy()
+        z = r if precondition is None else precondition(r)
+        s = z.copy()
+        rz = rr if precondition is None else float(np.dot(r.ravel(), z.ravel()))
         stop = eta * eta * rr
         for _ in range(g.size):
             hs = fn.hessian_product(s, curv)
-            alpha = rr / float(np.dot(s.ravel(), hs.ravel()))
+            alpha = rz / float(np.dot(s.ravel(), hs.ravel()))
             d += alpha * s
             r -= alpha * hs
-            rr_new = float(np.dot(r.ravel(), r.ravel()))
-            if rr_new <= stop:
+            rr = float(np.dot(r.ravel(), r.ravel()))
+            if rr <= stop:
                 break
-            s *= rr_new / rr
-            s += r
-            rr = rr_new
+            if precondition is None:
+                z, rz_new = r, rr
+            else:
+                z = precondition(r)
+                rz_new = float(np.dot(r.ravel(), z.ravel()))
+            s *= rz_new / rz
+            s += z
+            rz = rz_new
         return d
 
     return solve

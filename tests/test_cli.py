@@ -138,6 +138,49 @@ class TestParseConfig:
             parse_config(cfg_path)
 
     @pytest.mark.parametrize(
+        "text,line,key",
+        [("command = converge\nepsilon_list = 0.4,0.2\nepsilon = 0.3", 3, "epsilon"),
+         ("command = converge\nepsilon_list = 0.4,0.2\nq = 7", 3, "q"),
+         ("command = evolve\nphi = quadratic", 2, "phi"),
+         ("command = evolve\nfit_t_lo = 0.5", 2, "fit_t_lo"),
+         ("command = converge\nepsilon_list = 0.4,0.2\nfit_floor_ratio = 0.1", 3,
+          "fit_floor_ratio"),
+         ("command = evolve\nu0 = bump\nseed = 3", 3, "seed"),
+         ("command = decay\nseed = 3", 2, "seed"),
+         ("command = consistency\nepsilon_list = 0.4,0.2\np = 3\nu0 = random", 3, "p"),
+         ("command = poincare\nT = 0.5", 2, "T"),
+         ("command = contraction\nu0 = random", 2, "u0"),
+         ("command = denoise\nepsilon = 4\ninput = {tmp}/img.pgm\nnx = 16", 4, "nx"),
+         ("command = denoise\ndim = 2\nepsilon = 4\ninput = {tmp}/img.pgm", 2, "dim"),
+         ("command = evolve\ninput = {tmp}/img.pgm", 2, "input")],
+        ids=["converge_epsilon", "converge_q", "evolve_phi", "evolve_fit_t_lo",
+             "converge_fit_floor_ratio", "evolve_bump_seed", "decay_bump_seed",
+             "consistency_p", "poincare_T", "contraction_u0", "denoise_nx",
+             "denoise_dim", "evolve_input"],
+    )
+    def test_unread_key_exits_config_error(self, tmp_path, capsys, text, line, key):
+        # a key the command never reads is a config error naming its line
+        (tmp_path / "img.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+        cfg_path = write_cfg(tmp_path, text.format(tmp=tmp_path) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("ERROR CONFIG")
+        with pytest.raises(ConfigError, match=f"does not read this key "
+                           rf"\(line {line}, key '{key}'\)"):
+            parse_config(cfg_path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["command = evolve\nu0 = random\nseed = 3",
+         "command = converge\nepsilon_list = 0.4,0.2\nu0 = random\nseed = 3",
+         "command = contraction\nseed = 3"],
+        ids=["evolve_random", "converge_random", "contraction"],
+    )
+    def test_seed_read_where_a_state_is_drawn(self, tmp_path, text):
+        assert parse_config(write_cfg(tmp_path, text + "\n")).seed == 3
+
+    @pytest.mark.parametrize(
         "path",
         sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
         + [ROOT / "perfbench" / "configs" / "evolve_2d.cfg"],

@@ -467,6 +467,56 @@ class TestNormalSolve:
         self.check(op, 10.0 ** rng.uniform(-12.0, 0.0, op.spec.padded_shape), rng)
 
 
+class TestTauSolve:
+    """``tau_solve`` against the dense inverse of S diag(shift + lambda^2) S,
+    built here from the orthonormal DST-I of each axis and the symbol
+    lambda(xi) = sum_(d != 0) w_d (prod_a cos(xi_a d_a) - 1) of the stencil's
+    own offsets and weights, on a 2D grid with a different n per axis."""
+
+    def test_matches_dense_tau_inverse(self, tent2d):
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.5)), (6, 9), 0.4)
+        op = as_operator(discretize(tent2d, 0.4, spec), spec)
+        shift = 1.0 / 5e-3
+        solve = op.tau_solve(shift)
+        n = op.spec.n_interior
+        p_inv = np.stack([solve(e.reshape(op.spec.nx)).ravel() for e in np.eye(n)], axis=1)
+
+        nx = op.spec.nx
+        ks = [np.arange(1, m + 1) for m in nx]
+        sines = [np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+                 for m, k in zip(nx, ks)]
+        xi = np.meshgrid(*[np.pi * k / (m + 1) for m, k in zip(nx, ks)], indexing="ij")
+        lam = sum(w * (np.cos(xi[0] * d[0]) * np.cos(xi[1] * d[1]) - 1.0)
+                  for d, w in zip(op.stencil.offsets, op.stencil.weights))
+        s = np.kron(*sines)
+        tau = s @ np.diag(shift + lam.ravel() ** 2) @ s
+
+        scale = np.abs(p_inv).max()
+        assert np.abs(p_inv - p_inv.T).max() <= 1e-14 * scale
+        assert np.linalg.eigvalsh(0.5 * (p_inv + p_inv.T)).min() > 0.0
+        assert np.abs(p_inv - np.linalg.inv(tau)).max() <= 1e-12 * scale
+
+    def test_basis_is_built_once(self, tent2d, rng):
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 8, 0.4)
+        op = as_operator(discretize(tent2d, 0.4, spec), spec)
+        v = rng.standard_normal(op.spec.nx)
+        first = op.tau_solve(1.0)(v)
+        basis = op._tau
+        # a new shift rescales the same basis; the input is not written
+        kept = v.copy()
+        second = op.tau_solve(4.0)(v)
+        assert op._tau is basis
+        assert np.array_equal(v, kept)
+        assert not np.shares_memory(first, second)
+        assert np.linalg.norm(second) < np.linalg.norm(first)
+
+    def test_needs_a_2d_grid(self, tent1d):
+        spec = make_domain(1, (0.0, 1.0), 16, 0.25)
+        op = as_operator(discretize(tent1d, 0.25, spec), spec)
+        with pytest.raises(ValueError, match="2D grid"):
+            op.tau_solve(1.0)
+
+
 class TestPFlux:
     def test_p2_identity_bit_exact(self, domain64, rng):
         g = zero_extend(rng.standard_normal(64), domain64)

@@ -36,12 +36,16 @@ def test_bench_apply_correlations_match_the_loop():
 
 
 def test_bench_apply_steps_certify():
-    # every row of bench_apply.py's step table, run once without its timings
+    # every row of bench_apply.py's step table, run once without its timings;
+    # evolve_2d's tau-preconditioned step takes at most 21 applies (49 with
+    # plain CG)
     bench = load_script("bench_apply")
     for case in bench.STEP_CASES:
         _, _, tol, step = bench.step_case(case)
         res = step()
         assert res.iters > 0 and res.residual <= tol, (case, res.residual, tol)
+        if case[1:4] == (2, 64, 0.2):
+            assert res.applies <= 21, res.applies
 
 
 def test_compare_outputs_names_the_moved_column(tmp_path):

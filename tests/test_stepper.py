@@ -22,6 +22,7 @@ from nlbiharm import (
 from nlbiharm.stepper import (
     InnerSolveFailed,
     _minimize_step,
+    _cg_solve,
     _StepFunctional,
     as_operator,
     effective_inner_tol,
@@ -127,8 +128,8 @@ class TestStepGradient:
 class _CountingOperator(NonlocalOperator):
     """Counts its own evaluations (``calls``, loop, both correlation maps
     and squared correlation; ``corr_calls``, the two maps, and
-    ``squared_calls``) and its direct solves; ``order`` names each
-    evaluation's method in turn."""
+    ``squared_calls``), its direct solves and its tau solves built;
+    ``order`` names each evaluation's method in turn."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -136,6 +137,7 @@ class _CountingOperator(NonlocalOperator):
         self.corr_calls = 0
         self.squared_calls = 0
         self.solves = 0
+        self.tau_solves = 0
         self.order = []
 
     def apply(self, values):
@@ -164,6 +166,10 @@ class _CountingOperator(NonlocalOperator):
     def normal_solve(self, *args):
         self.solves += 1
         return super().normal_solve(*args)
+
+    def tau_solve(self, shift):
+        self.tau_solves += 1
+        return super().tau_solve(shift)
 
 
 class TestImplicitStep:
@@ -387,6 +393,58 @@ class TestNewtonStep:
         op = _CountingOperator(st_, replace(spec, pad_cells=st_.reach))
         _minimize_step(op, u0.interior_values, 2.0, 1e-3, traj.inner_tol, 5000)
         assert op.calls - op.squared_calls == 4
+
+    def test_pcg_direction_meets_the_dense_stop(self, tent2d, rng):
+        # At p = 2 in 2D CG runs preconditioned with the tau solve.  Its
+        # stop is the one plain CG has, on H d - g itself: the true residual
+        # of the direction stays under half the step tolerance, as the
+        # dense solve's does, and the two differ by at most h times it
+        # (H >= I/h).
+        spec = make_domain(2, [(0.0, 1.0)] * 2, 12, 0.25)
+        st_ = discretize(tent2d, 0.25, spec)
+        op = _CountingOperator(st_, replace(spec, pad_cells=st_.reach))
+        h = 5e-3
+        fn = _StepFunctional(op, np.zeros(op.spec.nx), 2.0, h,
+                             (op.apply_extended, op.apply_restricted))
+        g = rng.standard_normal(op.spec.nx)
+        tol = 1e-8 * fn.l2(g)
+        d = _cg_solve(fn, tol)(np.ones(op.spec.padded_shape), g)
+        assert op.tau_solves == 1 and op.squared_calls < 20
+
+        am = dense_operator_matrix(op) @ extension_matrix(op.spec)
+        dense = np.eye(op.spec.n_interior) / h + am.T @ am
+        ref = np.linalg.solve(dense, g.ravel())
+        resid = fn.l2(dense @ d.ravel() - g.ravel())
+        assert resid <= 0.5 * tol
+        assert fn.l2(dense @ ref - g.ravel()) <= 0.5 * tol
+        assert fn.l2(d.ravel() - ref) <= h * resid * (1.0 + 1e-6)
+
+    def test_2d_p2_step_cg_products(self, tent2d):
+        # the tau-preconditioned CG of one 2D p = 2 step from a random start
+        # (47 squared correlations without the preconditioner)
+        spec = make_domain(2, [(0.0, 1.0)] * 2, 16, 0.2)
+        st_ = discretize(tent2d, 0.2, spec)
+        u0 = np.random.default_rng(7).standard_normal(spec.nx)
+        op = _CountingOperator(st_, replace(spec, pad_cells=st_.reach))
+        tol = effective_inner_tol(op, lp_norm(zero_extend(u0, spec), 2, "omega"))
+        res = _minimize_step(op, u0, 2.0, 5e-3, tol, 5000)
+        assert res.iters == 1 and res.residual <= tol
+        assert op.tau_solves == 1
+        assert op.squared_calls == 13
+        assert res.applies == 17
+
+    @pytest.mark.parametrize("p,applies", [(2.0, 24), (3.0, 469)])
+    def test_1d_steps_keep_their_apply_counts(self, tent1d, p, applies):
+        # in 1D CG is plain at every p: these are unpreconditioned CG's counts
+        spec = make_domain(1, (0.0, 1.0), 64, 0.2)
+        st_ = discretize(tent1d, 0.2, spec)
+        u0 = np.random.default_rng(7).standard_normal(spec.nx)
+        op = _CountingOperator(st_, replace(spec, pad_cells=st_.reach))
+        tol = effective_inner_tol(op, lp_norm(zero_extend(u0, spec), 2, "omega"))
+        res = _minimize_step(op, u0, p, 5e-3, tol, 5000)
+        assert res.residual <= tol
+        assert op.tau_solves == 0
+        assert res.applies == applies
 
     @pytest.mark.parametrize("nearest", [True, False], ids=["reach1", "reach3"])
     def test_solve_follows_from_the_stencil(self, tent1d, domain16, stencil16, nearest):
