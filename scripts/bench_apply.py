@@ -10,7 +10,7 @@ The first table prints microseconds per call of the difference loop
 step, all on the step window: ``apply_extended`` (A E on interior values),
 ``apply_restricted`` (E^T A on window values, read on the interior) and
 ``apply_squared`` (E^T A A E on interior values, as the p = 2 Hessian
-products run it).  ``NonlocalOperator._step_maps`` builds all three: direct
+products run it).  ``NonlocalOperator._maps`` builds all three: direct
 correlations in 1D, with the taps and with their square; in 2D one
 zero-padded FFT plan, whose kernel spectrum the square takes squared.  On
 the 2D rows ``tau_us`` times the tau solve that preconditions the 2D p = 2

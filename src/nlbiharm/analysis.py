@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import DomainSpec, Field, lp_norm, lq_sum_norm, write_csv, zero_extend
+# lp_norm stays imported: the benchmark tracer patches analysis.lp_norm
+from .grid import DomainSpec, Field, lp_norm, lq_sum_norm, write_csv, zero_extend  # noqa: F401
 from .kernel import Kernel, Stencil, discretize, kernel_is_nonincreasing
 from .localref import local_evolve
 from .nlop import NonlocalOperator
@@ -324,11 +325,9 @@ def poincare_constant(spec: DomainSpec, stencil: Stencil) -> float:
 
 def _distances(traj_a: Trajectory, traj_b: Trajectory, q: float) -> list[float]:
     """Interior L^q distance of two runs' recorded states, state by state."""
-    spec = traj_a.states[0].spec
-    return [
-        lp_norm(zero_extend(fa.interior_values - fb.interior_values, spec), q, "omega")
-        for fa, fb in zip(traj_a.states, traj_b.states)
-    ]
+    vol = traj_a.spec.cell_volume
+    return [lq_sum_norm((a - b).ravel(), q, vol)
+            for a, b in zip(traj_a.interior, traj_b.interior)]
 
 
 def nonlocal_to_local_study(

@@ -355,8 +355,7 @@ def _run_denoise(cfg, outdir) -> bool:
     u0 = zero_extend(pixels - mean, spec)
     traj = evolve(u0, st, cfg.stepper_config())
     trajectory_to_csv(traj, outdir / "trajectory.csv")
-    final = traj.states[-1]
-    restored = np.clip(final.interior_values + mean, 0.0, 1.0)
+    restored = np.clip(traj.interior[-1] + mean, 0.0, 1.0)
     write_pgm(zero_extend(restored, spec), outdir / "output.pgm", maxval=maxval)
     e0, e1 = traj.energies[0], traj.energies[-1]
     tv0, tv1 = _total_variation(pixels), _total_variation(restored)

@@ -75,9 +75,7 @@ def weak_residual(traj: Trajectory, phi) -> float:
     using trapezoidal weights in time and central time differences; it
     shrinks at O(h + dx^2) for a valid trajectory.
     """
-    if not traj.states:
-        raise ValueError("trajectory has no recorded states")
-    spec = traj.states[0].spec
+    spec = traj.spec
     op = LocalOperator(spec)
     h = traj.h
     coords = spec.node_coords()
@@ -88,6 +86,7 @@ def weak_residual(traj: Trajectory, phi) -> float:
     total = 0.0
     interior = spec.interior_slices
     vol = spec.cell_volume
+    ext = np.zeros(spec.padded_shape)  # zero beyond the interior
     for j in range(n):
         if j == 0:
             dphi = (phi_fields[1] - phi_fields[0]) / h
@@ -95,17 +94,16 @@ def weak_residual(traj: Trajectory, phi) -> float:
             dphi = (phi_fields[-1] - phi_fields[-2]) / h
         else:
             dphi = (phi_fields[j + 1] - phi_fields[j - 1]) / (2.0 * h)
-        u_int = traj.states[j].interior_values
+        u_int = traj.interior[j]
         term_time = -vol * float(np.sum(u_int * dphi[interior]))
 
-        lap_u = op.apply(traj.states[j].values)
-        flux = p_flux_values(lap_u, traj.p)
+        ext[interior] = u_int
+        flux = p_flux_values(op.apply(ext), traj.p)
         # zero-extend phi before differencing: the test function carries the
         # same constraint class as the states, and the pairing runs over the
         # padded domain like the scheme's own energy
-        phi_ext = np.zeros(spec.padded_shape)
-        phi_ext[interior] = phi_fields[j][interior]
-        lap_phi = op.apply(phi_ext)
+        ext[interior] = phi_fields[j][interior]
+        lap_phi = op.apply(ext)
         term_flux = vol * float(np.sum(flux * lap_phi))
 
         weight = h if 0 < j < n - 1 else 0.5 * h

@@ -49,6 +49,8 @@ evaluation and which solve is the stepper's choice.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .grid import DomainSpec, Field, check_collar, require_zero_extended
@@ -127,14 +129,8 @@ class NonlocalOperator:
         self.spec = spec
         self.stencil = stencil
         self.reach = stencil.reach
-        self._terms = None
-        self._maps = None
-        self._normal = None
-        self._tau = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        if self._terms is None:
-            self._terms = self._build_terms()
         out = np.zeros_like(values)
         for src, dst, w in self._terms:
             diff = values[src] - values[dst]
@@ -143,7 +139,8 @@ class NonlocalOperator:
             out[src] -= diff
         return out
 
-    def _build_terms(self):
+    @cached_property
+    def _terms(self):
         """One (src, dst, w) per +-d pair, for the d whose first nonzero
         component is positive: the term at x + d of the offset -d is minus
         the term at x of d (``Stencil`` pairs the weights)."""
@@ -159,24 +156,20 @@ class NonlocalOperator:
     def apply_extended(self, interior: np.ndarray) -> np.ndarray:
         """A E v: the operator on the zero extension of ``interior`` values,
         on the step window, as a new array (module docstring)."""
-        return self._step_map(0)(interior)
+        return self._maps[0](interior)
 
     def apply_restricted(self, values: np.ndarray) -> np.ndarray:
         """E^T A y: the operator on step-window ``values``, read on the
         interior, as a new array (module docstring)."""
-        return self._step_map(1)(values)
+        return self._maps[1](values)
 
     def apply_squared(self, interior: np.ndarray) -> np.ndarray:
         """E^T A A E v on the interior, as a new array: one correlation with
         t * t (module docstring)."""
-        return self._step_map(2)(interior)
+        return self._maps[2](interior)
 
-    def _step_map(self, k: int):
-        if self._maps is None:
-            self._maps = self._step_maps()
-        return self._maps[k]
-
-    def _step_maps(self):
+    @cached_property
+    def _maps(self):
         """A E, E^T A and E^T A A E as callables on the step window, the
         interior plus the reach per axis, whatever the collar."""
         taps, r, nx = self._taps(), self.reach, self.spec.nx
@@ -220,10 +213,12 @@ class NonlocalOperator:
         block LDL^T on the band (``BandedNormal``), built on the first call
         and kept.  The stepper's direct direction solve, below p = 2 and for
         nearest-neighbour stencils (``reach == 1``)."""
-        if self._normal is None:
-            self._normal = BandedNormal(self)
         self._normal.assemble(c, shift)
         return self._normal.eliminate(rhs)
+
+    @cached_property
+    def _normal(self):
+        return BandedNormal(self)
 
     def tau_solve(self, shift: float):
         """P^-1 = S diag(1 / (shift + lambda^2)) S over the interior values of
@@ -232,8 +227,6 @@ class NonlocalOperator:
         S, lambda^2 and two work arrays are built on the first call and
         kept, so a solve allocates only its result; a call computes only
         1 / (shift + lambda^2)."""
-        if self._tau is None:
-            self._tau = self._tau_basis()
         (s0, s1), symbol_sq, (work, moved) = self._tau
         scale = 1.0 / (shift + symbol_sq)
 
@@ -246,7 +239,8 @@ class NonlocalOperator:
             return work @ s1
         return solve
 
-    def _tau_basis(self):
+    @cached_property
+    def _tau(self):
         """The orthonormal DST-I matrix of each axis (one per distinct
         length), lambda^2 at the DST-I frequencies, and two work arrays, on
         the interior shape."""

@@ -22,7 +22,7 @@ collar must cover the reach (the constraint set Omega_J of Andreu, Mazon,
 Rossi & Toledo, Nonlocal Diffusion Problems, AMS 2010), or ``as_operator``
 raises.  Only test doubles pass an operator instead of a stencil: its loop
 keeps the operator's grid and its correlations the step window, whatever
-its collar.  Recorded states are zero-extended onto the caller's grid.
+its collar.  A run records its states on the caller's grid.
 
 One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
 backtracks t from 1 until E(x - t d) <= E(x) - c1 t slope, so the functional
@@ -164,8 +164,9 @@ def effective_inner_tol(op: NonlocalOperator, u0_l2: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Per-step scalars and the state of every step.
+    """Per-step scalars and the interior values of every step's state.
 
+    ``interior[j]`` is step j's state on the interior of ``spec``, the run's grid.
     ``inner_iters`` and ``applies`` (operator evaluations, Hessian products
     included; a squared correlation counts as one) count the work of each
     step's solve; both are zero at step 0.
@@ -180,7 +181,8 @@ class Trajectory:
     inner_iters: np.ndarray
     applies: np.ndarray
     residuals: np.ndarray
-    states: list[Field]
+    interior: np.ndarray
+    spec: DomainSpec
     p: float
     h: float
     inner_tol: float
@@ -188,6 +190,11 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def states(self) -> list[Field]:
+        """Every state zero-extended onto ``spec``, built on each read."""
+        return [zero_extend(u, self.spec) for u in self.interior]
 
 
 def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
@@ -250,16 +257,14 @@ class _StepFunctional:
         return self._restricted(values)
 
     def energy(self, x: np.ndarray, a: np.ndarray | None = None):
-        """Return (E(x), A x) so the operator value can be reused; a known
+        """Return (E(x), its p-term, A x) so both can be reused; a known
         ``a = A x`` skips the apply."""
         if a is None:
             a = self.extended(x)
         quad = (0.5 / self.h) * np.dot(x.ravel(), x.ravel())
         cross = (1.0 / self.h) * np.dot(self.u_prev.ravel(), x.ravel())
-        return float(self.vol * (quad - cross) + self.p_energy(a)), a
-
-    def p_energy(self, a: np.ndarray) -> float:
-        return float(self.vol / self.p * np.sum(np.abs(a) ** self.p))
+        pe = float(self.vol / self.p * np.sum(np.abs(a) ** self.p))
+        return float(self.vol * (quad - cross) + pe), pe, a
 
     def flux_term(self, a: np.ndarray) -> np.ndarray:
         """Interior part of A flux(a), the p-term of the gradient at A x = a."""
@@ -296,8 +301,7 @@ def step_energy(w: Field, u_prev: Field, st, cfg: StepperConfig) -> float:
     _check_pair(w, u_prev)
     op = as_operator(st, w.spec)
     fn = _StepFunctional(op, u_prev.interior_values, cfg.p, cfg.h)
-    e, _ = fn.energy(w.interior_values)
-    return e
+    return fn.energy(w.interior_values)[0]
 
 
 def step_gradient(w: Field, u_prev: Field, st, cfg: StepperConfig) -> Field:
@@ -305,7 +309,7 @@ def step_gradient(w: Field, u_prev: Field, st, cfg: StepperConfig) -> Field:
     _check_pair(w, u_prev)
     op = as_operator(st, w.spec)
     fn = _StepFunctional(op, u_prev.interior_values, cfg.p, cfg.h)
-    _, a = fn.energy(w.interior_values)
+    a = fn.extended(w.interior_values)
     return zero_extend(fn.gradient(w.interior_values, fn.flux_term(a)), w.spec)
 
 
@@ -350,11 +354,11 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
 
     x = np.array(u_prev_int, dtype=float)
     if start is None:
-        e, a = fn.energy(x)
+        e, pe, a = fn.energy(x)
         flux = fn.flux_term(a)
     else:
         a, flux = start
-        e, _ = fn.energy(x, a)
+        e, pe, _ = fn.energy(x, a)
     g = fn.gradient(x, flux)
     res = fn.l2(g)
     iters = 0
@@ -373,7 +377,7 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             x_new = x - t * d
-            e_new, a_new = fn.energy(x_new)
+            e_new, pe_new, a_new = fn.energy(x_new)
             if e_new <= e - ARMIJO_C1 * t * slope + roundoff:
                 break
             t *= BACKTRACK_FACTOR
@@ -389,14 +393,14 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
                 f"(tolerance {tol:.3e})",
                 residual=res,
             )
-        x, e, a = x_new, e_new, a_new
+        x, e, pe, a = x_new, e_new, pe_new, a_new
         flux = fn.flux_term(a)
         g = fn.gradient(x, flux)
         res = fn.l2(g)
         iters += 1
     return _StepResult(
         interior=x, iters=iters, applies=fn.applies, residual=res,
-        p_energy=fn.p_energy(a), value=a, flux=flux,
+        p_energy=pe, value=a, flux=flux,
     )
 
 
@@ -452,7 +456,8 @@ def _cg_solve(fn, tol):
 
 def implicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
     """Solve one implicit step by minimizing the per-step functional."""
-    return evolve(u_prev, st, replace(cfg, T=cfg.h)).states[-1]
+    traj = evolve(u_prev, st, replace(cfg, T=cfg.h))
+    return zero_extend(traj.interior[-1], traj.spec)
 
 
 def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
@@ -469,6 +474,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     x = u0.interior_values.copy()
     a0 = fn.extended(x)  # the loop apply, before any step's evaluation
 
+    interior = np.empty((m + 1,) + spec.nx)
     l2_sq = np.zeros(m + 1)
     energies = np.zeros(m + 1)
     increments_sq = np.zeros(m + 1)
@@ -477,8 +483,8 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     residuals = np.zeros(m + 1)
 
     l2_sq[0] = vol * float(np.dot(x.ravel(), x.ravel()))
-    energies[0] = fn.p_energy(a0)
-    states = [zero_extend(x, spec)]
+    energies[0] = fn.energy(x, a0)[1]
+    interior[0] = x
 
     start = None  # step 1 evaluates with its own rule's evaluation
     for j in range(1, m + 1):
@@ -498,7 +504,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
         increments_sq[j] = vol * float(np.dot(delta.ravel(), delta.ravel()))
         l2_sq[j] = vol * float(np.dot(x_new.ravel(), x_new.ravel()))
         x = x_new
-        states.append(zero_extend(x, spec))
+        interior[j] = x
 
     return Trajectory(
         times=times,
@@ -508,7 +514,8 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
         inner_iters=inner_iters,
         applies=applies,
         residuals=residuals,
-        states=states,
+        interior=interior,
+        spec=spec,
         p=cfg.p,
         h=cfg.h,
         inner_tol=tol,

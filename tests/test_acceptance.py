@@ -155,8 +155,8 @@ class TestCriterion5OracleTrajectory:
             StepperConfig(p=2.0, h=h, T=m * h),
         )
         worst = max(
-            np.sqrt(spec.cell_volume * np.sum((s.interior_values - r) ** 2))
-            for s, r in zip(traj.states, refs)
+            np.sqrt(spec.cell_volume * np.sum((s - r) ** 2))
+            for s, r in zip(traj.interior, refs)
         )
         assert worst <= 1e-6
         report("criterion-5 p2-oracle-trajectory", time.perf_counter() - start, 30)

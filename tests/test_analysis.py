@@ -11,6 +11,7 @@ from nlbiharm import (
     discretize,
     energy_audit,
     evolve,
+    lp_norm,
     make_domain,
     nonlocal_to_local_study,
     poincare_constant,
@@ -25,6 +26,7 @@ from oracles import poincare_dense_matrix
 
 def synthetic_trajectory(times, l2_sq, p=2.0):
     n = len(times)
+    spec = make_domain(1, (0.0, 1.0), 4, 0.5)
     return Trajectory(
         times=np.asarray(times, dtype=float),
         l2_sq=np.asarray(l2_sq, dtype=float),
@@ -33,7 +35,8 @@ def synthetic_trajectory(times, l2_sq, p=2.0):
         inner_iters=np.zeros(n, dtype=int),
         applies=np.zeros(n, dtype=int),
         residuals=np.zeros(n),
-        states=[],
+        interior=np.zeros((n,) + spec.nx),
+        spec=spec,
         p=p,
         h=float(times[1] - times[0]),
         inner_tol=1e-8,
@@ -249,6 +252,21 @@ class TestContraction:
         tols = [evolve(u, stencil64, c).inner_tol for u in (a, b)]
         assert tols[0] < tols[1]
         assert rep.metadata["slack"] == 10.0 * max(tols)
+
+
+class TestDistances:
+    def test_2d_matches_the_padded_norm(self, tent2d, rng):
+        # every shipped converge and contraction config is 1D, so this pins
+        # the row norms against the zero-extended ones on a 2D grid
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 12, 0.25)
+        st = discretize(tent2d, 0.25, spec)
+        c = StepperConfig(p=2.0, h=1e-3, T=3e-3)
+        traj_a = evolve(zero_extend(rng.standard_normal(spec.nx), spec), st, c)
+        traj_b = evolve(zero_extend(rng.standard_normal(spec.nx), spec), st, c)
+        for q in (2.0, 3.0):
+            padded = [lp_norm(zero_extend(a - b, spec), q, "omega")
+                      for a, b in zip(traj_a.interior, traj_b.interior)]
+            assert analysis._distances(traj_a, traj_b, q) == padded
 
 
 class TestEnergyAudit:

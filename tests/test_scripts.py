@@ -102,6 +102,8 @@ def test_benchmark_tracer_finds_every_patched_name(tmp_path):
         "tracer.uninstall()\n"
         "layers = spans.layer_metrics(tracer, 1.0)\n"
         "assert layers['stepper.steps'] > 0, layers\n"
+        "assert layers['analysis.states_recorded'] == layers['stepper.steps'] + 1, layers\n"
+        "assert layers['analysis.state_bytes'] > 0, layers\n"
     )
     path = os.pathsep.join(str(ROOT / d) for d in ("perfbench", "src"))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -507,10 +507,10 @@ class TestEvolve:
         oracle = implicit_p2_trajectory(mat, spec, u0_int, h, m)
         u0 = zero_extend(u0_int.reshape(spec.nx), spec)
         traj = evolve(u0, st_, cfg(h=h, T=m * h))
-        assert len(traj.states) == m + 1  # every state is recorded
+        assert len(traj.interior) == m + 1  # every state is recorded
         worst = 0.0
-        for state, ref in zip(traj.states, oracle):
-            err = np.sqrt(spec.cell_volume * np.sum((state.interior_values.ravel() - ref) ** 2))
+        for state, ref in zip(traj.interior, oracle):
+            err = np.sqrt(spec.cell_volume * np.sum((state.ravel() - ref) ** 2))
             worst = max(worst, err)
         assert worst <= 1e-6
 
@@ -520,8 +520,8 @@ class TestEvolve:
         t1 = evolve(zero_extend(u0, domain16), stencil16, c)
         t2 = evolve(zero_extend(u0 + 0.01 * rng.standard_normal(16), domain16), stencil16, c)
         dists = [
-            np.sqrt(domain16.cell_volume * np.sum((a.interior_values - b.interior_values) ** 2))
-            for a, b in zip(t1.states, t2.states)
+            np.sqrt(domain16.cell_volume * np.sum((a - b) ** 2))
+            for a, b in zip(t1.interior, t2.interior)
         ]
         slack = 10 * 1e-8 * max(1.0, np.sqrt(domain16.cell_volume * u0 @ u0))
         assert all(b <= a + slack for a, b in zip(dists, dists[1:]))
@@ -533,7 +533,22 @@ class TestEvolve:
         traj = evolve(u0, st_, cfg(p=2.0, h=1e-3, T=0.01))
         assert np.all(np.diff(traj.energies) <= 1e-6 * traj.energies[0])
         assert np.all(np.diff(traj.l2_sq) <= 1e-12 * traj.l2_sq[0])
-        assert traj.states[-1].exterior_max_abs() == 0.0
+        assert traj.interior.shape[1:] == spec.nx  # nothing is stored off the interior
+
+    def test_records_interior_values(self, tent2d, rng):
+        # one interior array per run; the states view zero-extends its rows
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 12, 0.25)
+        st_ = discretize(tent2d, 0.25, spec)
+        u0 = zero_extend(rng.standard_normal(spec.nx), spec)
+        traj = evolve(u0, st_, cfg(p=3.0, h=1e-3, T=5e-3))
+        assert traj.spec == spec
+        assert traj.interior.shape == (traj.n_steps + 1,) + spec.nx
+        states = traj.states
+        assert len(states) == len(traj.interior)
+        for u, state in zip(traj.interior, states):
+            assert state.spec == spec
+            assert np.array_equal(state.interior_values, u)
+            assert state.exterior_max_abs() == 0.0
 
     def test_2d_p3_dissipation(self, tent2d, rng):
         # test_2d_dissipation's grid and start above p = 2, where each
@@ -617,11 +632,10 @@ class TestStepGrid:
         assert step.inner_tol == full.inner_tol
         tol = step.inner_tol
         assert np.all(step.residuals[1:] <= tol) and np.all(full.residuals[1:] <= tol)
-        assert len(step.states) == len(full.states)
-        for j, (a, b) in enumerate(zip(step.states, full.states)):
-            assert a.spec == spec
-            assert lp_norm(zero_extend(a.interior_values - b.interior_values, spec),
-                           2, "omega") <= 2 * j * c.h * tol
+        assert len(step.interior) == len(full.interior)
+        assert step.spec == full.spec == spec
+        for j, (a, b) in enumerate(zip(step.interior, full.interior)):
+            assert lp_norm(zero_extend(a - b, spec), 2, "omega") <= 2 * j * c.h * tol
 
 
 class TestConfigValidation:
