@@ -24,24 +24,15 @@ from .kernel import (
     get_kernel,
     stencil_to_csv,
 )
-from .nlop import (
-    NonlocalOperator,
-    dirichlet_energy,
-    nonlocal_laplacian,
-    p_biharmonic_rhs,
-    p_flux,
-)
+from .nlop import NonlocalOperator
 from .stepper import (
     InnerSolveFailed,
     StepperConfig,
     Trajectory,
     evolve,
-    implicit_step,
-    step_energy,
-    step_gradient,
     trajectory_to_csv,
 )
-from .localref import LocalOperator, local_evolve, local_laplacian, weak_residual
+from .localref import LocalOperator, local_evolve, weak_residual
 from .analysis import (
     DecayFit,
     DecayFitDegenerate,

@@ -6,15 +6,16 @@ reference is a stencil (``local_stencil``) that ``local_evolve`` steps like
 any nonlocal stencil.  The Laplacian reads zeros outside the interior box,
 which mirrors the volume constraint of the nonlocal problem and realizes the
 clamped boundary data; a nonlocal-versus-local comparison isolates the
-spatial operator.  ``LocalOperator`` stays for the whole-grid evaluations
-only while the benchmark tracer patches it (ROADMAP item 7).
+spatial operator.  ``LocalOperator`` evaluates ``weak_residual`` on the
+whole padded grid; it stays only while the benchmark tracer patches it
+(ROADMAP item 7).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainSpec, Field, require_zero_extended
+from .grid import DomainSpec, Field
 from .kernel import Stencil
 from .nlop import NonlocalOperator, p_flux_values
 from .stepper import StepperConfig, Trajectory, evolve
@@ -44,20 +45,13 @@ def local_stencil(spec: DomainSpec) -> Stencil:
 
 
 class LocalOperator(NonlocalOperator):
-    """``local_stencil`` on the whole padded grid, for the whole-grid
-    evaluations; its reach of 1 needs a one-cell collar.  It stays while the
+    """``local_stencil`` on the whole padded grid, for ``weak_residual``;
+    its reach of 1 needs a one-cell collar.  It stays while the
     benchmark tracer patches its ``apply``; deleting it is ROADMAP item 7's
     last step, after item 2."""
 
     def __init__(self, spec: DomainSpec):
         super().__init__(local_stencil(spec), spec)
-
-
-def local_laplacian(u: Field) -> Field:
-    """Central-difference Laplacian of a constrained field."""
-    require_zero_extended(u, "local_laplacian input")
-    op = LocalOperator(u.spec)
-    return Field(u.spec, op.apply(u.values))
 
 
 def local_evolve(u0: Field, cfg: StepperConfig) -> Trajectory:

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DomainSpec, Field, check_collar, require_zero_extended
+from .grid import DomainSpec, check_collar
 from .kernel import Stencil
 
 
@@ -359,40 +359,10 @@ class BandedNormal:
         return y.ravel()[: rhs.size].reshape(rhs.shape)
 
 
-def nonlocal_laplacian(f: Field, st: Stencil) -> Field:
-    """Apply the discrete nonlocal Laplacian on the padded grid."""
-    op = NonlocalOperator(st, f.spec)
-    return Field(f.spec, op.apply(f.values))
-
-
 def p_flux_values(g: np.ndarray, p: float) -> np.ndarray:
+    """Pointwise monotone nonlinearity sign(g)|g|^(p-1), exactly 0 at 0, for
+    an exponent that passed ``check_exponent``."""
     if p == 2.0:
         return g.copy()
     # hard-zero convention at g = 0; exponent p-1 > 0 keeps 0**(p-1) = 0
     return np.sign(g) * np.abs(g) ** (p - 1.0)
-
-
-def p_flux(g: Field, p: float) -> Field:
-    """Pointwise monotone nonlinearity sign(g)|g|^(p-1), exactly 0 at 0."""
-    check_exponent(p)
-    return Field(g.spec, p_flux_values(g.values, float(p)))
-
-
-def p_biharmonic_rhs(u: Field, st: Stencil, p: float) -> Field:
-    """Right-hand side -Delta_NL(|Delta_NL u|^(p-2) Delta_NL u), zero outside."""
-    check_exponent(p)
-    require_zero_extended(u, "p_biharmonic_rhs input")
-    op = NonlocalOperator(st, u.spec)
-    a = op.apply(u.values)
-    rhs = -op.apply(p_flux_values(a, float(p)))
-    rhs[~u.spec.interior_mask()] = 0.0
-    return Field(u.spec, rhs)
-
-
-def dirichlet_energy(u: Field, st: Stencil, p: float) -> float:
-    """(1/p) * ||Delta_NL u||_p^p over the padded domain."""
-    check_exponent(p)
-    require_zero_extended(u, "dirichlet_energy input")
-    op = NonlocalOperator(st, u.spec)
-    a = op.apply(u.values)
-    return float(u.spec.cell_volume / p * np.sum(np.abs(a) ** p))

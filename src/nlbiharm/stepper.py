@@ -70,7 +70,7 @@ An evolution resolves its residual tolerance once, from its initial state
 (``effective_inner_tol``, kept as ``Trajectory.inner_tol``), records the
 state of every step, and carries the operator value and the flux term of
 each step's certified state into the next step, which starts from that
-state.  ``implicit_step`` is a one-step evolution.
+state.
 """
 
 from __future__ import annotations
@@ -296,30 +296,6 @@ class _StepFunctional:
         return math.sqrt(self.vol * float(np.dot(x.ravel(), x.ravel())))
 
 
-def step_energy(w: Field, u_prev: Field, st, cfg: StepperConfig) -> float:
-    """The scalar per-step functional E(w); all integrals by grid quadrature."""
-    _check_pair(w, u_prev)
-    op = as_operator(st, w.spec)
-    fn = _StepFunctional(op, u_prev.interior_values, cfg.p, cfg.h)
-    return fn.energy(w.interior_values)[0]
-
-
-def step_gradient(w: Field, u_prev: Field, st, cfg: StepperConfig) -> Field:
-    """L2(omega) gradient of the per-step functional, zero on the exterior."""
-    _check_pair(w, u_prev)
-    op = as_operator(st, w.spec)
-    fn = _StepFunctional(op, u_prev.interior_values, cfg.p, cfg.h)
-    a = fn.extended(w.interior_values)
-    return zero_extend(fn.gradient(w.interior_values, fn.flux_term(a)), w.spec)
-
-
-def _check_pair(w: Field, u_prev: Field) -> None:
-    if w.spec != u_prev.spec:
-        raise ValueError("fields live on different domain specs")
-    require_zero_extended(w, "trial state")
-    require_zero_extended(u_prev, "previous state")
-
-
 @dataclass
 class _StepResult:
     """A step's solution and work; ``value`` (A x on the operator's grid)
@@ -452,12 +428,6 @@ def _cg_solve(fn, tol):
         return d
 
     return solve
-
-
-def implicit_step(u_prev: Field, st, cfg: StepperConfig) -> Field:
-    """Solve one implicit step by minimizing the per-step functional."""
-    traj = evolve(u_prev, st, replace(cfg, T=cfg.h))
-    return zero_extend(traj.interior[-1], traj.spec)
 
 
 def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from nlbiharm import (
+    Field,
+    NonlocalOperator,
     StepperConfig,
     consistency_study,
     contraction_study,
@@ -23,14 +25,12 @@ from nlbiharm import (
     inner_product,
     lp_norm,
     make_domain,
-    nonlocal_laplacian,
     nonlocal_to_local_study,
     poincare_constant,
-    step_energy,
-    step_gradient,
     zero_extend,
 )
 from nlbiharm.cli import main as cli_main
+from nlbiharm.stepper import _StepFunctional, as_operator
 
 from oracles import dense_nonlocal_matrix, implicit_p2_trajectory, poincare_dense_matrix
 
@@ -53,14 +53,12 @@ class TestCriterion1OperatorAlgebra:
         for dim, box, nx, eps in cases:
             kern = get_kernel("tent")
             spec = make_domain(dim, box, nx, eps)
-            st = discretize(kern, eps, spec)
+            op = NonlocalOperator(discretize(kern, eps, spec), spec)
             for _ in range(100):
-                from nlbiharm import Field
-
                 f = Field(spec, rng.standard_normal(spec.padded_shape))
                 g = Field(spec, rng.standard_normal(spec.padded_shape))
-                lf = nonlocal_laplacian(f, st)
-                lg = nonlocal_laplacian(g, st)
+                lf = Field(spec, op.apply(f.values))
+                lg = Field(spec, op.apply(g.values))
                 lhs = inner_product(lf, g)
                 rhs = inner_product(f, lg)
                 scale = max(abs(lhs), abs(rhs), 1e-30)
@@ -72,12 +70,10 @@ class TestCriterion1OperatorAlgebra:
                                   (2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)]:
             kern = get_kernel("tent")
             spec = make_domain(dim, box, nx, eps)
-            st = discretize(kern, eps, spec)
+            op = NonlocalOperator(discretize(kern, eps, spec), spec)
             mat = dense_nonlocal_matrix(kern, eps, spec)
-            from nlbiharm import Field
-
             v = rng.standard_normal(spec.padded_shape)
-            ours = nonlocal_laplacian(Field(spec, v), st).values.ravel()
+            ours = op.apply(v).ravel()
             theirs = mat @ v.ravel()
             assert np.max(np.abs(ours - theirs)) <= 1e-13 * np.abs(theirs).max()
         report("criterion-1 operator-algebra", time.perf_counter() - start, 10)
@@ -88,10 +84,11 @@ class TestCriterion2NormBound:
         start = time.perf_counter()
         rng = np.random.default_rng(202)
         bound = 2.0 * stencil64.diag
+        op = NonlocalOperator(stencil64, domain64)
         violations = 0
         for _ in range(100):
             u = zero_extend(rng.standard_normal(64), domain64)
-            lap = nonlocal_laplacian(u, stencil64)
+            lap = Field(domain64, op.apply(u.values))
             for q in (1.5, 2.0, 3.0):
                 if lp_norm(lap, q, "omega_e") > bound * lp_norm(u, q, "omega") * (
                     1 + 1e-10
@@ -106,17 +103,15 @@ class TestCriterion3GradientCorrectness:
     def test_central_differences(self, domain64, stencil64, p, tol):
         start = time.perf_counter()
         rng = np.random.default_rng(303)
-        cfg = StepperConfig(p=p, h=1e-3, T=1.0)
+        op = as_operator(stencil64, domain64)
         tau = 1e-5
         for _ in range(20):
-            w_int = rng.standard_normal(64)
-            u = zero_extend(rng.standard_normal(64), domain64)
-            phi_int = rng.standard_normal(64)
-            g = step_gradient(zero_extend(w_int, domain64), u, stencil64, cfg)
-            e_p = step_energy(zero_extend(w_int + tau * phi_int, domain64), u, stencil64, cfg)
-            e_m = step_energy(zero_extend(w_int - tau * phi_int, domain64), u, stencil64, cfg)
-            fd = (e_p - e_m) / (2 * tau)
-            pairing = inner_product(g, zero_extend(phi_int, domain64), "omega")
+            w = rng.standard_normal(64)
+            fn = _StepFunctional(op, rng.standard_normal(64), p, 1e-3)
+            phi = rng.standard_normal(64)
+            g = fn.gradient(w, fn.flux_term(fn.extended(w)))
+            fd = (fn.energy(w + tau * phi)[0] - fn.energy(w - tau * phi)[0]) / (2 * tau)
+            pairing = fn.vol * float(np.dot(g, phi))
             assert abs(fd - pairing) <= tol * max(abs(fd), abs(pairing))
         report(f"criterion-3 gradient-correctness p={p}", time.perf_counter() - start, 10)
 
@@ -232,16 +227,11 @@ class TestCriterion8NonlocalToLocal:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.5 * errs[0]
         golden = GOLDEN / f"converge_p{p:g}.csv"
-        if golden.exists():
-            rows = [line.split(",") for line in golden.read_text().splitlines()[1:]]
-            for (eps_g, err_g), (eps_n, err_n, _) in zip(
-                ((float(r[0]), float(r[1])) for r in rows), rep.rows
-            ):
-                assert eps_g == eps_n
-                assert err_n == pytest.approx(err_g, rel=1e-9)
-        else:
-            GOLDEN.mkdir(exist_ok=True)
-            rep.to_csv(golden)
+        rows = [line.split(",") for line in golden.read_text().splitlines()[1:]]
+        assert len(rows) == len(rep.rows)
+        for r, (eps_n, err_n, _) in zip(rows, rep.rows):
+            assert float(r[0]) == eps_n
+            assert err_n == pytest.approx(float(r[1]), rel=1e-9)
         report(
             f"criterion-8 nonlocal-to-local p={p} "
             f"(ratio {errs[2] / errs[0]:.3f})",

@@ -9,20 +9,16 @@ from hypothesis.extra import numpy as hnp
 from nlbiharm import (
     Field,
     NonlocalOperator,
-    dirichlet_energy,
     discretize,
     get_kernel,
     inner_product,
     lp_norm,
     make_domain,
-    nonlocal_laplacian,
-    p_biharmonic_rhs,
-    p_flux,
     zero_extend,
 )
 from nlbiharm.localref import LocalOperator
-from nlbiharm.nlop import p_flux_values
-from nlbiharm.stepper import as_operator
+from nlbiharm.nlop import check_exponent, p_flux_values
+from nlbiharm.stepper import _StepFunctional, as_operator
 
 from oracles import (
     dense_nonlocal_matrix,
@@ -45,9 +41,8 @@ def window_shape(op):
 
 class TestNonlocalLaplacian:
     def test_constant_maps_to_exact_zero(self, domain64, stencil64):
-        f = Field(domain64, np.full(domain64.padded_shape, 3.7))
-        out = nonlocal_laplacian(f, stencil64)
-        assert np.all(out.values == 0.0)
+        out = NonlocalOperator(stencil64, domain64).apply(np.full(domain64.padded_shape, 3.7))
+        assert np.all(out == 0.0)
 
     def test_quadratic_identity(self, tent1d):
         # 0.5 * int J_eps z^2 dz = 1 makes the operator exact on x^2 up to
@@ -56,15 +51,15 @@ class TestNonlocalLaplacian:
             spec = make_domain(1, (0.0, 1.0), nx, 0.2)
             st_ = discretize(tent1d, 0.2, spec)
             x = spec.node_coords()[0]
-            out = nonlocal_laplacian(Field(spec, x**2), st_)
-            err = np.max(np.abs(out.interior_values - 2.0))
+            out = NonlocalOperator(st_, spec).apply(x**2)
+            err = np.max(np.abs(out[spec.interior_slices] - 2.0))
             assert err <= 1.0 / nx
 
     def test_single_spike_reads_off_weights(self, domain16, stencil16):
         values = np.zeros(domain16.padded_shape)
         center = domain16.padded_shape[0] // 2
         values[center] = 1.0
-        out = nonlocal_laplacian(Field(domain16, values), stencil16).values
+        out = NonlocalOperator(stencil16, domain16).apply(values)
         by_offset = {int(d[0]): w for d, w in zip(stencil16.offsets, stencil16.weights)}
         w0 = by_offset[0]
         assert out[center] == pytest.approx(-(stencil16.diag - w0), rel=1e-14)
@@ -82,7 +77,7 @@ class TestNonlocalLaplacian:
         u_int = rng.standard_normal(spec.nx)
         u = zero_extend(u_int, spec).values
         for ours, theirs in (
-            (nonlocal_laplacian(Field(spec, v), st_).values, mat @ v),
+            (op.apply(v), mat @ v),
             (op.apply_extended(u_int), (mat @ u)[window]),
             (op.apply_restricted(v[window]), (mat @ v)[spec.interior_slices]),
         ):
@@ -99,7 +94,7 @@ class TestNonlocalLaplacian:
         u = zero_extend(u_int, spec).values
         interior = spec.interior_mask().ravel()
         for ours, theirs in (
-            (nonlocal_laplacian(Field(spec, v), st_).values, mat @ v.ravel()),
+            (op.apply(v), mat @ v.ravel()),
             (op.apply_extended(u_int), (mat @ u.ravel()).reshape(u.shape)[window].ravel()),
             (op.apply_restricted(v[window]), (mat @ v.ravel())[interior]),
         ):
@@ -122,13 +117,14 @@ class TestNonlocalLaplacian:
     def test_dx_mismatch_rejected(self, stencil64):
         other = make_domain(1, (0.0, 1.0), 32, 0.2)
         with pytest.raises(ValueError, match="dx"):
-            nonlocal_laplacian(zero_extend(np.zeros(32), other), stencil64)
+            NonlocalOperator(stencil64, other)
 
     def test_self_adjoint_and_negative(self, domain64, stencil64, rng):
+        op = NonlocalOperator(stencil64, domain64)
         f = Field(domain64, rng.standard_normal(domain64.padded_shape))
         g = Field(domain64, rng.standard_normal(domain64.padded_shape))
-        lf = nonlocal_laplacian(f, stencil64)
-        lg = nonlocal_laplacian(g, stencil64)
+        lf = Field(domain64, op.apply(f.values))
+        lg = Field(domain64, op.apply(g.values))
         lhs = inner_product(lf, g)
         rhs = inner_product(f, lg)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -201,11 +197,6 @@ class TestFftEvaluation:
             spec = replace(spec, pad_cells=1)
             assert st_.reach > 1
             shape = spec.padded_shape
-            u = zero_extend(np.ones(spec.nx), spec)
-            with pytest.raises(ValueError, match="collar"):
-                nonlocal_laplacian(u, st_)
-            with pytest.raises(ValueError, match="collar"):
-                dirichlet_energy(u, st_, 3.0)
             for call in (
                 lambda op: op.apply(np.zeros(shape)),
                 lambda op: op.apply_extended(np.zeros(spec.nx)),
@@ -518,24 +509,19 @@ class TestTauSolve:
 
 
 class TestPFlux:
-    def test_p2_identity_bit_exact(self, domain64, rng):
-        g = zero_extend(rng.standard_normal(64), domain64)
-        assert np.array_equal(p_flux(g, 2.0).values, g.values)
+    def test_p2_identity_bit_exact(self, rng):
+        g = rng.standard_normal(64)
+        assert np.array_equal(p_flux_values(g, 2.0), g)
 
-    def test_p3_example(self, domain16):
-        g = zero_extend(np.full(16, -2.0), domain16)
-        out = p_flux(g, 3.0)
-        assert np.all(out.interior_values == -4.0)
+    def test_p3_example(self):
+        assert np.all(p_flux_values(np.full(16, -2.0), 3.0) == -4.0)
 
-    def test_p15_zero_maps_to_zero(self, domain16):
-        g = zero_extend(np.zeros(16), domain16)
-        out = p_flux(g, 1.5)
-        assert np.all(out.values == 0.0)
+    def test_p15_zero_maps_to_zero(self):
+        assert np.all(p_flux_values(np.zeros(16), 1.5) == 0.0)
 
-    def test_bad_exponent_rejected(self, domain16):
-        g = zero_extend(np.zeros(16), domain16)
+    def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError, match="exponent"):
-            p_flux(g, 1.0)
+            check_exponent(1.0)
 
 
 @given(
@@ -550,11 +536,28 @@ def test_flux_monotone_property(a, b, p):
     assert np.all((fa - fb) * (a - b) >= -1e-12)
 
 
+@pytest.fixture(params=[1, 2], ids="{}d".format)
+def step_op(request, tent1d, domain64, stencil64):
+    """A step operator in 1D (nx = 64) and in 2D (nx = 16)."""
+    if request.param == 1:
+        return as_operator(stencil64, domain64)
+    spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
+    return as_operator(discretize(tent1d, 0.25, spec), spec)
+
+
+# The two pairs of maps a step evaluates through: the difference loop of the
+# direct solves and the correlations of Newton-CG.
+step_maps = pytest.mark.parametrize("corr", [False, True], ids=["loop", "corr"])
+
+
 class TestPBiharmonicRhs:
+    """The flux term E^T A flux(A E u) of the step functional, minus the
+    p-biharmonic right-hand side on the interior."""
+
     def test_zero_field(self, domain64, stencil64):
-        u = zero_extend(np.zeros(64), domain64)
-        out = p_biharmonic_rhs(u, stencil64, 2.0)
-        assert np.all(out.values == 0.0)
+        z = np.zeros(64)
+        fn = _StepFunctional(as_operator(stencil64, domain64), z, 2.0, 1e-3)
+        assert np.all(fn.flux_term(fn.extended(z)) == 0.0)
 
     def test_spike_matches_dense_composition(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 8, 0.5)
@@ -562,35 +565,30 @@ class TestPBiharmonicRhs:
         mat = dense_nonlocal_matrix(tent1d, 0.5, spec)
         spike = np.zeros(8)
         spike[4] = 1.0
-        u = zero_extend(spike, spec)
-        ours = p_biharmonic_rhs(u, st_, 2.0)
-        dense = -(mat @ (mat @ u.values))
-        dense[~spec.interior_mask()] = 0.0
-        assert np.max(np.abs(ours.values - dense)) <= 1e-13 * np.abs(dense).max()
+        fn = _StepFunctional(as_operator(st_, spec), spike, 2.0, 1e-3)
+        ours = fn.flux_term(fn.extended(spike))
+        dense = (mat @ (mat @ zero_extend(spike, spec).values))[spec.interior_slices]
+        assert np.max(np.abs(ours - dense)) <= 1e-13 * np.abs(dense).max()
 
-    def test_integration_by_parts_sign(self, domain64, stencil64, rng):
-        u = zero_extend(rng.standard_normal(64), domain64)
+    @step_maps
+    def test_integration_by_parts_sign(self, step_op, rng, corr):
+        # vol <E^T A flux(A E u), u> = vol sum |A E u|^p = p times the p-term
+        u = rng.standard_normal(step_op.spec.nx)
+        maps = (step_op.apply_extended, step_op.apply_restricted) if corr else None
         for p in (1.5, 2.0, 3.0):
-            rhs = p_biharmonic_rhs(u, stencil64, p)
-            lhs = inner_product(rhs, u, "omega")
-            target = -lp_norm(nonlocal_laplacian(u, stencil64), p, "omega_e") ** p
-            assert lhs == pytest.approx(target, rel=1e-10)
-
-    def test_exterior_zeroed(self, domain64, stencil64, rng):
-        u = zero_extend(rng.standard_normal(64), domain64)
-        out = p_biharmonic_rhs(u, stencil64, 3.0)
-        assert out.exterior_max_abs() == 0.0
-
-    def test_unconstrained_input_rejected(self, domain64, stencil64):
-        bad = Field(domain64, np.ones(domain64.padded_shape))
-        with pytest.raises(ValueError, match="zero on exterior"):
-            p_biharmonic_rhs(bad, stencil64, 2.0)
+            fn = _StepFunctional(step_op, u, p, 1e-3, maps)
+            a = fn.extended(u)
+            lhs = fn.vol * float(np.vdot(fn.flux_term(a), u))
+            assert lhs == pytest.approx(p * fn.energy(u, a)[1], rel=1e-10)
 
 
 class TestDirichletEnergy:
+    """The p-term 1/p vol sum |A E u|^p of the step functional."""
+
     def test_zero_field(self, domain64, stencil64):
-        u = zero_extend(np.zeros(64), domain64)
-        assert dirichlet_energy(u, stencil64, 2.0) == 0.0
+        z = np.zeros(64)
+        fn = _StepFunctional(as_operator(stencil64, domain64), z, 2.0, 1e-3)
+        assert fn.energy(z)[1] == 0.0
 
     def test_p2_matches_dense_quadratic_form(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 16, 0.25)
@@ -598,16 +596,19 @@ class TestDirichletEnergy:
         mat = dense_nonlocal_matrix(tent1d, 0.25, spec)
         ext = extension_matrix(spec)
         u_int = rng.standard_normal(16)
-        u = zero_extend(u_int, spec)
         a = mat @ ext @ u_int
         expected = 0.5 * spec.cell_volume * float(a @ a)
-        assert dirichlet_energy(u, st_, 2.0) == pytest.approx(expected, rel=1e-12)
+        fn = _StepFunctional(as_operator(st_, spec), u_int, 2.0, 1e-3)
+        assert fn.energy(u_int)[1] == pytest.approx(expected, rel=1e-12)
 
-    def test_p_homogeneity(self, domain64, stencil64, rng):
-        u_int = rng.standard_normal(64)
+    @step_maps
+    def test_p_homogeneity(self, step_op, rng, corr):
+        u = rng.standard_normal(step_op.spec.nx)
+        maps = (step_op.apply_extended, step_op.apply_restricted) if corr else None
         for p in (1.5, 2.0, 3.0):
-            e1 = dirichlet_energy(zero_extend(u_int, domain64), stencil64, p)
-            e2 = dirichlet_energy(zero_extend(2.5 * u_int, domain64), stencil64, p)
+            fn = _StepFunctional(step_op, u, p, 1e-3, maps)
+            e1 = fn.energy(u)[1]
+            e2 = fn.energy(2.5 * u)[1]
             assert e2 == pytest.approx(2.5**p * e1, rel=1e-10)
 
 
@@ -615,9 +616,10 @@ class TestBounds:
     def test_eq22a_with_explicit_constant(self, domain64, stencil64, rng):
         # || Delta_NL u ||_q <= 2 (sum w_d) ||u||_q, the discrete Young bound
         bound = 2.0 * stencil64.diag
+        op = NonlocalOperator(stencil64, domain64)
         for _ in range(20):
             u = zero_extend(rng.standard_normal(64), domain64)
-            lap = nonlocal_laplacian(u, stencil64)
+            lap = Field(domain64, op.apply(u.values))
             for q in (1.5, 2.0, 3.0):
                 assert lp_norm(lap, q, "omega_e") <= bound * lp_norm(
                     u, q, "omega"
@@ -629,11 +631,12 @@ class TestBounds:
         from nlbiharm import poincare_constant
 
         c_grid = poincare_constant(domain64, stencil64)
+        op = NonlocalOperator(stencil64, domain64)
         for _ in range(10):
             u_int = rng.standard_normal(64)
             u_int -= u_int.mean()
             u = zero_extend(u_int, domain64)
-            lap = nonlocal_laplacian(u, stencil64)
+            lap = Field(domain64, op.apply(u.values))
             lhs = lp_norm(u, 2, "omega") ** 2
             rhs = c_grid * lp_norm(lap, 2, "omega_e") ** 2
             assert lhs <= 1.1 * rhs

@@ -6,16 +6,11 @@ import pytest
 from nlbiharm import (
     StepperConfig,
     default_bump,
-    dirichlet_energy,
     discretize,
     evolve,
     get_kernel,
-    implicit_step,
-    inner_product,
     lp_norm,
     make_domain,
-    step_energy,
-    step_gradient,
     trajectory_to_csv,
     zero_extend,
 )
@@ -44,8 +39,9 @@ def cfg(p=2.0, h=1e-3, T=1.0, **kw):
 
 class TestStepEnergy:
     def test_zero_pair(self, domain16, stencil16):
-        z = zero_extend(np.zeros(16), domain16)
-        assert step_energy(z, z, stencil16, cfg()) == 0.0
+        z = np.zeros(16)
+        fn = _StepFunctional(as_operator(stencil16, domain16), z, 2.0, 1e-3)
+        assert fn.energy(z)[0] == 0.0
 
     def test_p2_matches_dense_forms(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 16, 0.25)
@@ -62,49 +58,43 @@ class TestStepEnergy:
             - vol / h * u_int @ w_int
             + 0.5 * vol * a @ a
         )
-        got = step_energy(
-            zero_extend(w_int, spec), zero_extend(u_int, spec), st_, cfg(h=h)
-        )
-        assert got == pytest.approx(expected, rel=1e-12)
+        fn = _StepFunctional(as_operator(st_, spec), u_int, 2.0, h)
+        assert fn.energy(w_int)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_lower_bound_from_young_inequality(self, domain16, stencil16, rng):
         # E(w) >= E(0) - (1/2h) ||u_prev||^2 for every w; at w = 0 the
         # functional vanishes identically
-        c = cfg(h=1e-3)
+        h = 1e-3
+        op = as_operator(stencil16, domain16)
         for _ in range(5):
-            u = zero_extend(rng.standard_normal(16), domain16)
-            w = zero_extend(rng.standard_normal(16), domain16)
-            z = zero_extend(np.zeros(16), domain16)
-            e_zero = step_energy(z, u, stencil16, c)
+            u = rng.standard_normal(16)
+            w = rng.standard_normal(16)
+            fn = _StepFunctional(op, u, 2.0, h)
+            e_zero = fn.energy(np.zeros(16))[0]
             assert e_zero == 0.0
-            floor = e_zero - (0.5 / c.h) * lp_norm(u, 2, "omega") ** 2
-            e_w = step_energy(w, u, stencil16, c)
+            floor = e_zero - (0.5 / h) * fn.l2(u) ** 2
+            e_w = fn.energy(w)[0]
             assert e_w >= floor - 1e-12 * abs(floor)
 
 
 class TestStepGradient:
     def test_zero_state(self, domain16, stencil16):
-        z = zero_extend(np.zeros(16), domain16)
-        g = step_gradient(z, z, stencil16, cfg())
-        assert np.all(g.values == 0.0)
+        z = np.zeros(16)
+        fn = _StepFunctional(as_operator(stencil16, domain16), z, 2.0, 1e-3)
+        assert np.all(fn.gradient(z, fn.flux_term(fn.extended(z))) == 0.0)
 
     @pytest.mark.parametrize("p,tol", [(1.2, 1e-3), (1.5, 1e-3), (2.0, 1e-5),
                                        (3.0, 1e-3), (4.0, 1e-3)])
     def test_matches_central_differences(self, domain16, stencil16, rng, p, tol):
-        c = cfg(p=p, h=1e-3)
+        op = as_operator(stencil16, domain16)
         for _ in range(4):
-            w_int = rng.standard_normal(16)
-            u_int = rng.standard_normal(16)
-            phi_int = rng.standard_normal(16)
-            w = zero_extend(w_int, domain16)
-            u = zero_extend(u_int, domain16)
-            phi = zero_extend(phi_int, domain16)
-            g = step_gradient(w, u, stencil16, c)
+            w = rng.standard_normal(16)
+            fn = _StepFunctional(op, rng.standard_normal(16), p, 1e-3)
+            phi = rng.standard_normal(16)
+            g = fn.gradient(w, fn.flux_term(fn.extended(w)))
             tau = 1e-5
-            e_plus = step_energy(zero_extend(w_int + tau * phi_int, domain16), u, stencil16, c)
-            e_minus = step_energy(zero_extend(w_int - tau * phi_int, domain16), u, stencil16, c)
-            fd = (e_plus - e_minus) / (2 * tau)
-            pairing = inner_product(g, phi, "omega")
+            fd = (fn.energy(w + tau * phi)[0] - fn.energy(w - tau * phi)[0]) / (2 * tau)
+            pairing = fn.vol * float(np.dot(g, phi))
             assert fd == pytest.approx(pairing, rel=tol)
 
     def test_p2_matches_dense_gradient(self, tent1d, rng):
@@ -117,12 +107,9 @@ class TestStepGradient:
         u_int = rng.standard_normal(16)
         b = ext.T @ mat @ mat @ ext
         expected = (w_int - u_int) / h + b @ w_int
-        g = step_gradient(
-            zero_extend(w_int, spec), zero_extend(u_int, spec), st_, cfg(h=h)
-        )
-        assert np.max(np.abs(g.interior_values - expected)) <= 1e-12 * np.abs(
-            expected
-        ).max()
+        fn = _StepFunctional(as_operator(st_, spec), u_int, 2.0, h)
+        g = fn.gradient(w_int, fn.flux_term(fn.extended(w_int)))
+        assert np.max(np.abs(g - expected)) <= 1e-12 * np.abs(expected).max()
 
 
 class _CountingOperator(NonlocalOperator):
@@ -179,8 +166,8 @@ class TestImplicitStep:
         res = _minimize_step(op, np.zeros(16), 2.0, 1e-3, 1e-8, 100)
         assert res.iters == 0
         assert np.all(res.interior == 0.0)
-        out = implicit_step(z, stencil16, cfg())
-        assert np.all(out.values == 0.0)
+        traj = evolve(z, stencil16, cfg(T=1e-3))
+        assert np.all(traj.interior[-1] == 0.0)
 
     def test_matches_dense_linear_solve(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 16, 0.25)
@@ -191,29 +178,30 @@ class TestImplicitStep:
         h = 1e-3
         u_int = rng.standard_normal(16)
         w_dense = np.linalg.solve(np.eye(16) + h * b, u_int)
-        w = implicit_step(zero_extend(u_int, spec), st_, cfg(h=h))
-        err = np.sqrt(spec.cell_volume * np.sum((w.interior_values - w_dense) ** 2))
+        w = evolve(zero_extend(u_int, spec), st_, cfg(h=h, T=h)).interior[-1]
+        err = np.sqrt(spec.cell_volume * np.sum((w - w_dense) ** 2))
         assert err <= 1e-8
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_per_step_dissipation(self, domain16, stencil16, rng, p):
-        c = cfg(p=p, h=1e-3, inner_max_iters=30000)
+        c = cfg(p=p, h=1e-3, T=1e-3, inner_max_iters=30000)
         u_int = rng.standard_normal(16)
-        u = zero_extend(u_int, domain16)
-        w = implicit_step(u, stencil16, c)
-        tol = 1e-8 * max(1.0, lp_norm(u, 2, "omega"))
-        inc = lp_norm(zero_extend(w.interior_values - u_int, domain16), 2, "omega")
-        e_w = dirichlet_energy(w, stencil16, p)
-        e_u = dirichlet_energy(u, stencil16, p)
+        w = evolve(zero_extend(u_int, domain16), stencil16, c).interior[-1]
+        fn = _StepFunctional(as_operator(stencil16, domain16), u_int, p, c.h)
+        tol = 1e-8 * max(1.0, fn.l2(u_int))
+        inc = fn.l2(w - u_int)
+        e_w = fn.energy(w)[1]
+        e_u = fn.energy(u_int)[1]
         assert inc**2 / c.h + e_w <= e_u + tol * inc + 1e-12 * e_u
 
     def test_residual_certificate(self, domain16, stencil16, rng):
-        c = cfg(p=3.0, h=1e-3, inner_max_iters=30000)
-        u = zero_extend(rng.standard_normal(16), domain16)
-        w = implicit_step(u, stencil16, c)
-        g = step_gradient(w, u, stencil16, c)
-        tol = 1e-8 * max(1.0, lp_norm(u, 2, "omega"))
-        assert lp_norm(g, 2, "omega") <= tol
+        c = cfg(p=3.0, h=1e-3, T=1e-3, inner_max_iters=30000)
+        u_int = rng.standard_normal(16)
+        w = evolve(zero_extend(u_int, domain16), stencil16, c).interior[-1]
+        fn = _StepFunctional(as_operator(stencil16, domain16), u_int, c.p, c.h)
+        g = fn.gradient(w, fn.flux_term(fn.extended(w)))
+        tol = 1e-8 * max(1.0, fn.l2(u_int))
+        assert fn.l2(g) <= tol
 
     def test_small_eps_gradient_step_converges(self, tent1d):
         # Gradient steps stagnated here once: at eps = 0.07 the rounding of
@@ -224,21 +212,22 @@ class TestImplicitStep:
         spec = make_domain(1, (0.0, 1.0), 128, eps)
         st_ = discretize(tent1d, eps, spec)
         x = spec.node_coords()[0][spec.interior_slices]
-        u = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
-        c = cfg(p=3.0, h=1e-4, inner_max_iters=50000)
-        w = implicit_step(u, st_, c)
-        tol = effective_inner_tol(NonlocalOperator(st_, spec), lp_norm(u, 2, "omega"))
-        assert lp_norm(step_gradient(w, u, st_, c), 2, "omega") <= 2.0 * tol
+        u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
+        c = cfg(p=3.0, h=1e-4, T=1e-4, inner_max_iters=50000)
+        w = evolve(zero_extend(u_int, spec), st_, c).interior[-1]
+        fn = _StepFunctional(as_operator(st_, spec), u_int, c.p, c.h)
+        tol = effective_inner_tol(NonlocalOperator(st_, spec), fn.l2(u_int))
+        assert fn.l2(fn.gradient(w, fn.flux_term(fn.extended(w)))) <= 2.0 * tol
 
     @pytest.mark.parametrize(
         "p,local", [(3.0, False), (1.5, False), (3.0, True)], ids=["newton_cg", "irls", "newton"]
     )
     def test_failure_reports_residual(self, domain16, stencil16, rng, p, local):
-        c = cfg(p=p, h=1e-3, inner_max_iters=2)
+        c = cfg(p=p, h=1e-3, T=1e-3, inner_max_iters=2)
         op = LocalOperator(domain16) if local else stencil16
         u = zero_extend(10.0 * rng.standard_normal(16), domain16)
         with pytest.raises(InnerSolveFailed) as info:
-            implicit_step(u, op, c)
+            evolve(u, op, c)
         assert info.value.residual > 0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0], ids=["irls", "newton_cg_p2", "newton_cg"])
