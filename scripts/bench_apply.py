@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time one operator evaluation, one direct Hessian solve and one implicit
-step.
+"""Time one operator evaluation, one direct Hessian solve, one implicit
+step and one evolution.
 
 Usage:
     python scripts/bench_apply.py
@@ -46,20 +46,31 @@ runs on its step grid, as ``evolve`` runs it.  It prints the step's inner
 iterations, operator applies (a squared correlation counts as one) and
 the median, min and max milliseconds, keyed by dim, n and K.
 
+The fourth table runs ``stepper.evolve`` on the grid, stencil and start of
+a shipped 1D study config (decay_p2 and decay_p3 from scripts/configs/),
+where a step costs its fixed overhead more than its operator work.  It
+prints the steps, the frozen steps (those that return their certified
+start with no inner iteration), the operator applies (the step-0 loop
+apply included), the median, min and max milliseconds per run and the
+median microseconds per step.
+
 A per-call time is the best of REPEATS batches, each sized to take about
 BATCH_S seconds.  A step is timed over STEP_REPEATS single runs in this
-process; their median is its row's time, and min and max show the spread
-(the best of a few runs swung by 2x between invocations on a shared host).
+process, an evolution over EVOLVE_REPEATS; their median is its row's time,
+and min and max show the spread (the best of a few runs swung by 2x
+between invocations on a shared host).
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
 from nlbiharm import (
-    NonlocalOperator, StepperConfig, default_bump, discretize, get_kernel, lp_norm,
-    make_domain, zero_extend,
+    NonlocalOperator, StepperConfig, default_bump, discretize, evolve, get_kernel, lp_norm,
+    make_domain, parse_config, zero_extend,
 )
+from nlbiharm.cli import _grid_and_stencil, _initial_state
 from nlbiharm.localref import local_stencil
 from nlbiharm.nlop import BandedNormal
 from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol
@@ -67,6 +78,7 @@ from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol
 BATCH_S = 0.05
 REPEATS = 5
 STEP_REPEATS = 20
+EVOLVE_REPEATS = 10
 MAX_DIFF = 1e-12
 TENT = get_kernel("tent")
 
@@ -104,6 +116,10 @@ STEP_CASES = [
     ("reweighted", 1, 64, 0.2, 0.2, 1.5, 1e-3, "bump"),
     ("reweighted", 1, 128, 0.2, 0.2, 1.2, 1e-4, "gaussian"),
 ]
+
+# shipped study configs whose evolution the fourth table runs
+EVOLVE_CASES = ["decay_p2", "decay_p3"]
+CONFIG_DIR = Path(__file__).parent / "configs"
 
 
 def per_call_us(fn, values) -> float:
@@ -156,6 +172,16 @@ def step_case(case):
     tol = effective_inner_tol(op, lp_norm(u0, 2, "omega"))
     max_iters = StepperConfig(p=p, h=h, T=h).inner_max_iters
     return spec, op, tol, lambda: _minimize_step(op, u0.interior_values, p, h, tol, max_iters)
+
+
+def evolve_case(name):
+    """A function that runs the evolution of the shipped config ``name``
+    once, from its own start on its own grid, and returns the trajectory."""
+    cfg = parse_config(CONFIG_DIR / f"{name}.cfg")
+    spec, st = _grid_and_stencil(cfg)
+    u0 = _initial_state(cfg, spec)
+    scfg = cfg.stepper_config()
+    return lambda: evolve(u0, st, scfg)
 
 
 def main() -> int:
@@ -218,6 +244,22 @@ def main() -> int:
         print(f"{solver:<13} {p:>3g} {spec.dim:>3} {spec.n_interior:>5} {k:>4} "
               f"{res.iters:>6} {res.applies:>7} {np.median(runs):>8.1f} "
               f"{min(runs):>8.1f} {max(runs):>8.1f}")
+
+    print()
+    print(f"{'evolve':<13} {'steps':>6} {'frozen':>6} {'applies':>7} "
+          f"{'ms':>8} {'min_ms':>8} {'max_ms':>8} {'us_step':>8}")
+    for name in EVOLVE_CASES:
+        run = evolve_case(name)
+        runs = []
+        for _ in range(EVOLVE_REPEATS):
+            begin = time.perf_counter()
+            traj = run()
+            runs.append(1e3 * (time.perf_counter() - begin))
+        frozen = int(np.sum(traj.inner_iters[1:] == 0))
+        applies = int(traj.applies.sum()) + 1  # and the step-0 loop apply
+        ms = np.median(runs)
+        print(f"{name:<13} {traj.n_steps:>6} {frozen:>6} {applies:>7} {ms:>8.1f} "
+              f"{min(runs):>8.1f} {max(runs):>8.1f} {1e3 * ms / traj.n_steps:>8.1f}")
     return 0
 
 

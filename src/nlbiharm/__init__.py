@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .grid import (
     DomainSpec,
     Field,
-    field_to_csv,
     inner_product,
     lp_norm,
     make_domain,
@@ -22,7 +21,6 @@ from .kernel import (
     Stencil,
     discretize,
     get_kernel,
-    stencil_to_csv,
 )
 from .nlop import NonlocalOperator
 from .stepper import (

@@ -191,13 +191,14 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
     for eps in cfg.epsilon_list if sweep else [cfg.epsilon]:
         for nx in sizes:
             _build(lambda: _grid(cfg, eps, nx), eps_key, nx_key, eps=eps_key, nx=nx_key)
-    _build(lambda: np.random.SeedSequence(cfg.seed), "seed")
-    if cfg.u0 == "zero" and cfg.command in ("decay", "converge"):
-        # a zero start stays zero: no decay to fit, no error to shrink
-        raise ConfigError(f"{cfg.command} needs a nonzero start, got u0 = zero", key="u0")
     reads = _READS[cfg.command] | {"command"}
     if "u0" in reads and cfg.u0 == "random":
         reads = reads | {"seed"}
+    if "seed" in reads:  # numpy.random loads only for a run that draws
+        _build(lambda: np.random.SeedSequence(cfg.seed), "seed")
+    if cfg.u0 == "zero" and cfg.command in ("decay", "converge"):
+        # a zero start stays zero: no decay to fit, no error to shrink
+        raise ConfigError(f"{cfg.command} needs a nonzero start, got u0 = zero", key="u0")
     for key, line in lines.items():
         if key not in reads:
             raise ConfigError(f"{cfg.command} does not read this key", line, key)

@@ -258,11 +258,3 @@ def inner_product(f: Field, g: Field, region: str = "omega_e") -> float:
     fv = _region_values(f, region)
     gv = _region_values(g, region)
     return float(f.spec.cell_volume * np.dot(fv, gv))
-
-
-def field_to_csv(f: Field, path) -> None:
-    """One padded node per row: ``x[,y],value,region`` with 17 digits."""
-    coords = [c.ravel() for c in f.spec.node_coords()]
-    tags = np.where(f.spec.interior_mask().ravel(), "INTERIOR", "EXTERIOR")
-    header = ("x", "y")[: f.spec.dim] + ("value", "region")
-    write_csv(path, header, zip(*coords, f.values.ravel(), tags))

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DomainSpec, check_collar, check_eps, check_resolved, support_cells, write_csv
+from .grid import DomainSpec, check_collar, check_eps, check_resolved, support_cells
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,3 @@ def discretize(kernel: Kernel, eps: float, spec: DomainSpec) -> Stencil:
     offsets = np.ascontiguousarray(offsets[keep], dtype=np.int64)
     samples = kernel(dist_cells[keep] * dx / eps)
     return Stencil(offsets=offsets, weights=samples / _half_moment(offsets, samples, dx), dx=dx)
-
-
-def stencil_to_csv(st: Stencil, path) -> None:
-    header = ("dx_offset", "dy_offset")[: st.dim] + ("weight",)
-    write_csv(path, header, zip(*st.offsets.T, st.weights))

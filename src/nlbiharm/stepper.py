@@ -68,9 +68,12 @@ costs more than it saves (converge_p2 took 1,641 products without it and
 
 An evolution resolves its residual tolerance once, from its initial state
 (``effective_inner_tol``, kept as ``Trajectory.inner_tol``), records the
-state of every step, and carries the operator value and the flux term of
-each step's certified state into the next step, which starts from that
-state.
+state of every step, and carries the operator value, the flux term and the
+p-energy of each step's certified state into the next step, which starts
+from that state.  There the gradient is the carried flux term itself, so a
+step whose start already certifies returns it after one norm, with no
+iteration, no apply and no solver built; ``evolve`` then copies the
+previous row and its norm and records a zero increment.
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ MAX_BACKTRACKS = 60
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_ETA_MAX = 0.3
+EPS = np.finfo(float).eps
 
 
 class InnerSolveFailed(RuntimeError):
@@ -159,7 +163,7 @@ def effective_inner_tol(op: NonlocalOperator, u0_l2: float) -> float:
     floor is recorded per step through the trajectory residual column.
     """
     scale = max(1.0, u0_l2)
-    return max(1e-8 * scale, np.finfo(float).eps * op.norm_bound() ** 2 * scale)
+    return max(1e-8 * scale, EPS * op.norm_bound() ** 2 * scale)
 
 
 @dataclass
@@ -261,10 +265,14 @@ class _StepFunctional:
         ``a = A x`` skips the apply."""
         if a is None:
             a = self.extended(x)
-        quad = (0.5 / self.h) * np.dot(x.ravel(), x.ravel())
-        cross = (1.0 / self.h) * np.dot(self.u_prev.ravel(), x.ravel())
-        pe = float(self.vol / self.p * np.sum(np.abs(a) ** self.p))
-        return float(self.vol * (quad - cross) + pe), pe, a
+        pe = float(self.vol / self.p * (np.abs(a) ** self.p).sum())
+        return self.total_energy(x, pe), pe, a
+
+    def total_energy(self, x: np.ndarray, pe: float) -> float:
+        """E(x) from its known p-term ``pe``."""
+        quad = (0.5 / self.h) * np.vdot(x, x)
+        cross = (1.0 / self.h) * np.vdot(self.u_prev, x)
+        return float(self.vol * (quad - cross) + pe)
 
     def flux_term(self, a: np.ndarray) -> np.ndarray:
         """Interior part of A flux(a), the p-term of the gradient at A x = a."""
@@ -293,14 +301,19 @@ class _StepFunctional:
         return v / self.h + self.restricted(curv * self.extended(v))
 
     def l2(self, x: np.ndarray) -> float:
-        return math.sqrt(self.vol * float(np.dot(x.ravel(), x.ravel())))
+        return _l2(x, self.vol)
+
+
+def _l2(x: np.ndarray, vol: float) -> float:
+    return math.sqrt(vol * float(np.vdot(x, x)))
 
 
 @dataclass
 class _StepResult:
-    """A step's solution and work; ``value`` (A x on the operator's grid)
-    and ``flux`` (its flux term) are the fresh evaluations that certified
-    it."""
+    """A step's solution and work; ``value`` (A x on the operator's grid),
+    ``flux`` (its flux term) and ``p_energy`` (the p-term of E(x)) are the
+    fresh evaluations that certified it, which the next step carries as its
+    start."""
 
     interior: np.ndarray
     iters: int
@@ -312,9 +325,18 @@ class _StepResult:
 
 
 def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepResult:
-    """Minimize one step from x = u_prev_int.  ``start = (value, flux)`` of
-    the previous step's result, which certified this x with the same
-    evaluation, replaces the two applies that open the step."""
+    """Minimize one step from x = u_prev_int.  ``start = (value, flux,
+    p_energy)`` of the previous step's result, which certified this x with
+    the same evaluation, replaces the two applies and the p-energy that open
+    the step.  At x = u_prev_int the gradient is the carried flux, so when
+    its norm is within ``tol`` the step returns x and the carried triple
+    with no iteration and no apply, before any solver is built."""
+    if start is not None:
+        a, flux, pe = start
+        res = _l2(flux, op.spec.cell_volume)  # bitwise fn.l2(fn.gradient(x, flux))
+        if res <= tol:
+            return _StepResult(interior=u_prev_int, iters=0, applies=0, residual=res,
+                               p_energy=pe, value=a, flux=flux)
     # One direction d = M^-1 g with the model weights of fn.curvature; the
     # solve and the evaluation follow from p and the stencil (module
     # docstring).
@@ -333,8 +355,7 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
         e, pe, a = fn.energy(x)
         flux = fn.flux_term(a)
     else:
-        a, flux = start
-        e, pe, _ = fn.energy(x, a)
+        e = fn.total_energy(x, pe)
     g = fn.gradient(x, flux)
     res = fn.l2(g)
     iters = 0
@@ -346,10 +367,10 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
                 residual=res,
             )
         d = solve(fn.curvature(a), g)
-        slope = fn.vol * float(np.dot(g.ravel(), d.ravel()))
+        slope = fn.vol * float(np.vdot(g, d))
         # the allowance absorbs floating-point cancellation in E when the
         # true decrease per step drops below the resolution of the energy
-        roundoff = 10.0 * np.finfo(float).eps * abs(e)
+        roundoff = 10.0 * EPS * abs(e)
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             x_new = x - t * d
@@ -394,12 +415,12 @@ def _cg_solve(fn, tol):
 
     def solve(curv, g):
         nonlocal g_prev
-        rr = float(np.dot(g.ravel(), g.ravel()))
+        rr = float(np.vdot(g, g))
         g_norm = math.sqrt(rr)
         eta = EW_ETA_MAX if fn.p != 2.0 else 0.0  # no forcing at p = 2
         if g_prev is not None:
             eta = min(eta, EW_GAMMA * (g_norm / g_prev) ** EW_ALPHA)
-        eta = max(eta, 0.5 * tol / fn.l2(g))
+        eta = max(eta, 0.5 * tol / math.sqrt(fn.vol * rr))  # ||g|| = fn.l2(g)
         g_prev = g_norm
         precondition = fn.op.tau_solve(1.0 / fn.h) if tau else None
 
@@ -407,21 +428,21 @@ def _cg_solve(fn, tol):
         r = g.copy()
         z = r if precondition is None else precondition(r)
         s = z.copy()
-        rz = rr if precondition is None else float(np.dot(r.ravel(), z.ravel()))
+        rz = rr if precondition is None else float(np.vdot(r, z))
         stop = eta * eta * rr
         for _ in range(g.size):
             hs = fn.hessian_product(s, curv)
-            alpha = rz / float(np.dot(s.ravel(), hs.ravel()))
+            alpha = rz / float(np.vdot(s, hs))
             d += alpha * s
             r -= alpha * hs
-            rr = float(np.dot(r.ravel(), r.ravel()))
+            rr = float(np.vdot(r, r))
             if rr <= stop:
                 break
             if precondition is None:
                 z, rz_new = r, rr
             else:
                 z = precondition(r)
-                rz_new = float(np.dot(r.ravel(), z.ravel()))
+                rz_new = float(np.vdot(r, z))
             s *= rz_new / rz
             s += z
             rz = rz_new
@@ -452,7 +473,7 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
     applies = np.zeros(m + 1, dtype=int)
     residuals = np.zeros(m + 1)
 
-    l2_sq[0] = vol * float(np.dot(x.ravel(), x.ravel()))
+    l2_sq[0] = vol * float(np.vdot(x, x))
     energies[0] = fn.energy(x, a0)[1]
     interior[0] = x
 
@@ -464,16 +485,18 @@ def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
             raise InnerSolveFailed(
                 f"step {j} (t = {j * cfg.h:g}): {err}", err.residual
             ) from err
-        start = result.value, result.flux
-        x_new = result.interior
+        start = result.value, result.flux, result.p_energy
         inner_iters[j] = result.iters
         applies[j] = result.applies
         residuals[j] = result.residual
         energies[j] = result.p_energy
-        delta = x_new - x
-        increments_sq[j] = vol * float(np.dot(delta.ravel(), delta.ravel()))
-        l2_sq[j] = vol * float(np.dot(x_new.ravel(), x_new.ravel()))
-        x = x_new
+        if result.iters == 0:  # x unmoved: same row and norm, increment 0
+            l2_sq[j] = l2_sq[j - 1]
+        else:
+            delta = result.interior - x
+            increments_sq[j] = vol * float(np.vdot(delta, delta))
+            x = result.interior
+            l2_sq[j] = vol * float(np.vdot(x, x))
         interior[j] = x
 
     return Trajectory(

@@ -147,6 +147,7 @@ class TestParseConfig:
           "fit_floor_ratio"),
          ("command = evolve\nu0 = bump\nseed = 3", 3, "seed"),
          ("command = decay\nseed = 3", 2, "seed"),
+         ("command = converge\nepsilon_list = 0.4,0.2\nseed = -1", 3, "seed"),
          ("command = consistency\nepsilon_list = 0.4,0.2\np = 3\nu0 = random", 3, "p"),
          ("command = poincare\nT = 0.5", 2, "T"),
          ("command = contraction\nu0 = random", 2, "u0"),
@@ -155,6 +156,7 @@ class TestParseConfig:
          ("command = evolve\ninput = {tmp}/img.pgm", 2, "input")],
         ids=["converge_epsilon", "converge_q", "evolve_phi", "evolve_fit_t_lo",
              "converge_fit_floor_ratio", "evolve_bump_seed", "decay_bump_seed",
+             "converge_negative_seed",
              "consistency_p", "poincare_T", "contraction_u0", "denoise_nx",
              "denoise_dim", "evolve_input"],
     )
@@ -484,6 +486,25 @@ class TestImport:
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         ).stdout
         assert out.strip() == "[]"
+
+    def test_bump_run_loads_no_numpy_random(self, tmp_path):
+        # only a run that draws a state builds its seed, so a bump start
+        # never loads numpy.random
+        cfg = write_cfg(tmp_path, "command = converge\nnx = 32\nu0 = bump\n"
+                        "epsilon_list = 0.4,0.2\np = 3\nT = 0.0005\nh = 0.0001\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = (
+            "import sys\n"
+            "from nlbiharm.cli import main\n"
+            f"assert main(['--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert run.stdout.splitlines()[-1] == "False"
 
     def test_module_run_writes_nothing_to_stderr(self, tmp_path):
         # the package loads ``cli`` only on first use of its names, so runpy

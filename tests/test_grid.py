@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from nlbiharm import (
     Field,
     discretize,
-    field_to_csv,
     get_kernel,
     inner_product,
     lp_norm,
@@ -205,25 +204,3 @@ class TestWriteCsv:
             b"a,b,c,d\n1,0.33333333333333331,x,0.10000000000000001\n"
             b"-2,nan,True,1e-300\n"
         )
-
-
-class TestFieldCsv:
-    def test_header_and_precision(self, tmp_path):
-        spec = make_domain(1, (0.0, 1.0), 4, 0.5)
-        f = zero_extend([1 / 3, 0.0, 2.0, -1.0], spec)
-        path = tmp_path / "field.csv"
-        field_to_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,value,region"
-        assert len(lines) == 1 + f.values.size
-        row = lines[1 + spec.pad_cells].split(",")
-        assert row[1] == "0.33333333333333331"
-        assert row[2] == "INTERIOR"
-        assert lines[1].split(",")[2] == "EXTERIOR"
-
-    def test_2d_header(self, tmp_path):
-        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 4, 0.5)
-        f = zero_extend(np.ones((4, 4)), spec)
-        path = tmp_path / "field2.csv"
-        field_to_csv(f, path)
-        assert path.read_text().splitlines()[0] == "x,y,value,region"

@@ -8,7 +8,6 @@ from nlbiharm import (
     discretize,
     get_kernel,
     make_domain,
-    stencil_to_csv,
 )
 from nlbiharm.kernel import kernel_is_nonincreasing
 
@@ -136,13 +135,6 @@ class TestDiscretize:
         }
         assert set(by_offset) == inside
         assert len(st_.offsets) == len(inside)
-
-    def test_csv_dump(self, tmp_path, stencil16):
-        path = tmp_path / "stencil.csv"
-        stencil_to_csv(stencil16, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "dx_offset,weight"
-        assert len(lines) == 1 + len(stencil16.offsets)
 
 
 class TestStencilPairs:

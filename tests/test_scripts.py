@@ -48,6 +48,19 @@ def test_bench_apply_steps_certify():
             assert res.applies <= 21, res.applies
 
 
+def test_bench_apply_evolutions_run():
+    # every row of bench_apply.py's evolve table, run once without its
+    # timings: decay_p2 returns its certified start on most steps, decay_p3
+    # on none
+    bench = load_script("bench_apply")
+    frozen = {}
+    for name in bench.EVOLVE_CASES:
+        traj = bench.evolve_case(name)()
+        assert np.all(traj.residuals[1:] <= traj.inner_tol), name
+        frozen[name] = int(np.sum(traj.inner_iters[1:] == 0))
+    assert frozen == {"decay_p2": 1946, "decay_p3": 0}
+
+
 def test_compare_outputs_names_the_moved_column(tmp_path):
     compare = load_script("compare_outputs")
     old, new = tmp_path / "old", tmp_path / "new"

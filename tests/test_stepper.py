@@ -14,6 +14,7 @@ from nlbiharm import (
     trajectory_to_csv,
     zero_extend,
 )
+from nlbiharm import stepper
 from nlbiharm.stepper import (
     InnerSolveFailed,
     _minimize_step,
@@ -245,6 +246,47 @@ class TestImplicitStep:
         assert np.all(traj.applies[1:] > traj.inner_iters[1:])
         # evolve evaluates A u0 once for the initial energy, outside the steps
         assert int(traj.applies.sum()) == op.calls - 1
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_certified_start_returns_before_any_solver(self, domain64, stencil64, rng,
+                                                       monkeypatch, p):
+        # at x = u_prev the gradient is the carried flux term: a start whose
+        # residual is within tol comes back as it went in, before any step
+        # functional or solver is built and with no evaluation
+        op = _CountingOperator(stencil64, domain64)
+        x = rng.standard_normal(64)
+        fn = _StepFunctional(op, x, p, 5e-3, (op.apply_extended, op.apply_restricted))
+        _, pe, a = fn.energy(x)
+        flux = fn.flux_term(a)
+        tol = fn.l2(fn.gradient(x, flux))  # the start certifies exactly at tol
+
+        def unbuilt(*args):
+            raise AssertionError("a certified start built a solver")
+        monkeypatch.setattr(stepper, "_StepFunctional", unbuilt)
+        monkeypatch.setattr(stepper, "_cg_solve", unbuilt)
+        calls = op.calls
+        res = _minimize_step(op, x, p, 5e-3, tol, 100, (a, flux, pe))
+        assert res.iters == res.applies == 0
+        assert (op.calls, op.solves, op.tau_solves) == (calls, 0, 0)
+        assert res.value is a and res.flux is flux and res.p_energy == pe
+        assert np.array_equal(res.interior, x)
+        assert res.residual == tol
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_carried_start_matches_a_fresh_start(self, domain64, stencil64, rng, p):
+        # an uncertified carried triple opens the step as its own evaluations
+        # would: the same iterates bit for bit, less the two opening applies
+        op = as_operator(stencil64, domain64)
+        x = rng.standard_normal(64)
+        fn = _StepFunctional(op, x, p, 5e-3, (op.apply_extended, op.apply_restricted))
+        _, pe, a = fn.energy(x)
+        flux = fn.flux_term(a)
+        fresh = _minimize_step(op, x, p, 5e-3, 1e-8, 5000)
+        carried = _minimize_step(op, x, p, 5e-3, 1e-8, 5000, (a, flux, pe))
+        assert carried.iters == fresh.iters > 0
+        assert carried.applies == fresh.applies - 2
+        assert np.array_equal(carried.interior, fresh.interior)
+        assert (carried.residual, carried.p_energy) == (fresh.residual, fresh.p_energy)
 
     @pytest.mark.parametrize(
         "nx,h,steps,start",
@@ -558,6 +600,25 @@ class TestEvolve:
         evolve(zero_extend(rng.standard_normal(16), domain16), op, cfg(p=p, h=1e-3, T=2e-3))
         assert op.order[0] == "apply"
         assert "apply_squared" in op.order or "apply_extended" in op.order
+
+    def test_frozen_steps_record_their_state(self, domain64, stencil64):
+        # dissipation_p2's run: most steps return their carried start, and
+        # every recorded norm, increment and p-energy equals its
+        # recomputation from the recorded states
+        u0 = zero_extend(np.random.default_rng(404).standard_normal(64), domain64)
+        traj = evolve(u0, stencil64, cfg(p=2.0, h=0.005, T=1.0))
+        assert np.sum(traj.inner_iters[1:] == 0) == 177
+        op = as_operator(stencil64, domain64)
+        vol = domain64.cell_volume
+        x0 = traj.interior[0]
+        loop = _StepFunctional(op, x0, 2.0, 0.005)  # step 0's loop apply
+        energies = [loop.energy(x0)[1]] + [
+            _StepFunctional(op, x, 2.0, 0.005, (op.apply_extended, op.apply_restricted))
+            .energy(x)[1] for x in traj.interior[1:]]
+        steps = np.diff(traj.interior, axis=0)
+        assert list(traj.l2_sq) == [vol * float(np.vdot(x, x)) for x in traj.interior]
+        assert list(traj.increments_sq) == [0.0] + [vol * float(np.vdot(d, d)) for d in steps]
+        assert list(traj.energies) == energies
 
     def test_step_error_carries_index(self, domain16, stencil16, rng):
         u0 = zero_extend(10 * rng.standard_normal(16), domain16)
