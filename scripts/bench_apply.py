@@ -67,10 +67,11 @@ from pathlib import Path
 import numpy as np
 
 from nlbiharm import (
-    NonlocalOperator, StepperConfig, default_bump, discretize, evolve, get_kernel, lp_norm,
-    make_domain, parse_config, zero_extend,
+    NonlocalOperator, StepperConfig, default_bump, discretize, evolve, get_kernel, make_domain,
+    parse_config, zero_extend,
 )
 from nlbiharm.cli import _grid_and_stencil, _initial_state
+from nlbiharm.grid import lq_sum_norm
 from nlbiharm.localref import local_stencil
 from nlbiharm.nlop import BandedNormal
 from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol
@@ -166,12 +167,12 @@ def step_case(case):
     u0 = default_bump(spec)
     if start == "gaussian":
         x = spec.node_coords()[0][spec.interior_slices]
-        u0 = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
+        u0 = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
     elif start == "random":  # evolve_2d's u0 = random, seed = 404
-        u0 = zero_extend(np.random.default_rng(404).standard_normal(spec.nx), spec)
-    tol = effective_inner_tol(op, lp_norm(u0, 2, "omega"))
+        u0 = np.random.default_rng(404).standard_normal(spec.nx)
+    tol = effective_inner_tol(op, lq_sum_norm(u0.ravel(), 2, spec.cell_volume))
     max_iters = StepperConfig(p=p, h=h, T=h).inner_max_iters
-    return spec, op, tol, lambda: _minimize_step(op, u0.interior_values, p, h, tol, max_iters)
+    return spec, op, tol, lambda: _minimize_step(op, u0, p, h, tol, max_iters)
 
 
 def evolve_case(name):
@@ -181,7 +182,7 @@ def evolve_case(name):
     spec, st = _grid_and_stencil(cfg)
     u0 = _initial_state(cfg, spec)
     scfg = cfg.stepper_config()
-    return lambda: evolve(u0, st, scfg)
+    return lambda: evolve(u0, spec, st, scfg)
 
 
 def main() -> int:

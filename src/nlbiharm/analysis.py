@@ -14,8 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# lp_norm stays imported: the benchmark tracer patches analysis.lp_norm
-from .grid import DomainSpec, Field, lp_norm, lq_sum_norm, write_csv, zero_extend  # noqa: F401
+from .grid import DomainSpec, check_q, lq_sum_norm, write_csv
+# lp_norm and zero_extend stay imported: the benchmark tracer patches both
+from .grid import lp_norm, zero_extend  # noqa: F401
 from .kernel import Kernel, Stencil, discretize, kernel_is_nonincreasing
 from .localref import local_evolve
 from .nlop import NonlocalOperator
@@ -110,8 +111,8 @@ def _require_monotone(kernel: Kernel) -> None:
         )
 
 
-def default_bump(spec: DomainSpec) -> Field:
-    """Smooth initial state vanishing to second order at the box boundary:
+def default_bump(spec: DomainSpec) -> np.ndarray:
+    """Smooth interior start vanishing to second order at the box boundary:
     sin^2 of the normalized coordinate, product form in 2D."""
     coords = spec.node_coords()
     interior = spec.interior_slices
@@ -121,7 +122,7 @@ def default_bump(spec: DomainSpec) -> Field:
         lo = spec.omega_lo[axis]
         hi = spec.omega_hi[axis]
         out = out * np.sin(np.pi * (x - lo) / (hi - lo)) ** 2
-    return zero_extend(out, spec)
+    return out
 
 
 def fd4_laplacian(values: np.ndarray, dx: float, dim: int) -> np.ndarray:
@@ -165,8 +166,7 @@ def consistency_study(
     fd4 term.  The order is fitted only when every error exceeds its floor;
     otherwise the order check passes.
     """
-    if not 1 <= q < math.inf:
-        raise ValueError(f"q must be finite and >= 1, got {q}")
+    check_q(q)
     _check_decreasing(eps_list, "eps_list")
     _require_monotone(kernel)
     coords = spec.node_coords()
@@ -331,25 +331,25 @@ def _distances(traj_a: Trajectory, traj_b: Trajectory, q: float) -> list[float]:
 
 
 def nonlocal_to_local_study(
-    u0: Field,
+    u0: np.ndarray,
+    spec: DomainSpec,
     kernel: Kernel,
     eps_list: Sequence[float],
     cfg: StepperConfig,
 ) -> StudyReport:
     """Sup-over-time L^p distance, p = ``cfg.p``, between rescaled nonlocal
-    runs and the clamped local reference, per eps.
+    runs and the clamped local reference from interior values ``u0``, per eps.
 
-    All runs share the initial state's grid (padded for the largest eps) and
-    the same time step, so the supremum is taken over matching times.  Every
+    All runs share the grid ``spec`` (padded for the largest eps) and the
+    same time step, so the supremum is taken over matching times.  Every
     eps is discretized before any run, so a collar narrower than some
     stencil's reach fails before the evolutions (``grid.check_collar``).
     """
     _check_decreasing(eps_list, "eps_list")
     _require_monotone(kernel)
-    spec = u0.spec
     stencils = [discretize(kernel, eps, spec) for eps in eps_list]
-    local = local_evolve(u0, cfg)
-    errors = [max(_distances(evolve(u0, st, cfg), local, cfg.p)) for st in stencils]
+    local = local_evolve(u0, spec, cfg)
+    errors = [max(_distances(evolve(u0, spec, st, cfg), local, cfg.p)) for st in stencils]
 
     rows = _rate_rows(eps_list, errors)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
@@ -369,15 +369,14 @@ def nonlocal_to_local_study(
 
 
 def contraction_study(
-    u0_a: Field, u0_b: Field, st, cfg: StepperConfig
+    u0_a: np.ndarray, u0_b: np.ndarray, spec: DomainSpec, st, cfg: StepperConfig
 ) -> StudyReport:
-    """Track the interior L^2 distance of two runs with identical configs;
+    """Track the interior L^2 distance of two runs with identical configs
+    on the grid ``spec``, from the interior values ``u0_a`` and ``u0_b``;
     an increase counts as a violation past 10 times the looser of the two
     runs' step tolerances."""
-    if u0_a.spec != u0_b.spec:
-        raise ValueError("initial states live on different domain specs")
-    traj_a = evolve(u0_a, st, cfg)
-    traj_b = evolve(u0_b, st, cfg)
+    traj_a = evolve(u0_a, spec, st, cfg)
+    traj_b = evolve(u0_b, spec, st, cfg)
     slack = 10.0 * max(traj_a.inner_tol, traj_b.inner_tol)
     dists = _distances(traj_a, traj_b, 2)
     flags = [0] + [int(b - a > slack) for a, b in zip(dists, dists[1:])]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import re
 import sys
 import typing
@@ -33,7 +32,9 @@ from .analysis import (
     nonlocal_to_local_study,
     poincare_constant,
 )
-from .grid import DomainSpec, Field, check_dim, make_domain, write_csv, zero_extend
+from .grid import DomainSpec, check_dim, check_q, make_domain, write_csv
+# zero_extend stays imported: the benchmark tracer patches cli.zero_extend
+from .grid import zero_extend  # noqa: F401
 from .kernel import discretize, get_kernel
 from .stepper import StepperConfig, evolve, trajectory_to_csv
 
@@ -160,8 +161,7 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
         raise ConfigError(f"u0 must be bump, random, or zero, got {cfg.u0!r}", key="u0")
     if cfg.phi not in ("sin2pi", "quadratic"):
         raise ConfigError(f"phi must be sin2pi or quadratic, got {cfg.phi!r}", key="phi")
-    if not 1 <= cfg.q < math.inf:
-        raise ConfigError(f"q must be finite and >= 1, got {cfg.q}", key="q")
+    _build(lambda: check_q(cfg.q), "q")
     sweep = cfg.command in ("consistency", "converge")
     if sweep and len(cfg.epsilon_list) < 2:
         # one scale has no pair to compare: no order, no decrease to test
@@ -227,13 +227,12 @@ def _grid_and_stencil(cfg: ExperimentConfig, nx=None):
     return spec, discretize(get_kernel(cfg.kernel), cfg.epsilon, spec)
 
 
-def _initial_state(cfg: ExperimentConfig, spec: DomainSpec) -> Field:
+def _initial_state(cfg: ExperimentConfig, spec: DomainSpec) -> np.ndarray:
     if cfg.u0 == "zero":
-        return zero_extend(np.zeros(spec.nx), spec)
+        return np.zeros(spec.nx)
     if cfg.u0 == "bump":
         return default_bump(spec)
-    rng = np.random.default_rng(cfg.seed)
-    return zero_extend(rng.standard_normal(spec.nx), spec)
+    return np.random.default_rng(cfg.seed).standard_normal(spec.nx)
 
 
 def _emit(report: StudyReport, outdir: Path, filename: str) -> bool:
@@ -245,17 +244,14 @@ def _emit(report: StudyReport, outdir: Path, filename: str) -> bool:
 
 def _run_evolve(cfg, outdir) -> bool:
     spec, st = _grid_and_stencil(cfg)
-    u0 = _initial_state(cfg, spec)
-    traj = evolve(u0, st, cfg.stepper_config())
+    traj = evolve(_initial_state(cfg, spec), spec, st, cfg.stepper_config())
     trajectory_to_csv(traj, outdir / "trajectory.csv")
     return _emit(energy_audit(traj), outdir, "audit.csv")
 
 
 def _run_decay(cfg, outdir) -> bool:
     spec, st = _grid_and_stencil(cfg)
-    u0 = _initial_state(cfg, spec)
-    scfg = cfg.stepper_config()
-    traj = evolve(u0, st, scfg)
+    traj = evolve(_initial_state(cfg, spec), spec, st, cfg.stepper_config())
     trajectory_to_csv(traj, outdir / "trajectory.csv")
     fit = decay_fit(traj, t_lo=cfg.fit_t_lo, floor_ratio=cfg.fit_floor_ratio)
     if cfg.p == 2:
@@ -301,9 +297,8 @@ def _run_consistency(cfg, outdir) -> bool:
 
 def _run_converge(cfg, outdir) -> bool:
     spec = _grid(cfg, max(cfg.epsilon_list))
-    u0 = _initial_state(cfg, spec)
-    report = nonlocal_to_local_study(u0, get_kernel(cfg.kernel), cfg.epsilon_list,
-                                     cfg.stepper_config())
+    report = nonlocal_to_local_study(_initial_state(cfg, spec), spec, get_kernel(cfg.kernel),
+                                     cfg.epsilon_list, cfg.stepper_config())
     return _emit(report, outdir, "study.csv")
 
 
@@ -334,11 +329,9 @@ def _run_poincare(cfg, outdir) -> bool:
 def _run_contraction(cfg, outdir) -> bool:
     spec, st = _grid_and_stencil(cfg)
     rng = np.random.default_rng(cfg.seed)
-    u0_a = zero_extend(rng.standard_normal(spec.nx), spec)
-    u0_b = zero_extend(
-        u0_a.interior_values + 0.1 * rng.standard_normal(spec.nx), spec
-    )
-    report = contraction_study(u0_a, u0_b, st, cfg.stepper_config())
+    u0_a = rng.standard_normal(spec.nx)
+    u0_b = u0_a + 0.1 * rng.standard_normal(spec.nx)
+    report = contraction_study(u0_a, u0_b, spec, st, cfg.stepper_config())
     return _emit(report, outdir, "study.csv")
 
 
@@ -353,11 +346,10 @@ def _run_denoise(cfg, outdir) -> bool:
     pixels, maxval = read_pgm_pixels(cfg.input)
     spec, st = _grid_and_stencil(cfg, pixels.shape)
     mean = float(pixels.mean())
-    u0 = zero_extend(pixels - mean, spec)
-    traj = evolve(u0, st, cfg.stepper_config())
+    traj = evolve(pixels - mean, spec, st, cfg.stepper_config())
     trajectory_to_csv(traj, outdir / "trajectory.csv")
     restored = np.clip(traj.interior[-1] + mean, 0.0, 1.0)
-    write_pgm(zero_extend(restored, spec), outdir / "output.pgm", maxval=maxval)
+    write_pgm(restored, outdir / "output.pgm", maxval=maxval)
     e0, e1 = traj.energies[0], traj.energies[-1]
     tv0, tv1 = _total_variation(pixels), _total_variation(restored)
     report = StudyReport(
@@ -467,14 +459,14 @@ def read_pgm_pixels(path) -> tuple[np.ndarray, int]:
     return grid, maxval
 
 
-def write_pgm(f: Field, path, maxval: int = 255) -> None:
-    """Write the interior of a 2D field as binary PGM (P5), clamping to
-    [0, 1] first."""
-    if f.spec.dim != 2:
-        raise ValueError("write_pgm needs a 2D field")
+def write_pgm(values: np.ndarray, path, maxval: int = 255) -> None:
+    """Write a 2D array of values, shaped (width, height) like
+    ``read_pgm_pixels``'s, as binary PGM (P5), clamping to [0, 1] first."""
+    if np.ndim(values) != 2:
+        raise ValueError(f"write_pgm needs a 2D array, got {np.ndim(values)} dimensions")
     if not 0 < maxval <= 65535:
         raise ValueError(f"maxval {maxval} out of range (1..65535)")
-    vals = np.clip(f.interior_values, 0.0, 1.0)
+    vals = np.clip(values, 0.0, 1.0)
     quantized = np.rint(vals * maxval).astype(np.uint16)
     w, h = quantized.shape
     raster = quantized.T  # rows = y

@@ -98,6 +98,11 @@ def check_eps(eps) -> None:
         raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
+def check_q(q) -> None:
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
+
+
 def check_resolved(eps: float, dx: float) -> None:
     """The rescaled support radius eps must span at least two grid cells."""
     if eps < 2.0 * dx:
@@ -198,14 +203,6 @@ class Field:
         ext = np.abs(self.values[~self.spec.interior_mask()])
         return float(ext.max()) if ext.size else 0.0
 
-    def is_zero_extended(self) -> bool:
-        return self.exterior_max_abs() == 0.0
-
-
-def require_zero_extended(f: Field, what: str) -> None:
-    if not f.is_zero_extended():
-        raise ValueError(f"{what} must be exactly zero on exterior nodes")
-
 
 def zero_extend(interior_values, spec: DomainSpec) -> Field:
     """Embed interior values into the padded grid with exact exterior zeros."""
@@ -232,8 +229,7 @@ def _region_values(f: Field, region: str) -> np.ndarray:
 
 def lp_norm(f: Field, q: float, region: str = "omega_e") -> float:
     """Midpoint-rule L^q norm over omega, omega_e, or the exterior collar."""
-    if not 1 <= q < math.inf:
-        raise ValueError(f"q must be finite and >= 1, got {q}")
+    check_q(q)
     return lq_sum_norm(_region_values(f, region), q, f.spec.cell_volume)
 
 

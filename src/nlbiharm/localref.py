@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainSpec, Field
+from .grid import DomainSpec
 from .kernel import Stencil
 from .nlop import NonlocalOperator, p_flux_values
 from .stepper import StepperConfig, Trajectory, evolve
@@ -54,9 +54,10 @@ class LocalOperator(NonlocalOperator):
         super().__init__(local_stencil(spec), spec)
 
 
-def local_evolve(u0: Field, cfg: StepperConfig) -> Trajectory:
-    """Rothe evolution of the finite-difference Laplacian's stencil."""
-    return evolve(u0, local_stencil(u0.spec), cfg)
+def local_evolve(u0: np.ndarray, spec: DomainSpec, cfg: StepperConfig) -> Trajectory:
+    """Rothe evolution of the finite-difference Laplacian's stencil on the
+    grid ``spec`` from the interior values ``u0`` (``stepper.evolve``)."""
+    return evolve(u0, spec, local_stencil(spec), cfg)
 
 
 def weak_residual(traj: Trajectory, phi) -> float:

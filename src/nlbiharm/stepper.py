@@ -22,7 +22,8 @@ collar must cover the reach (the constraint set Omega_J of Andreu, Mazon,
 Rossi & Toledo, Nonlocal Diffusion Problems, AMS 2010), or ``as_operator``
 raises.  Only test doubles pass an operator instead of a stencil: its loop
 keeps the operator's grid and its correlations the step window, whatever
-its collar.  A run records its states on the caller's grid.
+its collar.  A run takes and records each state as its interior array, of
+shape ``spec.nx``, beside the grid ``spec``; only ``Trajectory.states`` pads.
 
 One Armijo loop minimizes it: each inner iteration moves x <- x - t d and
 backtracks t from 1 until E(x - t d) <= E(x) - c1 t slope, so the functional
@@ -84,8 +85,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (DomainSpec, Field, check_collar, lp_norm, require_zero_extended,
-                   write_csv, zero_extend)
+from .grid import DomainSpec, Field, check_collar, lq_sum_norm, write_csv, zero_extend
+# lp_norm stays imported: the benchmark tracer patches stepper.lp_norm
+from .grid import lp_norm  # noqa: F401
 from .kernel import Stencil
 from .nlop import NonlocalOperator, check_exponent, p_flux_values
 
@@ -451,18 +453,21 @@ def _cg_solve(fn, tol):
     return solve
 
 
-def evolve(u0: Field, st, cfg: StepperConfig) -> Trajectory:
-    """March ceil(T/h) steps, auditing norms, energies, and increments."""
-    require_zero_extended(u0, "initial state")
-    spec = u0.spec
+def evolve(u0: np.ndarray, spec: DomainSpec, st, cfg: StepperConfig) -> Trajectory:
+    """March ceil(T/h) steps on ``spec`` from the interior values ``u0`` (shape
+    ``spec.nx``, finite), auditing norms, energies, and increments."""
+    x = np.array(u0, dtype=float)
+    if x.shape != spec.nx:
+        raise ValueError(f"initial state has shape {x.shape}, expected {spec.nx}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial state values must be finite")
     op = as_operator(st, spec)
-    tol = effective_inner_tol(op, lp_norm(u0, 2, "omega"))
+    vol = spec.cell_volume
+    tol = effective_inner_tol(op, lq_sum_norm(x.ravel(), 2, vol))
     times = cfg.step_times()
     m = len(times) - 1
-    vol = spec.cell_volume
 
-    fn = _StepFunctional(op, u0.interior_values, cfg.p, cfg.h)
-    x = u0.interior_values.copy()
+    fn = _StepFunctional(op, x, cfg.p, cfg.h)
     a0 = fn.extended(x)  # the loop apply, before any step's evaluation
 
     interior = np.empty((m + 1,) + spec.nx)

@@ -135,8 +135,8 @@ class TestDecayFit:
     def test_real_p2_run_tail(self, tent1d, rng):
         spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         st = discretize(tent1d, 0.2, spec)
-        u0 = zero_extend(rng.standard_normal(64), spec)
-        traj = evolve(u0, st, StepperConfig(p=2.0, h=5e-3, T=2.0))
+        u0 = rng.standard_normal(64)
+        traj = evolve(u0, spec, st, StepperConfig(p=2.0, h=5e-3, T=2.0))
         fit = decay_fit(traj, t_lo=0.025, floor_ratio=1e-18)
         assert fit.c1 > 0
         assert fit.r_squared >= 0.99
@@ -188,18 +188,18 @@ class TestPoincare:
 class TestNonlocalToLocal:
     def test_zero_initial_state_gives_zero_error(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, 0.4)
-        u0 = zero_extend(np.zeros(64), spec)
+        u0 = np.zeros(64)
         rep = nonlocal_to_local_study(
-            u0, tent1d, [0.4], StepperConfig(p=2.0, h=1e-3, T=0.01)
+            u0, spec, tent1d, [0.4], StepperConfig(p=2.0, h=1e-3, T=0.01)
         )
         assert rep.rows[0][1] == 0.0
 
     def test_padding_must_cover_largest_eps(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, 0.2)
-        u0 = zero_extend(np.zeros(64), spec)
+        u0 = np.zeros(64)
         with pytest.raises(ValueError, match="collar"):
             nonlocal_to_local_study(
-                u0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=1e-3, T=0.01)
+                u0, spec, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=1e-3, T=0.01)
             )
 
     def test_under_resolved_eps_fails_before_any_run(self, tent1d, monkeypatch):
@@ -212,7 +212,7 @@ class TestNonlocalToLocal:
         spec = make_domain(1, (0.0, 1.0), 64, 0.4)
         with pytest.raises(ValueError, match="under-resolved"):
             nonlocal_to_local_study(
-                default_bump(spec), tent1d, [0.4, 0.02],
+                default_bump(spec), spec, tent1d, [0.4, 0.02],
                 StepperConfig(p=2.0, h=1e-3, T=0.01),
             )
 
@@ -220,7 +220,7 @@ class TestNonlocalToLocal:
         spec = make_domain(1, (0.0, 1.0), 128, 0.4)
         u0 = default_bump(spec)
         rep = nonlocal_to_local_study(
-            u0, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=2e-4, T=2e-3)
+            u0, spec, tent1d, [0.4, 0.2], StepperConfig(p=2.0, h=2e-4, T=2e-3)
         )
         errs = [r[1] for r in rep.rows]
         assert errs[1] < errs[0]
@@ -230,26 +230,26 @@ class TestNonlocalToLocal:
 class TestContraction:
     def test_identical_states_stay_identical(self, domain64, stencil64):
         u = default_bump(domain64)
-        rep = contraction_study(u, u, stencil64, StepperConfig(p=2.0, h=1e-3, T=0.01))
+        rep = contraction_study(u, u, domain64, stencil64, StepperConfig(p=2.0, h=1e-3, T=0.01))
         assert all(row[1] == 0.0 for row in rep.rows)
         assert rep.metadata["pass_nonincreasing"]
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_random_pair_nonincreasing(self, domain64, stencil64, rng, p):
-        a = zero_extend(rng.standard_normal(64), domain64)
-        b = zero_extend(a.interior_values + 0.1 * rng.standard_normal(64), domain64)
+        a = rng.standard_normal(64)
+        b = a + 0.1 * rng.standard_normal(64)
         rep = contraction_study(
-            a, b, stencil64,
+            a, b, domain64, stencil64,
             StepperConfig(p=p, h=1e-3, T=0.02, inner_max_iters=30000),
         )
         assert rep.metadata["violations"] == 0
 
     def test_slack_is_ten_times_the_looser_step_tolerance(self, domain64, stencil64, rng):
-        a = zero_extend(rng.standard_normal(64), domain64)
-        b = zero_extend(4.0 * a.interior_values + 0.1 * rng.standard_normal(64), domain64)
+        a = rng.standard_normal(64)
+        b = 4.0 * a + 0.1 * rng.standard_normal(64)
         c = StepperConfig(p=2.0, h=1e-3, T=5e-3)
-        rep = contraction_study(a, b, stencil64, c)
-        tols = [evolve(u, stencil64, c).inner_tol for u in (a, b)]
+        rep = contraction_study(a, b, domain64, stencil64, c)
+        tols = [evolve(u, domain64, stencil64, c).inner_tol for u in (a, b)]
         assert tols[0] < tols[1]
         assert rep.metadata["slack"] == 10.0 * max(tols)
 
@@ -261,8 +261,8 @@ class TestDistances:
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 12, 0.25)
         st = discretize(tent2d, 0.25, spec)
         c = StepperConfig(p=2.0, h=1e-3, T=3e-3)
-        traj_a = evolve(zero_extend(rng.standard_normal(spec.nx), spec), st, c)
-        traj_b = evolve(zero_extend(rng.standard_normal(spec.nx), spec), st, c)
+        traj_a = evolve(rng.standard_normal(spec.nx), spec, st, c)
+        traj_b = evolve(rng.standard_normal(spec.nx), spec, st, c)
         for q in (2.0, 3.0):
             padded = [lp_norm(zero_extend(a - b, spec), q, "omega")
                       for a, b in zip(traj_a.interior, traj_b.interior)]
@@ -272,7 +272,7 @@ class TestDistances:
 class TestEnergyAudit:
     def test_zero_trajectory_slacks(self, domain16, stencil16):
         traj = evolve(
-            zero_extend(np.zeros(16), domain16), stencil16,
+            np.zeros(16), domain16, stencil16,
             StepperConfig(p=2.0, h=0.01, T=0.05),
         )
         rep = energy_audit(traj)
@@ -280,14 +280,14 @@ class TestEnergyAudit:
         assert rep.all_passed()
 
     def test_implicit_run_inequalities_hold(self, domain64, stencil64, rng):
-        u0 = zero_extend(rng.standard_normal(64), domain64)
-        traj = evolve(u0, stencil64, StepperConfig(p=2.0, h=5e-3, T=0.1))
+        u0 = rng.standard_normal(64)
+        traj = evolve(u0, domain64, stencil64, StepperConfig(p=2.0, h=5e-3, T=0.1))
         rep = energy_audit(traj)
         assert rep.all_passed()
 
     def test_csv_roundtrip(self, tmp_path, domain16, stencil16):
         traj = evolve(
-            zero_extend(np.zeros(16), domain16), stencil16,
+            np.zeros(16), domain16, stencil16,
             StepperConfig(p=2.0, h=0.01, T=0.05),
         )
         rep = energy_audit(traj)

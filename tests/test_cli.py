@@ -345,26 +345,14 @@ class TestRun:
 
 
 class TestPgm:
-    def make_field(self, pixels):
-        from nlbiharm import zero_extend
-        from nlbiharm.cli import DomainSpec
-
-        w, h = pixels.shape
-        spec = DomainSpec(
-            dim=2, omega_lo=(0.0, 0.0), omega_hi=(float(w), float(h)),
-            nx=(w, h), dx=1.0, pad_cells=2,
-        )
-        return zero_extend(pixels, spec)
-
     def test_p5_round_trip(self, tmp_path, rng):
         pixels = rng.integers(0, 256, size=(7, 5)).astype(np.uint8)
         path = tmp_path / "img.pgm"
         with open(path, "wb") as fh:
             fh.write(b"P5\n7 5\n255\n")
             fh.write(pixels.T.tobytes())
-        f = self.make_field(read_pgm_pixels(path)[0])
         out_path = tmp_path / "out.pgm"
-        write_pgm(f, out_path, maxval=255)
+        write_pgm(read_pgm_pixels(path)[0], out_path, maxval=255)
         again, maxval = read_pgm_pixels(out_path)
         assert maxval == 255
         assert np.array_equal(np.rint(again * 255).astype(np.uint8), pixels)
@@ -385,8 +373,7 @@ class TestPgm:
         pixels, maxval = read_pgm_pixels(path)
         assert maxval == 65535
         assert pixels.shape == (4, 3)
-        f = self.make_field(pixels)
-        write_pgm(f, tmp_path / "wide_out.pgm", maxval=65535)
+        write_pgm(pixels, tmp_path / "wide_out.pgm", maxval=65535)
         again, _ = read_pgm_pixels(tmp_path / "wide_out.pgm")
         assert np.array_equal(
             np.rint(again * 65535).astype(np.uint16),
@@ -435,11 +422,17 @@ class TestPgm:
 
     def test_clamping_on_write(self, tmp_path):
         pixels = np.array([[1.5, -0.2], [0.5, 1.0]])
-        f = self.make_field(pixels)
-        write_pgm(f, tmp_path / "c.pgm")
+        write_pgm(pixels, tmp_path / "c.pgm")
         again, _ = read_pgm_pixels(tmp_path / "c.pgm")
         assert again[0, 0] == 1.0
         assert again[0, 1] == 0.0
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1d", "3d"])
+    def test_write_needs_a_2d_array(self, tmp_path, shape):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="2D array"):
+            write_pgm(np.zeros(shape), path)
+        assert not path.exists()
 
 
 class TestDenoise:
@@ -532,15 +525,13 @@ class TestImport:
         code = (
             "import sys\n"
             "import numpy as np\n"
-            "from nlbiharm import (StepperConfig, discretize, evolve, get_kernel,\n"
-            "    make_domain, zero_extend)\n"
+            "from nlbiharm import StepperConfig, discretize, evolve, get_kernel, make_domain\n"
             "from nlbiharm.cli import main\n"
             f"assert main(['--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
             "kern = get_kernel('tent')\n"
             "spec = make_domain(1, (0.0, 1.0), 32, 0.25)\n"
             "x = spec.node_coords()[0][spec.interior_slices]\n"
-            "evolve(zero_extend(np.sin(np.pi * x), spec),\n"
-            "    discretize(kern, 0.25, spec),\n"
+            "evolve(np.sin(np.pi * x), spec, discretize(kern, 0.25, spec),\n"
             "    StepperConfig(p=1.5, h=1e-3, T=1e-3))\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )

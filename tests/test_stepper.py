@@ -162,12 +162,12 @@ class _CountingOperator(NonlocalOperator):
 
 class TestImplicitStep:
     def test_zero_previous_state_is_fixed_point(self, domain16, stencil16):
-        z = zero_extend(np.zeros(16), domain16)
+        z = np.zeros(16)
         op = NonlocalOperator(stencil16, domain16)
         res = _minimize_step(op, np.zeros(16), 2.0, 1e-3, 1e-8, 100)
         assert res.iters == 0
         assert np.all(res.interior == 0.0)
-        traj = evolve(z, stencil16, cfg(T=1e-3))
+        traj = evolve(z, domain16, stencil16, cfg(T=1e-3))
         assert np.all(traj.interior[-1] == 0.0)
 
     def test_matches_dense_linear_solve(self, tent1d, rng):
@@ -179,7 +179,7 @@ class TestImplicitStep:
         h = 1e-3
         u_int = rng.standard_normal(16)
         w_dense = np.linalg.solve(np.eye(16) + h * b, u_int)
-        w = evolve(zero_extend(u_int, spec), st_, cfg(h=h, T=h)).interior[-1]
+        w = evolve(u_int, spec, st_, cfg(h=h, T=h)).interior[-1]
         err = np.sqrt(spec.cell_volume * np.sum((w - w_dense) ** 2))
         assert err <= 1e-8
 
@@ -187,7 +187,7 @@ class TestImplicitStep:
     def test_per_step_dissipation(self, domain16, stencil16, rng, p):
         c = cfg(p=p, h=1e-3, T=1e-3, inner_max_iters=30000)
         u_int = rng.standard_normal(16)
-        w = evolve(zero_extend(u_int, domain16), stencil16, c).interior[-1]
+        w = evolve(u_int, domain16, stencil16, c).interior[-1]
         fn = _StepFunctional(as_operator(stencil16, domain16), u_int, p, c.h)
         tol = 1e-8 * max(1.0, fn.l2(u_int))
         inc = fn.l2(w - u_int)
@@ -198,7 +198,7 @@ class TestImplicitStep:
     def test_residual_certificate(self, domain16, stencil16, rng):
         c = cfg(p=3.0, h=1e-3, T=1e-3, inner_max_iters=30000)
         u_int = rng.standard_normal(16)
-        w = evolve(zero_extend(u_int, domain16), stencil16, c).interior[-1]
+        w = evolve(u_int, domain16, stencil16, c).interior[-1]
         fn = _StepFunctional(as_operator(stencil16, domain16), u_int, c.p, c.h)
         g = fn.gradient(w, fn.flux_term(fn.extended(w)))
         tol = 1e-8 * max(1.0, fn.l2(u_int))
@@ -215,7 +215,7 @@ class TestImplicitStep:
         x = spec.node_coords()[0][spec.interior_slices]
         u_int = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
         c = cfg(p=3.0, h=1e-4, T=1e-4, inner_max_iters=50000)
-        w = evolve(zero_extend(u_int, spec), st_, c).interior[-1]
+        w = evolve(u_int, spec, st_, c).interior[-1]
         fn = _StepFunctional(as_operator(st_, spec), u_int, c.p, c.h)
         tol = effective_inner_tol(NonlocalOperator(st_, spec), fn.l2(u_int))
         assert fn.l2(fn.gradient(w, fn.flux_term(fn.extended(w)))) <= 2.0 * tol
@@ -226,9 +226,9 @@ class TestImplicitStep:
     def test_failure_reports_residual(self, domain16, stencil16, rng, p, local):
         c = cfg(p=p, h=1e-3, T=1e-3, inner_max_iters=2)
         op = LocalOperator(domain16) if local else stencil16
-        u = zero_extend(10.0 * rng.standard_normal(16), domain16)
+        u = 10.0 * rng.standard_normal(16)
         with pytest.raises(InnerSolveFailed) as info:
-            evolve(u, op, c)
+            evolve(u, domain16, op, c)
         assert info.value.residual > 0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0], ids=["irls", "newton_cg_p2", "newton_cg"])
@@ -239,9 +239,9 @@ class TestImplicitStep:
         assert res.applies == op.calls
         # at p = 2 each CG product is one squared correlation
         assert (op.squared_calls > 0) == (p == 2.0)
-        u0 = zero_extend(rng.standard_normal(16), domain16)
+        u0 = rng.standard_normal(16)
         op.calls = 0
-        traj = evolve(u0, op, cfg(p=p, h=1e-3, T=5e-3, inner_max_iters=30000))
+        traj = evolve(u0, domain16, op, cfg(p=p, h=1e-3, T=5e-3, inner_max_iters=30000))
         assert traj.applies[0] == 0
         assert np.all(traj.applies[1:] > traj.inner_iters[1:])
         # evolve evaluates A u0 once for the initial energy, outside the steps
@@ -303,12 +303,13 @@ class TestImplicitStep:
         st_ = discretize(tent1d, eps, spec)
         if start == "gaussian":
             x = spec.node_coords()[0][spec.interior_slices]
-            u0 = zero_extend(np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2, spec)
+            u0 = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
         else:
             u0 = default_bump(spec)
         c = cfg(p=1.2, h=h, T=steps * h, inner_max_iters=1000)
-        traj = evolve(u0, st_, c)
-        tol = effective_inner_tol(NonlocalOperator(st_, spec), lp_norm(u0, 2, "omega"))
+        traj = evolve(u0, spec, st_, c)
+        tol = effective_inner_tol(NonlocalOperator(st_, spec),
+                                  lp_norm(zero_extend(u0, spec), 2, "omega"))
         assert traj.n_steps == steps
         assert np.all(traj.residuals[1:] <= tol)
         assert np.all(traj.inner_iters[1:] > 0)
@@ -416,13 +417,13 @@ class TestNewtonStep:
         spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, 0.2)
         st_ = discretize(kern, 0.2, spec)
         u0 = default_bump(spec)
-        traj = evolve(u0, st_, cfg(p=2.0, h=1e-3, T=3e-3))
+        traj = evolve(u0, spec, st_, cfg(p=2.0, h=1e-3, T=3e-3))
         assert traj.inner_iters[1:].tolist() == [1, 1, 1]
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
         # Outside its CG products a cold step evaluates A x and its flux,
         # then the t = 1 trial and the trial's flux, which certifies it.
         op = _CountingOperator(st_, replace(spec, pad_cells=st_.reach))
-        _minimize_step(op, u0.interior_values, 2.0, 1e-3, traj.inner_tol, 5000)
+        _minimize_step(op, u0, 2.0, 1e-3, traj.inner_tol, 5000)
         assert op.calls - op.squared_calls == 4
 
     def test_pcg_direction_meets_the_dense_stop(self, tent2d, rng):
@@ -489,7 +490,7 @@ class TestNewtonStep:
         else:
             spec = domain16
             op = _CountingOperator(stencil16, spec)
-        traj = evolve(default_bump(spec), op, cfg(p=3.0, h=1e-4, T=2e-4))
+        traj = evolve(default_bump(spec), spec, op, cfg(p=3.0, h=1e-4, T=2e-4))
         assert np.all(traj.inner_iters[1:] > 0)
         if nearest:
             assert op.solves == int(traj.inner_iters.sum())
@@ -502,27 +503,38 @@ class TestNewtonStep:
 
 class TestEvolve:
     def test_rejects_other_operator_types(self, domain16):
-        u0 = zero_extend(np.zeros(16), domain16)
+        u0 = np.zeros(16)
         with pytest.raises(TypeError, match="Stencil or a NonlocalOperator"):
-            evolve(u0, object(), cfg())
+            evolve(u0, domain16, object(), cfg())
+
+    @pytest.mark.parametrize("u0,match", [
+        (np.zeros(15), "shape"),
+        (np.zeros((16, 1)), "shape"),
+        (np.where(np.arange(16) == 3, np.nan, 0.0), "finite"),
+        (np.where(np.arange(16) == 3, np.inf, 0.0), "finite"),
+    ], ids=["short", "column", "nan", "inf"])
+    def test_rejects_a_bad_initial_state(self, domain16, stencil16, u0, match):
+        # a start is the interior values of shape spec.nx, all finite
+        with pytest.raises(ValueError, match=match):
+            evolve(u0, domain16, stencil16, cfg())
 
     def test_zero_initial_state(self, domain16, stencil16):
-        traj = evolve(zero_extend(np.zeros(16), domain16), stencil16, cfg(h=0.01, T=0.05))
+        traj = evolve(np.zeros(16), domain16, stencil16, cfg(h=0.01, T=0.05))
         assert np.all(traj.l2_sq == 0.0)
         assert np.all(traj.energies == 0.0)
         assert traj.n_steps == 5
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_energies_nonincreasing(self, domain16, stencil16, rng, p):
-        u0 = zero_extend(rng.standard_normal(16), domain16)
-        traj = evolve(u0, stencil16, cfg(p=p, h=1e-3, T=0.05, inner_max_iters=30000))
+        u0 = rng.standard_normal(16)
+        traj = evolve(u0, domain16, stencil16, cfg(p=p, h=1e-3, T=0.05, inner_max_iters=30000))
         slack = 1e-6 * traj.energies[0]
         assert np.all(np.diff(traj.energies) <= slack)
 
     def test_global_dissipation_inequality(self, domain16, stencil16, rng):
-        u0 = zero_extend(rng.standard_normal(16), domain16)
+        u0 = rng.standard_normal(16)
         c = cfg(p=2.0, h=1e-3, T=0.05)
-        traj = evolve(u0, stencil16, c)
+        traj = evolve(u0, domain16, stencil16, c)
         lhs = np.sum(traj.increments_sq[1:]) / c.h + traj.energies[-1]
         assert lhs <= traj.energies[0] * (1 + 1e-6)
 
@@ -536,8 +548,8 @@ class TestEvolve:
         u0_int = rng.standard_normal(spec.n_interior)
         m = 50
         oracle = implicit_p2_trajectory(mat, spec, u0_int, h, m)
-        u0 = zero_extend(u0_int.reshape(spec.nx), spec)
-        traj = evolve(u0, st_, cfg(h=h, T=m * h))
+        u0 = u0_int.reshape(spec.nx)
+        traj = evolve(u0, spec, st_, cfg(h=h, T=m * h))
         assert len(traj.interior) == m + 1  # every state is recorded
         worst = 0.0
         for state, ref in zip(traj.interior, oracle):
@@ -548,8 +560,8 @@ class TestEvolve:
     def test_contraction_of_nearby_trajectories(self, domain16, stencil16, rng):
         u0 = rng.standard_normal(16)
         c = cfg(p=2.0, h=1e-3, T=0.03)
-        t1 = evolve(zero_extend(u0, domain16), stencil16, c)
-        t2 = evolve(zero_extend(u0 + 0.01 * rng.standard_normal(16), domain16), stencil16, c)
+        t1 = evolve(u0, domain16, stencil16, c)
+        t2 = evolve(u0 + 0.01 * rng.standard_normal(16), domain16, stencil16, c)
         dists = [
             np.sqrt(domain16.cell_volume * np.sum((a - b) ** 2))
             for a, b in zip(t1.interior, t2.interior)
@@ -560,8 +572,8 @@ class TestEvolve:
     def test_2d_dissipation(self, tent2d, rng):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
         st_ = discretize(tent2d, 0.25, spec)
-        u0 = zero_extend(rng.standard_normal((16, 16)), spec)
-        traj = evolve(u0, st_, cfg(p=2.0, h=1e-3, T=0.01))
+        u0 = rng.standard_normal((16, 16))
+        traj = evolve(u0, spec, st_, cfg(p=2.0, h=1e-3, T=0.01))
         assert np.all(np.diff(traj.energies) <= 1e-6 * traj.energies[0])
         assert np.all(np.diff(traj.l2_sq) <= 1e-12 * traj.l2_sq[0])
         assert traj.interior.shape[1:] == spec.nx  # nothing is stored off the interior
@@ -570,8 +582,8 @@ class TestEvolve:
         # one interior array per run; the states view zero-extends its rows
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 12, 0.25)
         st_ = discretize(tent2d, 0.25, spec)
-        u0 = zero_extend(rng.standard_normal(spec.nx), spec)
-        traj = evolve(u0, st_, cfg(p=3.0, h=1e-3, T=5e-3))
+        u0 = rng.standard_normal(spec.nx)
+        traj = evolve(u0, spec, st_, cfg(p=3.0, h=1e-3, T=5e-3))
         assert traj.spec == spec
         assert traj.interior.shape == (traj.n_steps + 1,) + spec.nx
         states = traj.states
@@ -586,8 +598,8 @@ class TestEvolve:
         # Armijo trial is evaluated by the 2D FFT correlation
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
         st_ = discretize(tent2d, 0.25, spec)
-        u0 = zero_extend(rng.standard_normal((16, 16)), spec)
-        traj = evolve(u0, st_, cfg(p=3.0, h=1e-3, T=0.01))
+        u0 = rng.standard_normal((16, 16))
+        traj = evolve(u0, spec, st_, cfg(p=3.0, h=1e-3, T=0.01))
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
         assert np.all(np.diff(traj.energies) <= 0.0)
         assert np.all(np.diff(traj.l2_sq) <= 0.0)
@@ -597,7 +609,7 @@ class TestEvolve:
         # The benchmark ends a run's set-up at its first loop apply, which
         # must be evolve's step-0 apply, before any step's correlation.
         op = _CountingOperator(stencil16, domain16)
-        evolve(zero_extend(rng.standard_normal(16), domain16), op, cfg(p=p, h=1e-3, T=2e-3))
+        evolve(rng.standard_normal(16), domain16, op, cfg(p=p, h=1e-3, T=2e-3))
         assert op.order[0] == "apply"
         assert "apply_squared" in op.order or "apply_extended" in op.order
 
@@ -605,8 +617,8 @@ class TestEvolve:
         # dissipation_p2's run: most steps return their carried start, and
         # every recorded norm, increment and p-energy equals its
         # recomputation from the recorded states
-        u0 = zero_extend(np.random.default_rng(404).standard_normal(64), domain64)
-        traj = evolve(u0, stencil64, cfg(p=2.0, h=0.005, T=1.0))
+        u0 = np.random.default_rng(404).standard_normal(64)
+        traj = evolve(u0, domain64, stencil64, cfg(p=2.0, h=0.005, T=1.0))
         assert np.sum(traj.inner_iters[1:] == 0) == 177
         op = as_operator(stencil64, domain64)
         vol = domain64.cell_volume
@@ -621,21 +633,22 @@ class TestEvolve:
         assert list(traj.energies) == energies
 
     def test_step_error_carries_index(self, domain16, stencil16, rng):
-        u0 = zero_extend(10 * rng.standard_normal(16), domain16)
+        u0 = 10 * rng.standard_normal(16)
         with pytest.raises(InnerSolveFailed, match="step 1"):
-            evolve(u0, stencil16, cfg(p=3.0, h=1e-3, T=0.01, inner_max_iters=1))
+            evolve(u0, domain16, stencil16, cfg(p=3.0, h=1e-3, T=0.01, inner_max_iters=1))
 
     def test_inner_tol_is_the_effective_tolerance(self, domain16, stencil16, rng):
-        u0 = zero_extend(5.0 * rng.standard_normal(16), domain16)
+        u0 = 5.0 * rng.standard_normal(16)
         c = cfg(p=2.0, h=1e-3, T=3e-3)
-        traj = evolve(u0, stencil16, c)
+        traj = evolve(u0, domain16, stencil16, c)
         op = NonlocalOperator(stencil16, domain16)
-        assert traj.inner_tol == effective_inner_tol(op, lp_norm(u0, 2, "omega"))
+        assert traj.inner_tol == effective_inner_tol(op, lp_norm(zero_extend(u0, domain16), 2,
+                                                                 "omega"))
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
 
     def test_csv_schema(self, tmp_path, domain16, stencil16, rng):
-        u0 = zero_extend(rng.standard_normal(16), domain16)
-        traj = evolve(u0, stencil16, cfg(h=1e-3, T=0.005))
+        u0 = rng.standard_normal(16)
+        traj = evolve(u0, domain16, stencil16, cfg(h=1e-3, T=0.005))
         path = tmp_path / "traj.csv"
         trajectory_to_csv(traj, path)
         lines = path.read_text().splitlines()
@@ -663,10 +676,10 @@ class TestStepGrid:
         assert st_.reach == 25
         cut = replace(spec, pad_cells=2)
         with pytest.raises(ValueError, match="collar"):
-            evolve(default_bump(cut), st_, cfg(h=1e-3, T=5e-3))
+            evolve(default_bump(cut), cut, st_, cfg(h=1e-3, T=5e-3))
         bare = replace(spec, pad_cells=0)
         with pytest.raises(ValueError, match="collar"):
-            local_evolve(default_bump(bare), cfg(h=1e-3, T=5e-3))
+            local_evolve(default_bump(bare), bare, cfg(h=1e-3, T=5e-3))
 
     @pytest.mark.parametrize("p", [1.5, 3.0], ids=["reweighted", "newton_cg"])
     def test_evolve_matches_full_grid_operator(self, tent1d, p):
@@ -677,8 +690,8 @@ class TestStepGrid:
         st_ = discretize(tent1d, 0.1, spec)
         u0 = default_bump(spec)
         c = cfg(p=p, h=1e-4, T=5e-4)
-        step = evolve(u0, st_, c)
-        full = evolve(u0, NonlocalOperator(st_, spec), c)
+        step = evolve(u0, spec, st_, c)
+        full = evolve(u0, spec, NonlocalOperator(st_, spec), c)
         assert step.inner_tol == full.inner_tol
         tol = step.inner_tol
         assert np.all(step.residuals[1:] <= tol) and np.all(full.residuals[1:] <= tol)
