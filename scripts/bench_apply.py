@@ -51,8 +51,10 @@ a shipped 1D study config (decay_p2 and decay_p3 from scripts/configs/),
 where a step costs its fixed overhead more than its operator work.  It
 prints the steps, the frozen steps (those that return their certified
 start with no inner iteration), the operator applies (the step-0 loop
-apply included), the median, min and max milliseconds per run and the
-median microseconds per step.
+apply included), the median, min and max milliseconds per run, the
+median microseconds per step, and the median milliseconds of writing the
+run's trajectory CSV (``stepper.trajectory_to_csv``, into a temporary
+directory).
 
 A per-call time is the best of REPEATS batches, each sized to take about
 BATCH_S seconds.  A step is timed over STEP_REPEATS single runs in this
@@ -61,6 +63,7 @@ and min and max show the spread (the best of a few runs swung by 2x
 between invocations on a shared host).
 """
 
+import tempfile
 import time
 from pathlib import Path
 
@@ -74,7 +77,7 @@ from nlbiharm.cli import _grid_and_stencil, _initial_state
 from nlbiharm.grid import lq_sum_norm
 from nlbiharm.localref import local_stencil
 from nlbiharm.nlop import BandedNormal
-from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol
+from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol, trajectory_to_csv
 
 BATCH_S = 0.05
 REPEATS = 5
@@ -248,7 +251,7 @@ def main() -> int:
 
     print()
     print(f"{'evolve':<13} {'steps':>6} {'frozen':>6} {'applies':>7} "
-          f"{'ms':>8} {'min_ms':>8} {'max_ms':>8} {'us_step':>8}")
+          f"{'ms':>8} {'min_ms':>8} {'max_ms':>8} {'us_step':>8} {'csv_ms':>7}")
     for name in EVOLVE_CASES:
         run = evolve_case(name)
         runs = []
@@ -256,11 +259,19 @@ def main() -> int:
             begin = time.perf_counter()
             traj = run()
             runs.append(1e3 * (time.perf_counter() - begin))
+        writes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trajectory.csv"
+            for _ in range(EVOLVE_REPEATS):
+                begin = time.perf_counter()
+                trajectory_to_csv(traj, path)
+                writes.append(1e3 * (time.perf_counter() - begin))
         frozen = int(np.sum(traj.inner_iters[1:] == 0))
         applies = int(traj.applies.sum()) + 1  # and the step-0 loop apply
         ms = np.median(runs)
         print(f"{name:<13} {traj.n_steps:>6} {frozen:>6} {applies:>7} {ms:>8.1f} "
-              f"{min(runs):>8.1f} {max(runs):>8.1f} {1e3 * ms / traj.n_steps:>8.1f}")
+              f"{min(runs):>8.1f} {max(runs):>8.1f} {1e3 * ms / traj.n_steps:>8.1f} "
+              f"{np.median(writes):>7.2f}")
     return 0
 
 

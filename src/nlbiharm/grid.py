@@ -18,19 +18,25 @@ import numpy as np
 REGIONS = ("omega", "omega_e", "exterior")
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit decimal rendering used by every CSV writer."""
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, rows) -> None:
-    """Write the column names ``header``, then one line per row; floats
-    render through ``format_float``, everything else through ``str``."""
+    """Write the column names ``header``, then stream one line per row:
+    floats (``float`` and its subclasses, ``np.float64`` among them) render
+    as ``%.17g``, everything else through ``str``, in one ``%`` call per row
+    whose format is built once per sequence of cell types."""
+    formats = {}
+
+    def line(row):
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+        return fmt % row
+
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = (format_float(v) if isinstance(v, float) else str(v) for v in row)
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(map(line, rows))
 
 
 @dataclass(frozen=True)

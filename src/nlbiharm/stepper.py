@@ -73,8 +73,12 @@ state of every step, and carries the operator value, the flux term and the
 p-energy of each step's certified state into the next step, which starts
 from that state.  There the gradient is the carried flux term itself, so a
 step whose start already certifies returns it after one norm, with no
-iteration, no apply and no solver built; ``evolve`` then copies the
-previous row and its norm and records a zero increment.
+iteration, no apply and no solver built.  Such a start is a fixed point of
+the scheme: it hands the next step the same state, the same carried triple
+and the same tolerance, so every later step returns the same result.
+``evolve`` therefore stops stepping at the first such step and fills the
+rest of the run in one write per column: the previous state and norm, the
+step's p-energy and residual, and zero iterations, applies and increments.
 """
 
 from __future__ import annotations
@@ -335,7 +339,8 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
     with no iteration and no apply, before any solver is built."""
     if start is not None:
         a, flux, pe = start
-        res = _l2(flux, op.spec.cell_volume)  # bitwise fn.l2(fn.gradient(x, flux))
+        g = flux  # fn.gradient(x, flux) at x = u_prev_int, up to signed zeros
+        res = _l2(g, op.spec.cell_volume)
         if res <= tol:
             return _StepResult(interior=u_prev_int, iters=0, applies=0, residual=res,
                                p_energy=pe, value=a, flux=flux)
@@ -352,14 +357,14 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
         solve = _cg_solve(fn, tol)
     label = "reweighted" if p < 2.0 else "Newton"
 
-    x = np.array(u_prev_int, dtype=float)
+    x = u_prev_int  # only ever rebound
     if start is None:
         e, pe, a = fn.energy(x)
         flux = fn.flux_term(a)
+        g = fn.gradient(x, flux)
+        res = fn.l2(g)
     else:
         e = fn.total_energy(x, pe)
-    g = fn.gradient(x, flux)
-    res = fn.l2(g)
     iters = 0
     while res > tol:
         if iters >= max_iters:
@@ -455,7 +460,10 @@ def _cg_solve(fn, tol):
 
 def evolve(u0: np.ndarray, spec: DomainSpec, st, cfg: StepperConfig) -> Trajectory:
     """March ceil(T/h) steps on ``spec`` from the interior values ``u0`` (shape
-    ``spec.nx``, finite), auditing norms, energies, and increments."""
+    ``spec.nx``, finite), auditing norms, energies, and increments.  The
+    first step that returns its start unmoved (no inner iteration) ends the
+    stepping: the rows after it repeat it, with zero applies (module
+    docstring)."""
     x = np.array(u0, dtype=float)
     if x.shape != spec.nx:
         raise ValueError(f"initial state has shape {x.shape}, expected {spec.nx}")
@@ -490,18 +498,22 @@ def evolve(u0: np.ndarray, spec: DomainSpec, st, cfg: StepperConfig) -> Trajecto
             raise InnerSolveFailed(
                 f"step {j} (t = {j * cfg.h:g}): {err}", err.residual
             ) from err
+        applies[j] = result.applies
+        if result.iters == 0:
+            # a fixed point: every later step would return this same result
+            interior[j:] = x
+            l2_sq[j:] = l2_sq[j - 1]
+            energies[j:] = result.p_energy
+            residuals[j:] = result.residual
+            break
         start = result.value, result.flux, result.p_energy
         inner_iters[j] = result.iters
-        applies[j] = result.applies
         residuals[j] = result.residual
         energies[j] = result.p_energy
-        if result.iters == 0:  # x unmoved: same row and norm, increment 0
-            l2_sq[j] = l2_sq[j - 1]
-        else:
-            delta = result.interior - x
-            increments_sq[j] = vol * float(np.vdot(delta, delta))
-            x = result.interior
-            l2_sq[j] = vol * float(np.vdot(x, x))
+        delta = result.interior - x
+        increments_sq[j] = vol * float(np.vdot(delta, delta))
+        x = result.interior
+        l2_sq[j] = vol * float(np.vdot(x, x))
         interior[j] = x
 
     return Trajectory(

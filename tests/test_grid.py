@@ -204,3 +204,21 @@ class TestWriteCsv:
             b"a,b,c,d\n1,0.33333333333333331,x,0.10000000000000001\n"
             b"-2,nan,True,1e-300\n"
         )
+
+    @pytest.mark.parametrize("rows", [
+        [(float("inf"), float("-inf"), -0.0), (np.float64("inf"), np.float64(-0.0), 0.0)],
+        [(np.float32(0.1), 10**20, np.float32(-0.0)), (np.float32(1e30), -(10**20), 2**70)],
+        [("5%", "%s", "%.17g %d"), ("100%%", "%", "")],
+        [(1.0, 2, "a"), (1, 2.5, "b"), (np.int64(3), np.float64(1e-7), "c")],
+    ], ids=["infinities_and_signed_zeros", "float32_and_big_ints", "percent_strings",
+            "column_float_then_int"])
+    def test_rows_match_the_per_cell_rule(self, tmp_path, rows):
+        # each line is what rendering cell by cell gives: floats (np.float64
+        # included, np.float32 not) to 17 significant digits, the rest str
+        def per_cell(v):
+            return format(float(v), ".17g") if isinstance(v, float) else str(v)
+
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c"), rows)
+        expected = "a,b,c\n" + "".join(",".join(map(per_cell, row)) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()

@@ -501,6 +501,43 @@ class TestNewtonStep:
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
 
 
+def count_step_calls(monkeypatch):
+    """Wrap stepper._minimize_step; the returned list gets each call's start."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[6] if len(args) > 6 else None)
+        return _minimize_step(*args)
+    monkeypatch.setattr(stepper, "_minimize_step", counted)
+    return calls
+
+
+def stepwise_trajectory(u0, spec, st_, c, tol):
+    """evolve's per-step arrays from running every one of its steps, each
+    from the previous step's carried start."""
+    op = as_operator(st_, spec)
+    vol = spec.cell_volume
+    x = np.array(u0, dtype=float)
+    rows = [(x, vol * float(np.vdot(x, x)), _StepFunctional(op, x, c.p, c.h).energy(x)[1],
+             0.0, 0, 0, 0.0)]
+    start = None
+    for _ in range(len(c.step_times()) - 1):
+        res = _minimize_step(op, x, c.p, c.h, tol, c.inner_max_iters, start)
+        start = res.value, res.flux, res.p_energy
+        delta = res.interior - x
+        x = res.interior
+        rows.append((x, vol * float(np.vdot(x, x)), res.p_energy,
+                     vol * float(np.vdot(delta, delta)), res.iters, res.applies, res.residual))
+    names = ("interior", "l2_sq", "energies", "increments_sq", "inner_iters", "applies",
+             "residuals")
+    return dict(zip(names, map(np.array, zip(*rows))))
+
+
+def assert_trajectory_equal(traj, expected):
+    for name, values in expected.items():
+        assert np.array_equal(getattr(traj, name), values), name
+
+
 class TestEvolve:
     def test_rejects_other_operator_types(self, domain16):
         u0 = np.zeros(16)
@@ -631,6 +668,30 @@ class TestEvolve:
         assert list(traj.l2_sq) == [vol * float(np.vdot(x, x)) for x in traj.interior]
         assert list(traj.increments_sq) == [0.0] + [vol * float(np.vdot(d, d)) for d in steps]
         assert list(traj.energies) == energies
+
+    def test_frozen_tail_matches_stepping_every_step(self, domain64, stencil64, monkeypatch):
+        # dissipation_p2's run again: evolve steps until the first step that
+        # returns its certified start (23 live steps and that one), then
+        # fills the rest, equal to running every step
+        calls = count_step_calls(monkeypatch)
+        u0 = np.random.default_rng(404).standard_normal(64)
+        c = cfg(p=2.0, h=0.005, T=1.0)
+        traj = evolve(u0, domain64, stencil64, c)
+        assert len(calls) == 24 and traj.n_steps == 200
+        assert_trajectory_equal(traj, stepwise_trajectory(u0, domain64, stencil64, c,
+                                                          traj.inner_tol))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_zero_start_freezes_at_step_one(self, domain64, stencil64, monkeypatch, p):
+        # step 1 evaluates the zero start with its own rule, certifies it and
+        # is the only step run; the rest repeat it with no apply
+        calls = count_step_calls(monkeypatch)
+        c = cfg(p=p, h=0.005, T=0.05)
+        traj = evolve(np.zeros(64), domain64, stencil64, c)
+        assert calls == [None]
+        assert traj.applies[1] == 2 and not np.any(traj.applies[2:])
+        assert_trajectory_equal(traj, stepwise_trajectory(np.zeros(64), domain64, stencil64,
+                                                          c, traj.inner_tol))
 
     def test_step_error_carries_index(self, domain16, stencil16, rng):
         u0 = 10 * rng.standard_normal(16)
