@@ -30,10 +30,12 @@ reach, with ``step`` nodes.
 
 The second table times the direct solve of one implicit step's model
 I/h + A^T diag(c) A (``NonlocalOperator.normal_solve``): microseconds per
-assembly of its blocks and per block LDL^T elimination, keyed by dim, n
-(interior unknowns) and the bandwidth, with the block size and the relative
-backward error ||M d - g|| / (||M||_1 ||d||) of the solve.  The weight c is
-the p = 3 Newton curvature 2|A x| at a random state.
+assembly of its blocks and per partitioned block LDL^T elimination
+(``BandedNormal``), keyed by dim, n (interior unknowns) and the bandwidth,
+with the block size, the number of partitions the cost rule chose
+(``parts``) and the relative backward error ||M d - g|| / (||M||_1 ||d||)
+of the solve (``solve_case``).  The weight c is the p = 3 Newton curvature
+2|A x| at a random state.
 
 The third table runs one implicit step (``stepper._minimize_step``) for
 each way of solving the step model: Newton-CG on converge's 1D K = 50
@@ -97,13 +99,16 @@ CASES = [
 ]
 
 # (solve, dim, box, nx, eps of the stencil or None for the local one, grid
-# eps): the local reference of converge, the 2D local Hessian at two sizes,
-# and the battery's 1D nonlocal stencil (K = 24), the reweighted step's.
+# eps): the local reference of converge and the same band at n = 1024, the
+# 2D local Hessian at two sizes, and the 1D nonlocal stencils of the
+# reweighted steps: the battery's (K = 24) and the n = 128, K = 50 one.
 SOLVE_CASES = [
     ("local", 1, (0.0, 1.0), 256, None, 0.4),
+    ("local", 1, (0.0, 1.0), 1024, None, 0.4),
     ("local", 2, ((0.0, 1.0), (0.0, 1.0)), 16, None, 0.2),
     ("local", 2, ((0.0, 1.0), (0.0, 1.0)), 64, None, 0.2),
     ("nonlocal", 1, (0.0, 1.0), 64, 0.2, 0.2),
+    ("nonlocal", 1, (0.0, 1.0), 128, 0.2, 0.2),
 ]
 SOLVE_H = 1e-4
 
@@ -157,6 +162,23 @@ def check_case(case, rng):
         (op.apply_squared(interior), squared),
     )]
     return spec, op, interior, values, diffs
+
+
+def solve_case(case, rng):
+    """The operator of one row of SOLVE_CASES, its ``BandedNormal`` assembled
+    for the p = 3 curvature c = 2|A x| at a random state x, a random
+    right-hand side g, and the backward error of the solve of M d = g."""
+    _, dim, box, nx, eps, grid_eps = case
+    spec = make_domain(dim, box, nx, grid_eps)
+    st = local_stencil(spec) if eps is None else discretize(TENT, eps, spec)
+    op = NonlocalOperator(st, spec)
+    x = np.zeros(spec.padded_shape)
+    x[spec.interior_slices] = rng.standard_normal(spec.nx)
+    curv = 2.0 * np.abs(op.apply(x))
+    g = rng.standard_normal(spec.nx)
+    model = BandedNormal(op)
+    model.assemble(curv, 1.0 / SOLVE_H)
+    return op, model, curv, g, backward_error(op, curv, model.eliminate(g), g)
 
 
 def step_case(case):
@@ -214,24 +236,14 @@ def main() -> int:
               + " ".join(f"{d:>8.1e}" for d in diffs))
 
     print()
-    print(f"{'solve':<11} {'dim':>3} {'n':>5} {'band':>4} {'block':>5} "
+    print(f"{'solve':<11} {'dim':>3} {'n':>5} {'band':>4} {'block':>5} {'parts':>5} "
           f"{'asm_us':>9} {'solve_us':>9} {'back_err':>9}")
-    for solve, dim, box, nx, eps, grid_eps in SOLVE_CASES:
-        spec = make_domain(dim, box, nx, grid_eps)
-        st = local_stencil(spec) if eps is None else discretize(TENT, eps, spec)
-        op = NonlocalOperator(st, spec)
-        x = np.zeros(spec.padded_shape)
-        x[spec.interior_slices] = rng.standard_normal(spec.nx)
-        curv = 2.0 * np.abs(op.apply(x))
-        g = rng.standard_normal(spec.nx)
-        model = BandedNormal(op)
-        model.assemble(curv, 1.0 / SOLVE_H)
-        d = model.eliminate(g)
+    for case in SOLVE_CASES:
+        op, model, curv, g, err = solve_case(case, rng)
         asm_us = per_call_us(lambda c: model.assemble(c, 1.0 / SOLVE_H), curv)
         solve_us = per_call_us(model.eliminate, g)
-        err = backward_error(op, curv, d, g)
-        print(f"{solve:<11} {dim:>3} {spec.n_interior:>5} {model.width:>4} "
-              f"{model.block:>5} {asm_us:>9.1f} {solve_us:>9.1f} {err:>9.1e}")
+        print(f"{case[0]:<11} {case[1]:>3} {op.spec.n_interior:>5} {model.width:>4} "
+              f"{model.block:>5} {model.parts:>5} {asm_us:>9.1f} {solve_us:>9.1f} {err:>9.1e}")
 
     print()
     print(f"{'step':<13} {'p':>3} {'dim':>3} {'n':>5} {'K':>4} "

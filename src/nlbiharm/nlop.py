@@ -33,8 +33,12 @@ It has four evaluations of the same matrix, one of them of its square:
   there.
 
 ``normal_solve`` solves the step model shift I + A^T diag(c) A over the
-interior values directly: its bands come straight from the stencil taps and
-a block LDL^T eliminates them (``BandedNormal``), in numpy alone.
+interior values directly: its bands come straight from the stencil taps,
+and a partitioned block LDL^T eliminates them (``BandedNormal``), in numpy
+alone.  A narrow band is cut into partitions with separators between them
+(the SPIKE layout of Polizzi & Sameh, Parallel Computing 32, 2006), whose
+block chains are eliminated in one batched pass before a small dense
+separator system; a wide band is one chain.
 ``tau_solve`` inverts the tau-algebra approximation of the p = 2 model
 shift I + E^T A^2 E, a (block) Toeplitz section with symbol lambda^2, where
 lambda(xi) = sum_d t_d prod_a cos(xi_a d_a) is the symbol of the taps
@@ -210,9 +214,9 @@ class NonlocalOperator:
     def normal_solve(self, c: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (shift I + A^T diag(c) A) d = rhs over interior values, for
         A = apply after zero extension and a weight c >= 0 per padded node;
-        block LDL^T on the band (``BandedNormal``), built on the first call
-        and kept.  The stepper's direct direction solve, below p = 2 and for
-        nearest-neighbour stencils (``reach == 1``)."""
+        partitioned block LDL^T on the band (``BandedNormal``), built on the
+        first call and kept.  The stepper's direct direction solve, below
+        p = 2 and for nearest-neighbour stencils (``reach == 1``)."""
         self._normal.assemble(c, shift)
         return self._normal.eliminate(rhs)
 
@@ -259,15 +263,71 @@ class NonlocalOperator:
         return [sines[n] for n in self.spec.nx], symbol ** 2, work
 
 
-# Smallest block of the block LDL^T solve.  Blocks are max(bandwidth,
-# BLOCK_MIN) wide: narrower blocks of a narrow band cost more LAPACK calls
-# than they save in flops (measured on the local 1D Hessian, n = 256).
+# Smallest block of a partition's block chain.  Blocks are max(bandwidth,
+# BLOCK_MIN) wide, or one block per partition if it is shorter: narrower
+# blocks cost more LAPACK calls than they save in flops.  It decides the
+# layout only of single-partition bands narrower than itself and of
+# partitions longer than itself (from n = 2,048 on the width-2 band), and
+# bounds the widths ``_partitions`` weighs.  Measured on one OpenBLAS
+# thread of a shared 2-vCPU VM, us per elimination at BLOCK_MIN = 24, 32
+# and 48: 72, 53 and 77 on the 1D nonlocal band of width 24 (n = 64), 70,
+# 50 and 72 on the 2D local band of width 16 (nx = 8).  One block of the
+# whole n = 64 took 35 us, and at n = 2,048 on the width-2 band
+# BLOCK_MIN = 16 read 654-705 us against 790-802.
 BLOCK_MIN = 32
+
+# Cost of one ``BandedNormal.eliminate`` in us, fitted to its timings with
+# the number of partitions P forced (1D local and nonlocal bands, width 2 to
+# 64, n = 64 to 2,048, P = 1 to 64) on the same VM: STEP_US per step of the
+# block chains (the Python and call overhead of one batched block solve and
+# its products), MATRIX_US per block matrix of a batched solve, FLOP_NS per
+# flop of the block LUs, their right-hand sides and the separator solve,
+# and SEPARATE_US for the rest of the separator stage.  Median relative
+# error 9% over the 68 timed layouts that ``_partitions`` weighs.
+STEP_US, MATRIX_US, FLOP_NS, SEPARATE_US = 15.0, 1.5, 0.25, 40.0
+
+
+def _layout(n, width, parts):
+    """Partition length and block size for ``parts`` partitions (an int or
+    an array) of n unknowns in flat order with a separator of ``width``
+    between two: each partition one chain of blocks, padded to whole
+    blocks."""
+    length = -(-(n - (parts - 1) * width) // parts)
+    block = np.minimum(max(width, BLOCK_MIN), length)
+    return -(-length // block) * block, block
+
+
+def _partitions(n: int, width: int) -> int:
+    """The number of partitions P of least modelled cost (STEP_US above):
+    P chains of length / block steps, each step one batched solve of P
+    block LUs with 3 width + 1 columns (2 width + 1 right-hand sides), then
+    a dense separator system of (P - 1) width unknowns.  P = 1 is the plain
+    chain of n / block steps with width + 1 columns.
+
+    Only partitions at least 2 width long are weighed, so that each one
+    reaches past both its coupling edges, and a band at least BLOCK_MIN
+    wide keeps P = 1: its blocks carry no padding, and the 2 width coupling
+    columns more than double each block's flops.  In the timings no P > 1
+    beat P = 1 by more than the noise from width 12 up or at n = 64; the
+    2D local band is 2 nx wide.  Checked against forced P on the same VM:
+    the local 1D Hessian (width 2) gets P = 13 at n = 256 (104 us; 213 us
+    at P = 1, 96 at P = 26) and P = 38 at n = 1,024 (383 us; 850 at
+    P = 1)."""
+    if not 0 < width < BLOCK_MIN:
+        return 1
+    parts = np.arange(1, max(1, (n + width) // (3 * width)) + 1)
+    length, block = _layout(n, width, parts)
+    chain, cols = length // block, np.where(parts > 1, 1 + 2 * width, 1)
+    seps = (parts - 1) * width
+    flops = parts * length * (2 / 3 * block ** 2 + 2 * block * (width + cols)) + 2 / 3 * seps ** 3
+    cost = (STEP_US * chain + MATRIX_US * parts * chain + 1e-3 * FLOP_NS * flops
+            + SEPARATE_US * (parts > 1))
+    return int(parts[np.argmin(cost)])
 
 
 class BandedNormal:
     """M = shift I + A^T diag(c) A over the interior values, as a banded
-    matrix, and its block LDL^T (block Thomas) solve.
+    matrix, and its partitioned block LDL^T solve.
 
     A[y, x] = t_(x-y) for an interior node x and any padded node y, with the
     nonzero taps t of ``NonlocalOperator._taps`` (interior nodes never see
@@ -276,11 +336,27 @@ class BandedNormal:
     matrix with c gathered at i - e_a per assembly.  Only k with a nonnegative
     flat offset are kept, and only pairs (i, i + k) that are both interior.
 
-    The band, padded with identity rows to whole blocks, is block
-    tridiagonal; M is SPD, so block elimination needs no pivoting across
-    blocks (Golub & Van Loan, Matrix Computations, 4th ed., ch. 4).  Only
-    the first ``width`` (the bandwidth) columns of an off-diagonal block
-    are nonzero.
+    Layout: the unknowns, in flat order, fall into ``parts`` partitions of
+    ``length`` with a separator of ``width`` (the bandwidth) between two,
+    and identity rows pad the layout past the last unknown.  The band
+    reaches ``width`` off the diagonal, so no two partitions couple, and a
+    partition couples only to the separators on either side of it (the
+    SPIKE layout; Polizzi & Sameh, Parallel Computing 32, 2006).  Each
+    partition is a chain of blocks of ``block`` unknowns, block
+    tridiagonal, and only the first ``width`` columns of an off-diagonal
+    block are nonzero.  ``assemble`` scatters the bands straight into the
+    diagonal and off-diagonal blocks, the coupling columns M_(I_p, s) of
+    each partition p and the separators' own matrix M_ss.
+
+    ``eliminate``: M is SPD, so block elimination needs no pivoting across
+    blocks (Golub & Van Loan, Matrix Computations, 4th ed., ch. 4).  Every
+    partition's chain is eliminated at once, along a leading partition
+    axis, on the right-hand sides [rhs | M_(I_p, s_(p-1)) |
+    M_(I_p, s_p)]; the separators' Schur complement, (parts - 1) width
+    unknowns, is formed by one batched product and one scatter and solved
+    densely; one batched product back-substitutes it.  ``_partitions``
+    chooses ``parts`` by a measured cost model; with one partition this is
+    the block Thomas solve of the whole chain, op for op.
     """
 
     def __init__(self, op: NonlocalOperator):
@@ -309,54 +385,120 @@ class BandedNormal:
         k_of, i = np.nonzero(inside)
         j = i + (ks @ int_strides)[k_of]
         src = k_of * n + i
-        width = int((j - i).max())
-        m = min(max(width, BLOCK_MIN), n)
-        nb = -(-n // m)
-        bi, bj, ri, rj = i // m, j // m, i % m, j % m
-        same = bi == bj
+        w = int((j - i).max())
+        parts = _partitions(n, w)
+        length, m = map(int, _layout(n, w, parts))
+        chain, seps, cols = length // m, (parts - 1) * w, 1 if parts == 1 else 1 + 2 * w
+        self.parts, self.block, self.width, self.length = parts, m, w, length
+
+        # position of each unknown: partition p at offset o, or separator p
+        pi, oi = i // (length + w), i % (length + w)
+        pj, oj = j // (length + w), j % (length + w)
+        in_i, in_j = oi < length, oj < length
+        bi, bj, ri, rj = pi * chain + oi // m, pj * chain + oj // m, oi % m, oj % m
+        same = in_i & in_j & (bi == bj)
         mirror = same & (i != j)  # the lower triangle of a diagonal block
+        nxt = in_i & in_j & (bj == bi + 1)
         self._diag_src = np.concatenate([src[same], src[mirror]])
         self._diag_dst = np.concatenate([
             ((bi * m + ri) * m + rj)[same], ((bi * m + rj) * m + ri)[mirror]])
-        self._off_src = src[~same]
-        self._off_dst = ((bi * m + ri) * (width + 1) + rj)[~same]
-        self.block, self.width = m, width
-        pad = np.arange(n, nb * m)
-        self._diag = np.zeros((nb, m, m))
-        self._diag[pad // m, pad % m, pad % m] = 1.0
-        # the last column of each off-diagonal block holds a right-hand side
-        self._off = np.zeros((nb - 1, m, width + 1))
+        # the last columns of each off-diagonal block hold right-hand sides
+        self._off_src = src[nxt]
+        self._off_dst = (((bi - pi) * m + ri) * (w + cols) + rj)[nxt]
+        self._off = np.zeros((parts, chain - 1, m, w + cols))
+        # identity rows pad the layout past the last unknown
+        pad = np.arange(n, parts * (length + w) - w)
+        pp, po = pad // (length + w), pad % (length + w)
+        rows, pad_p = po[po < length], pp[po < length]
+        self._diag = np.zeros((parts, chain, m, m))
+        self._diag.reshape(-1, m, m)[pad_p * chain + rows // m, rows % m, rows % m] = 1.0
+        if parts == 1:
+            return
+        si, sj = pi * w + oi - length, pj * w + oj - length
+        sep = ~in_i & ~in_j
+        sep_mirror = sep & (i != j)
+        right = in_i & ~in_j  # partition p, then separator p
+        left = ~in_i & in_j  # separator p - 1, then partition p
+        self._sep_src = np.concatenate([src[sep], src[sep_mirror]])
+        self._sep_dst = np.concatenate([(si * seps + sj)[sep], (sj * seps + si)[sep_mirror]])
+        self._cpl_src = np.concatenate([src[right], src[left]])
+        self._cpl_dst = np.concatenate([
+            ((pi * length + oi) * 2 * w + w + (sj - pi * w))[right],
+            ((pj * length + oj) * 2 * w + (si - (pj - 1) * w))[left]])
+        self._sep = np.zeros((seps, seps))
+        pad_s = (pp * w + po - length)[po >= length]
+        self._sep[pad_s, pad_s] = 1.0
+        self._couple = np.zeros((parts, length, 2 * w))
+        # row a and column b of partition p's products C_p^T [z | Y_l | Y_r]
+        # (``eliminate``) land on separator unknown (p - 1) w + a and on
+        # (p - 1) w + b - 1, or on the right-hand side for b = 0; the first
+        # partition's left rows and the last one's right ones are dropped
+        p, a, b = np.indices((parts, 2 * w, cols))
+        row = (p - 1) * w + a
+        col = np.where(b == 0, seps, (p - 1) * w + b - 1)
+        keep = (row >= 0) & (row < seps) & (col >= 0) & ((b == 0) | (col < seps))
+        self._schur_dst = np.where(keep, row * (seps + 1) + col, seps * (seps + 1)).ravel()
 
     def assemble(self, c: np.ndarray, shift: float) -> None:
         """Write the blocks of M for the weight c (padded shape)."""
         bands = self._products @ c.ravel()[self._gather]
         bands[self._centre] += shift
-        self._diag.ravel()[self._diag_dst] = bands.ravel()[self._diag_src]
-        self._off.ravel()[self._off_dst] = bands.ravel()[self._off_src]
+        flat = bands.ravel()
+        self._diag.ravel()[self._diag_dst] = flat[self._diag_src]
+        self._off.ravel()[self._off_dst] = flat[self._off_src]
+        if self.parts > 1:
+            self._sep.ravel()[self._sep_dst] = flat[self._sep_src]
+            self._couple.ravel()[self._cpl_dst] = flat[self._cpl_src]
 
     def eliminate(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M d = rhs (interior shape) with the assembled blocks."""
         diag, off, w = self._diag, self._off, self.width
-        y = np.zeros(diag.shape[:2])
-        y.ravel()[: rhs.size] = rhs.ravel()
+        parts, length, n = self.parts, self.length, rhs.size
+        # the right-hand sides [rhs | M_(I_p, s_(p-1)) | M_(I_p, s_p)] of
+        # each partition p, one column at P = 1
+        lay = np.zeros((parts, length + w))
+        lay.ravel()[:n] = rhs.ravel()
+        y = np.zeros(diag.shape[:3] + (off.shape[-1] - w,))
+        y[..., 0] = lay[:, :length].reshape(y.shape[:3])
+        if parts > 1:
+            y[..., 1:] = self._couple.reshape(y.shape[:3] + (2 * w,))
         # forward: S_j = D_j - B_(j-1)^T x_(j-1) with x_j = S_j^-1 B_j, and
         # y_j = S_j^-1 (rhs_j - B_(j-1)^T y_(j-1)); B_j reaches only the
         # first w unknowns of block j + 1.  Back: d_j = y_j - x_j d_(j+1).
         xs = []
-        schur = diag[0]
-        for j in range(len(off)):
-            off[j, :, w] = y[j]
-            sol = np.linalg.solve(schur, off[j])
-            xs.append(sol[:, :w])
-            y[j] = sol[:, w]
-            b_t = off[j, :, :w].T
-            schur = diag[j + 1].copy()
-            schur[:w, :w] -= b_t @ xs[j]
-            y[j + 1, :w] -= b_t @ y[j]
-        y[-1] = np.linalg.solve(schur, y[-1])
-        for j in range(len(off) - 1, -1, -1):
-            y[j] -= xs[j] @ y[j + 1, :w]
-        return y.ravel()[: rhs.size].reshape(rhs.shape)
+        schur = diag[:, 0]
+        for j in range(off.shape[1]):
+            off[:, j, :, w:] = y[:, j]
+            sol = np.linalg.solve(schur, off[:, j])
+            xs.append(sol[..., :w])
+            y[:, j] = sol[..., w:]
+            b_t = off[:, j, :, :w].transpose(0, 2, 1)
+            schur = diag[:, j + 1].copy()
+            schur[:, :w, :w] -= b_t @ xs[j]
+            y[:, j + 1, :w] -= b_t @ y[:, j]
+        y[:, -1] = np.linalg.solve(schur, y[:, -1])
+        for j in range(off.shape[1] - 1, -1, -1):
+            y[:, j] -= xs[j] @ y[:, j + 1, :w]
+        if parts == 1:
+            return y.ravel()[:n].reshape(rhs.shape)
+        # separators: (M_ss - sum_p C_p^T Y_p) x_s = rhs_s - sum_p C_p^T z_p
+        # for C_p = [M_(I_p, s_(p-1)) | M_(I_p, s_p)], one scatter of the
+        # products C_p^T [z | Y] into the rows of both separators of p
+        z = y.reshape(parts, length, -1)
+        seps = (parts - 1) * w
+        prods = self._couple.transpose(0, 2, 1) @ z
+        aug = np.bincount(self._schur_dst, prods.ravel(), seps * (seps + 1) + 1)[:-1]
+        aug = aug.reshape(seps, seps + 1)
+        x_s = np.linalg.solve(self._sep - aug[:, :seps], lay[:-1, length:].ravel() - aug[:, seps])
+        # d_p = z_p - Y_l x_(p-1) - Y_r x_p, a zero x beyond either end
+        x_s = x_s.reshape(parts - 1, w)
+        sides = np.zeros((parts, 2 * w, 1))
+        sides[1:, :w, 0] = x_s
+        sides[:-1, w:, 0] = x_s
+        out = np.empty((parts, length + w))
+        out[:, :length] = z[..., 0] - (z[..., 1:] @ sides)[..., 0]
+        out[:-1, length:] = x_s
+        return out.ravel()[:n].reshape(rhs.shape)
 
 
 def p_flux_values(g: np.ndarray, p: float) -> np.ndarray:

@@ -44,11 +44,13 @@ c depend on p:
 
 The solve and the operator evaluation follow from p and the stencil alone.
 M is solved directly (block LDL^T on its band, ``NonlocalOperator.
-normal_solve``), evaluating through the exact difference loop ``apply``,
-below p = 2, where the weights |A x|^(p-2) amplify rounding at zeros of
-A x, and for nearest-neighbour stencils (``reach == 1``), such as the local
-reference's, whose narrow-banded Hessian conditions like h/dx^4 and leaves
-residuals near the rounding floor.  Every other Hessian is solved matrix
+normal_solve``; a narrow band is cut into partitions eliminated in one
+batched pass, with a small dense separator system between them),
+evaluating through the exact difference loop ``apply``, below p = 2, where
+the weights |A x|^(p-2) amplify rounding at zeros of A x, and for
+nearest-neighbour stencils (``reach == 1``), such as the local reference's,
+whose narrow-banded Hessian conditions like h/dx^4 and leaves residuals
+near the rounding floor.  Every other Hessian is solved matrix
 free by conjugate gradients, evaluating through the two correlations of
 the step: A E (E the zero extension of interior values) for energies and
 trials, ``apply_extended``, and its transpose E^T A for the flux term,

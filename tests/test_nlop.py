@@ -17,7 +17,8 @@ from nlbiharm import (
     zero_extend,
 )
 from nlbiharm.localref import LocalOperator
-from nlbiharm.nlop import check_exponent, p_flux_values
+from nlbiharm import nlop
+from nlbiharm.nlop import BandedNormal, check_exponent, p_flux_values
 from nlbiharm.stepper import _StepFunctional, as_operator
 
 from oracles import (
@@ -410,6 +411,7 @@ class TestSquaredCorrelation:
 NORMAL_CASES = {
     "local1d_n256": (1, (0.0, 1.0), 256, None, 0.4, 2),
     "local1d_n250": (1, (0.0, 1.0), 250, None, 0.4, 2),
+    "local1d_n1024": (1, (0.0, 1.0), 1024, None, 0.4, 2),
     "nonlocal1d_K24": (1, (0.0, 1.0), 64, 0.2, 0.2, 24),
     "nonlocal1d_K50": (1, (0.0, 1.0), 256, 0.1, 0.4, 50),
     "local2d_nx8": (2, ((0.0, 1.0), (0.0, 1.0)), 8, None, 0.3, 4),
@@ -418,8 +420,11 @@ NORMAL_CASES = {
 
 
 class TestNormalSolve:
-    """``normal_solve`` (block LDL^T on the band) against ``np.linalg.solve``
-    of the dense I/h + A^T diag(c) A from the oracle's restricted matrix."""
+    """``normal_solve`` (partitioned block LDL^T on the band, ``BandedNormal``)
+    against ``np.linalg.solve`` of the dense I/h + A^T diag(c) A from the
+    oracle's restricted matrix: narrow 1D local bands in partitions of one
+    block (n = 256, 250, 1024) or, with the partition count forced, of
+    several padded blocks; wider bands in one chain."""
 
     @pytest.fixture(scope="class", params=sorted(NORMAL_CASES))
     def op(self, request):
@@ -443,10 +448,12 @@ class TestNormalSolve:
         dense = np.eye(op.spec.n_interior) / h + am.T @ (c.ravel()[:, None] * am)
         ref = np.linalg.solve(dense, g.ravel())
         assert d.shape == g.shape
+        # M is SPD: its 2-norm and condition number from its extreme eigenvalues
+        eig = np.linalg.eigvalsh(dense)[[0, -1]]
         resid = np.linalg.norm(dense @ d.ravel() - g.ravel())
-        assert resid <= 1e-12 * np.linalg.norm(dense, 2) * np.linalg.norm(d)
+        assert resid <= 1e-12 * eig[1] * np.linalg.norm(d)
         gap = np.linalg.norm(d.ravel() - ref)
-        assert gap <= 1e-12 * np.linalg.cond(dense) * np.linalg.norm(ref)
+        assert gap <= 1e-12 * (eig[1] / eig[0]) * np.linalg.norm(ref)
 
     def test_matches_dense_solve(self, op, rng):
         self.check(op, rng.uniform(0.5, 2.0, op.spec.padded_shape), rng)
@@ -456,6 +463,39 @@ class TestNormalSolve:
         # rewrites the blocks the first one wrote
         self.check(op, rng.uniform(0.5, 2.0, op.spec.padded_shape), rng)
         self.check(op, 10.0 ** rng.uniform(-12.0, 0.0, op.spec.padded_shape), rng)
+
+    def test_weights_with_exact_zeros(self, op, rng):
+        # the p = 3 curvature 2|A x| is exactly 0 wherever A x = 0: here on
+        # the left half of the interior, where x is 0, and beyond its reach
+        spec = op.spec
+        x = np.zeros(spec.padded_shape)
+        inner = spec.interior_slices
+        x[inner] = rng.standard_normal(spec.nx)
+        x[inner][: spec.nx[0] // 2] = 0.0
+        curv = np.abs(op.apply(x))
+        assert np.count_nonzero(curv[inner] == 0.0) > 0
+        self.check(op, 2.0 * curv / curv.max(), rng)
+
+    @pytest.mark.parametrize("nx, parts", [(1024, 3), (1024, 8), (103, 3)])
+    def test_partitions_of_several_blocks(self, nx, parts, rng, monkeypatch):
+        # partitions of 11 and 4 blocks of 32 (n = 1024), padded past the
+        # last unknown; at n = 103 the padding fills the last partition and
+        # the separator before it
+        monkeypatch.setattr(nlop, "_partitions", lambda n, width: parts)
+        op = LocalOperator(make_domain(1, (0.0, 1.0), nx, 0.4))
+        model = op._normal
+        assert model.parts == parts and model.length > model.block
+        self.check(op, rng.uniform(0.5, 2.0, op.spec.padded_shape), rng)
+
+    def test_partition_count(self):
+        # the cost rule partitions the narrow 1D local band, and keeps every
+        # 2D local band (width 2 nx) in one chain, the solve of one partition
+        local1d = BandedNormal(LocalOperator(make_domain(1, (0.0, 1.0), 256, 0.4)))
+        assert local1d.width == 2 and local1d.parts > 1
+        for nx in (8, 16, 32, 64):
+            spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), nx, 0.3)
+            model = BandedNormal(LocalOperator(spec))
+            assert model.width == 2 * nx and model.parts == 1
 
 
 class TestTauSolve:

@@ -35,6 +35,19 @@ def test_bench_apply_correlations_match_the_loop():
         assert max(diffs) <= bench.MAX_DIFF, (case, diffs)
 
 
+def test_bench_apply_solves_are_backward_stable():
+    # every row of bench_apply.py's solve table, run once without its
+    # timings: block elimination of an SPD band is backward stable, with a
+    # backward error bounded by a modest multiple of n eps_mach (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9 and
+    # 13); the rows read 1e-17 to 1e-16, n eps_mach is 1.4e-14 to 9.1e-13
+    bench = load_script("bench_apply")
+    rng = np.random.default_rng(0)
+    for case in bench.SOLVE_CASES:
+        op, _, _, _, err = bench.solve_case(case, rng)
+        assert err <= op.spec.n_interior * np.finfo(float).eps, (case, err)
+
+
 def test_bench_apply_steps_certify():
     # every row of bench_apply.py's step table, run once without its timings;
     # evolve_2d's tau-preconditioned step takes at most 21 applies (49 with
