@@ -31,11 +31,11 @@ reach, with ``step`` nodes.
 The second table times the direct solve of one implicit step's model
 I/h + A^T diag(c) A (``NonlocalOperator.normal_solve``): microseconds per
 assembly of its blocks and per partitioned block LDL^T elimination
-(``BandedNormal``), keyed by dim, n (interior unknowns) and the bandwidth,
-with the block size, the number of partitions the cost rule chose
-(``parts``) and the relative backward error ||M d - g|| / (||M||_1 ||d||)
-of the solve (``solve_case``).  The weight c is the p = 3 Newton curvature
-2|A x| at a random state.
+(``BandedNormal``), the median, min and max of REPEATS batches, keyed by
+dim, n (interior unknowns) and the bandwidth, with the block size, the
+number of partitions the cost rule chose (``parts``) and the relative
+backward error ||M d - g|| / (||M||_1 ||d||) of the solve (``solve_case``).
+The weight c is the p = 3 Newton curvature 2|A x| at a random state.
 
 The third table runs one implicit step (``stepper._minimize_step``) for
 each way of solving the step model: Newton-CG on converge's 1D K = 50
@@ -58,8 +58,9 @@ median microseconds per step, and the median milliseconds of writing the
 run's trajectory CSV (``stepper.trajectory_to_csv``, into a temporary
 directory).
 
-A per-call time is the best of REPEATS batches, each sized to take about
-BATCH_S seconds.  A step is timed over STEP_REPEATS single runs in this
+A per-call time of the first table is the best of REPEATS batches, each
+sized to take about BATCH_S seconds; the second table gives their median,
+min and max.  A step is timed over STEP_REPEATS single runs in this
 process, an evolution over EVOLVE_REPEATS; their median is its row's time,
 and min and max show the spread (the best of a few runs swung by 2x
 between invocations on a shared host).
@@ -73,7 +74,7 @@ import numpy as np
 
 from nlbiharm import (
     NonlocalOperator, StepperConfig, default_bump, discretize, evolve, get_kernel, make_domain,
-    parse_config, zero_extend,
+    parse_config,
 )
 from nlbiharm.cli import _grid_and_stencil, _initial_state
 from nlbiharm.grid import lq_sum_norm
@@ -131,17 +132,22 @@ EVOLVE_CASES = ["decay_p2", "decay_p3"]
 CONFIG_DIR = Path(__file__).parent / "configs"
 
 
-def per_call_us(fn, values) -> float:
+def batch_us(fn, values) -> list[float]:
+    """Microseconds per call of ``fn(values)`` in each of REPEATS batches."""
     start = time.perf_counter()
     fn(values)  # also builds the work arrays of the correlations
     calls = max(1, int(BATCH_S / (time.perf_counter() - start)))
-    best = float("inf")
+    batches = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(calls):
             fn(values)
-        best = min(best, (time.perf_counter() - start) / calls)
-    return best * 1e6
+        batches.append((time.perf_counter() - start) / calls * 1e6)
+    return batches
+
+
+def per_call_us(fn, values) -> float:
+    return min(batch_us(fn, values))
 
 
 def check_case(case, rng):
@@ -153,7 +159,7 @@ def check_case(case, rng):
     op = as_operator(discretize(TENT, eps, spec), spec)
     interior = rng.standard_normal(op.spec.nx)
     values = rng.standard_normal(op.spec.padded_shape)
-    extended = op.apply(zero_extend(interior, op.spec).values)
+    extended = op.apply(np.pad(interior, op.spec.pad_cells))
     restricted = op.apply(values)[op.spec.interior_slices]
     squared = op.apply(extended)[op.spec.interior_slices]
     diffs = [np.abs(got - exact).max() / np.abs(exact).max() for got, exact in (
@@ -237,13 +243,16 @@ def main() -> int:
 
     print()
     print(f"{'solve':<11} {'dim':>3} {'n':>5} {'band':>4} {'block':>5} {'parts':>5} "
-          f"{'asm_us':>9} {'solve_us':>9} {'back_err':>9}")
+          f"{'asm_us':>8} {'asm_min':>8} {'asm_max':>8} "
+          f"{'solve_us':>8} {'sol_min':>8} {'sol_max':>8} {'back_err':>9}")
     for case in SOLVE_CASES:
         op, model, curv, g, err = solve_case(case, rng)
-        asm_us = per_call_us(lambda c: model.assemble(c, 1.0 / SOLVE_H), curv)
-        solve_us = per_call_us(model.eliminate, g)
+        times = [batch_us(lambda c: model.assemble(c, 1.0 / SOLVE_H), curv),
+                 batch_us(model.eliminate, g)]
         print(f"{case[0]:<11} {case[1]:>3} {op.spec.n_interior:>5} {model.width:>4} "
-              f"{model.block:>5} {model.parts:>5} {asm_us:>9.1f} {solve_us:>9.1f} {err:>9.1e}")
+              f"{model.block:>5} {model.parts:>5} "
+              + " ".join(f"{np.median(t):>8.1f} {min(t):>8.1f} {max(t):>8.1f}" for t in times)
+              + f" {err:>9.1e}")
 
     print()
     print(f"{'step':<13} {'p':>3} {'dim':>3} {'n':>5} {'K':>4} "

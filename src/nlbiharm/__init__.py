@@ -8,14 +8,7 @@ the nonlocal-to-local limit.
 
 __version__ = "0.1.0"
 
-from .grid import (
-    DomainSpec,
-    Field,
-    inner_product,
-    lp_norm,
-    make_domain,
-    zero_extend,
-)
+from .grid import DomainSpec, make_domain
 from .kernel import (
     Kernel,
     Stencil,
@@ -30,7 +23,7 @@ from .stepper import (
     evolve,
     trajectory_to_csv,
 )
-from .localref import LocalOperator, local_evolve, weak_residual
+from .localref import local_evolve
 from .analysis import (
     DecayFit,
     DecayFitDegenerate,

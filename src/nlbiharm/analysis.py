@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import DomainSpec, check_q, lq_sum_norm, write_csv
-# lp_norm and zero_extend stay imported: the benchmark tracer patches both
+# lp_norm and zero_extend stay imported for the benchmark tracer (the contract
+# in grid.py)
 from .grid import lp_norm, zero_extend  # noqa: F401
 from .kernel import Kernel, Stencil, discretize, kernel_is_nonincreasing
 from .localref import local_evolve

@@ -33,7 +33,7 @@ from .analysis import (
     poincare_constant,
 )
 from .grid import DomainSpec, check_dim, check_q, make_domain, write_csv
-# zero_extend stays imported: the benchmark tracer patches cli.zero_extend
+# zero_extend stays imported for the benchmark tracer (the contract in grid.py)
 from .grid import zero_extend  # noqa: F401
 from .kernel import discretize, get_kernel
 from .stepper import StepperConfig, evolve, trajectory_to_csv

@@ -4,7 +4,8 @@ The interior box carries the evolving solution; a collar of padding cells
 around it carries the homogeneous volume constraint.  Nodes sit at cell
 centers, so no node lies on the interior boundary and the interior/exterior
 classification is unambiguous.  All quadrature is the midpoint rule with
-uniform weight dx**dim per node.
+uniform weight dx**dim per node (``lq_sum_norm``).  A state is its interior
+values; the padded ``Field`` stays only for the benchmark tracer (below).
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-REGIONS = ("omega", "omega_e", "exterior")
 
 
 def write_csv(path, header, rows) -> None:
@@ -87,11 +86,6 @@ class DomainSpec:
         """Padded node coordinates, one meshgrid ('ij') array per axis."""
         axes = [self.axis_coords(a) for a in range(self.dim)]
         return list(np.meshgrid(*axes, indexing="ij"))
-
-    def interior_mask(self) -> np.ndarray:
-        mask = np.zeros(self.padded_shape, dtype=bool)
-        mask[self.interior_slices] = True
-        return mask
 
 
 def check_dim(dim) -> None:
@@ -177,37 +171,16 @@ def make_domain(dim, box, nx, eps) -> DomainSpec:
     )
 
 
+# The benchmark tracer's contract (ROADMAP item 7): perfbench/spans.py counts
+# calls to zero_extend and lp_norm through their imports in stepper, analysis
+# and cli, wraps LocalOperator.apply, and sizes Trajectory.states.  No run
+# calls any of them; they go with the tracer change of ROADMAP item 15.
 @dataclass(frozen=True)
 class Field:
-    """Grid function on the padded grid.
-
-    Values are stored for every padded node and frozen after construction;
-    operations produce new fields.  Constrained fields (built by
-    ``zero_extend`` or by the steppers) are exactly zero on exterior nodes.
-    """
+    """Grid function on the padded grid, as ``zero_extend`` builds it."""
 
     spec: DomainSpec
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != self.spec.padded_shape:
-            raise ValueError(
-                f"values shape {v.shape} does not match padded shape "
-                f"{self.spec.padded_shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.spec.interior_slices]
-
-    def exterior_max_abs(self) -> float:
-        ext = np.abs(self.values[~self.spec.interior_mask()])
-        return float(ext.max()) if ext.size else 0.0
 
 
 def zero_extend(interior_values, spec: DomainSpec) -> Field:
@@ -223,20 +196,10 @@ def zero_extend(interior_values, spec: DomainSpec) -> Field:
     return Field(spec, full)
 
 
-def _region_values(f: Field, region: str) -> np.ndarray:
-    if region == "omega":
-        return f.interior_values.ravel()
-    if region == "omega_e":
-        return f.values.ravel()
-    if region == "exterior":
-        return f.values[~f.spec.interior_mask()]
-    raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
-
-
-def lp_norm(f: Field, q: float, region: str = "omega_e") -> float:
-    """Midpoint-rule L^q norm over omega, omega_e, or the exterior collar."""
+def lp_norm(f: Field, q: float) -> float:
+    """Midpoint-rule L^q norm over the padded grid."""
     check_q(q)
-    return lq_sum_norm(_region_values(f, region), q, f.spec.cell_volume)
+    return lq_sum_norm(f.values.ravel(), q, f.spec.cell_volume)
 
 
 def lq_sum_norm(values: np.ndarray, q: float, cell_volume: float) -> float:
@@ -251,12 +214,3 @@ def lq_sum_norm(values: np.ndarray, q: float, cell_volume: float) -> float:
         if peak > 0.0:
             return float(peak * (cell_volume * np.sum((mag / peak) ** q)) ** (1.0 / q))
     return float(total ** (1.0 / q))
-
-
-def inner_product(f: Field, g: Field, region: str = "omega_e") -> float:
-    """Midpoint-rule L^2 pairing; both fields must share a spec."""
-    if f.spec != g.spec:
-        raise ValueError("fields live on different domain specs")
-    fv = _region_values(f, region)
-    gv = _region_values(g, region)
-    return float(f.spec.cell_volume * np.dot(fv, gv))

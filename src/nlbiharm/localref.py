@@ -6,9 +6,8 @@ reference is a stencil (``local_stencil``) that ``local_evolve`` steps like
 any nonlocal stencil.  The Laplacian reads zeros outside the interior box,
 which mirrors the volume constraint of the nonlocal problem and realizes the
 clamped boundary data; a nonlocal-versus-local comparison isolates the
-spatial operator.  ``LocalOperator`` evaluates ``weak_residual`` on the
-whole padded grid; it stays only while the benchmark tracer patches it
-(ROADMAP item 7).
+spatial operator.  ``LocalOperator`` stays only for the benchmark tracer
+(the contract in ``grid``).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .grid import DomainSpec
 from .kernel import Stencil
-from .nlop import NonlocalOperator, p_flux_values
+from .nlop import NonlocalOperator
 from .stepper import StepperConfig, Trajectory, evolve
 
 
@@ -47,10 +46,10 @@ def local_stencil(spec: DomainSpec) -> Stencil:
 
 
 class LocalOperator(NonlocalOperator):
-    """``local_stencil`` on the whole padded grid, for ``weak_residual``;
-    its reach of 1 needs a one-cell collar.  It stays while the
-    benchmark tracer patches its ``apply``; deleting it is ROADMAP item 7's
-    last step, after item 2."""
+    """``local_stencil`` on the whole padded grid; its reach of 1 needs a
+    one-cell collar.  No run builds it: it stays while the benchmark tracer
+    wraps its ``apply`` (the contract in ``grid``), and goes with the
+    tracer change of ROADMAP item 15."""
 
     def __init__(self, spec: DomainSpec):
         super().__init__(local_stencil(spec), spec)
@@ -61,48 +60,3 @@ def local_evolve(u0: np.ndarray, spec: DomainSpec, cfg: StepperConfig) -> Trajec
     grid ``spec`` from the interior values ``u0`` (``stepper.evolve``)."""
     return evolve(u0, spec, local_stencil(spec), cfg)
 
-
-def weak_residual(traj: Trajectory, phi) -> float:
-    """Discrete weak-form residual of a recorded local trajectory.
-
-    ``phi(*coords, t)`` must evaluate a smooth test function, compactly
-    supported in space-time, on meshgrid coordinate arrays.  The residual
-    pairs the recorded states against the time derivative of the test
-    function and the flux at the run's exponent against its Laplacian,
-    using trapezoidal weights in time and central time differences; it
-    shrinks at O(h + dx^2) for a valid trajectory.
-    """
-    spec = traj.spec
-    op = LocalOperator(spec)
-    h = traj.h
-    coords = spec.node_coords()
-    times = traj.times
-
-    phi_fields = [np.asarray(phi(*coords, t), dtype=float) for t in times]
-    n = len(times)
-    total = 0.0
-    interior = spec.interior_slices
-    vol = spec.cell_volume
-    ext = np.zeros(spec.padded_shape)  # zero beyond the interior
-    for j in range(n):
-        if j == 0:
-            dphi = (phi_fields[1] - phi_fields[0]) / h
-        elif j == n - 1:
-            dphi = (phi_fields[-1] - phi_fields[-2]) / h
-        else:
-            dphi = (phi_fields[j + 1] - phi_fields[j - 1]) / (2.0 * h)
-        u_int = traj.interior[j]
-        term_time = -vol * float(np.sum(u_int * dphi[interior]))
-
-        ext[interior] = u_int
-        flux = p_flux_values(op.apply(ext), traj.p)
-        # zero-extend phi before differencing: the test function carries the
-        # same constraint class as the states, and the pairing runs over the
-        # padded domain like the scheme's own energy
-        ext[interior] = phi_fields[j][interior]
-        lap_phi = op.apply(ext)
-        term_flux = vol * float(np.sum(flux * lap_phi))
-
-        weight = h if 0 < j < n - 1 else 0.5 * h
-        total += weight * (term_time + term_flux)
-    return float(total)

@@ -92,7 +92,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import DomainSpec, Field, check_collar, lq_sum_norm, write_csv, zero_extend
-# lp_norm stays imported: the benchmark tracer patches stepper.lp_norm
+# lp_norm stays imported for the benchmark tracer (the contract in grid.py)
 from .grid import lp_norm  # noqa: F401
 from .kernel import Stencil
 from .nlop import NonlocalOperator, check_exponent, p_flux_values
@@ -205,7 +205,8 @@ class Trajectory:
 
     @property
     def states(self) -> list[Field]:
-        """Every state zero-extended onto ``spec``, built on each read."""
+        """Every state zero-extended onto ``spec``, built on each read.
+        Only the benchmark tracer reads it (the contract in grid.py)."""
         return [zero_extend(u, self.spec) for u in self.interior]
 
 

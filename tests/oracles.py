@@ -3,11 +3,16 @@
 Everything here is deliberately written against the math, not against the
 package's internals: dense matrices come from direct node-pair loops over
 kernel evaluations, and integrals from scipy's adaptive quadrature, so they
-share no code path with the implementations they verify.
+share no code path with the implementations they verify.  ``weak_residual``
+is the exception: it checks a recorded local trajectory against the weak
+form, with the package's local stencil as its Laplacian.
 """
 
 import numpy as np
 import scipy.integrate
+
+from nlbiharm.localref import local_stencil
+from nlbiharm.nlop import NonlocalOperator, p_flux_values
 
 
 def kernel_second_moment(profile, dim, radius=1.0):
@@ -27,6 +32,13 @@ def kernel_mass(profile, dim, radius=1.0):
         return 2.0 * val
     val, _ = scipy.integrate.quad(lambda r: profile(r) * r, 0.0, radius)
     return 2.0 * np.pi * val
+
+
+def interior_mask(spec):
+    """Boolean mask of the interior nodes on the padded grid."""
+    mask = np.zeros(spec.padded_shape, dtype=bool)
+    mask[spec.interior_slices] = True
+    return mask
 
 
 def node_coords_flat(spec):
@@ -125,7 +137,7 @@ def extension_matrix(spec):
     """Zero-extension matrix: interior dof -> padded nodes."""
     n_pad = int(np.prod(spec.padded_shape))
     ext = np.zeros((n_pad, spec.n_interior))
-    ext[spec.interior_mask().ravel(), np.arange(spec.n_interior)] = 1.0
+    ext[interior_mask(spec).ravel(), np.arange(spec.n_interior)] = 1.0
     return ext
 
 
@@ -151,7 +163,7 @@ def poincare_dense_matrix(kernel, eps, spec):
     J = kernel(|x - y|/eps), with the package's unit-moment weight
     normalization."""
     pts = node_coords_flat(spec)
-    interior = spec.interior_mask().ravel()
+    interior = interior_mask(spec).ravel()
     int_idx = np.nonzero(interior)[0]
     center = int(np.ravel_multi_index(
         tuple(s // 2 for s in spec.padded_shape), spec.padded_shape
@@ -178,3 +190,49 @@ def poincare_dense_matrix(kernel, eps, spec):
                 mat[a, b] -= wb
                 mat[b, a] -= wb
     return mat
+
+
+def weak_residual(traj, phi):
+    """Discrete weak-form residual of a recorded local trajectory.
+
+    ``phi(*coords, t)`` must evaluate a smooth test function, compactly
+    supported in space-time, on meshgrid coordinate arrays.  The residual
+    pairs the recorded states against the time derivative of the test
+    function and the flux at the run's exponent against its Laplacian,
+    using trapezoidal weights in time and central time differences; it
+    shrinks at O(h + dx^2) for a valid trajectory.
+    """
+    spec = traj.spec
+    op = NonlocalOperator(local_stencil(spec), spec)
+    h = traj.h
+    coords = spec.node_coords()
+    times = traj.times
+
+    phi_fields = [np.asarray(phi(*coords, t), dtype=float) for t in times]
+    n = len(times)
+    total = 0.0
+    interior = spec.interior_slices
+    vol = spec.cell_volume
+    ext = np.zeros(spec.padded_shape)  # zero beyond the interior
+    for j in range(n):
+        if j == 0:
+            dphi = (phi_fields[1] - phi_fields[0]) / h
+        elif j == n - 1:
+            dphi = (phi_fields[-1] - phi_fields[-2]) / h
+        else:
+            dphi = (phi_fields[j + 1] - phi_fields[j - 1]) / (2.0 * h)
+        u_int = traj.interior[j]
+        term_time = -vol * float(np.sum(u_int * dphi[interior]))
+
+        ext[interior] = u_int
+        flux = p_flux_values(op.apply(ext), traj.p)
+        # zero-extend phi before differencing: the test function carries the
+        # same constraint class as the states, and the pairing runs over the
+        # padded domain like the scheme's own energy
+        ext[interior] = phi_fields[j][interior]
+        lap_phi = op.apply(ext)
+        term_flux = vol * float(np.sum(flux * lap_phi))
+
+        weight = h if 0 < j < n - 1 else 0.5 * h
+        total += weight * (term_time + term_flux)
+    return float(total)

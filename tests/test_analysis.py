@@ -11,14 +11,13 @@ from nlbiharm import (
     discretize,
     energy_audit,
     evolve,
-    lp_norm,
     make_domain,
     nonlocal_to_local_study,
     poincare_constant,
-    zero_extend,
 )
 from nlbiharm import analysis
 from nlbiharm.analysis import poincare_form
+from nlbiharm.grid import lq_sum_norm
 from nlbiharm.stepper import Trajectory
 
 from oracles import poincare_dense_matrix
@@ -257,16 +256,17 @@ class TestContraction:
 class TestDistances:
     def test_2d_matches_the_padded_norm(self, tent2d, rng):
         # every shipped converge and contraction config is 1D, so this pins
-        # the row norms against the zero-extended ones on a 2D grid
+        # the row norms on a 2D grid against the interior norm of each row
+        # difference, in the order the padded layer summed it
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 12, 0.25)
         st = discretize(tent2d, 0.25, spec)
         c = StepperConfig(p=2.0, h=1e-3, T=3e-3)
         traj_a = evolve(rng.standard_normal(spec.nx), spec, st, c)
         traj_b = evolve(rng.standard_normal(spec.nx), spec, st, c)
         for q in (2.0, 3.0):
-            padded = [lp_norm(zero_extend(a - b, spec), q, "omega")
-                      for a, b in zip(traj_a.interior, traj_b.interior)]
-            assert analysis._distances(traj_a, traj_b, q) == padded
+            rows = [lq_sum_norm((a - b).ravel(), q, spec.cell_volume)
+                    for a, b in zip(traj_a.interior, traj_b.interior)]
+            assert analysis._distances(traj_a, traj_b, q) == rows
 
 
 class TestEnergyAudit:

@@ -6,18 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlbiharm import (
-    Field,
-    discretize,
-    get_kernel,
-    inner_product,
-    lp_norm,
-    make_domain,
-    parse_config,
-    zero_extend,
-)
+from nlbiharm import discretize, get_kernel, make_domain, parse_config
 from nlbiharm.cli import _grid
-from nlbiharm.grid import write_csv
+from nlbiharm.grid import lp_norm, lq_sum_norm, write_csv, zero_extend
+
+from oracles import interior_mask
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,8 +83,8 @@ class TestZeroExtend:
     def test_ones_flanked_by_zeros(self):
         spec = make_domain(1, (0.0, 1.0), 4, 0.5)
         f = zero_extend(np.ones(4), spec)
-        assert np.all(f.interior_values == 1.0)
-        assert f.exterior_max_abs() == 0.0
+        assert np.all(f.values[spec.interior_slices] == 1.0)
+        assert not np.any(f.values[~interior_mask(spec)])
 
     def test_empty_rejected(self, domain64):
         with pytest.raises(ValueError, match="entries"):
@@ -101,26 +94,20 @@ class TestZeroExtend:
         u = rng.standard_normal(64)
         f = zero_extend(u, domain64)
         for q in (1.0, 1.5, 2.0, 3.0):
-            assert lp_norm(f, q, "omega_e") == pytest.approx(
-                lp_norm(f, q, "omega"), rel=1e-14
+            assert lp_norm(f, q) == pytest.approx(
+                lq_sum_norm(u, q, domain64.cell_volume), rel=1e-14
             )
-
-    def test_nonfinite_rejected(self, domain64):
-        with pytest.raises(ValueError, match="finite"):
-            zero_extend(np.full(64, np.nan), domain64)
 
 
 class TestNorms:
     def test_constant_on_unit_box(self, domain64):
-        f = zero_extend(np.ones(64), domain64)
-        assert lp_norm(f, 2, "omega") == pytest.approx(1.0, abs=1e-12)
+        assert lq_sum_norm(np.ones(64), 2, domain64.cell_volume) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_profile_against_analytic_integral(self):
         spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         x = spec.axis_coords(0)[spec.interior_slices[0]]
-        f = zero_extend(x, spec)
         # int_0^1 x^2 dx = 1/3
-        assert lp_norm(f, 2, "omega") == pytest.approx(1 / np.sqrt(3), abs=1e-3)
+        assert lq_sum_norm(x, 2, spec.cell_volume) == pytest.approx(1 / np.sqrt(3), abs=1e-3)
 
     def test_zero_field(self, domain64):
         f = zero_extend(np.zeros(64), domain64)
@@ -130,8 +117,7 @@ class TestNorms:
         # sum |v|^q over- and underflows at q = 1e300: the norm rescales by
         # max|v|, and the L^q norm of a unit box tends to the max norm
         v = rng.standard_normal(64)
-        f = zero_extend(v, domain64)
-        assert abs(lp_norm(f, 1e300, "omega") - np.abs(v).max()) <= 1e-12
+        assert abs(lq_sum_norm(v, 1e300, domain64.cell_volume) - np.abs(v).max()) <= 1e-12
 
     def test_q_below_one_rejected(self, domain64):
         f = zero_extend(np.zeros(64), domain64)
@@ -147,20 +133,7 @@ class TestNorms:
     def test_inner_product_of_one_and_x(self):
         spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         x = spec.axis_coords(0)[spec.interior_slices[0]]
-        f = zero_extend(np.ones(64), spec)
-        g = zero_extend(x, spec)
-        assert inner_product(f, g, "omega") == pytest.approx(0.5, abs=1e-3)
-
-    def test_inner_product_symmetric_bit_exact(self, domain64, rng):
-        f = zero_extend(rng.standard_normal(64), domain64)
-        g = zero_extend(rng.standard_normal(64), domain64)
-        assert inner_product(f, g) == inner_product(g, f)
-
-    def test_spec_mismatch_rejected(self):
-        a = make_domain(1, (0.0, 1.0), 64, 0.2)
-        b = make_domain(1, (0.0, 1.0), 64, 0.25)
-        with pytest.raises(ValueError, match="spec"):
-            inner_product(zero_extend(np.ones(64), a), zero_extend(np.ones(64), b))
+        assert spec.cell_volume * np.dot(np.ones(64), x) == pytest.approx(0.5, abs=1e-3)
 
 
 interior_arrays = hnp.arrays(
@@ -173,26 +146,9 @@ interior_arrays = hnp.arrays(
 def test_norm_consistency_property(u):
     spec = make_domain(1, (0.0, 1.0), 64, 0.2)
     f = zero_extend(u, spec)
-    ip = inner_product(f, f, "omega_e")
-    nrm = lp_norm(f, 2, "omega_e")
+    ip = spec.cell_volume * np.dot(f.values, f.values)
+    nrm = lp_norm(f, 2)
     assert ip == pytest.approx(nrm**2, rel=1e-12, abs=1e-300)
-
-
-@given(u=interior_arrays, q=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
-@settings(max_examples=50, deadline=None)
-def test_region_additivity_property(u, q):
-    spec = make_domain(1, (0.0, 1.0), 64, 0.2)
-    f = Field(spec, np.roll(zero_extend(u, spec).values, 3))  # exterior nonzero
-    whole = lp_norm(f, q, "omega_e") ** q
-    parts = lp_norm(f, q, "omega") ** q + lp_norm(f, q, "exterior") ** q
-    assert whole == pytest.approx(parts, rel=1e-12, abs=1e-300)
-
-
-@given(u=interior_arrays)
-@settings(max_examples=30, deadline=None)
-def test_zero_extension_exactness_property(u):
-    spec = make_domain(1, (0.0, 1.0), 64, 0.2)
-    assert zero_extend(u, spec).exterior_max_abs() == 0.0
 
 
 class TestWriteCsv:

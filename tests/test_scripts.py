@@ -137,6 +137,33 @@ def test_benchmark_tracer_finds_every_patched_name(tmp_path):
     assert run.returncode == 0, run.stdout + run.stderr
 
 
+def test_no_shipped_run_reaches_the_tracer_only_names(tmp_path, monkeypatch):
+    # the names the benchmark tracer patches (the contract in grid.py) all
+    # raise, and every shipped config still runs: deleting them with the
+    # tracer change cannot change a run
+    from nlbiharm import analysis, cli, grid, localref, stepper, write_pgm
+
+    def tracer_only(*args, **kwargs):
+        raise AssertionError("a run reached a tracer-only name")
+
+    for mod, name in ((grid, "zero_extend"), (grid, "lp_norm"),
+                      (stepper, "zero_extend"), (stepper, "lp_norm"),
+                      (analysis, "zero_extend"), (analysis, "lp_norm"),
+                      (cli, "zero_extend")):
+        monkeypatch.setattr(mod, name, tracer_only)
+    monkeypatch.setattr(localref.LocalOperator, "__init__", tracer_only)
+    monkeypatch.setattr(stepper.Trajectory, "states", property(tracer_only))
+
+    denoise = tmp_path / "denoise.cfg"  # reads noisy.pgm beside it
+    denoise.write_text((SCRIPTS / "configs" / "denoise.cfg").read_text())
+    write_pgm(np.random.default_rng(0).random((16, 16)), tmp_path / "noisy.pgm")
+    configs = [p for p in sorted((SCRIPTS / "configs").glob("*.cfg")) if p.stem != "denoise"]
+    for cfg in configs + [ROOT / "perfbench" / "configs" / "evolve_2d.cfg", denoise]:
+        out = tmp_path / cfg.stem
+        out.mkdir()
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0, cfg.name
+
+
 def test_run_all_studies_passes_every_study(tmp_path):
     # the shipped battery: each study prints at least one PASS line and none
     # prints FAIL, so a change that breaks a shipped check fails here
