@@ -74,9 +74,8 @@ import numpy as np
 
 from nlbiharm import (
     NonlocalOperator, StepperConfig, default_bump, discretize, evolve, get_kernel, make_domain,
-    parse_config,
 )
-from nlbiharm.cli import _grid_and_stencil, _initial_state
+from nlbiharm.cli import _grid_and_stencil, _initial_state, parse_config
 from nlbiharm.grid import lq_sum_norm
 from nlbiharm.localref import local_stencil
 from nlbiharm.nlop import BandedNormal

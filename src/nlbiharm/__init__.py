@@ -36,16 +36,3 @@ from .analysis import (
     nonlocal_to_local_study,
     poincare_constant,
 )
-
-# The CLI names load on first use (PEP 562): importing ``cli`` here would put
-# it in sys.modules before ``python -m nlbiharm.cli`` runs it, and runpy
-# warns about that.
-_CLI_NAMES = ("ConfigError", "parse_config", "run", "write_pgm")
-
-
-def __getattr__(name):
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

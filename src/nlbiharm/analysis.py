@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import DomainSpec, check_q, lq_sum_norm, write_csv
+from .grid import DomainSpec, lq_sum_norm, write_csv
 # lp_norm and zero_extend stay imported for the benchmark tracer (the contract
 # in grid.py)
 from .grid import lp_norm, zero_extend  # noqa: F401
@@ -145,15 +145,12 @@ def consistency_study(
     kernel: Kernel,
     eps_list: Sequence[float],
     spec: DomainSpec,
-    q: float,
-    lap_phi: Callable | None = None,
 ) -> StudyReport:
-    """Measure ||Delta_NL^eps phi - Delta phi||_{L^q(omega)} along eps.
+    """Measure ||Delta_NL^eps phi - Delta phi||_{L^2(omega)} along eps.
 
     ``phi(*coords)`` samples the smooth function on the padded grid (its own
-    smooth values stand in for the extension); the classical Laplacian is
-    taken from ``lap_phi`` when given, else from a fourth-order difference of
-    the samples.
+    smooth values stand in for the extension); the classical Laplacian is a
+    fourth-order difference of the samples.
 
     Errors at the rounding floor of the two evaluations compared carry no
     order and count as consistent.  A double-precision sum of terms
@@ -163,25 +160,20 @@ def consistency_study(
     (-1, 16, -30, 16, -1) / (12 dx^2) along each axis, 64 dim / (12 dx^2)
     in magnitude.  So an error rounds by up to about eps_mach max|phi|
     (norm_bound + 64 dim / (12 dx^2)) at a node, and by that times
-    |omega|^(1/q) in the L^q(omega) norm; a given ``lap_phi`` drops the
-    fd4 term.  The order is fitted only when every error exceeds its floor;
-    otherwise the order check passes.
+    |omega|^(1/2) in the L^2(omega) norm.  The order is fitted only when
+    every error exceeds its floor; otherwise the order check passes.
     """
-    check_q(q)
     _check_decreasing(eps_list, "eps_list")
     _require_monotone(kernel)
     coords = spec.node_coords()
     samples = np.asarray(phi(*coords), dtype=float)
-    if lap_phi is None:
-        target = fd4_laplacian(samples, spec.dx, spec.dim)
-    else:
-        target = np.asarray(lap_phi(*coords), dtype=float)
+    target = fd4_laplacian(samples, spec.dx, spec.dim)
     interior = spec.interior_slices
     vol = spec.cell_volume
 
-    fd4_sum = 64.0 * spec.dim / (12.0 * spec.dx**2) if lap_phi is None else 0.0
+    fd4_sum = 64.0 * spec.dim / (12.0 * spec.dx**2)
     scale = np.finfo(float).eps * float(np.abs(samples).max()) * (
-        vol * spec.n_interior) ** (1.0 / q)
+        vol * spec.n_interior) ** 0.5
 
     errors = []
     resolved = True
@@ -189,7 +181,7 @@ def consistency_study(
         st = discretize(kernel, eps, spec)
         op = NonlocalOperator(st, spec)
         diff = op.apply(samples)[interior] - target[interior]
-        errors.append(lq_sum_norm(diff, q, vol))
+        errors.append(lq_sum_norm(diff, 2, vol))
         resolved &= errors[-1] > scale * (op.norm_bound() + fd4_sum)
 
     rows = _rate_rows(eps_list, errors)
@@ -204,7 +196,6 @@ def consistency_study(
         rows=rows,
         metadata={
             "kernel": kernel.name,
-            "q": q,
             "nx": spec.nx,
             "fitted_order": order,
             # errors at the rounding floor are consistent by definition
@@ -213,26 +204,27 @@ def consistency_study(
     )
 
 
+# Past the step where l2_sq falls below this times l2_sq[0], an inexact inner
+# solver pins the state and the recorded norms stop carrying decay
+# information, so a decay fit ends there (ROADMAP item 4 removes the floor).
+FIT_FLOOR_RATIO = 1e-18
+
+
 def decay_window(times: np.ndarray, p: float, t_lo: float | None = None,
-                 floor_ratio: float | None = None,
                  l2_sq: np.ndarray | None = None) -> np.ndarray:
     """Steps of a decay fit, as a mask over ``times``: those from ``t_lo``
     (by default the last 75% of the time range) to the end of the run, cut
-    where ``l2_sq`` (when given) falls below ``floor_ratio * l2_sq[0]``.
-    Past that point an inexact inner solver pins the state and the recorded
-    norms stop carrying decay information.  Without ``l2_sq`` it checks a
-    fit before the run."""
+    where ``l2_sq`` (when given) falls below ``FIT_FLOOR_RATIO * l2_sq[0]``.
+    Without ``l2_sq`` it checks a fit before the run."""
     if p < 2:
         raise ValueError(f"decay fit covers p >= 2, got p = {p}")
-    if floor_ratio is not None and not 0 < floor_ratio < 1:
-        raise ValueError(f"floor_ratio must lie in (0, 1), got {floor_ratio}")
     if len(times) < 20:
         raise ValueError(f"need at least 20 recorded steps, got {len(times)}")
     if t_lo is None:
         t_lo = times[0] + 0.25 * (times[-1] - times[0])
     t_hi = times[-1]
-    if floor_ratio is not None and l2_sq is not None:
-        alive = np.nonzero(l2_sq >= floor_ratio * l2_sq[0])[0]
+    if l2_sq is not None:
+        alive = np.nonzero(l2_sq >= FIT_FLOOR_RATIO * l2_sq[0])[0]
         if alive.size:
             t_hi = min(t_hi, times[alive[-1]])
     sel = (times >= t_lo) & (times <= t_hi)
@@ -243,17 +235,13 @@ def decay_window(times: np.ndarray, p: float, t_lo: float | None = None,
     return sel
 
 
-def decay_fit(
-    traj: Trajectory,
-    t_lo: float | None = None,
-    floor_ratio: float | None = None,
-) -> DecayFit:
+def decay_fit(traj: Trajectory, t_lo: float | None = None) -> DecayFit:
     """Fit the large-time law of the squared interior norm over the steps
     ``decay_window`` selects, by the law of the run's exponent."""
     p = traj.p
     times = np.asarray(traj.times)
     y = np.asarray(traj.l2_sq)
-    sel = decay_window(times, p, t_lo, floor_ratio, y)
+    sel = decay_window(times, p, t_lo, y)
     tw = times[sel]
     yw = y[sel]
     if np.any(yw < 1e-300):

@@ -32,7 +32,7 @@ from .analysis import (
     nonlocal_to_local_study,
     poincare_constant,
 )
-from .grid import DomainSpec, check_dim, check_q, make_domain, write_csv
+from .grid import DomainSpec, check_dim, make_domain, write_csv
 # zero_extend stays imported for the benchmark tracer (the contract in grid.py)
 from .grid import zero_extend  # noqa: F401
 from .kernel import discretize, get_kernel
@@ -63,10 +63,8 @@ class ExperimentConfig:
     inner_max_iters: int = 5000
     seed: int = 0
     u0: str = "bump"
-    q: float = 2.0
     phi: str = "sin2pi"
     fit_t_lo: float | None = None
-    fit_floor_ratio: float = 1e-18
     input: str = ""
 
     def stepper_config(self) -> StepperConfig:
@@ -85,9 +83,8 @@ _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 _STEPPER_KEYS = tuple(f.name for f in fields(StepperConfig))
 _READS = {
     "evolve": {"kernel", "dim", "nx", "epsilon", *_STEPPER_KEYS, "u0"},
-    "decay": {"kernel", "dim", "nx", "epsilon", *_STEPPER_KEYS, "u0",
-              "fit_t_lo", "fit_floor_ratio"},
-    "consistency": {"kernel", "dim", "nx", "epsilon_list", "q", "phi"},
+    "decay": {"kernel", "dim", "nx", "epsilon", *_STEPPER_KEYS, "u0", "fit_t_lo"},
+    "consistency": {"kernel", "dim", "nx", "epsilon_list", "phi"},
     "converge": {"kernel", "dim", "nx", "epsilon_list", *_STEPPER_KEYS, "u0"},
     "poincare": {"kernel", "dim", "nx", "epsilon"},
     "contraction": {"kernel", "dim", "nx", "epsilon", *_STEPPER_KEYS, "seed"},
@@ -157,11 +154,10 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
             f"command must be one of {', '.join(_RUNNERS)}, got {cfg.command!r}",
             key="command",
         )
-    if cfg.u0 not in ("bump", "random", "zero"):
-        raise ConfigError(f"u0 must be bump, random, or zero, got {cfg.u0!r}", key="u0")
+    if cfg.u0 not in ("bump", "random"):
+        raise ConfigError(f"u0 must be bump or random, got {cfg.u0!r}", key="u0")
     if cfg.phi not in ("sin2pi", "quadratic"):
         raise ConfigError(f"phi must be sin2pi or quadratic, got {cfg.phi!r}", key="phi")
-    _build(lambda: check_q(cfg.q), "q")
     sweep = cfg.command in ("consistency", "converge")
     if sweep and len(cfg.epsilon_list) < 2:
         # one scale has no pair to compare: no order, no decrease to test
@@ -175,10 +171,8 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
     scfg = _build(cfg.stepper_config, "p", "T", "h", "inner_max_iters")
     if cfg.command == "decay":
         win = "fit_t_lo" if cfg.fit_t_lo is not None else "T"
-        _build(lambda: decay_window(scfg.step_times(), cfg.p, cfg.fit_t_lo,
-                                    cfg.fit_floor_ratio),
-               win, "p", "fit_floor_ratio", "T",
-               window=win, floor_ratio="fit_floor_ratio", recorded="T")
+        _build(lambda: decay_window(scfg.step_times(), cfg.p, cfg.fit_t_lo),
+               win, "p", "T", window=win, recorded="T")
     _build(lambda: (get_kernel(cfg.kernel), check_dim(cfg.dim)), "kernel", "dim")
     eps_key = "epsilon_list" if sweep else "epsilon"
     nx_key = "input" if cfg.command == "denoise" else "nx"
@@ -196,9 +190,6 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
         reads = reads | {"seed"}
     if "seed" in reads:  # numpy.random loads only for a run that draws
         _build(lambda: np.random.SeedSequence(cfg.seed), "seed")
-    if cfg.u0 == "zero" and cfg.command in ("decay", "converge"):
-        # a zero start stays zero: no decay to fit, no error to shrink
-        raise ConfigError(f"{cfg.command} needs a nonzero start, got u0 = zero", key="u0")
     for key, line in lines.items():
         if key not in reads:
             raise ConfigError(f"{cfg.command} does not read this key", line, key)
@@ -228,8 +219,6 @@ def _grid_and_stencil(cfg: ExperimentConfig, nx=None):
 
 
 def _initial_state(cfg: ExperimentConfig, spec: DomainSpec) -> np.ndarray:
-    if cfg.u0 == "zero":
-        return np.zeros(spec.nx)
     if cfg.u0 == "bump":
         return default_bump(spec)
     return np.random.default_rng(cfg.seed).standard_normal(spec.nx)
@@ -253,7 +242,7 @@ def _run_decay(cfg, outdir) -> bool:
     spec, st = _grid_and_stencil(cfg)
     traj = evolve(_initial_state(cfg, spec), spec, st, cfg.stepper_config())
     trajectory_to_csv(traj, outdir / "trajectory.csv")
-    fit = decay_fit(traj, t_lo=cfg.fit_t_lo, floor_ratio=cfg.fit_floor_ratio)
+    fit = decay_fit(traj, t_lo=cfg.fit_t_lo)
     if cfg.p == 2:
         ok = fit.c1 > 0 and fit.r_squared >= 0.99
         rows = [("c1", fit.c1, fit.r_squared)]
@@ -291,7 +280,7 @@ def _run_consistency(cfg, outdir) -> bool:
         def phi(*coords):
             return sum(c**2 for c in coords)
 
-    report = consistency_study(phi, get_kernel(cfg.kernel), cfg.epsilon_list, spec, cfg.q)
+    report = consistency_study(phi, get_kernel(cfg.kernel), cfg.epsilon_list, spec)
     return _emit(report, outdir, "study.csv")
 
 

@@ -50,7 +50,10 @@ evaluating through the exact difference loop ``apply``, below p = 2, where
 the weights |A x|^(p-2) amplify rounding at zeros of A x, and for
 nearest-neighbour stencils (``reach == 1``), such as the local reference's,
 whose narrow-banded Hessian conditions like h/dx^4 and leaves residuals
-near the rounding floor.  Every other Hessian is solved matrix
+near the rounding floor.  The 1D correlations round locally like the loop,
+but the 2D ones are FFTs, whose global rounding takes the 2D local
+reference's worst step residual from 0.27 to 0.94 of its tolerance (README,
+Notes on tolerances).  Every other Hessian is solved matrix
 free by conjugate gradients, evaluating through the two correlations of
 the step: A E (E the zero extension of interior values) for energies and
 trials, ``apply_extended``, and its transpose E^T A for the flux term,

@@ -26,7 +26,7 @@ from nlbiharm import (
     poincare_constant,
 )
 from nlbiharm.cli import main as cli_main
-from nlbiharm.grid import lq_sum_norm, zero_extend
+from nlbiharm.grid import lq_sum_norm
 from nlbiharm.stepper import _StepFunctional, as_operator
 
 from oracles import dense_nonlocal_matrix, implicit_p2_trajectory, poincare_dense_matrix
@@ -88,7 +88,7 @@ class TestCriterion2NormBound:
         vol = domain64.cell_volume
         for _ in range(100):
             u = rng.standard_normal(64)
-            lap = op.apply(zero_extend(u, domain64).values).ravel()
+            lap = op.apply(np.pad(u, domain64.pad_cells)).ravel()
             for q in (1.5, 2.0, 3.0):
                 if lq_sum_norm(lap, q, vol) > bound * lq_sum_norm(u, q, vol) * (1 + 1e-10):
                     violations += 1
@@ -166,7 +166,7 @@ class TestCriterion6DecayRates:
         # rate ~2 ln(1 + h*lambda_1)/h with lambda_1 of clamped-plate size,
         # so the recorded norms reach the inner-solver floor early; the fit
         # runs on the resolvable decay phase, past the multimode transient
-        fit = decay_fit(traj, t_lo=10 * h, floor_ratio=1e-18)
+        fit = decay_fit(traj, t_lo=10 * h)
         assert fit.n_points >= 20
         assert fit.c1 > 0
         assert fit.r_squared >= 0.99
@@ -198,11 +198,11 @@ class TestCriterion7Consistency:
         spec = make_domain(1, (0.0, 1.0), 512, 0.2)
         eps_list = [0.2, 0.1, 0.05]
         rep = consistency_study(
-            lambda x: np.sin(2 * np.pi * x), tent1d, eps_list, spec, q=2.0
+            lambda x: np.sin(2 * np.pi * x), tent1d, eps_list, spec
         )
         order = rep.metadata["fitted_order"]
         assert order >= 1.0
-        rep_quad = consistency_study(lambda x: x**2, tent1d, eps_list, spec, q=2.0)
+        rep_quad = consistency_study(lambda x: x**2, tent1d, eps_list, spec)
         for _, err, _ in rep_quad.rows:
             assert err <= 5.0 * spec.dx**2
         report(

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlbiharm import discretize, get_kernel, make_domain, parse_config
+from nlbiharm import discretize, get_kernel, make_domain
+from nlbiharm.cli import parse_config
 from nlbiharm.cli import _grid
 from nlbiharm.grid import lp_norm, lq_sum_norm, write_csv, zero_extend
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nlbiharm import StepperConfig, default_bump, evolve, local_evolve, make_domain
-from nlbiharm.grid import zero_extend
 from nlbiharm.localref import LocalOperator, local_stencil
+from nlbiharm.nlop import NonlocalOperator
 from oracles import restricted_matrix, weak_residual
 
 
@@ -16,8 +16,8 @@ def local_domain(nx=64, eps=0.2):
 class TestLocalLaplacian:
     def test_constant_interior(self):
         spec = local_domain(nx=16)
-        u = zero_extend(np.ones(16), spec)
-        out = LocalOperator(spec).apply(u.values)[spec.interior_slices]
+        op = NonlocalOperator(local_stencil(spec), spec)
+        out = op.apply(np.pad(np.ones(16), spec.pad_cells))[spec.interior_slices]
         inv_dx2 = 1.0 / spec.dx**2
         assert out[0] == pytest.approx(-inv_dx2, rel=1e-13)
         assert out[-1] == pytest.approx(-inv_dx2, rel=1e-13)
@@ -26,25 +26,26 @@ class TestLocalLaplacian:
     def test_sine_against_analytic(self):
         spec = local_domain(nx=128)
         x = spec.axis_coords(0)[spec.interior_slices[0]]
-        u = zero_extend(np.sin(np.pi * x), spec)
-        out = LocalOperator(spec).apply(u.values)[spec.interior_slices]
+        op = NonlocalOperator(local_stencil(spec), spec)
+        out = op.apply(np.pad(np.sin(np.pi * x), spec.pad_cells))[spec.interior_slices]
         target = -np.pi**2 * np.sin(np.pi * x)
         err = np.abs(out - target)[2:-2].max()
         assert err <= 5e-3
 
     def test_symmetry(self, rng):
         spec = local_domain(nx=32)
-        op = LocalOperator(spec)
-        f = zero_extend(rng.standard_normal(32), spec).values
-        g = zero_extend(rng.standard_normal(32), spec).values
+        op = NonlocalOperator(local_stencil(spec), spec)
+        f = np.pad(rng.standard_normal(32), spec.pad_cells)
+        g = np.pad(rng.standard_normal(32), spec.pad_cells)
         lhs = spec.cell_volume * np.dot(op.apply(f), g)
         rhs = spec.cell_volume * np.dot(f, op.apply(g))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_negative_semidefinite(self, rng):
         spec = local_domain(nx=32)
-        f = zero_extend(rng.standard_normal(32), spec).values
-        assert spec.cell_volume * np.dot(LocalOperator(spec).apply(f), f) <= 1e-12
+        op = NonlocalOperator(local_stencil(spec), spec)
+        f = np.pad(rng.standard_normal(32), spec.pad_cells)
+        assert spec.cell_volume * np.dot(op.apply(f), f) <= 1e-12
 
     def test_offsets_are_signed_unit_vectors(self):
         # apply sums the offsets in this order, so it fixes the rounding
@@ -62,9 +63,10 @@ class TestLocalLaplacian:
 
     def test_needs_a_collar(self):
         spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 8, 0.5)
-        assert LocalOperator(replace(spec, pad_cells=1)).reach == 1
+        st = local_stencil(spec)
+        assert NonlocalOperator(st, replace(spec, pad_cells=1)).reach == 1
         with pytest.raises(ValueError, match="collar"):
-            LocalOperator(replace(spec, pad_cells=0))
+            NonlocalOperator(st, replace(spec, pad_cells=0))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_one_cell_collar_matches_the_padded_grid(self, dim):
@@ -75,10 +77,12 @@ class TestLocalLaplacian:
         T = 5e-3
         traj = local_evolve(default_bump(spec), spec, StepperConfig(p=3.0, h=1e-3, T=T))
         near = tuple(slice(spec.pad_cells - 1, spec.pad_cells + n + 1) for n in spec.nx)
+        wide_op = NonlocalOperator(local_stencil(spec), spec)
+        cut_op = NonlocalOperator(local_stencil(cut), cut)
         for u in traj.interior:
-            wide = LocalOperator(spec).apply(zero_extend(u, spec).values)
+            wide = wide_op.apply(np.pad(u, spec.pad_cells))
             assert np.count_nonzero(wide) == np.count_nonzero(wide[near])
-            assert np.array_equal(wide[near], LocalOperator(cut).apply(zero_extend(u, cut).values))
+            assert np.array_equal(wide[near], cut_op.apply(np.pad(u, cut.pad_cells)))
 
         def phi(*args):
             *xs, t = args
@@ -92,7 +96,7 @@ class TestLocalLaplacian:
         # eigenvalue approaches 4.7300407**4, not the hinged pi**4; the
         # wall-flux penalty converges slowly, so the proximity band is wide
         spec = local_domain(nx=256)
-        op = LocalOperator(spec)
+        op = NonlocalOperator(local_stencil(spec), spec)
         mat = restricted_matrix(op)
         b = mat.T @ mat
         lam = np.linalg.eigvalsh(b)[0]
@@ -101,10 +105,10 @@ class TestLocalLaplacian:
 
     def test_restricted_matrix_matches_apply(self, rng):
         spec = local_domain(nx=32)
-        op = LocalOperator(spec)
+        op = NonlocalOperator(local_stencil(spec), spec)
         x = rng.standard_normal(32)
         via_matrix = (restricted_matrix(op) @ x).reshape(spec.padded_shape)
-        via_apply = op.apply(zero_extend(x, spec).values)
+        via_apply = op.apply(np.pad(x, spec.pad_cells))
         assert np.max(np.abs(via_matrix - via_apply)) <= 1e-12
 
 
@@ -124,7 +128,7 @@ class TestLocalEvolve:
 
     def test_p2_dense_oracle_trajectory(self, rng):
         spec = local_domain(nx=16, eps=0.25)
-        op = LocalOperator(spec)
+        op = NonlocalOperator(local_stencil(spec), spec)
         mat = restricted_matrix(op)  # padded x interior
         b = mat.T @ mat
         h = 1e-6
@@ -152,6 +156,14 @@ class TestLocalEvolve:
         traj = local_evolve(u0, spec, StepperConfig(p=p, h=1e-5, T=2e-4, inner_max_iters=200))
         assert np.all(np.diff(traj.energies) <= 1e-6 * traj.energies[0])
 
+    def test_2d_step_residuals_keep_their_margin(self):
+        # the direct solve evaluates through the loop apply: here its worst
+        # step residual reads 0.27 of the tolerance, and 0.94 through the
+        # step correlations (README, Notes on tolerances)
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 32, 0.25)
+        traj = local_evolve(default_bump(spec), spec, StepperConfig(p=3.0, h=1e-4, T=1e-3))
+        assert traj.residuals.max() <= 0.5 * traj.inner_tol
+
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stencil_path_matches_whole_grid_operator(self, dim, p):
@@ -164,7 +176,7 @@ class TestLocalEvolve:
         u0 = default_bump(spec)
         c = StepperConfig(p=p, h=1e-4, T=5e-4)
         step = local_evolve(u0, spec, c)
-        full = evolve(u0, spec, LocalOperator(spec), c)
+        full = evolve(u0, spec, NonlocalOperator(local_stencil(spec), spec), c)
         assert step.inner_tol == full.inner_tol
         assert np.array_equal(step.residuals, full.residuals)
         assert np.array_equal(step.inner_iters, full.inner_iters)

@@ -141,7 +141,7 @@ def test_no_shipped_run_reaches_the_tracer_only_names(tmp_path, monkeypatch):
     # the names the benchmark tracer patches (the contract in grid.py) all
     # raise, and every shipped config still runs: deleting them with the
     # tracer change cannot change a run
-    from nlbiharm import analysis, cli, grid, localref, stepper, write_pgm
+    from nlbiharm import analysis, cli, grid, localref, stepper
 
     def tracer_only(*args, **kwargs):
         raise AssertionError("a run reached a tracer-only name")
@@ -156,7 +156,7 @@ def test_no_shipped_run_reaches_the_tracer_only_names(tmp_path, monkeypatch):
 
     denoise = tmp_path / "denoise.cfg"  # reads noisy.pgm beside it
     denoise.write_text((SCRIPTS / "configs" / "denoise.cfg").read_text())
-    write_pgm(np.random.default_rng(0).random((16, 16)), tmp_path / "noisy.pgm")
+    cli.write_pgm(np.random.default_rng(0).random((16, 16)), tmp_path / "noisy.pgm")
     configs = [p for p in sorted((SCRIPTS / "configs").glob("*.cfg")) if p.stem != "denoise"]
     for cfg in configs + [ROOT / "perfbench" / "configs" / "evolve_2d.cfg", denoise]:
         out = tmp_path / cfg.stem
