@@ -8,18 +8,17 @@ Usage:
 The first table prints microseconds per call of the difference loop
 ``NonlocalOperator.apply`` and of the three evaluations of an implicit
 step, all on the step window: ``apply_extended`` (A E on interior values),
-``apply_restricted`` (E^T A on window values, read on the interior) and
-``apply_squared`` (E^T A A E on interior values, as the p = 2 Hessian
-products run it).  ``NonlocalOperator._maps`` builds all three: direct
-correlations in 1D, with the taps and with their square; in 2D one
-zero-padded FFT plan, whose kernel spectrum the square takes squared.  On
-the 2D rows ``tau_us`` times the tau solve that preconditions the 2D p = 2
-CG (``NonlocalOperator.tau_solve``, two dense DST-I products per axis).
-Each
-row shows the relative difference of each from the loop on random interior
-values and random window values (``check_case``); the script stops with
-exit status 1 before timing a case where one differs by more than
-MAX_DIFF.
+``apply_restricted`` (E^T A on window values, read on the interior) and,
+on the 2D rows, ``apply_squared`` (E^T A A E on interior values, as the
+2D p = 2 CG products run it; no 1D step takes it).
+``NonlocalOperator._maps`` builds them: direct correlations with the taps
+in 1D; in 2D one zero-padded FFT plan, whose kernel spectrum the square
+takes squared.  On the 2D rows ``tau_us`` times the tau solve that
+preconditions the 2D p = 2 CG (``NonlocalOperator.tau_solve``, two dense
+DST-I products per axis).  Each row shows the relative difference of each
+from the loop on random interior values and random window values
+(``check_case``); the script stops with exit status 1 before timing a case
+where one differs by more than MAX_DIFF.
 Rows are keyed by dim, nx (interior cells per axis) and K (nonzero
 stencil offsets).  The padded grids, with ``nodes`` nodes, are
 the runs' own: converge's three scales share the grid padded one kernel
@@ -28,22 +27,29 @@ grid that
 ``stepper.as_operator`` cuts from each, the interior plus the stencil's
 reach, with ``step`` nodes.
 
-The second table times the direct solve of one implicit step's model
-I/h + A^T diag(c) A (``NonlocalOperator.normal_solve``): microseconds per
-assembly of its blocks and per partitioned block LDL^T elimination
-(``BandedNormal``), the median, min and max of REPEATS batches, keyed by
-dim, n (interior unknowns) and the bandwidth, with the block size, the
-number of partitions the cost rule chose (``parts``) and the relative
-backward error ||M d - g|| / (||M||_1 ||d||) of the solve (``solve_case``).
-The weight c is the p = 3 Newton curvature 2|A x| at a random state.
+The second table times the direct solves of one implicit step's model
+I/h + A^T diag(c) A, keyed by dim, n (interior unknowns) and the
+bandwidth, with the block size and the number of partitions the cost rule
+chose (``parts``).  For the p = 3 Newton curvature c = 2|A x| at a random
+state (``NonlocalOperator.normal_solve``) it gives microseconds per
+assembly of the blocks and per partitioned block LDL^T elimination
+(``BandedNormal``); for the p = 2 model, c = 1
+(``NonlocalOperator.p2_solve``), microseconds per factorization
+(``BandedNormal.factor``, after one assembly) and per substitution with
+the kept factor.  Each is the median, min and max of REPEATS batches.
+``back_err`` and ``sub_err`` are the relative backward errors
+||M d - g|| / (||M||_1 ||d||) of the elimination and of the substitution
+(``solve_case``).
 
 The third table runs one implicit step (``stepper._minimize_step``) for
 each way of solving the step model: Newton-CG on converge's 1D K = 50
 stencil at p = 3 and, tau-preconditioned, on evolve_2d's 2D K = 508 stencil
 at p = 2 and on a 2D nx = 128, eps = 0.1 stencil (both from evolve_2d's
 random start, seed 404; the quadratic step takes one Newton iteration),
-direct Newton on the local 1D Hessian (n = 256), and the
-direct reweighted step below p = 2.  Each step, the local one included,
+direct Newton on the local 1D Hessian (n = 256), Newton with the kept p = 2
+factor on decay_p2's grid and start (seed 606; the factor is made in the
+first run and kept on the operator, as a run keeps it), and the direct
+reweighted step below p = 2.  Each step, the local one included,
 runs on its step grid, as ``evolve`` runs it.  It prints the step's inner
 iterations, operator applies (a squared correlation counts as one) and
 the median, min and max milliseconds, keyed by dim, n and K.
@@ -100,8 +106,9 @@ CASES = [
 
 # (solve, dim, box, nx, eps of the stencil or None for the local one, grid
 # eps): the local reference of converge and the same band at n = 1024, the
-# 2D local Hessian at two sizes, and the 1D nonlocal stencils of the
-# reweighted steps: the battery's (K = 24) and the n = 128, K = 50 one.
+# 2D local Hessian at two sizes, the battery's 1D nonlocal grid (K = 24),
+# the n = 128, K = 50 stencil of a reweighted step, and converge_p2's three
+# scales on its grid (at eps = 0.4 the band is the whole n = 256).
 SOLVE_CASES = [
     ("local", 1, (0.0, 1.0), 256, None, 0.4),
     ("local", 1, (0.0, 1.0), 1024, None, 0.4),
@@ -109,19 +116,24 @@ SOLVE_CASES = [
     ("local", 2, ((0.0, 1.0), (0.0, 1.0)), 64, None, 0.2),
     ("nonlocal", 1, (0.0, 1.0), 64, 0.2, 0.2),
     ("nonlocal", 1, (0.0, 1.0), 128, 0.2, 0.2),
+    ("nonlocal", 1, (0.0, 1.0), 256, 0.1, 0.4),
+    ("nonlocal", 1, (0.0, 1.0), 256, 0.2, 0.4),
+    ("nonlocal", 1, (0.0, 1.0), 256, 0.4, 0.4),
 ]
 SOLVE_H = 1e-4
 
 # (solver, dim, nx, eps of the stencil or None for the local one, grid eps,
-# p, h, start) on the unit box: converge_p3's first step at its middle scale
-# and for its local reference, evolve_2d's step and the same step on a finer
-# 2D grid, a p = 1.5 step on the battery's 1D stencil, and a p = 1.2 step
-# whose reweighted direction once stalled in cancellation.
+# p, h, start: "bump", "gaussian" or the seed of a random start) on the
+# unit box: converge_p3's first step at its middle scale and for its local
+# reference, evolve_2d's step and the same step on a finer 2D grid,
+# decay_p2's first step, a p = 1.5 step on the battery's 1D stencil, and a
+# p = 1.2 step whose reweighted direction once stalled in cancellation.
 STEP_CASES = [
     ("newton_cg", 1, 256, 0.1, 0.4, 3.0, 1e-4, "bump"),
-    ("newton_cg", 2, 64, 0.2, 0.2, 2.0, 5e-3, "random"),
-    ("newton_cg", 2, 128, 0.1, 0.1, 2.0, 5e-3, "random"),
+    ("newton_cg", 2, 64, 0.2, 0.2, 2.0, 5e-3, 404),
+    ("newton_cg", 2, 128, 0.1, 0.1, 2.0, 5e-3, 404),
     ("newton_direct", 1, 256, None, 0.4, 3.0, 1e-4, "bump"),
+    ("newton_factor", 1, 64, 0.2, 0.2, 2.0, 2e-3, 606),
     ("reweighted", 1, 64, 0.2, 0.2, 1.5, 1e-3, "bump"),
     ("reweighted", 1, 128, 0.2, 0.2, 1.2, 1e-4, "gaussian"),
 ]
@@ -152,27 +164,28 @@ def per_call_us(fn, values) -> float:
 def check_case(case, rng):
     """The padded grid and step operator of one row of CASES, random
     interior and grid values, and the relative difference from the loop of
-    ``apply_extended``, ``apply_restricted`` and ``apply_squared`` on them."""
+    ``apply_extended``, ``apply_restricted`` and, in 2D, ``apply_squared``
+    on them."""
     _, dim, box, nx, eps, grid_eps = case
     spec = make_domain(dim, box, nx, grid_eps)
     op = as_operator(discretize(TENT, eps, spec), spec)
     interior = rng.standard_normal(op.spec.nx)
     values = rng.standard_normal(op.spec.padded_shape)
     extended = op.apply(np.pad(interior, op.spec.pad_cells))
-    restricted = op.apply(values)[op.spec.interior_slices]
-    squared = op.apply(extended)[op.spec.interior_slices]
-    diffs = [np.abs(got - exact).max() / np.abs(exact).max() for got, exact in (
-        (op.apply_extended(interior), extended),
-        (op.apply_restricted(values), restricted),
-        (op.apply_squared(interior), squared),
-    )]
+    pairs = [(op.apply_extended(interior), extended),
+             (op.apply_restricted(values), op.apply(values)[op.spec.interior_slices])]
+    if dim == 2:
+        pairs.append((op.apply_squared(interior), op.apply(extended)[op.spec.interior_slices]))
+    diffs = [np.abs(got - exact).max() / np.abs(exact).max() for got, exact in pairs]
     return spec, op, interior, values, diffs
 
 
 def solve_case(case, rng):
-    """The operator of one row of SOLVE_CASES, its ``BandedNormal`` assembled
-    for the p = 3 curvature c = 2|A x| at a random state x, a random
-    right-hand side g, and the backward error of the solve of M d = g."""
+    """The operator of one row of SOLVE_CASES, its ``BandedNormal``
+    assembled for the p = 3 curvature c = 2|A x| at a random state x, a
+    random right-hand side g, the backward error of the elimination of
+    M d = g, the kept p = 2 factor's substitution (c = 1) and its backward
+    error on the same g."""
     _, dim, box, nx, eps, grid_eps = case
     spec = make_domain(dim, box, nx, grid_eps)
     st = local_stencil(spec) if eps is None else discretize(TENT, eps, spec)
@@ -183,7 +196,10 @@ def solve_case(case, rng):
     g = rng.standard_normal(spec.nx)
     model = BandedNormal(op)
     model.assemble(curv, 1.0 / SOLVE_H)
-    return op, model, curv, g, backward_error(op, curv, model.eliminate(g), g)
+    err = backward_error(op, curv, model.eliminate(g), g)
+    substitute = op.p2_solve(1.0 / SOLVE_H)
+    sub_err = backward_error(op, np.ones(spec.padded_shape), substitute(g), g)
+    return op, model, curv, g, err, substitute, sub_err
 
 
 def step_case(case):
@@ -198,8 +214,8 @@ def step_case(case):
     if start == "gaussian":
         x = spec.node_coords()[0][spec.interior_slices]
         u0 = np.exp(-50 * (x - 0.5) ** 2) * np.sin(np.pi * x) ** 2
-    elif start == "random":  # evolve_2d's u0 = random, seed = 404
-        u0 = np.random.default_rng(404).standard_normal(spec.nx)
+    elif start != "bump":  # u0 = random with this seed, as the configs draw it
+        u0 = np.random.default_rng(start).standard_normal(spec.nx)
     tol = effective_inner_tol(op, lq_sum_norm(u0.ravel(), 2, spec.cell_volume))
     max_iters = StepperConfig(p=p, h=h, T=h).inner_max_iters
     return spec, op, tol, lambda: _minimize_step(op, u0, p, h, tol, max_iters)
@@ -224,34 +240,41 @@ def main() -> int:
         spec, op, interior, values, diffs = check_case(case, rng)
         k = sum(bool(np.any(d)) for d in op.stencil.offsets)
         if max(diffs) > MAX_DIFF:
+            names = ("apply_extended", "apply_restricted", "apply_squared")
             print(f"{case[0]} K={k}: a correlation differs from the loop by "
-                  "{:.1e} (apply_extended), {:.1e} (apply_restricted), "
-                  "{:.1e} (apply_squared)".format(*diffs))
+                  + ", ".join(f"{d:.1e} ({name})" for d, name in zip(diffs, names)))
             return 1
         loop_us = per_call_us(op.apply, values)
         ext_us = per_call_us(op.apply_extended, interior)
         res_us = per_call_us(op.apply_restricted, values)
-        sq_us = per_call_us(op.apply_squared, interior)
-        tau = "-"
-        if spec.dim == 2:  # the shift of evolve_2d's h = 5e-3
+        sq, tau, sq_diff = "-", "-", "-"
+        if spec.dim == 2:  # tau at the shift of evolve_2d's h = 5e-3
+            sq = f"{per_call_us(op.apply_squared, interior):.1f}"
             tau = f"{per_call_us(op.tau_solve(1.0 / 5e-3), interior):.1f}"
+            sq_diff = f"{diffs[2]:.1e}"
         nodes = int(np.prod(spec.padded_shape))
         print(f"{case[0]:<11} {spec.dim:>3} {case[3]:>4} {nodes:>6} {values.size:>6} {k:>4} "
-              f"{loop_us:>9.1f} {ext_us:>7.1f} {res_us:>7.1f} {sq_us:>7.1f} {tau:>7} "
-              + " ".join(f"{d:>8.1e}" for d in diffs))
+              f"{loop_us:>9.1f} {ext_us:>7.1f} {res_us:>7.1f} {sq:>7} {tau:>7} "
+              f"{diffs[0]:>8.1e} {diffs[1]:>8.1e} {sq_diff:>8}")
 
     print()
     print(f"{'solve':<11} {'dim':>3} {'n':>5} {'band':>4} {'block':>5} {'parts':>5} "
           f"{'asm_us':>8} {'asm_min':>8} {'asm_max':>8} "
-          f"{'solve_us':>8} {'sol_min':>8} {'sol_max':>8} {'back_err':>9}")
+          f"{'solve_us':>8} {'sol_min':>8} {'sol_max':>8} {'back_err':>9} "
+          f"{'fac_us':>8} {'fac_min':>8} {'fac_max':>8} "
+          f"{'sub_us':>8} {'sub_min':>8} {'sub_max':>8} {'sub_err':>9}")
     for case in SOLVE_CASES:
-        op, model, curv, g, err = solve_case(case, rng)
+        op, model, curv, g, err, substitute, sub_err = solve_case(case, rng)
         times = [batch_us(lambda c: model.assemble(c, 1.0 / SOLVE_H), curv),
                  batch_us(model.eliminate, g)]
+        model.assemble(np.ones(op.spec.padded_shape), 1.0 / SOLVE_H)
+        kept = [batch_us(lambda _: model.factor(), None), batch_us(substitute, g)]
         print(f"{case[0]:<11} {case[1]:>3} {op.spec.n_interior:>5} {model.width:>4} "
               f"{model.block:>5} {model.parts:>5} "
               + " ".join(f"{np.median(t):>8.1f} {min(t):>8.1f} {max(t):>8.1f}" for t in times)
-              + f" {err:>9.1e}")
+              + f" {err:>9.1e} "
+              + " ".join(f"{np.median(t):>8.1f} {min(t):>8.1f} {max(t):>8.1f}" for t in kept)
+              + f" {sub_err:>9.1e}")
 
     print()
     print(f"{'step':<13} {'p':>3} {'dim':>3} {'n':>5} {'K':>4} "

@@ -33,12 +33,14 @@ def local_stencil(spec: DomainSpec) -> Stencil:
     which selects the clamped rather than the hinged plate as dx -> 0.
 
     Being nearest-neighbour, it gets the stepper's direct solve of the step
-    Hessian at every exponent (``normal_solve``, block LDL^T): the clamped
-    bi-Laplacian Hessian conditions like h/dx^4 and defeats first-order
-    inner solvers at fine grids, while its bandwidth of 2 (1D) or 2 nx (2D)
-    makes direct factorization cheap.  The 1D band is cut into partitions
-    whose block chains are eliminated in one batched pass (13 at n = 256);
-    a 2D band, 2 nx wide, is one chain (``nlop.BandedNormal``).
+    Hessian at every exponent (block LDL^T, ``nlop.BandedNormal``): the
+    clamped bi-Laplacian Hessian conditions like h/dx^4 and defeats
+    first-order inner solvers at fine grids, while its bandwidth of 2 (1D)
+    or 2 nx (2D) makes direct factorization cheap.  At p = 2 the Hessian is
+    factored once per run and kept (``p2_solve``); at other exponents it is
+    eliminated on every call (``normal_solve``).  The 1D band is cut into
+    partitions whose block chains are eliminated in one batched pass (13 at
+    n = 256); a 2D band, 2 nx wide, is one chain.
     """
     offsets = np.concatenate([(-e, e) for e in np.eye(spec.dim, dtype=np.int64)])
     return Stencil(offsets=offsets, weights=np.full(len(offsets), 1.0 / spec.dx**2),

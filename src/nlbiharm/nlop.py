@@ -18,17 +18,19 @@ It has four evaluations of the same matrix, one of them of its square:
   extension E v of interior values v, which vanishes beyond the window;
   its transpose ``apply_restricted``, E^T A y, the operator on window
   values y read on the interior; and ``apply_squared``, E^T A A E v, the
-  Hessian product at p = 2.  Once the collar covers the reach
+  Hessian product of the 2D p = 2 CG.  Once the collar covers the reach
   (``grid.check_collar``, as every operator checks) they are correlations
   with the taps t of A (w_d off the centre, -sum_(d != 0) w_d at it), and
-  with t * t, which reaches 2 reach, for the square.  Each is exact for
-  every input and computes only the values it returns.  In 1D they are
-  direct correlations, O(K N), whose outputs are K-term dot products of
-  their neighbours: local rounding.  In 2D one FFT plan of n + 2 reach per
-  axis serves all three, O(N log N), with one kernel spectrum and one set
-  of work arrays: v at offset reach for A E, y at offset 0 for E^T A, and
-  v at offset 0 times ``spectrum**2`` for the square, so that none wraps
-  onto a value.  Its rounding is global: about eps_mach times the largest
+  in 2D with t * t, which reaches 2 reach, for the square.  Each is exact
+  for every input and computes only the values it returns.  In 1D A E and
+  E^T A are direct correlations, O(K N), whose outputs are K-term dot
+  products of their neighbours: local rounding; no 1D step takes the
+  square (a 1D p = 2 step solves with the kept factor), which there is
+  their composition.  In 2D one FFT plan of n + 2 reach per axis serves
+  all three, O(N log N), with one kernel spectrum and one set of work
+  arrays: v at offset reach for A E, y at offset 0 for E^T A, and v at
+  offset 0 times ``spectrum**2`` for the square, so that none wraps onto a
+  value.  Its rounding is global: about eps_mach times the largest
   correlation in the whole array, at every node, however small the result
   there.
 
@@ -38,7 +40,11 @@ and a partitioned block LDL^T eliminates them (``BandedNormal``), in numpy
 alone.  A narrow band is cut into partitions with separators between them
 (the SPIKE layout of Polizzi & Sameh, Parallel Computing 32, 2006), whose
 block chains are eliminated in one batched pass before a small dense
-separator system; a wide band is one chain.
+separator system; a wide band is one chain.  ``p2_solve`` keeps the
+factor of the p = 2 model shift I + E^T A^2 E (c = 1), which every step of
+a run shares: it is made once per shift, and each solve is a substitution
+of batched matrix products (the factor-once, substitute-many split of
+Golub & Van Loan, Matrix Computations, 4th ed., ch. 4).
 ``tau_solve`` inverts the tau-algebra approximation of the p = 2 model
 shift I + E^T A^2 E, a (block) Toeplitz section with symbol lambda^2, where
 lambda(xi) = sum_d t_d prod_a cos(xi_a d_a) is the symbol of the taps
@@ -178,16 +184,12 @@ class NonlocalOperator:
         interior plus the reach per axis, whatever the collar."""
         taps, r, nx = self._taps(), self.reach, self.spec.nx
         if taps.ndim == 1:
-            # t is even, so t * t is t correlated with itself
-            squared, m = np.convolve(taps, taps), 2 * r
-            buf = np.zeros(nx[0] + 2 * m)
+            def extended(v):
+                return np.correlate(v, taps, "full")
 
-            def correlate_squared(values):
-                buf[m:m + nx[0]] = values
-                return np.correlate(buf, squared, "valid")
-            return (lambda v: np.correlate(v, taps, "full"),
-                    lambda y: np.correlate(y, taps, "valid"),
-                    correlate_squared)
+            def restricted(y):
+                return np.correlate(y, taps, "valid")
+            return extended, restricted, lambda v: restricted(extended(v))
         inner = tuple(slice(r, r + n) for n in nx)
         whole = tuple(slice(0, n + 2 * r) for n in nx)
         first = tuple(slice(0, n) for n in nx)
@@ -215,14 +217,32 @@ class NonlocalOperator:
         """Solve (shift I + A^T diag(c) A) d = rhs over interior values, for
         A = apply after zero extension and a weight c >= 0 per padded node;
         partitioned block LDL^T on the band (``BandedNormal``), built on the
-        first call and kept.  The stepper's direct direction solve, below
-        p = 2 and for nearest-neighbour stencils (``reach == 1``)."""
+        first call and kept, assembled and eliminated again on every call.
+        The stepper's direct direction solve below p = 2, and above it for
+        nearest-neighbour stencils (``reach == 1``); at p = 2, where M does
+        not change, ``p2_solve`` keeps its factor."""
         self._normal.assemble(c, shift)
         return self._normal.eliminate(rhs)
 
     @cached_property
     def _normal(self):
         return BandedNormal(self)
+
+    def p2_solve(self, shift: float):
+        """M^-1 for the p = 2 step model M = shift I + E^T A^2 E over the
+        interior values (``normal_solve`` at c = 1), as a callable returning
+        a new array: ``BandedNormal``'s kept factor, built on the first call
+        for each shift and kept, so a solve is only its substitution.  The
+        stepper's direction solve at p = 2 wherever the band is narrow: in
+        1D and for nearest-neighbour stencils (``reach == 1``)."""
+        if shift not in self._p2_factors:
+            self._normal.assemble(np.ones(self.spec.padded_shape), shift)
+            self._p2_factors[shift] = self._normal.factor()
+        return self._p2_factors[shift]
+
+    @cached_property
+    def _p2_factors(self):
+        return {}
 
     def tau_solve(self, shift: float):
         """P^-1 = S diag(1 / (shift + lambda^2)) S over the interior values of
@@ -263,66 +283,59 @@ class NonlocalOperator:
         return [sines[n] for n in self.spec.nx], symbol ** 2, work
 
 
-# Smallest block of a partition's block chain.  Blocks are max(bandwidth,
-# BLOCK_MIN) wide, or one block per partition if it is shorter: narrower
-# blocks cost more LAPACK calls than they save in flops.  It decides the
-# layout only of single-partition bands narrower than itself and of
-# partitions longer than itself (from n = 2,048 on the width-2 band), and
-# bounds the widths ``_partitions`` weighs.  Measured on one OpenBLAS
-# thread of a shared 2-vCPU VM, us per elimination at BLOCK_MIN = 24, 32
-# and 48: 72, 53 and 77 on the 1D nonlocal band of width 24 (n = 64), 70,
-# 50 and 72 on the 2D local band of width 16 (nx = 8).  One block of the
-# whole n = 64 took 35 us, and at n = 2,048 on the width-2 band
-# BLOCK_MIN = 16 read 654-705 us against 790-802.
-BLOCK_MIN = 32
-
 # Cost of one ``BandedNormal.eliminate`` in us, fitted to its timings with
 # the number of partitions P forced (1D local and nonlocal bands, width 2 to
-# 64, n = 64 to 2,048, P = 1 to 64) on the same VM: STEP_US per step of the
-# block chains (the Python and call overhead of one batched block solve and
-# its products), MATRIX_US per block matrix of a batched solve, FLOP_NS per
-# flop of the block LUs, their right-hand sides and the separator solve,
-# and SEPARATE_US for the rest of the separator stage.  Median relative
-# error 9% over the 68 timed layouts that ``_partitions`` weighs.
+# 64, n = 64 to 2,048, P = 1 to 64) on one OpenBLAS thread of a shared
+# 2-vCPU VM: STEP_US per step of the block chains (the Python and call
+# overhead of one batched block solve and its products), MATRIX_US per
+# block matrix of a batched solve, FLOP_NS per flop of the block LUs, their
+# right-hand sides and the separator solve, and SEPARATE_US for the rest of
+# the separator stage.  Median relative error 9% over the 68 timed layouts
+# of the fit.
 STEP_US, MATRIX_US, FLOP_NS, SEPARATE_US = 15.0, 1.5, 0.25, 40.0
 
 
-def _layout(n, width, parts):
-    """Partition length and block size for ``parts`` partitions (an int or
-    an array) of n unknowns in flat order with a separator of ``width``
-    between two: each partition one chain of blocks, padded to whole
-    blocks."""
+def _layout(n: int, width: int):
+    """The number of partitions P and the block length of least modelled
+    cost (STEP_US above) for n unknowns in flat order with a separator of
+    ``width`` between two partitions: each partition a chain of blocks,
+    padded to whole blocks.
+
+    A chain of c blocks of b unknowns, with k right-hand sides (1 at P = 1,
+    and the 2 width coupling columns besides at P > 1), costs c block LUs,
+    the solves of its first c - 1 blocks with the width columns of the next
+    block's coupling besides, the last block's solve, and the c - 1 Schur
+    and back-substitution products: c 2/3 b^3 + 2 b^2 k + (c - 1)
+    (2 b^2 (width + k) + 2 width^2 b + 4 width b k) flops.  The P chains
+    are eliminated together, one batched solve per step, and P > 1 adds a
+    dense separator system of (P - 1) width unknowns.  Only partitions at
+    least 2 width long are weighed, so that each one reaches past both its
+    coupling edges, and only blocks at least ``width`` long, so that a
+    block's coupling reaches no further than the next block.
+
+    Checked on the same VM, us per elimination: the 1D nonlocal band of
+    width 24 at n = 64 (the battery grid) is one block of 64 (36 us; 56 as
+    two blocks of 32); the 1D local Hessian (width 2) gets P = 13 blocks of
+    18 at n = 256 (104 us; 213 us at P = 1, 96 at P = 26); the 1D band of
+    width 204 at n = 256 (converge's eps = 0.4) is one block (580 us; 2.3
+    ms as two blocks of 204); every 2D local band (width 2 nx) keeps one
+    partition."""
+    if width == 0:  # a single unknown
+        return 1, n
+    parts = np.arange(1, max(1, (n + width) // (3 * width)) + 1)[:, None]
     length = -(-(n - (parts - 1) * width) // parts)
-    block = np.minimum(max(width, BLOCK_MIN), length)
-    return -(-length // block) * block, block
-
-
-def _partitions(n: int, width: int) -> int:
-    """The number of partitions P of least modelled cost (STEP_US above):
-    P chains of length / block steps, each step one batched solve of P
-    block LUs with 3 width + 1 columns (2 width + 1 right-hand sides), then
-    a dense separator system of (P - 1) width unknowns.  P = 1 is the plain
-    chain of n / block steps with width + 1 columns.
-
-    Only partitions at least 2 width long are weighed, so that each one
-    reaches past both its coupling edges, and a band at least BLOCK_MIN
-    wide keeps P = 1: its blocks carry no padding, and the 2 width coupling
-    columns more than double each block's flops.  In the timings no P > 1
-    beat P = 1 by more than the noise from width 12 up or at n = 64; the
-    2D local band is 2 nx wide.  Checked against forced P on the same VM:
-    the local 1D Hessian (width 2) gets P = 13 at n = 256 (104 us; 213 us
-    at P = 1, 96 at P = 26) and P = 38 at n = 1,024 (383 us; 850 at
-    P = 1)."""
-    if not 0 < width < BLOCK_MIN:
-        return 1
-    parts = np.arange(1, max(1, (n + width) // (3 * width)) + 1)
-    length, block = _layout(n, width, parts)
-    chain, cols = length // block, np.where(parts > 1, 1 + 2 * width, 1)
+    block = -(-length // np.arange(1, max(1, length.max() // width) + 1))
+    chain = -(-length // block)
+    cols = np.where(parts > 1, 1 + 2 * width, 1)
     seps = (parts - 1) * width
-    flops = parts * length * (2 / 3 * block ** 2 + 2 * block * (width + cols)) + 2 / 3 * seps ** 3
+    flops = parts * (chain * 2 / 3 * block ** 3 + 2 * block ** 2 * cols + (chain - 1) * (
+        2 * block ** 2 * (width + cols) + 2 * width ** 2 * block + 4 * width * block * cols)
+    ) + 2 / 3 * seps ** 3
     cost = (STEP_US * chain + MATRIX_US * parts * chain + 1e-3 * FLOP_NS * flops
             + SEPARATE_US * (parts > 1))
-    return int(parts[np.argmin(cost)])
+    cost[(block < width) & (chain > 1)] = np.inf
+    p, c = np.unravel_index(np.argmin(cost), cost.shape)
+    return int(parts[p, 0]), int(block[p, c])
 
 
 class BandedNormal:
@@ -354,9 +367,16 @@ class BandedNormal:
     axis, on the right-hand sides [rhs | M_(I_p, s_(p-1)) |
     M_(I_p, s_p)]; the separators' Schur complement, (parts - 1) width
     unknowns, is formed by one batched product and one scatter and solved
-    densely; one batched product back-substitutes it.  ``_partitions``
-    chooses ``parts`` by a measured cost model; with one partition this is
-    the block Thomas solve of the whole chain, op for op.
+    densely; one batched product back-substitutes it.  ``_layout``
+    chooses ``parts`` and ``block`` by a measured cost model; with one
+    partition this is the block Thomas solve of the whole chain, op for op.
+
+    ``factor`` splits the same elimination into a factorization, made once
+    for the assembled M, and a substitution made only of batched matrix
+    products, for a matrix that many solves share.  numpy has no triangular
+    solve, so the factor keeps inverses: each Schur block's S_j^-1, the
+    X_j = S_j^-1 B_j, the partitions' coupling solves Y_p = A_p^-1 C_p and
+    the inverse of the separators' Schur complement.
     """
 
     def __init__(self, op: NonlocalOperator):
@@ -386,8 +406,9 @@ class BandedNormal:
         j = i + (ks @ int_strides)[k_of]
         src = k_of * n + i
         w = int((j - i).max())
-        parts = _partitions(n, w)
-        length, m = map(int, _layout(n, w, parts))
+        parts, m = _layout(n, w)
+        length = -(-(n - (parts - 1) * w) // parts)
+        length = -(-length // m) * m  # padded to whole blocks
         chain, seps, cols = length // m, (parts - 1) * w, 1 if parts == 1 else 1 + 2 * w
         self.parts, self.block, self.width, self.length = parts, m, w, length
 
@@ -499,6 +520,66 @@ class BandedNormal:
         out[:, :length] = z[..., 0] - (z[..., 1:] @ sides)[..., 0]
         out[:-1, length:] = x_s
         return out.ravel()[:n].reshape(rhs.shape)
+
+    def factor(self):
+        """The kept factor of the assembled M, as a callable that solves
+        M d = rhs (interior shape) by substitution and returns a new array.
+        It copies what it keeps, so a later ``assemble`` leaves it as it is."""
+        diag, w, length = self._diag, self.width, self.length
+        parts, chain, m = diag.shape[:3]
+        b = self._off[..., :w].copy()
+        b_t = b.transpose(0, 1, 3, 2)
+        inv = np.empty_like(diag)
+        xs = np.empty_like(b)
+        schur = diag[:, 0]
+        for j in range(chain - 1):
+            inv[:, j] = np.linalg.inv(schur)
+            xs[:, j] = inv[:, j] @ b[:, j]
+            schur = diag[:, j + 1].copy()
+            schur[:, :w, :w] -= b_t[:, j] @ xs[:, j]
+        inv[:, -1] = np.linalg.inv(schur)
+
+        def chains(y):
+            """A_p^-1 y for every partition p at once, y of shape (parts,
+            chain, m, columns), in place: y_j = S_j^-1 (y_j - B_(j-1)^T
+            y_(j-1)), then d_j = y_j - X_j d_(j+1)."""
+            for j in range(chain - 1):
+                y[:, j] = inv[:, j] @ y[:, j]
+                y[:, j + 1, :w] -= b_t[:, j] @ y[:, j]
+            y[:, -1] = inv[:, -1] @ y[:, -1]
+            for j in range(chain - 2, -1, -1):
+                y[:, j] -= xs[:, j] @ y[:, j + 1, :w]
+            return y.reshape(parts, length, -1)
+
+        if parts > 1:
+            # the separators' Schur complement M_ss - sum_p C_p^T Y_p,
+            # scattered as ``eliminate`` scatters it, with a zero rhs column
+            couple = self._couple.copy()
+            c_t = couple.transpose(0, 2, 1)
+            ys = chains(couple.reshape(parts, chain, m, 2 * w).copy())
+            seps = (parts - 1) * w
+            prods = np.zeros((parts, 2 * w, 1 + 2 * w))
+            prods[..., 1:] = c_t @ ys
+            aug = np.bincount(self._schur_dst, prods.ravel(), seps * (seps + 1) + 1)[:-1]
+            sep_inv = np.linalg.inv(self._sep - aug.reshape(seps, seps + 1)[:, :seps])
+
+        def solve(rhs):
+            lay = np.zeros((parts, length + w))
+            lay.ravel()[:rhs.size] = rhs.ravel()
+            z = chains(lay[:, :length].reshape(parts, chain, m, 1))[..., 0]
+            if parts > 1:
+                # x_s = S_ss^-1 (rhs_s - sum_p C_p^T z_p); d_p = z_p - Y_p x
+                t = (c_t @ z[..., None])[..., 0]
+                x_s = sep_inv @ (lay[:-1, length:] - t[1:, :w] - t[:-1, w:]).ravel()
+                x_s = x_s.reshape(parts - 1, w)
+                sides = np.zeros((parts, 2 * w, 1))
+                sides[1:, :w, 0] = x_s
+                sides[:-1, w:, 0] = x_s
+                z = z - (ys @ sides)[..., 0]
+                lay[:-1, length:] = x_s
+            lay[:, :length] = z
+            return lay.ravel()[:rhs.size].reshape(rhs.shape)
+        return solve
 
 
 def p_flux_values(g: np.ndarray, p: float) -> np.ndarray:

@@ -43,34 +43,41 @@ c depend on p:
   between it and x.
 
 The solve and the operator evaluation follow from p and the stencil alone.
-M is solved directly (block LDL^T on its band, ``NonlocalOperator.
-normal_solve``; a narrow band is cut into partitions eliminated in one
-batched pass, with a small dense separator system between them),
-evaluating through the exact difference loop ``apply``, below p = 2, where
-the weights |A x|^(p-2) amplify rounding at zeros of A x, and for
-nearest-neighbour stencils (``reach == 1``), such as the local reference's,
-whose narrow-banded Hessian conditions like h/dx^4 and leaves residuals
-near the rounding floor.  The 1D correlations round locally like the loop,
-but the 2D ones are FFTs, whose global rounding takes the 2D local
-reference's worst step residual from 0.27 to 0.94 of its tolerance (README,
-Notes on tolerances).  Every other Hessian is solved matrix
-free by conjugate gradients, evaluating through the two correlations of
-the step: A E (E the zero extension of interior values) for energies and
-trials, ``apply_extended``, and its transpose E^T A for the flux term,
-``apply_restricted``; each product M v = v/h + E^T A (c A E v) costs two
-operator applies.  Above p = 2 CG is truncated at a tolerance set by
-Eisenstat-Walker forcing.  At p = 2 the step functional is quadratic and M
-its exact Hessian, so one CG solve to the residual floor lands on the
-minimizer, and the step certifies after one Newton iteration.  There
-c = 1, and each product M v = v/h + E^T A^2 E v is one squared correlation
-``apply_squared``, exact on the step grid for the reason above: a third
-evaluation, which never forms A v.  In 2D that CG is preconditioned with
-the operator's tau solve P^-1 = S diag(1 / (1/h + lambda^2)) S
-(``NonlocalOperator.tau_solve``), whose DST-I basis is built on the first
-solve and kept on the operator: on the evolve_2d step it cuts the CG
-products from 45 to 17.  Everywhere else CG is plain: in 1D the tau solve
-costs more than it saves (converge_p2 took 1,641 products without it and
-2,015 with it), and above p = 2 it has not been measured.
+Below p = 2, where the weights |A x|^(p-2) amplify rounding at zeros of
+A x, and for nearest-neighbour stencils (``reach == 1``), such as the local
+reference's, whose narrow-banded Hessian conditions like h/dx^4 and leaves
+residuals near the rounding floor, a step evaluates through the exact
+difference loop ``apply``.  The 1D correlations round locally like the
+loop, but the 2D ones are FFTs, whose global rounding takes the 2D local
+reference's worst step residual from 0.27 to 0.94 of its tolerance
+(README, Notes on tolerances).  Every other step evaluates through the two
+correlations of the step: A E (E the zero extension of interior values)
+for energies and trials, ``apply_extended``, and its transpose E^T A for
+the flux term, ``apply_restricted``.
+
+At p = 2 the step functional is quadratic, and M = I/h + E^T A^2 E (c = 1)
+is its exact Hessian and the same matrix at every step of a run, so one
+exact solve lands on the minimizer and the step certifies after one Newton
+iteration.  Wherever its band is narrow, in 1D and for ``reach == 1``, the
+operator factors M on the first step and keeps the factor, and every step
+solves by substitution (``NonlocalOperator.p2_solve``).  A 2D nonlocal
+band is too wide to factor (about 1,544 on evolve_2d's grid), so there one
+CG solve runs to the residual floor, each product M v = v/h + E^T A^2 E v
+one squared correlation ``apply_squared``, exact on the step grid for the
+reason above: a third evaluation, which never forms A v.  That CG is
+preconditioned with the operator's tau solve P^-1 = S diag(1 / (1/h +
+lambda^2)) S (``NonlocalOperator.tau_solve``), whose DST-I basis is built
+on the first solve and kept on the operator: on the evolve_2d step it cuts
+the CG products from 45 to 17.
+
+At p != 2 M changes with every iterate.  Where the step evaluates through
+the loop, M is solved directly (block LDL^T on its band, assembled and
+eliminated on every call, ``NonlocalOperator.normal_solve``; a narrow band
+is cut into partitions eliminated in one batched pass, with a small dense
+separator system between them).  Everywhere else it is solved matrix free
+by plain conjugate gradients, truncated at a tolerance set by
+Eisenstat-Walker forcing; each product M v = v/h + E^T A (c A E v) costs
+two operator applies.
 
 An evolution resolves its residual tolerance once, from its initial state
 (``effective_inner_tol``, kept as ``Trajectory.inner_tol``), records the
@@ -353,13 +360,18 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
     # One direction d = M^-1 g with the model weights of fn.curvature; the
     # solve and the evaluation follow from p and the stencil (module
     # docstring).
-    if p < 2.0 or op.reach == 1:
-        fn = _StepFunctional(op, u_prev_int, p, h)
+    loop = p < 2.0 or op.reach == 1
+    fn = _StepFunctional(op, u_prev_int, p, h,
+                         None if loop else (op.apply_extended, op.apply_restricted))
+    if p == 2.0 and (op.reach == 1 or op.spec.dim == 1):
+        factor = op.p2_solve(1.0 / h)
 
+        def solve(curv, g):
+            return factor(g)
+    elif loop:
         def solve(curv, g):
             return op.normal_solve(curv, 1.0 / h, g)
     else:
-        fn = _StepFunctional(op, u_prev_int, p, h, (op.apply_extended, op.apply_restricted))
         solve = _cg_solve(fn, tol)
     label = "reweighted" if p < 2.0 else "Newton"
 
@@ -415,8 +427,9 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
 
 
 def _cg_solve(fn, tol):
-    """Conjugate gradients on H d = g, matrix free; at p = 2 in 2D
-    preconditioned with the operator's tau solve (module docstring).
+    """Conjugate gradients on H d = g, matrix free; at p = 2, which only 2D
+    steps solve by CG, preconditioned with the operator's tau solve (module
+    docstring).
 
     CG stops at the forcing tolerance (none at p = 2), floored at half the
     relative accuracy the step tolerance asks for, or after one iteration
@@ -424,7 +437,7 @@ def _cg_solve(fn, tol):
     iterate from d = 0 is a descent direction (H >= I/h, and P SPD).
     """
     g_prev = None  # ||g|| at the previous Newton iteration
-    tau = fn.p == 2.0 and fn.op.spec.dim == 2
+    tau = fn.p == 2.0
 
     def solve(curv, g):
         nonlocal g_prev

@@ -476,7 +476,7 @@ class TestNormalSolve:
         # partitions of 11 and 4 blocks of 32 (n = 1024), padded past the
         # last unknown; at n = 103 the padding fills the last partition and
         # the separator before it
-        monkeypatch.setattr(nlop, "_partitions", lambda n, width: parts)
+        monkeypatch.setattr(nlop, "_layout", lambda n, width: (parts, 32))
         spec = make_domain(1, (0.0, 1.0), nx, 0.4)
         op = NonlocalOperator(local_stencil(spec), spec)
         model = op._normal
@@ -493,6 +493,59 @@ class TestNormalSolve:
             spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), nx, 0.3)
             model = BandedNormal(NonlocalOperator(local_stencil(spec), spec))
             assert model.width == 2 * nx and model.parts == 1
+
+
+# name: (dim, box, nx, stencil eps or None for the local stencil, grid
+# eps, partitions, block length) of the p = 2 factors the runs keep: the
+# battery's 1D grid (one block), converge_p2's eps = 0.4 (the full band of
+# n = 256, one block), its local reference and the 2D local Hessian.
+P2_FACTOR_CASES = {
+    "nonlocal1d_n64": (1, (0.0, 1.0), 64, 0.2, 0.2, 1, 64),
+    "nonlocal1d_full": (1, (0.0, 1.0), 256, 0.4, 0.4, 1, 256),
+    "local1d_n256": (1, (0.0, 1.0), 256, None, 0.4, 13, 18),
+    "local2d_nx16": (2, ((0.0, 1.0), (0.0, 1.0)), 16, None, 0.25, 1, 32),
+}
+
+
+class TestP2Solve:
+    """``p2_solve``, the substitution with ``BandedNormal``'s kept factor,
+    against ``np.linalg.solve`` of the dense shift I + A^T A from the
+    oracle's restricted matrix, with ``TestNormalSolve``'s bounds."""
+
+    @pytest.fixture(scope="class", params=sorted(P2_FACTOR_CASES))
+    def case(self, request):
+        dim, box, nx, eps, grid_eps, parts, block = P2_FACTOR_CASES[request.param]
+        spec = make_domain(dim, box, nx, grid_eps)
+        st_ = local_stencil(spec) if eps is None else discretize(get_kernel("tent"), eps, spec)
+        return NonlocalOperator(st_, spec), parts, block
+
+    def test_matches_dense_solve(self, case, rng):
+        op, parts, block = case
+        shift = op.norm_bound() ** 2  # I/h at the scale of A^2
+        g = rng.standard_normal(op.spec.nx)
+        kept = g.copy()
+        d = op.p2_solve(shift)(g)
+        assert (op._normal.parts, op._normal.block) == (parts, block)
+        assert np.array_equal(g, kept) and d.shape == g.shape
+        am = restricted_matrix(op)
+        dense = shift * np.eye(op.spec.n_interior) + am.T @ am
+        ref = np.linalg.solve(dense, g.ravel())
+        eig = np.linalg.eigvalsh(dense)[[0, -1]]
+        assert np.linalg.norm(dense @ d.ravel() - g.ravel()) <= 1e-12 * eig[1] * np.linalg.norm(d)
+        assert np.linalg.norm(d.ravel() - ref) <= 1e-12 * (eig[1] / eig[0]) * np.linalg.norm(ref)
+
+    def test_factor_is_kept_per_shift(self, case, rng):
+        # a solve reuses its shift's factor, and a later per-call direct
+        # solve, which assembles the same blocks anew, leaves it unchanged
+        op = NonlocalOperator(case[0].stencil, case[0].spec)
+        g = rng.standard_normal(op.spec.nx)
+        solve = op.p2_solve(1.0)
+        first = solve(g)
+        op.normal_solve(rng.uniform(0.5, 2.0, op.spec.padded_shape), 3.0, g)
+        assert op.p2_solve(1.0) is solve
+        assert op.p2_solve(2.0) is not solve
+        assert np.array_equal(solve(g), first)
+        assert not np.shares_memory(solve(g), first)
 
 
 class TestTauSolve:

@@ -40,18 +40,23 @@ def test_bench_apply_solves_are_backward_stable():
     # timings: block elimination of an SPD band is backward stable, with a
     # backward error bounded by a modest multiple of n eps_mach (Higham,
     # Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9 and
-    # 13); the rows read 1e-17 to 1e-16, n eps_mach is 1.4e-14 to 9.1e-13
+    # 13); the rows read 1e-17 to 1e-16, n eps_mach is 1.4e-14 to 9.1e-13.
+    # The substitution with the kept p = 2 factor, built from block
+    # inverses, is held to the same bound.
     bench = load_script("bench_apply")
     rng = np.random.default_rng(0)
     for case in bench.SOLVE_CASES:
-        op, _, _, _, err = bench.solve_case(case, rng)
-        assert err <= op.spec.n_interior * np.finfo(float).eps, (case, err)
+        op, _, _, _, err, _, sub_err = bench.solve_case(case, rng)
+        bound = op.spec.n_interior * np.finfo(float).eps
+        assert err <= bound, (case, err)
+        assert sub_err <= bound, (case, sub_err)
 
 
 def test_bench_apply_steps_certify():
     # every row of bench_apply.py's step table, run once without its timings;
     # evolve_2d's tau-preconditioned step takes at most 21 applies (49 with
-    # plain CG)
+    # plain CG), and decay_p2's step with the kept factor one iteration of
+    # four applies
     bench = load_script("bench_apply")
     for case in bench.STEP_CASES:
         _, _, tol, step = bench.step_case(case)
@@ -59,6 +64,8 @@ def test_bench_apply_steps_certify():
         assert res.iters > 0 and res.residual <= tol, (case, res.residual, tol)
         if case[1:4] == (2, 64, 0.2):
             assert res.applies <= 21, res.applies
+        if case[0] == "newton_factor":
+            assert (res.iters, res.applies) == (1, 4)
 
 
 def test_bench_apply_evolutions_run():

@@ -116,8 +116,9 @@ class TestStepGradient:
 class _CountingOperator(NonlocalOperator):
     """Counts its own evaluations (``calls``, loop, both correlation maps
     and squared correlation; ``corr_calls``, the two maps, and
-    ``squared_calls``), its direct solves and its tau solves built;
-    ``order`` names each evaluation's method in turn."""
+    ``squared_calls``), its direct solves, its tau solves built and its
+    p = 2 factors made (``factors``); ``order`` names each evaluation's
+    method in turn."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -126,6 +127,7 @@ class _CountingOperator(NonlocalOperator):
         self.squared_calls = 0
         self.solves = 0
         self.tau_solves = 0
+        self.factors = 0
         self.order = []
 
     def apply(self, values):
@@ -158,6 +160,10 @@ class _CountingOperator(NonlocalOperator):
     def tau_solve(self, shift):
         self.tau_solves += 1
         return super().tau_solve(shift)
+
+    def p2_solve(self, shift):
+        self.factors += shift not in self._p2_factors
+        return super().p2_solve(shift)
 
 
 class TestImplicitStep:
@@ -237,8 +243,12 @@ class TestImplicitStep:
         res = _minimize_step(op, rng.standard_normal(16), p, 1e-3, 1e-8, 30000)
         assert res.iters > 0
         assert res.applies == op.calls
-        # at p = 2 each CG product is one squared correlation
-        assert (op.squared_calls > 0) == (p == 2.0)
+        # no 1D step makes a squared correlation: at p = 2 one substitution
+        # with the kept factor lands on the minimizer, and the t = 1 trial
+        # certifies it (A x and its flux, the trial and its flux)
+        assert op.squared_calls == 0
+        if p == 2.0:
+            assert (res.iters, res.applies, op.factors) == (1, 4, 1)
         u0 = rng.standard_normal(16)
         op.calls = 0
         traj = evolve(u0, domain16, op, cfg(p=p, h=1e-3, T=5e-3, inner_max_iters=30000))
@@ -412,7 +422,8 @@ class TestNewtonStep:
     @pytest.mark.parametrize("dim,nx", [(1, 64), (2, 16)], ids=["1d_nx64", "2d_nx16"])
     def test_p2_step_certifies_in_one_iteration(self, dim, nx):
         # At p = 2 the step functional is quadratic and M its exact Hessian:
-        # one CG solve to the residual floor is its minimizer.
+        # one direction solve to the residual floor is its minimizer, by
+        # substitution with the kept factor in 1D and by tau-PCG in 2D.
         kern = get_kernel("tent")
         spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, 0.2)
         st_ = discretize(kern, 0.2, spec)
@@ -425,6 +436,7 @@ class TestNewtonStep:
         op = _CountingOperator(st_, replace(spec, pad_cells=st_.reach))
         _minimize_step(op, u0, 2.0, 1e-3, traj.inner_tol, 5000)
         assert op.calls - op.squared_calls == 4
+        assert (op.squared_calls, op.factors) == ((0, 1) if dim == 1 else (8, 0))
 
     def test_pcg_direction_meets_the_dense_stop(self, tent2d, rng):
         # At p = 2 in 2D CG runs preconditioned with the tau solve.  Its
@@ -453,7 +465,8 @@ class TestNewtonStep:
 
     def test_2d_p2_step_cg_products(self, tent2d):
         # the tau-preconditioned CG of one 2D p = 2 step from a random start
-        # (47 squared correlations without the preconditioner)
+        # (47 squared correlations without the preconditioner); a 2D
+        # nonlocal band is too wide to factor, so no factor is made
         spec = make_domain(2, [(0.0, 1.0)] * 2, 16, 0.2)
         st_ = discretize(tent2d, 0.2, spec)
         u0 = np.random.default_rng(7).standard_normal(spec.nx)
@@ -461,13 +474,14 @@ class TestNewtonStep:
         tol = effective_inner_tol(op, lq_sum_norm(u0.ravel(), 2, spec.cell_volume))
         res = _minimize_step(op, u0, 2.0, 5e-3, tol, 5000)
         assert res.iters == 1 and res.residual <= tol
-        assert op.tau_solves == 1
+        assert (op.tau_solves, op.factors, op.solves) == (1, 0, 0)
         assert op.squared_calls == 13
         assert res.applies == 17
 
-    @pytest.mark.parametrize("p,applies", [(2.0, 24), (3.0, 469)])
+    @pytest.mark.parametrize("p,applies", [(2.0, 4), (3.0, 469)])
     def test_1d_steps_keep_their_apply_counts(self, tent1d, p, applies):
-        # in 1D CG is plain at every p: these are unpreconditioned CG's counts
+        # in 1D a p = 2 step solves with the kept factor, in one iteration
+        # of four applies, and a p = 3 step runs plain CG
         spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         st_ = discretize(tent1d, 0.2, spec)
         u0 = np.random.default_rng(7).standard_normal(spec.nx)
@@ -477,6 +491,26 @@ class TestNewtonStep:
         assert res.residual <= tol
         assert op.tau_solves == 0
         assert res.applies == applies
+
+    def test_1d_p2_run_factors_once(self, tent1d, rng):
+        # every step of a 1D p = 2 run solves with one kept factor, and
+        # none makes a squared correlation or a per-call direct solve
+        spec = make_domain(1, (0.0, 1.0), 16, 0.25)
+        op = _CountingOperator(discretize(tent1d, 0.25, spec), spec)
+        traj = evolve(rng.standard_normal(16), spec, op, cfg(h=1e-3, T=50e-3))
+        assert traj.n_steps == 50 and traj.inner_iters.max() == 1
+        assert np.all(traj.residuals[1:] <= traj.inner_tol)
+        assert (op.factors, op.squared_calls, op.solves) == (1, 0, 0)
+
+    def test_2d_local_p2_steps_certify_in_one_iteration(self):
+        # the 2D local Hessian (band 2 nx) solves with its kept factor and
+        # evaluates through the loop: one Newton iteration per live step
+        spec = make_domain(2, ((0.0, 1.0), (0.0, 1.0)), 16, 0.25)
+        op = _CountingOperator(local_stencil(spec), spec)
+        traj = evolve(default_bump(spec), spec, op, cfg(h=1e-4, T=1e-3))
+        assert traj.inner_iters[1:].tolist() == [1] * 10
+        assert traj.residuals.max() <= 0.5 * traj.inner_tol
+        assert (op.factors, op.corr_calls, op.squared_calls, op.solves) == (1, 0, 0, 0)
 
     @pytest.mark.parametrize("nearest", [True, False], ids=["reach1", "reach3"])
     def test_solve_follows_from_the_stencil(self, tent1d, domain16, stencil16, nearest):
