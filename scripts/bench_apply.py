@@ -46,7 +46,9 @@ each way of solving the step model: Newton-CG on converge's 1D K = 50
 stencil at p = 3 and, tau-preconditioned, on evolve_2d's 2D K = 508 stencil
 at p = 2 and on a 2D nx = 128, eps = 0.1 stencil (both from evolve_2d's
 random start, seed 404; the quadratic step takes one Newton iteration),
-direct Newton on the local 1D Hessian (n = 256), Newton with the kept p = 2
+Newton with the lagged factor on the local 1D Hessian (n = 256; CG
+preconditioned by a kept factor, ``nlop.LaggedFactor``, which a lone step
+makes for itself, as a run's first step does), Newton with the kept p = 2
 factor on decay_p2's grid and start (seed 606; the factor is made in the
 first run and kept on the operator, as a run keeps it), and the direct
 reweighted step below p = 2.  Each step, the local one included,
@@ -55,11 +57,14 @@ iterations, operator applies (a squared correlation counts as one) and
 the median, min and max milliseconds, keyed by dim, n and K.
 
 The fourth table runs ``stepper.evolve`` on the grid, stencil and start of
-a shipped 1D study config (decay_p2 and decay_p3 from scripts/configs/),
-where a step costs its fixed overhead more than its operator work.  It
-prints the steps, the frozen steps (those that return their certified
-start with no inner iteration), the operator applies (the step-0 loop
-apply included), the median, min and max milliseconds per run, the
+a shipped 1D study config: decay_p2 and decay_p3 from scripts/configs/,
+where a step costs its fixed overhead more than its operator work, and
+converge_p3's clamped local reference and its eps = 0.1 run, its two
+costliest solves (``CONVERGE_RUNS``).  It prints the steps, the frozen
+steps (those that return their certified start with no inner iteration),
+the lagged factorizations (``nlop.LaggedFactor``), the step-model products
+of CG with or without the lagged factor, the operator applies (the step-0
+loop apply included), the median, min and max milliseconds per run, the
 median microseconds per step, and the median milliseconds of writing the
 run's trajectory CSV (``stepper.trajectory_to_csv``, into a temporary
 directory).
@@ -72,6 +77,7 @@ and min and max show the spread (the best of a few runs swung by 2x
 between invocations on a shared host).
 """
 
+import contextlib
 import tempfile
 import time
 from pathlib import Path
@@ -81,9 +87,10 @@ import numpy as np
 from nlbiharm import (
     NonlocalOperator, StepperConfig, default_bump, discretize, evolve, get_kernel, make_domain,
 )
-from nlbiharm.cli import _grid_and_stencil, _initial_state, parse_config
+from nlbiharm import stepper
+from nlbiharm.cli import _grid, _grid_and_stencil, _initial_state, parse_config
 from nlbiharm.grid import lq_sum_norm
-from nlbiharm.localref import local_stencil
+from nlbiharm.localref import local_evolve, local_stencil
 from nlbiharm.nlop import BandedNormal
 from nlbiharm.stepper import _minimize_step, as_operator, effective_inner_tol, trajectory_to_csv
 
@@ -124,22 +131,25 @@ SOLVE_H = 1e-4
 
 # (solver, dim, nx, eps of the stencil or None for the local one, grid eps,
 # p, h, start: "bump", "gaussian" or the seed of a random start) on the
-# unit box: converge_p3's first step at its middle scale and for its local
-# reference, evolve_2d's step and the same step on a finer 2D grid,
+# unit box: converge_p3's first step at its smallest scale and for its
+# local reference, evolve_2d's step and the same step on a finer 2D grid,
 # decay_p2's first step, a p = 1.5 step on the battery's 1D stencil, and a
 # p = 1.2 step whose reweighted direction once stalled in cancellation.
 STEP_CASES = [
     ("newton_cg", 1, 256, 0.1, 0.4, 3.0, 1e-4, "bump"),
     ("newton_cg", 2, 64, 0.2, 0.2, 2.0, 5e-3, 404),
     ("newton_cg", 2, 128, 0.1, 0.1, 2.0, 5e-3, 404),
-    ("newton_direct", 1, 256, None, 0.4, 3.0, 1e-4, "bump"),
+    ("newton_lagged", 1, 256, None, 0.4, 3.0, 1e-4, "bump"),
     ("newton_factor", 1, 64, 0.2, 0.2, 2.0, 2e-3, 606),
     ("reweighted", 1, 64, 0.2, 0.2, 1.5, 1e-3, "bump"),
     ("reweighted", 1, 128, 0.2, 0.2, 1.2, 1e-4, "gaussian"),
 ]
 
-# shipped study configs whose evolution the fourth table runs
+# shipped study configs whose evolution the fourth table runs, and the
+# runs of converge_p3 it adds: eps of the nonlocal run, None for the local
+# reference
 EVOLVE_CASES = ["decay_p2", "decay_p3"]
+CONVERGE_RUNS = [None, 0.1]
 CONFIG_DIR = Path(__file__).parent / "configs"
 
 
@@ -231,6 +241,47 @@ def evolve_case(name):
     return lambda: evolve(u0, spec, st, scfg)
 
 
+def converge_case(eps):
+    """A function that runs one evolution of converge_p3 once, on its grid
+    from its start: the nonlocal run at ``eps``, or the clamped local
+    reference for None, and returns the trajectory."""
+    cfg = parse_config(CONFIG_DIR / "converge_p3.cfg")
+    spec = _grid(cfg, max(cfg.epsilon_list))
+    u0 = _initial_state(cfg, spec)
+    scfg = cfg.stepper_config()
+    if eps is None:
+        return lambda: local_evolve(u0, spec, scfg)
+    st = discretize(TENT, eps, spec)
+    return lambda: evolve(u0, spec, st, scfg)
+
+
+@contextlib.contextmanager
+def counted_work():
+    """Count, while in the block, the step-model products of every CG solve
+    (``_StepFunctional.hessian_product``) and the factorizations of every
+    lagged factor (``nlop.LaggedFactor``) into the yielded dict."""
+    counts = {"products": 0, "factors": 0}
+    kept = []
+    product = stepper._StepFunctional.hessian_product
+    lagged = NonlocalOperator.lagged_factor
+
+    def counted_product(self, v, curv):
+        counts["products"] += 1
+        return product(self, v, curv)
+
+    def counted_lagged(self, shift):
+        kept.append(lagged(self, shift))
+        return kept[-1]
+    stepper._StepFunctional.hessian_product = counted_product
+    NonlocalOperator.lagged_factor = counted_lagged
+    try:
+        yield counts
+    finally:
+        stepper._StepFunctional.hessian_product = product
+        NonlocalOperator.lagged_factor = lagged
+        counts["factors"] = sum(k.factors for k in kept)
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     print(f"{'study':<11} {'dim':>3} {'nx':>4} {'nodes':>6} {'step':>6} {'K':>4} "
@@ -293,10 +344,14 @@ def main() -> int:
               f"{min(runs):>8.1f} {max(runs):>8.1f}")
 
     print()
-    print(f"{'evolve':<13} {'steps':>6} {'frozen':>6} {'applies':>7} "
-          f"{'ms':>8} {'min_ms':>8} {'max_ms':>8} {'us_step':>8} {'csv_ms':>7}")
-    for name in EVOLVE_CASES:
-        run = evolve_case(name)
+    print(f"{'evolve':<13} {'steps':>6} {'frozen':>6} {'factors':>7} {'products':>8} "
+          f"{'applies':>7} {'ms':>8} {'min_ms':>8} {'max_ms':>8} {'us_step':>8} {'csv_ms':>7}")
+    cases = [(name, evolve_case(name)) for name in EVOLVE_CASES] + [
+        ("converge_" + ("local" if eps is None else f"{eps:g}"), converge_case(eps))
+        for eps in CONVERGE_RUNS]
+    for name, run in cases:
+        with counted_work() as counts:
+            run()
         runs = []
         for _ in range(EVOLVE_REPEATS):
             begin = time.perf_counter()
@@ -312,7 +367,8 @@ def main() -> int:
         frozen = int(np.sum(traj.inner_iters[1:] == 0))
         applies = int(traj.applies.sum()) + 1  # and the step-0 loop apply
         ms = np.median(runs)
-        print(f"{name:<13} {traj.n_steps:>6} {frozen:>6} {applies:>7} {ms:>8.1f} "
+        print(f"{name:<13} {traj.n_steps:>6} {frozen:>6} {counts['factors']:>7} "
+              f"{counts['products']:>8} {applies:>7} {ms:>8.1f} "
               f"{min(runs):>8.1f} {max(runs):>8.1f} {1e3 * ms / traj.n_steps:>8.1f} "
               f"{np.median(writes):>7.2f}")
     return 0

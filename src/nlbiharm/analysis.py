@@ -363,9 +363,11 @@ def contraction_study(
     """Track the interior L^2 distance of two runs with identical configs
     on the grid ``spec``, from the interior values ``u0_a`` and ``u0_b``;
     an increase counts as a violation past 10 times the looser of the two
-    runs' step tolerances."""
-    traj_a = evolve(u0_a, spec, st, cfg)
-    traj_b = evolve(u0_b, spec, st, cfg)
+    runs' step tolerances.  Both runs step with one operator, and so share
+    the factors it keeps (``as_operator``)."""
+    op = as_operator(st, spec)
+    traj_a = evolve(u0_a, spec, op, cfg)
+    traj_b = evolve(u0_b, spec, op, cfg)
     slack = 10.0 * max(traj_a.inner_tol, traj_b.inner_tol)
     dists = _distances(traj_a, traj_b, 2)
     flags = [0] + [int(b - a > slack) for a, b in zip(dists, dists[1:])]

@@ -44,7 +44,9 @@ separator system; a wide band is one chain.  ``p2_solve`` keeps the
 factor of the p = 2 model shift I + E^T A^2 E (c = 1), which every step of
 a run shares: it is made once per shift, and each solve is a substitution
 of batched matrix products (the factor-once, substitute-many split of
-Golub & Van Loan, Matrix Computations, 4th ed., ch. 4).
+Golub & Van Loan, Matrix Computations, 4th ed., ch. 4).  Above p = 2 a
+run's ``LaggedFactor`` keeps the same kind of factor for an earlier
+iterate's weights, as the preconditioner of CG on the current model.
 ``tau_solve`` inverts the tau-algebra approximation of the p = 2 model
 shift I + E^T A^2 E, a (block) Toeplitz section with symbol lambda^2, where
 lambda(xi) = sum_d t_d prod_a cos(xi_a d_a) is the symbol of the taps
@@ -163,6 +165,13 @@ class NonlocalOperator:
             if d > origin
         ]
 
+    @cached_property
+    def step_window(self):
+        """The step window, the interior plus the reach per axis, as slices
+        of the operator's padded grid."""
+        pad = self.spec.pad_cells
+        return tuple(slice(pad - self.reach, pad + n + self.reach) for n in self.spec.nx)
+
     def apply_extended(self, interior: np.ndarray) -> np.ndarray:
         """A E v: the operator on the zero extension of ``interior`` values,
         on the step window, as a new array (module docstring)."""
@@ -215,12 +224,13 @@ class NonlocalOperator:
 
     def normal_solve(self, c: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (shift I + A^T diag(c) A) d = rhs over interior values, for
-        A = apply after zero extension and a weight c >= 0 per padded node;
-        partitioned block LDL^T on the band (``BandedNormal``), built on the
-        first call and kept, assembled and eliminated again on every call.
-        The stepper's direct direction solve below p = 2, and above it for
-        nearest-neighbour stencils (``reach == 1``); at p = 2, where M does
-        not change, ``p2_solve`` keeps its factor."""
+        A = apply after zero extension and a weight c >= 0 per node of the
+        padded grid or of the step window; partitioned block LDL^T on the
+        band (``BandedNormal``), built on the first call and kept, assembled
+        and eliminated again on every call.  The stepper's direction solve
+        below p = 2; at p = 2, where M does not change, ``p2_solve`` keeps
+        its factor, and above p = 2 a nearest-neighbour step preconditions CG
+        with a lagged one (``LaggedFactor``)."""
         self._normal.assemble(c, shift)
         return self._normal.eliminate(rhs)
 
@@ -243,6 +253,23 @@ class NonlocalOperator:
     @cached_property
     def _p2_factors(self):
         return {}
+
+    def lagged_factor(self, shift: float) -> "LaggedFactor":
+        """A new ``LaggedFactor`` of the step model shift I + A^T diag(c) A
+        for one run's p > 2 steps.  It factors through the operator's
+        ``BandedNormal`` and keeps its own copy, apart from ``p2_solve``'s
+        exact factors, which the operator keeps per shift: the two never
+        mix."""
+        return LaggedFactor(self, shift)
+
+    def product_us(self) -> float:
+        """Modelled cost in us of one step-model product v/h + E^T A (c A E
+        v) of a step that solves with a ``LaggedFactor`` (``_kept_us``): two
+        correlations in 1D, two loop applies in 2D."""
+        if self.spec.dim == 1:
+            return _kept_us(6, 4 * self.spec.n_interior * np.count_nonzero(self._taps()))
+        pairs, nodes = len(self._terms), int(np.prod(self.spec.padded_shape))
+        return _kept_us(7 + 8 * pairs, 8 * pairs * nodes)
 
     def tau_solve(self, shift: float):
         """P^-1 = S diag(1 / (shift + lambda^2)) S over the interior values of
@@ -293,6 +320,21 @@ class NonlocalOperator:
 # the separator stage.  Median relative error 9% over the 68 timed layouts
 # of the fit.
 STEP_US, MATRIX_US, FLOP_NS, SEPARATE_US = 15.0, 1.5, 0.25, 40.0
+
+
+# Modelled cost in us of the lagged factor's operations (``LaggedFactor``):
+# a step-model product, a substitution with the kept factor, and an
+# assembly plus factorization.  Each is KEPT_CALL_US per numpy call it
+# makes, KEPT_INVERSE_US more per batched inverse, and KEPT_FLOP_NS per
+# flop, fitted to timings of the three on 1D nonlocal bands (n = 64 to 512,
+# width 12 to 204), the 1D local band (n = 64 to 1,024) and the 2D local one
+# (nx = 16 to 48), on one OpenBLAS thread of a shared 2-vCPU VM.  Median
+# relative error 18% over the 63 timings of the fit.
+KEPT_CALL_US, KEPT_INVERSE_US, KEPT_FLOP_NS = 0.9, 12.0, 0.11
+
+
+def _kept_us(calls: int, flops: float, inverses: int = 0) -> float:
+    return KEPT_CALL_US * calls + KEPT_INVERSE_US * inverses + 1e-3 * KEPT_FLOP_NS * flops
 
 
 def _layout(n: int, width: int):
@@ -385,15 +427,22 @@ class BandedNormal:
         full = op._taps()
         offs = np.argwhere(full) - op.reach
         taps = full[full != 0.0]
-        pad_strides = np.cumprod((spec.padded_shape[1:] + (1,))[::-1])[::-1]
+        r = op.reach
+        self._window_shape = tuple(k + 2 * r for k in nx)
+        self._window = op.step_window
+        win_strides = np.cumprod((self._window_shape[1:] + (1,))[::-1])[::-1]
         int_strides = np.cumprod((nx[1:] + (1,))[::-1])[::-1]
         coords = np.indices(nx).reshape(dim, n)
-        # c at i - e_a for every tap a and interior node i
-        self._gather = ((coords.T + spec.pad_cells) @ pad_strides)[None, :] - (
-            offs @ pad_strides)[:, None]
+        # c at i - e_a on the step window for every tap a and interior node i
+        self._gather = ((coords.T + r) @ win_strides)[None, :] - (offs @ win_strides)[:, None]
         diff = offs[None, :, :] - offs[:, None, :]  # e_b - e_a at [a, b]
         a_idx, b_idx = np.nonzero(diff @ int_strides >= 0)
-        ks, k_inv = np.unique(diff[a_idx, b_idx], axis=0, return_inverse=True)
+        # the distinct e_b - e_a in lexicographic order, through one integer
+        # key per pair: a mixed radix over [-2 reach, 2 reach] per axis
+        rows = diff[a_idx, b_idx]
+        radix = (4 * op.reach + 1) ** np.arange(dim - 1, -1, -1)
+        _, first, k_inv = np.unique(rows @ radix, return_index=True, return_inverse=True)
+        ks = rows[first]
         self._products = np.zeros((len(ks), len(offs)))
         np.add.at(self._products, (k_inv.ravel(), a_idx), taps[a_idx] * taps[b_idx])
         self._centre = int(np.flatnonzero(~ks.any(axis=1))[0])
@@ -461,7 +510,10 @@ class BandedNormal:
         self._schur_dst = np.where(keep, row * (seps + 1) + col, seps * (seps + 1)).ravel()
 
     def assemble(self, c: np.ndarray, shift: float) -> None:
-        """Write the blocks of M for the weight c (padded shape)."""
+        """Write the blocks of M for the weight c, given on the step window
+        or on the operator's padded grid, where it is read on the window."""
+        if c.shape != self._window_shape:
+            c = c[self._window]
         bands = self._products @ c.ravel()[self._gather]
         bands[self._centre] += shift
         flat = bands.ravel()
@@ -521,6 +573,38 @@ class BandedNormal:
         out[:-1, length:] = x_s
         return out.ravel()[:n].reshape(rhs.shape)
 
+    def substitution_us(self) -> float:
+        """Modelled cost in us of one substitution with a kept factor
+        (``_kept_us``): a forward and a back sweep of batched matrix-vector
+        products along the chains and, with several partitions, the three
+        products of the separator stage."""
+        parts, chain, m = self._diag.shape[:3]
+        seps = (parts - 1) * self.width
+        flops = parts * (chain * 2 * m * m + (chain - 1) * 4 * self.width * m)
+        calls = 6 * chain + 4
+        if parts > 1:
+            flops += 4 * seps * parts * self.length + 2 * seps * seps
+            calls += 6
+        return _kept_us(calls, flops)
+
+    def factor_us(self) -> float:
+        """Modelled cost in us of one ``assemble`` and ``factor``
+        (``_kept_us``): the bands' product, a batched inverse and the Schur
+        products per chain step and, with several partitions, the coupling
+        solves, the separators' inverse and the separator stage's maps."""
+        parts, chain, m = self._diag.shape[:3]
+        w, seps = self.width, (parts - 1) * self.width
+        flops = 2 * self._products.size * self._gather.shape[1] + parts * (
+            chain * 2 * m ** 3 + (chain - 1) * (2 * m * m * w + 2 * w * w * m))
+        calls, inverses = 7 * chain + 12, parts * chain
+        if parts > 1:
+            flops += parts * (chain * 4 * w * m * m + (chain - 1) * 8 * w * w * m) + (
+                8 * parts * self.length * w * w + 2 * seps ** 3
+                + 2 * seps * seps * parts * self.length)
+            calls += 6 * chain + 16
+            inverses += 1
+        return _kept_us(calls, flops, inverses)
+
     def factor(self):
         """The kept factor of the assembled M, as a callable that solves
         M d = rhs (interior shape) by substitution and returns a new array.
@@ -562,24 +646,89 @@ class BandedNormal:
             prods[..., 1:] = c_t @ ys
             aug = np.bincount(self._schur_dst, prods.ravel(), seps * (seps + 1) + 1)[:-1]
             sep_inv = np.linalg.inv(self._sep - aug.reshape(seps, seps + 1)[:, :seps])
+            # C^T and Y = A^-1 C as dense maps between the partitions'
+            # unknowns and the separators: partition q + 1 couples through
+            # its first w columns to separator q, partition q through its
+            # last w to separator q; x_s = S_ss^-1 rhs_s - (S_ss^-1 C^T) z
+            q = np.arange(parts - 1)
+            c_map = np.zeros((parts - 1, w, parts, length))
+            c_map[q, :, q + 1] = c_t[1:, :w]
+            c_map[q, :, q] = c_t[:-1, w:]
+            w_map = sep_inv @ c_map.reshape(seps, parts * length)
+            y_map = np.zeros((parts, length, parts - 1, w))
+            y_map[q + 1, :, q] = ys[1:, :, :w]
+            y_map[q, :, q] = ys[:-1, :, w:]
+            y_map = y_map.reshape(parts * length, seps)
 
         def solve(rhs):
             lay = np.zeros((parts, length + w))
             lay.ravel()[:rhs.size] = rhs.ravel()
-            z = chains(lay[:, :length].reshape(parts, chain, m, 1))[..., 0]
+            z = chains(lay[:, :length].reshape(parts, chain, m, 1))
             if parts > 1:
-                # x_s = S_ss^-1 (rhs_s - sum_p C_p^T z_p); d_p = z_p - Y_p x
-                t = (c_t @ z[..., None])[..., 0]
-                x_s = sep_inv @ (lay[:-1, length:] - t[1:, :w] - t[:-1, w:]).ravel()
-                x_s = x_s.reshape(parts - 1, w)
-                sides = np.zeros((parts, 2 * w, 1))
-                sides[1:, :w, 0] = x_s
-                sides[:-1, w:, 0] = x_s
-                z = z - (ys @ sides)[..., 0]
-                lay[:-1, length:] = x_s
-            lay[:, :length] = z
+                # x_s = S_ss^-1 (rhs_s - C^T z); d = z - Y x_s
+                z = z.ravel()
+                x_s = sep_inv @ lay[:-1, length:].ravel() - w_map @ z
+                z = (z - y_map @ x_s).reshape(parts, length, 1)
+                lay[:-1, length:] = x_s.reshape(parts - 1, w)
+            lay[:, :length] = z[..., 0]
             return lay.ravel()[:rhs.size].reshape(rhs.shape)
         return solve
+
+
+class LaggedFactor:
+    """A kept factor of the step model M = shift I + A^T diag(c) A for the
+    weights c of an earlier Newton iterate, the preconditioner of CG on the
+    current M: the lagged Jacobian of Jacobian-free Newton-Krylov practice
+    (Knoll & Keyes, J. Comput. Phys. 193, 2004).  A run holds one
+    (``NonlocalOperator.lagged_factor``), and the stepper reports each CG
+    product to it (``charge``).
+
+    Refactor: a factor made at a solve's own weights is the direct solve
+    of its M, one substitution t_s.  With a kept factor, a CG solve of k
+    products takes k substitutions too, k (t_p + t_s) for a product t_p
+    (``NonlocalOperator.product_us``), so it costs k t_p + (k - 1) t_s more.
+    Once that excess, summed product by product since the last
+    factorization, reaches the cost t_f of an assembly and factorization
+    (``BandedNormal``), the factor is stale: a solve that has not converged
+    by then factors M at its own weights and solves directly, and otherwise
+    the next solve does.  This is the
+    break-even rule of ski rental: the refactorizations cost no more than
+    the extra work they save, and the total stays within twice that of the
+    best schedule in hindsight (Karlin, Manasse, Rudolph & Sleator,
+    Algorithmica 3, 1988).  All three costs are modelled from the stencil
+    and the band layout (``_kept_us``); nothing is timed.
+    """
+
+    def __init__(self, op: NonlocalOperator, shift: float):
+        self._normal = op._normal
+        self.shift = shift
+        self._product_us = op.product_us()
+        self._substitution_us = self._normal.substitution_us()
+        self._factor_us = self._normal.factor_us()
+        self.factors = 0
+        self._solve = None  # the kept substitution; None when stale
+        self._excess = 0.0  # us of CG work past the direct solve's
+
+    def preconditioner(self, c: np.ndarray):
+        """The kept substitution and whether it was made for this solve, at
+        its weights ``c``, because there was none or it was stale: then it
+        is the direct solve of M itself."""
+        if self._solve is None:
+            self._normal.assemble(c, self.shift)
+            self._solve = self._normal.factor()
+            self.factors += 1
+            self._excess = 0.0
+            return self._solve, True
+        return self._solve, False
+
+    def charge(self, product: int) -> bool:
+        """Count the ``product``-th step-model product of a CG solve with
+        the kept factor, and its substitution past the first; whether the
+        factor has now gone stale."""
+        self._excess += self._product_us + (self._substitution_us if product > 1 else 0.0)
+        if self._excess >= self._factor_us:
+            self._solve = None
+        return self._solve is None
 
 
 def p_flux_values(g: np.ndarray, p: float) -> np.ndarray:

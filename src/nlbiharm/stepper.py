@@ -70,14 +70,23 @@ lambda^2)) S (``NonlocalOperator.tau_solve``), whose DST-I basis is built
 on the first solve and kept on the operator: on the evolve_2d step it cuts
 the CG products from 45 to 17.
 
-At p != 2 M changes with every iterate.  Where the step evaluates through
-the loop, M is solved directly (block LDL^T on its band, assembled and
-eliminated on every call, ``NonlocalOperator.normal_solve``; a narrow band
-is cut into partitions eliminated in one batched pass, with a small dense
-separator system between them).  Everywhere else it is solved matrix free
-by plain conjugate gradients, truncated at a tolerance set by
+At p != 2 M changes with every iterate.  Below p = 2, where its weights
+span many decades, M is solved directly on every call (block LDL^T on its
+band, assembled and eliminated, ``NonlocalOperator.normal_solve``; a
+narrow band is cut into partitions eliminated in one batched pass, with a
+small dense separator system between them).  Above p = 2 a
+nearest-neighbour step solves M by conjugate gradients preconditioned with
+the run's lagged factor, the factor of an earlier iterate's M, refactored
+once its extra products have cost a factorization (``nlop.LaggedFactor``);
+it stops where the direct solve it replaces would, at that solve's
+backward error (``_cg_solve``), and its products take the step
+correlations in 1D, the loop in 2D.  Everywhere else M is solved matrix
+free by plain conjugate gradients, truncated at a tolerance set by
 Eisenstat-Walker forcing; each product M v = v/h + E^T A (c A E v) costs
-two operator applies.
+two operator applies.  1D nonlocal bands keep plain CG: their runs open
+with steps stiff enough for the lagged factor to pay, then mostly do not,
+and no rule that reads only the counts so far tells them apart (ROADMAP
+item 10).
 
 An evolution resolves its residual tolerance once, from its initial state
 (``effective_inner_tol``, kept as ``Trajectory.inner_tol``), records the
@@ -223,14 +232,18 @@ class Trajectory:
 def as_operator(st, spec: DomainSpec) -> NonlocalOperator:
     """Bind a Stencil to the step grid, ``spec`` with its collar cut to the
     stencil's reach; a narrower collar raises (``grid.check_collar``).
-    Only test doubles pass an operator; its step
-    evaluations live on the step window whatever its collar (``nlop``)."""
+    An operator passes as it is when it is bound to ``spec`` or to its step
+    grid, as this function binds it, so that several runs can share one
+    operator and the factors it keeps; only test doubles pass one bound to
+    ``spec`` itself, whose step evaluations live on the step window
+    whatever its collar (``nlop``)."""
     if not isinstance(st, (Stencil, NonlocalOperator)):
         raise TypeError(f"expected a Stencil or a NonlocalOperator, got {type(st)!r}")
     check_collar(spec.pad_cells, st.reach)
+    step_grid = replace(spec, pad_cells=st.reach)
     if isinstance(st, Stencil):
-        return NonlocalOperator(st, replace(spec, pad_cells=st.reach))
-    if st.spec != spec:
+        return NonlocalOperator(st, step_grid)
+    if st.spec not in (spec, step_grid):
         raise ValueError("operator bound to a different domain spec")
     return st
 
@@ -262,9 +275,11 @@ class _StepFunctional:
     the operator's correlations live on the step window (``nlop``).
     """
 
-    def __init__(self, op, u_prev: np.ndarray, p: float, h: float, maps=None):
+    def __init__(self, op, u_prev: np.ndarray, p: float, h: float, maps=None,
+                 correlated_products=False):
         self.op = op
         self._extended, self._restricted = _loop_maps(op) if maps is None else maps
+        self._correlated_products = correlated_products
         self.applies = 0
         self.u_prev = u_prev
         self.p = p
@@ -313,10 +328,16 @@ class _StepFunctional:
     def hessian_product(self, v: np.ndarray, curv: np.ndarray) -> np.ndarray:
         """H v for H = I/h + A^T diag(curv) A: two applies.  At p = 2, where
         curv is 1, A^T A v is one squared correlation (``op.apply_squared``),
-        counted as one apply."""
+        counted as one apply.  With ``correlated_products`` the two applies
+        are the operator's step correlations, whatever the step's maps, with
+        curv read on their step window."""
         if self.p == 2.0:
             self.applies += 1
             return v / self.h + self.op.apply_squared(v)
+        if self._correlated_products:
+            self.applies += 2
+            curv = curv[self.op.step_window]
+            return v / self.h + self.op.apply_restricted(curv * self.op.apply_extended(v))
         return v / self.h + self.restricted(curv * self.extended(v))
 
     def l2(self, x: np.ndarray) -> float:
@@ -343,13 +364,16 @@ class _StepResult:
     flux: np.ndarray
 
 
-def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepResult:
+def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None,
+                   kept=None) -> _StepResult:
     """Minimize one step from x = u_prev_int.  ``start = (value, flux,
     p_energy)`` of the previous step's result, which certified this x with
     the same evaluation, replaces the two applies and the p-energy that open
     the step.  At x = u_prev_int the gradient is the carried flux, so when
     its norm is within ``tol`` the step returns x and the carried triple
-    with no iteration and no apply, before any solver is built."""
+    with no iteration and no apply, before any solver is built.  ``kept`` is
+    the run's ``nlop.LaggedFactor`` where a p > 2 step has one
+    (``_lagged_factor``); a step without it makes its own."""
     if start is not None:
         a, flux, pe = start
         g = flux  # fn.gradient(x, flux) at x = u_prev_int, up to signed zeros
@@ -361,18 +385,21 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
     # solve and the evaluation follow from p and the stencil (module
     # docstring).
     loop = p < 2.0 or op.reach == 1
+    if kept is None:
+        kept = _lagged_factor(op, p, h)
     fn = _StepFunctional(op, u_prev_int, p, h,
-                         None if loop else (op.apply_extended, op.apply_restricted))
+                         None if loop else (op.apply_extended, op.apply_restricted),
+                         correlated_products=kept is not None and op.spec.dim == 1)
     if p == 2.0 and (op.reach == 1 or op.spec.dim == 1):
         factor = op.p2_solve(1.0 / h)
 
         def solve(curv, g):
             return factor(g)
-    elif loop:
+    elif loop and kept is None:
         def solve(curv, g):
             return op.normal_solve(curv, 1.0 / h, g)
     else:
-        solve = _cg_solve(fn, tol)
+        solve = _cg_solve(fn, tol, kept)
     label = "reweighted" if p < 2.0 else "Newton"
 
     x = u_prev_int  # only ever rebound
@@ -426,43 +453,75 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None) -> _StepRes
     )
 
 
-def _cg_solve(fn, tol):
-    """Conjugate gradients on H d = g, matrix free; at p = 2, which only 2D
-    steps solve by CG, preconditioned with the operator's tau solve (module
-    docstring).
+def _lagged_factor(op, p, h):
+    """A new ``nlop.LaggedFactor`` for a run's p > 2 steps of a
+    nearest-neighbour stencil (``reach == 1``); None elsewhere."""
+    if p > 2.0 and op.reach == 1:
+        return op.lagged_factor(1.0 / h)
+    return None
 
-    CG stops at the forcing tolerance (none at p = 2), floored at half the
-    relative accuracy the step tolerance asks for, or after one iteration
-    per unknown, on the residual H d - g itself, with or without P.  Every
-    iterate from d = 0 is a descent direction (H >= I/h, and P SPD).
+
+def _cg_solve(fn, tol, kept=None):
+    """Conjugate gradients on H d = g, matrix free; at p = 2, which only 2D
+    steps solve by CG, preconditioned with the operator's tau solve, and
+    with the run's lagged factor ``kept`` (``nlop.LaggedFactor``) where
+    there is one (module docstring).
+
+    Plain and tau-preconditioned CG stop at the forcing tolerance (none at
+    p = 2), floored at half the relative accuracy the step tolerance asks
+    for.  The lagged factor stands in for a direct solve, so CG with it
+    stops at that solve's backward error instead, ||H d - g|| <= n eps_mach
+    ||H|| ||d|| with ||H|| <= 1/h + ||A||^2 max(c) (``norm_bound``): a
+    direction the direct solve could have returned, so the run keeps the
+    direct solve's Newton iterates to rounding.  A solve whose factor was
+    made at its own weights is the direct solve itself: it returns the
+    substitution with no product, and so does a solve during which the kept
+    factor goes stale (``LaggedFactor.charge``), with a factor made then.
+    Every test is on the residual H d - g
+    itself, with or without P, and CG stops after one iteration per unknown
+    at the latest.  Every iterate from d = 0 is a descent direction (H >=
+    I/h, and P SPD).
     """
     g_prev = None  # ||g|| at the previous Newton iteration
     tau = fn.p == 2.0
 
     def solve(curv, g):
         nonlocal g_prev
-        rr = float(np.vdot(g, g))
-        g_norm = math.sqrt(rr)
-        eta = EW_ETA_MAX if fn.p != 2.0 else 0.0  # no forcing at p = 2
-        if g_prev is not None:
-            eta = min(eta, EW_GAMMA * (g_norm / g_prev) ** EW_ALPHA)
-        eta = max(eta, 0.5 * tol / math.sqrt(fn.vol * rr))  # ||g|| = fn.l2(g)
-        g_prev = g_norm
-        precondition = fn.op.tau_solve(1.0 / fn.h) if tau else None
+        if kept is not None:
+            precondition, fresh = kept.preconditioner(curv)
+            if fresh:
+                return precondition(g)
+            norm = 1.0 / fn.h + fn.op.norm_bound() ** 2 * float(curv.max())
+            backward_sq = (g.size * EPS * norm) ** 2
+        else:
+            rr = float(np.vdot(g, g))
+            g_norm = math.sqrt(rr)
+            eta = EW_ETA_MAX if fn.p != 2.0 else 0.0  # no forcing at p = 2
+            if g_prev is not None:
+                eta = min(eta, EW_GAMMA * (g_norm / g_prev) ** EW_ALPHA)
+            eta = max(eta, 0.5 * tol / math.sqrt(fn.vol * rr))  # ||g|| = fn.l2(g)
+            g_prev = g_norm
+            precondition = fn.op.tau_solve(1.0 / fn.h) if tau else None
+            stop = eta * eta * rr
 
         d = np.zeros_like(g)
         r = g.copy()
         z = r if precondition is None else precondition(r)
         s = z.copy()
         rz = rr if precondition is None else float(np.vdot(r, z))
-        stop = eta * eta * rr
-        for _ in range(g.size):
+        for products in range(1, g.size + 1):
             hs = fn.hessian_product(s, curv)
             alpha = rz / float(np.vdot(s, hs))
             d += alpha * s
             r -= alpha * hs
             rr = float(np.vdot(r, r))
-            if rr <= stop:
+            if kept is not None:
+                stale = kept.charge(products)
+                if rr <= backward_sq * float(np.vdot(d, d)):
+                    break
+                if stale:  # a factor at these weights solves the rest directly
+                    return kept.preconditioner(curv)[0](g)
+            elif rr <= stop:
                 break
             if precondition is None:
                 z, rz_new = r, rr
@@ -510,9 +569,11 @@ def evolve(u0: np.ndarray, spec: DomainSpec, st, cfg: StepperConfig) -> Trajecto
     interior[0] = x
 
     start = None  # step 1 evaluates with its own rule's evaluation
+    kept = _lagged_factor(op, cfg.p, cfg.h)  # carried from step to step
     for j in range(1, m + 1):
         try:
-            result = _minimize_step(op, x, cfg.p, cfg.h, tol, cfg.inner_max_iters, start)
+            result = _minimize_step(op, x, cfg.p, cfg.h, tol, cfg.inner_max_iters, start,
+                                    kept)
         except InnerSolveFailed as err:
             raise InnerSolveFailed(
                 f"step {j} (t = {j * cfg.h:g}): {err}", err.residual

@@ -239,6 +239,26 @@ class TestContraction:
         )
         assert rep.metadata["violations"] == 0
 
+    def test_both_runs_share_one_operator(self, domain64, stencil64, rng, monkeypatch):
+        # one operator, one kept p = 2 factor, and the rows of two runs that
+        # each bind their own operator
+        a = rng.standard_normal(64)
+        b = a + 0.1 * rng.standard_normal(64)
+        c = StepperConfig(p=2.0, h=1e-3, T=0.02)
+        separate = [evolve(u, domain64, stencil64, c) for u in (a, b)]
+        ops = []
+
+        def recorded(u0, spec, op, cfg):
+            ops.append(op)
+            return evolve(u0, spec, op, cfg)
+        monkeypatch.setattr(analysis, "evolve", recorded)
+        rep = contraction_study(a, b, domain64, stencil64, c)
+        assert len(ops) == 2 and ops[0] is ops[1]
+        assert len(ops[0]._p2_factors) == 1
+        assert rep.rows == list(zip(map(float, separate[0].times),
+                                    analysis._distances(*separate, 2),
+                                    [0] * len(separate[0].times)))
+
     def test_slack_is_ten_times_the_looser_step_tolerance(self, domain64, stencil64, rng):
         a = rng.standard_normal(64)
         b = 4.0 * a + 0.1 * rng.standard_normal(64)

@@ -483,6 +483,38 @@ class TestNormalSolve:
         assert model.parts == parts and model.length > model.block
         self.check(op, rng.uniform(0.5, 2.0, op.spec.padded_shape), rng)
 
+    @pytest.mark.parametrize(
+        "case", ["nonlocal1d_K24", "local1d_n256", "local2d_nx8", "nonlocal2d_nx8"])
+    def test_band_setup_matches_the_row_unique(self, case):
+        # the distinct tap-offset differences e_b - e_a, found through one
+        # integer key per pair, give the tap products, the gather of c and
+        # the layout byte for byte as np.unique(..., axis=0) over the rows
+        dim, box, nx, eps, grid_eps, _ = NORMAL_CASES[case]
+        spec = make_domain(dim, box, nx, grid_eps)
+        st_ = local_stencil(spec) if eps is None else discretize(get_kernel("tent"), eps, spec)
+        op = as_operator(st_, spec)  # on the step grid, the window is the padded grid
+        model = BandedNormal(op)
+        full = op._taps()
+        offs = np.argwhere(full) - op.reach
+        taps = full[full != 0.0]
+        int_strides = np.cumprod((spec.nx[1:] + (1,))[::-1])[::-1]
+        diff = offs[None, :, :] - offs[:, None, :]
+        a_idx, b_idx = np.nonzero(diff @ int_strides >= 0)
+        ks, k_inv = np.unique(diff[a_idx, b_idx], axis=0, return_inverse=True)
+        products = np.zeros((len(ks), len(offs)))
+        np.add.at(products, (k_inv.ravel(), a_idx), taps[a_idx] * taps[b_idx])
+        assert model._products.tobytes() == products.tobytes()
+        assert model._centre == int(np.flatnonzero(~ks.any(axis=1))[0])
+        shape = op.spec.padded_shape
+        pad_strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+        coords = np.indices(spec.nx).reshape(dim, -1)
+        gather = ((coords.T + op.spec.pad_cells) @ pad_strides)[None, :] - (
+            offs @ pad_strides)[:, None]
+        assert model._gather.tobytes() == gather.tobytes()
+        width = int((ks @ int_strides).max())
+        parts, block = nlop._layout(spec.n_interior, width)
+        assert (model.width, model.parts, model.block) == (width, parts, block)
+
     def test_partition_count(self):
         # the cost rule partitions the narrow 1D local band, and keeps every
         # 2D local band (width 2 nx) in one chain, the solve of one partition

@@ -81,6 +81,24 @@ def test_bench_apply_evolutions_run():
     assert frozen == {"decay_p2": 1946, "decay_p3": 0}
 
 
+def test_bench_apply_converge_runs_count_their_work():
+    # the converge_p3 rows of bench_apply.py's evolve table, run once
+    # without their timings: the local reference solves with a lagged
+    # factor, made fewer times than it takes Newton iterations; the eps =
+    # 0.1 run keeps plain CG, which makes no factor
+    bench = load_script("bench_apply")
+    for eps in bench.CONVERGE_RUNS:
+        with bench.counted_work() as counts:
+            traj = bench.converge_case(eps)()
+        assert np.all(traj.residuals[1:] <= traj.inner_tol), eps
+        iters = int(traj.inner_iters.sum())
+        assert counts["products"] > 0, eps
+        if eps is None:
+            assert 0 < counts["factors"] < iters
+        else:
+            assert counts["factors"] == 0
+
+
 def test_compare_outputs_names_the_moved_column(tmp_path):
     compare = load_script("compare_outputs")
     old, new = tmp_path / "old", tmp_path / "new"

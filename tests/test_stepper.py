@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -117,8 +118,8 @@ class _CountingOperator(NonlocalOperator):
     """Counts its own evaluations (``calls``, loop, both correlation maps
     and squared correlation; ``corr_calls``, the two maps, and
     ``squared_calls``), its direct solves, its tau solves built and its
-    p = 2 factors made (``factors``); ``order`` names each evaluation's
-    method in turn."""
+    p = 2 factors made (``factors``), and keeps the lagged factors it makes
+    (``lagged``); ``order`` names each evaluation's method in turn."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -128,7 +129,17 @@ class _CountingOperator(NonlocalOperator):
         self.solves = 0
         self.tau_solves = 0
         self.factors = 0
+        self.lagged = []
         self.order = []
+
+    @property
+    def lagged_factorizations(self):
+        return sum(kept.factors for kept in self.lagged)
+
+    def lagged_factor(self, shift):
+        kept = super().lagged_factor(shift)
+        self.lagged.append(kept)
+        return kept
 
     def apply(self, values):
         self.calls += 1
@@ -515,8 +526,12 @@ class TestNewtonStep:
     @pytest.mark.parametrize("nearest", [True, False], ids=["reach1", "reach3"])
     def test_solve_follows_from_the_stencil(self, tent1d, domain16, stencil16, nearest):
         # At p = 3 a stencil reaching only nearest neighbours, here the
-        # nonlocal one at eps = 2 dx, takes the direct solve through the loop;
-        # a wider one takes Newton-CG through the correlation.
+        # nonlocal one at eps = 2 dx, evaluates through the loop and solves
+        # with the run's lagged factor, whose CG products take the 1D step
+        # correlations: fewer factorizations than Newton iterations and no
+        # per-call direct solve (test_lagged_run_matches_the_direct_solve
+        # holds its states to the direct solve's).  A wider one takes plain
+        # Newton-CG through the correlations.
         if nearest:
             spec = make_domain(1, (0.0, 1.0), 32, 2 / 32)
             op = _CountingOperator(discretize(tent1d, 2 / 32, spec), spec)
@@ -525,14 +540,90 @@ class TestNewtonStep:
             spec = domain16
             op = _CountingOperator(stencil16, spec)
         traj = evolve(default_bump(spec), spec, op, cfg(p=3.0, h=1e-4, T=2e-4))
+        iters = int(traj.inner_iters.sum())
         assert np.all(traj.inner_iters[1:] > 0)
+        assert op.solves == 0 and op.corr_calls > 0
         if nearest:
-            assert op.solves == int(traj.inner_iters.sum())
-            assert op.corr_calls == 0
+            # each Newton iteration evaluates its trial and its flux
+            assert op.order.count("apply") >= 2 * iters
+            assert 0 < op.lagged_factorizations < iters
         else:
-            assert op.solves == 0
-            assert op.corr_calls > 0
+            assert "apply" not in op.order[1:]  # after evolve's step-0 apply
+            assert op.lagged == []
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
+
+
+class _DirectOperator(NonlocalOperator):
+    """Makes no lagged factor, so a p > 2 step of a nearest-neighbour
+    stencil takes the per-call direct solve; counts those (``solves``)."""
+
+    solves = 0
+
+    def lagged_factor(self, shift):
+        return None
+
+    def normal_solve(self, *args):
+        self.solves += 1
+        return super().normal_solve(*args)
+
+
+class TestLaggedFactor:
+    """Above p = 2 a nearest-neighbour step solves its model with CG
+    preconditioned by the run's lagged factor (``nlop.LaggedFactor``)."""
+
+    @pytest.mark.parametrize("dim,nx,T", [(1, 64, 5e-3), (2, 16, 2e-3)], ids=["1d", "2d"])
+    def test_lagged_run_matches_the_direct_solve(self, dim, nx, T):
+        # the lagged solve stops at the direct solve's backward error, so
+        # the run keeps the direct solve's states (a step may certify one
+        # iteration apart where its residual sits at the rounding floor)
+        spec = make_domain(dim, [(0.0, 1.0)] * dim, nx, 0.25)
+        st_ = local_stencil(spec)
+        c = cfg(p=3.0, h=1e-4, T=T)
+        cut = replace(spec, pad_cells=1)
+        lagged = _CountingOperator(st_, cut)
+        direct = _DirectOperator(st_, cut)
+        traj = evolve(default_bump(spec), spec, lagged, c)
+        ref = evolve(default_bump(spec), spec, direct, c)
+        iters = int(traj.inner_iters.sum())
+        assert np.abs(traj.interior - ref.interior).max() <= 1e-9
+        assert np.abs(traj.inner_iters - ref.inner_iters).max() <= 1
+        assert direct.solves == int(ref.inner_iters.sum()) and lagged.solves == 0
+        assert len(lagged.lagged) == 1  # one per run
+        assert 0 < lagged.lagged_factorizations < iters
+        assert np.all(traj.residuals[1:] <= traj.inner_tol)
+
+    def test_reweighted_steps_keep_the_direct_solve(self, rng):
+        # below p = 2 the weights span many decades: one direct solve per
+        # Newton iteration, and no lagged factor
+        spec = make_domain(1, (0.0, 1.0), 32, 0.25)
+        op = _CountingOperator(local_stencil(spec), replace(spec, pad_cells=1))
+        traj = evolve(rng.standard_normal(32), spec, op, cfg(p=1.5, h=1e-5, T=1e-4))
+        assert traj.inner_iters.sum() > 0
+        assert op.solves == int(traj.inner_iters.sum())
+        assert op.lagged == []
+
+    def test_factor_goes_stale_at_break_even(self, rng):
+        # a factor made for a solve's own weights is that solve's direct
+        # solve; once the CG work past that, each product and each
+        # substitution past a solve's first, has cost a factorization, the
+        # factor is stale and the next solve factors anew
+        spec = make_domain(1, (0.0, 1.0), 64, 0.25)
+        op = as_operator(local_stencil(spec), spec)
+        kept = op.lagged_factor(1e4)
+        c = rng.uniform(0.5, 2.0, op.spec.padded_shape)
+        g = rng.standard_normal(spec.nx)
+        solve, fresh = kept.preconditioner(c)
+        assert fresh and kept.factors == 1
+        direct = op.normal_solve(c, 1e4, g)
+        assert np.abs(solve(g) - direct).max() <= 1e-12 * np.abs(direct).max()
+        t_p, t_s, t_f = op.product_us(), op._normal.substitution_us(), op._normal.factor_us()
+        products = math.ceil((t_f + t_s) / (t_p + t_s))  # reaches t_f in one solve
+        assert products > 2
+        assert not any(kept.charge(k) for k in range(1, products))
+        assert kept.preconditioner(c) == (solve, False)
+        assert kept.charge(products)
+        solve2, fresh = kept.preconditioner(c)
+        assert fresh and solve2 is not solve and kept.factors == 2
 
 
 def count_step_calls(monkeypatch):
@@ -764,6 +855,16 @@ class TestStepGrid:
         assert op.spec == replace(spec, pad_cells=25)
         full = NonlocalOperator(st_, spec)
         assert as_operator(full, spec) is full
+
+    def test_operator_on_the_step_grid_passes_as_it_is(self, tent1d):
+        # an operator that as_operator bound passes again, so runs can share
+        # it; one on any other grid raises
+        spec = make_domain(1, (0.0, 1.0), 64, 0.4)
+        st_ = discretize(tent1d, 0.2, spec)
+        op = as_operator(st_, spec)
+        assert as_operator(op, spec) is op
+        with pytest.raises(ValueError, match="different domain spec"):
+            as_operator(NonlocalOperator(st_, replace(spec, pad_cells=st_.reach + 1)), spec)
 
     def test_collar_narrower_than_reach_rejected(self, tent1d):
         spec = make_domain(1, (0.0, 1.0), 64, 0.4)
