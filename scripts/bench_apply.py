@@ -43,7 +43,9 @@ the kept factor.  Each is the median, min and max of REPEATS batches.
 
 The third table runs one implicit step (``stepper._minimize_step``) for
 each way of solving the step model: Newton-CG on converge's 1D K = 50
-stencil at p = 3 and, tau-preconditioned, on evolve_2d's 2D K = 508 stencil
+stencil at p = 3 (its first step, stiff enough that, as a run's first step
+does, it makes a lagged factor once the predicted savings of its solves
+pay for one) and, tau-preconditioned, on evolve_2d's 2D K = 508 stencil
 at p = 2 and on a 2D nx = 128, eps = 0.1 stencil (both from evolve_2d's
 random start, seed 404; the quadratic step takes one Newton iteration),
 Newton with the lagged factor on the local 1D Hessian (n = 256; CG
@@ -59,15 +61,16 @@ the median, min and max milliseconds, keyed by dim, n and K.
 The fourth table runs ``stepper.evolve`` on the grid, stencil and start of
 a shipped 1D study config: decay_p2 and decay_p3 from scripts/configs/,
 where a step costs its fixed overhead more than its operator work, and
-converge_p3's clamped local reference and its eps = 0.1 run, its two
-costliest solves (``CONVERGE_RUNS``).  It prints the steps, the frozen
+converge_p3's clamped local reference and its three nonlocal runs, eps =
+0.4, 0.2 and 0.1 (``CONVERGE_RUNS``).  It prints the steps, the frozen
 steps (those that return their certified start with no inner iteration),
-the lagged factorizations (``nlop.LaggedFactor``), the step-model products
-of CG with or without the lagged factor, the operator applies (the step-0
-loop apply included), the median, min and max milliseconds per run, the
-median microseconds per step, and the median milliseconds of writing the
-run's trajectory CSV (``stepper.trajectory_to_csv``, into a temporary
-directory).
+the Newton iterations, the lagged factorizations (``nlop.LaggedFactor``,
+which a p > 2 run takes where its modelled cost pays), the step-model
+products of CG with or without the lagged factor, the operator applies
+(the step-0 loop apply included), the median, min and max milliseconds
+per run, the median microseconds per step, and the median milliseconds of
+writing the run's trajectory CSV (``stepper.trajectory_to_csv``, into a
+temporary directory).
 
 A per-call time of the first table is the best of REPEATS batches, each
 sized to take about BATCH_S seconds; the second table gives their median,
@@ -149,7 +152,7 @@ STEP_CASES = [
 # runs of converge_p3 it adds: eps of the nonlocal run, None for the local
 # reference
 EVOLVE_CASES = ["decay_p2", "decay_p3"]
-CONVERGE_RUNS = [None, 0.1]
+CONVERGE_RUNS = [None, 0.4, 0.2, 0.1]
 CONFIG_DIR = Path(__file__).parent / "configs"
 
 
@@ -344,7 +347,7 @@ def main() -> int:
               f"{min(runs):>8.1f} {max(runs):>8.1f}")
 
     print()
-    print(f"{'evolve':<13} {'steps':>6} {'frozen':>6} {'factors':>7} {'products':>8} "
+    print(f"{'evolve':<13} {'steps':>6} {'frozen':>6} {'iters':>6} {'factors':>7} {'products':>8} "
           f"{'applies':>7} {'ms':>8} {'min_ms':>8} {'max_ms':>8} {'us_step':>8} {'csv_ms':>7}")
     cases = [(name, evolve_case(name)) for name in EVOLVE_CASES] + [
         ("converge_" + ("local" if eps is None else f"{eps:g}"), converge_case(eps))
@@ -367,7 +370,8 @@ def main() -> int:
         frozen = int(np.sum(traj.inner_iters[1:] == 0))
         applies = int(traj.applies.sum()) + 1  # and the step-0 loop apply
         ms = np.median(runs)
-        print(f"{name:<13} {traj.n_steps:>6} {frozen:>6} {counts['factors']:>7} "
+        iters = int(traj.inner_iters.sum())
+        print(f"{name:<13} {traj.n_steps:>6} {frozen:>6} {iters:>6} {counts['factors']:>7} "
               f"{counts['products']:>8} {applies:>7} {ms:>8.1f} "
               f"{min(runs):>8.1f} {max(runs):>8.1f} {1e3 * ms / traj.n_steps:>8.1f} "
               f"{np.median(writes):>7.2f}")

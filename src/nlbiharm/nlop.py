@@ -61,6 +61,7 @@ evaluation and which solve is the stepper's choice.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -229,8 +230,8 @@ class NonlocalOperator:
         band (``BandedNormal``), built on the first call and kept, assembled
         and eliminated again on every call.  The stepper's direction solve
         below p = 2; at p = 2, where M does not change, ``p2_solve`` keeps
-        its factor, and above p = 2 a nearest-neighbour step preconditions CG
-        with a lagged one (``LaggedFactor``)."""
+        its factor, and above p = 2 a 1D or nearest-neighbour step
+        preconditions CG with a lagged one where it pays (``LaggedFactor``)."""
         self._normal.assemble(c, shift)
         return self._normal.eliminate(rhs)
 
@@ -262,6 +263,39 @@ class NonlocalOperator:
         mix."""
         return LaggedFactor(self, shift)
 
+    @cached_property
+    def _band(self):
+        """The band of the step model over the interior values in flat order,
+        which ``BandedNormal`` assembles and ``LaggedFactor``'s cost model
+        reads, made without a per-pair array: the number of A's nonzero
+        taps, the distinct differences k = e_b - e_a of two of their offsets
+        with a nonnegative flat offset on the interior, in lexicographic
+        order, the bandwidth, the largest flat offset of a k that couples two
+        interior nodes (each |k_a| below n_a), and the layout of ``_layout``
+        for it: the partitions, the block length and the partitions' length,
+        padded to whole blocks."""
+        nx, r, dim = self.spec.nx, self.reach, self.spec.dim
+        # each tap offset e_a as one key, a mixed radix over [0, 4 reach] per
+        # axis of e_a + reach: a difference of keys is the key of e_b - e_a
+        # shifted by that of 2 reach, so the distinct differences are the
+        # lags where the autocorrelation of the keys' indicator, a count of
+        # pairs, is nonzero, and ascending lags are lexicographic order
+        shape = (4 * r + 1,) * dim
+        keys = np.ravel_multi_index(tuple(np.argwhere(self._taps()).T), shape)
+        hits = np.zeros(keys[-1] + 1)
+        hits[keys] = 1.0
+        lags = np.flatnonzero(np.correlate(hits, hits, "full")) - keys[-1]
+        lags += np.ravel_multi_index((2 * r,) * dim, shape)
+        ks = np.stack(np.unravel_index(lags, shape), axis=-1) - 2 * r
+        strides = _strides(nx)
+        ks = ks[ks @ strides >= 0]  # a nonnegative flat offset
+        n = self.spec.n_interior
+        width = int((ks[np.all(np.abs(ks) < nx, axis=1)] @ strides).max())
+        parts, block = _layout(n, width)
+        length = -(-(n - (parts - 1) * width) // parts)
+        length = -(-length // block) * block  # padded to whole blocks
+        return len(keys), ks, width, parts, block, length
+
     def product_us(self) -> float:
         """Modelled cost in us of one step-model product v/h + E^T A (c A E
         v) of a step that solves with a ``LaggedFactor`` (``_kept_us``): two
@@ -270,6 +304,45 @@ class NonlocalOperator:
             return _kept_us(6, 4 * self.spec.n_interior * np.count_nonzero(self._taps()))
         pairs, nodes = len(self._terms), int(np.prod(self.spec.padded_shape))
         return _kept_us(7 + 8 * pairs, 8 * pairs * nodes)
+
+    def substitution_us(self) -> float:
+        """Modelled cost in us of one substitution with a kept factor of
+        ``BandedNormal`` (``_kept_us``): a forward and a back sweep of
+        batched matrix-vector products along the chains and, with several
+        partitions, the three products of the separator stage."""
+        _, _, w, parts, m, length = self._band
+        chain, seps = length // m, (parts - 1) * w
+        flops = parts * (chain * 2 * m * m + (chain - 1) * 4 * w * m)
+        calls = 6 * chain + 4
+        if parts > 1:
+            flops += 4 * seps * parts * length + 2 * seps * seps
+            calls += 6
+        return _kept_us(calls, flops)
+
+    def band_us(self) -> float:
+        """Modelled cost in us of setting up the operator's ``BandedNormal``
+        (KEPT_BAND_US): its index maps, one entry per interior node and band
+        offset k."""
+        return KEPT_BAND_US + 1e-3 * KEPT_ENTRY_NS * len(self._band[1]) * self.spec.n_interior
+
+    def factor_us(self) -> float:
+        """Modelled cost in us of one ``BandedNormal.assemble`` and
+        ``factor`` (``_kept_us``): the bands' product, a batched inverse and
+        the Schur products per chain step and, with several partitions, the
+        coupling solves, the separators' inverse and the separator stage's
+        maps."""
+        taps, ks, w, parts, m, length = self._band
+        chain, seps = length // m, (parts - 1) * w
+        flops = 2 * len(ks) * taps * self.spec.n_interior + parts * (
+            chain * 2 * m ** 3 + (chain - 1) * (2 * m * m * w + 2 * w * w * m))
+        calls, inverses = 7 * chain + 12, parts * chain
+        if parts > 1:
+            flops += parts * (chain * 4 * w * m * m + (chain - 1) * 8 * w * w * m) + (
+                8 * parts * length * w * w + 2 * seps ** 3
+                + 2 * seps * seps * parts * length)
+            calls += 6 * chain + 16
+            inverses += 1
+        return _kept_us(calls, flops, inverses)
 
     def tau_solve(self, shift: float):
         """P^-1 = S diag(1 / (shift + lambda^2)) S over the interior values of
@@ -331,10 +404,30 @@ STEP_US, MATRIX_US, FLOP_NS, SEPARATE_US = 15.0, 1.5, 0.25, 40.0
 # (nx = 16 to 48), on one OpenBLAS thread of a shared 2-vCPU VM.  Median
 # relative error 18% over the 63 timings of the fit.
 KEPT_CALL_US, KEPT_INVERSE_US, KEPT_FLOP_NS = 0.9, 12.0, 0.11
+# Setting up a ``BandedNormal`` costs KEPT_BAND_US and KEPT_ENTRY_NS per
+# entry of its index maps, one per interior node and band offset, fitted to
+# 24 set-ups (1D nonlocal bands of n = 64 to 512 and width 6 to 408, the 1D
+# and 2D local ones) on the same VM: median relative error 24%, and up to
+# 51% low on the widest bands, whose tap pairs grow as the width squared.
+KEPT_BAND_US, KEPT_ENTRY_NS = 130.0, 54.0
+# Plain CG's products for one solve of the step model at the stiffness
+# sigma = ||A||^2 max(c) / shift, ||A|| bounded by ``norm_bound``
+# (``LaggedFactor``): KEPT_CG_PRODUCTS sqrt(1 + sigma), after the square
+# root of the bound 1 + sigma on the condition number of M / shift.  Fitted
+# so that the prediction sums to the 7,331 products that the 1,859
+# plain-CG solves of converge_p3's three nonlocal runs and decay_p3 took;
+# solve by solve the ratio spreads from 0.16 (median at eps = 0.1) to 0.70
+# (eps = 0.4).
+KEPT_CG_PRODUCTS = 0.22
 
 
 def _kept_us(calls: int, flops: float, inverses: int = 0) -> float:
     return KEPT_CALL_US * calls + KEPT_INVERSE_US * inverses + 1e-3 * KEPT_FLOP_NS * flops
+
+
+def _strides(shape) -> np.ndarray:
+    """Flat-order strides, in elements, of an array of ``shape``."""
+    return np.cumprod((tuple(shape[1:]) + (1,))[::-1])[::-1]
 
 
 def _layout(n: int, width: int):
@@ -427,54 +520,63 @@ class BandedNormal:
         full = op._taps()
         offs = np.argwhere(full) - op.reach
         taps = full[full != 0.0]
+        _, ks, w, parts, m, length = op._band
+        # the index in ks of e_b - e_a at [a, b], -1 where it is not there,
+        # through one integer key per difference: a mixed radix over [-2
+        # reach, 2 reach] per axis, counted from 0
         r = op.reach
+        radix = (4 * r + 1) ** np.arange(dim - 1, -1, -1)
+        index = np.full((4 * r + 1) ** dim, -1)
+        index[(ks + 2 * r) @ radix] = np.arange(len(ks))
+        keys = offs @ radix
+        pairs = index[keys[None, :] - keys[:, None] + 2 * r * int(radix.sum())]
+        a_idx, b_idx = np.nonzero(pairs >= 0)
+        k_inv = pairs[a_idx, b_idx]
         self._window_shape = tuple(k + 2 * r for k in nx)
         self._window = op.step_window
-        win_strides = np.cumprod((self._window_shape[1:] + (1,))[::-1])[::-1]
-        int_strides = np.cumprod((nx[1:] + (1,))[::-1])[::-1]
+        win_strides = _strides(self._window_shape)
+        int_strides = _strides(nx)
         coords = np.indices(nx).reshape(dim, n)
         # c at i - e_a on the step window for every tap a and interior node i
         self._gather = ((coords.T + r) @ win_strides)[None, :] - (offs @ win_strides)[:, None]
-        diff = offs[None, :, :] - offs[:, None, :]  # e_b - e_a at [a, b]
-        a_idx, b_idx = np.nonzero(diff @ int_strides >= 0)
-        # the distinct e_b - e_a in lexicographic order, through one integer
-        # key per pair: a mixed radix over [-2 reach, 2 reach] per axis
-        rows = diff[a_idx, b_idx]
-        radix = (4 * op.reach + 1) ** np.arange(dim - 1, -1, -1)
-        _, first, k_inv = np.unique(rows @ radix, return_index=True, return_inverse=True)
-        ks = rows[first]
         self._products = np.zeros((len(ks), len(offs)))
         np.add.at(self._products, (k_inv.ravel(), a_idx), taps[a_idx] * taps[b_idx])
         self._centre = int(np.flatnonzero(~ks.any(axis=1))[0])
 
-        inside = np.ones((len(ks), n), dtype=bool)
-        for ax in range(dim):
-            moved = coords[ax][None, :] + ks[:, ax][:, None]
-            inside &= (moved >= 0) & (moved < nx[ax])
-        k_of, i = np.nonzero(inside)
-        j = i + (ks @ int_strides)[k_of]
-        src = k_of * n + i
-        w = int((j - i).max())
-        parts, m = _layout(n, w)
-        length = -(-(n - (parts - 1) * w) // parts)
-        length = -(-length // m) * m  # padded to whole blocks
+        # the pairs (i, j = i + k) of interior unknowns, as k n + i
+        inside = np.ones((len(ks),) + nx, dtype=bool)
+        for ax, size in enumerate(nx):
+            moved = np.arange(size) + ks[:, ax, None]
+            shape = (len(ks),) + (1,) * ax + (size,) + (1,) * (dim - ax - 1)
+            inside &= ((moved >= 0) & (moved < size)).reshape(shape)
+        src = np.flatnonzero(inside)
+        k_of, i = np.divmod(src, n)
+        j = (ks @ int_strides)[k_of]
+        j += i
+        del inside, k_of  # the set-up's peak memory is its pair arrays
         chain, seps, cols = length // m, (parts - 1) * w, 1 if parts == 1 else 1 + 2 * w
         self.parts, self.block, self.width, self.length = parts, m, w, length
 
-        # position of each unknown: partition p at offset o, or separator p
-        pi, oi = i // (length + w), i % (length + w)
-        pj, oj = j // (length + w), j % (length + w)
-        in_i, in_j = oi < length, oj < length
-        bi, bj, ri, rj = pi * chain + oi // m, pj * chain + oj // m, oi % m, oj % m
-        same = in_i & in_j & (bi == bj)
-        mirror = same & (i != j)  # the lower triangle of a diagonal block
-        nxt = in_i & in_j & (bj == bi + 1)
-        self._diag_src = np.concatenate([src[same], src[mirror]])
+        # where each unknown sits: partition ``part`` at offset ``at``, there
+        # in block ``blk`` at row ``pos``, or separator unknown ``sep_of``;
+        # each map below is formed on the pairs it keeps
+        part, at = np.divmod(np.arange(n), length + w)
+        inner = at < length
+        blk, pos, sep_of = part * chain + at // m, at % m, part * w + at - length
+        in_i, in_j = inner[i], inner[j]
+        steps = blk[j] - blk[i]
+        same = in_i & in_j & (steps == 0)
+        nxt = in_i & in_j & (steps == 1)
+        del steps
+        ii, jj, kept = i[same], j[same], src[same]
+        flip = ii != jj  # the lower triangle of a diagonal block
+        self._diag_src = np.concatenate([kept, kept[flip]])
         self._diag_dst = np.concatenate([
-            ((bi * m + ri) * m + rj)[same], ((bi * m + rj) * m + ri)[mirror]])
+            (blk[ii] * m + pos[ii]) * m + pos[jj], ((blk[ii] * m + pos[jj]) * m + pos[ii])[flip]])
         # the last columns of each off-diagonal block hold right-hand sides
+        ii, jj = i[nxt], j[nxt]
         self._off_src = src[nxt]
-        self._off_dst = (((bi - pi) * m + ri) * (w + cols) + rj)[nxt]
+        self._off_dst = ((blk[ii] - part[ii]) * m + pos[ii]) * (w + cols) + pos[jj]
         self._off = np.zeros((parts, chain - 1, m, w + cols))
         # identity rows pad the layout past the last unknown
         pad = np.arange(n, parts * (length + w) - w)
@@ -484,17 +586,19 @@ class BandedNormal:
         self._diag.reshape(-1, m, m)[pad_p * chain + rows // m, rows % m, rows % m] = 1.0
         if parts == 1:
             return
-        si, sj = pi * w + oi - length, pj * w + oj - length
         sep = ~in_i & ~in_j
-        sep_mirror = sep & (i != j)
+        ii, jj, kept = i[sep], j[sep], src[sep]
+        flip = ii != jj
+        self._sep_src = np.concatenate([kept, kept[flip]])
+        self._sep_dst = np.concatenate([
+            sep_of[ii] * seps + sep_of[jj], (sep_of[jj] * seps + sep_of[ii])[flip]])
         right = in_i & ~in_j  # partition p, then separator p
         left = ~in_i & in_j  # separator p - 1, then partition p
-        self._sep_src = np.concatenate([src[sep], src[sep_mirror]])
-        self._sep_dst = np.concatenate([(si * seps + sj)[sep], (sj * seps + si)[sep_mirror]])
+        ir, jr, il, jl = i[right], j[right], i[left], j[left]
         self._cpl_src = np.concatenate([src[right], src[left]])
         self._cpl_dst = np.concatenate([
-            ((pi * length + oi) * 2 * w + w + (sj - pi * w))[right],
-            ((pj * length + oj) * 2 * w + (si - (pj - 1) * w))[left]])
+            (part[ir] * length + at[ir]) * 2 * w + w + sep_of[jr] - part[ir] * w,
+            (part[jl] * length + at[jl]) * 2 * w + sep_of[il] - (part[jl] - 1) * w])
         self._sep = np.zeros((seps, seps))
         pad_s = (pp * w + po - length)[po >= length]
         self._sep[pad_s, pad_s] = 1.0
@@ -573,38 +677,6 @@ class BandedNormal:
         out[:-1, length:] = x_s
         return out.ravel()[:n].reshape(rhs.shape)
 
-    def substitution_us(self) -> float:
-        """Modelled cost in us of one substitution with a kept factor
-        (``_kept_us``): a forward and a back sweep of batched matrix-vector
-        products along the chains and, with several partitions, the three
-        products of the separator stage."""
-        parts, chain, m = self._diag.shape[:3]
-        seps = (parts - 1) * self.width
-        flops = parts * (chain * 2 * m * m + (chain - 1) * 4 * self.width * m)
-        calls = 6 * chain + 4
-        if parts > 1:
-            flops += 4 * seps * parts * self.length + 2 * seps * seps
-            calls += 6
-        return _kept_us(calls, flops)
-
-    def factor_us(self) -> float:
-        """Modelled cost in us of one ``assemble`` and ``factor``
-        (``_kept_us``): the bands' product, a batched inverse and the Schur
-        products per chain step and, with several partitions, the coupling
-        solves, the separators' inverse and the separator stage's maps."""
-        parts, chain, m = self._diag.shape[:3]
-        w, seps = self.width, (parts - 1) * self.width
-        flops = 2 * self._products.size * self._gather.shape[1] + parts * (
-            chain * 2 * m ** 3 + (chain - 1) * (2 * m * m * w + 2 * w * w * m))
-        calls, inverses = 7 * chain + 12, parts * chain
-        if parts > 1:
-            flops += parts * (chain * 4 * w * m * m + (chain - 1) * 8 * w * w * m) + (
-                8 * parts * self.length * w * w + 2 * seps ** 3
-                + 2 * seps * seps * parts * self.length)
-            calls += 6 * chain + 16
-            inverses += 1
-        return _kept_us(calls, flops, inverses)
-
     def factor(self):
         """The kept factor of the assembled M, as a callable that solves
         M d = rhs (interior shape) by substitution and returns a new array.
@@ -680,45 +752,82 @@ class LaggedFactor:
     weights c of an earlier Newton iterate, the preconditioner of CG on the
     current M: the lagged Jacobian of Jacobian-free Newton-Krylov practice
     (Knoll & Keyes, J. Comput. Phys. 193, 2004).  A run holds one
-    (``NonlocalOperator.lagged_factor``), and the stepper reports each CG
-    product to it (``charge``).
+    (``NonlocalOperator.lagged_factor``); the stepper asks it whether a
+    solve takes the factor (``pays``) and reports each CG product of such
+    a solve to it (``charge``).  All costs are modelled from the stencil
+    and the band layout (``_kept_us``), with ``BandedNormal`` built only
+    for the first factorization; nothing is timed.
 
     Refactor: a factor made at a solve's own weights is the direct solve
     of its M, one substitution t_s.  With a kept factor, a CG solve of k
     products takes k substitutions too, k (t_p + t_s) for a product t_p
     (``NonlocalOperator.product_us``), so it costs k t_p + (k - 1) t_s more.
     Once that excess, summed product by product since the last
-    factorization, reaches the cost t_f of an assembly and factorization
-    (``BandedNormal``), the factor is stale: a solve that has not converged
-    by then factors M at its own weights and solves directly, and otherwise
-    the next solve does.  This is the
-    break-even rule of ski rental: the refactorizations cost no more than
-    the extra work they save, and the total stays within twice that of the
-    best schedule in hindsight (Karlin, Manasse, Rudolph & Sleator,
-    Algorithmica 3, 1988).  All three costs are modelled from the stencil
-    and the band layout (``_kept_us``); nothing is timed.
+    factorization, reaches the cost t_f of an assembly and factorization,
+    the factor is stale: a solve that has not converged by then factors M
+    at its own weights and solves directly, and otherwise the next solve
+    that takes the factor does.  This is the break-even rule of ski rental:
+    the refactorizations cost no more than the extra work they save, and
+    the total stays within twice that of the best schedule in hindsight
+    (Karlin, Manasse, Rudolph & Sleator, Algorithmica 3, 1988).
+
+    Choice: plain CG would take about k = KEPT_CG_PRODUCTS sqrt(1 + sigma)
+    products at the stiffness sigma = ||A||^2 max(c) / shift, and a solve
+    with the factor one product and one substitution, so the factor saves
+    s = (k - 1) t_p - t_s.  A kept factor is taken wherever it saves.  A
+    stale one is made again for a solve whose saving, spread over as many
+    solves as the last factor served, pays for a factorization.  The run's
+    first factor also pays for setting up ``BandedNormal`` (``band_us``).
+    It is made once the savings predicted so far pay for both, ski rental
+    again, and once the solve's own saving, spread over as many solves as
+    the run has asked about, pays too: the stiffness decays along a run,
+    and a factor bought after the stiff solves are past does not pay back
+    (converge's eps = 0.2 run banks its price where its saving has fallen
+    to half of it).
     """
 
     def __init__(self, op: NonlocalOperator, shift: float):
-        self._normal = op._normal
+        self._op = op
         self.shift = shift
+        self._stiffness = op.norm_bound() ** 2 / shift
         self._product_us = op.product_us()
-        self._substitution_us = self._normal.substitution_us()
-        self._factor_us = self._normal.factor_us()
+        self._substitution_us = op.substitution_us()
+        self._factor_us = op.factor_us()
+        self._band_us = op.band_us()
         self.factors = 0
         self._solve = None  # the kept substitution; None when stale
         self._excess = 0.0  # us of CG work past the direct solve's
+        self._banked = 0.0  # us of savings predicted before the first factor
+        self._served = 0  # solves asked about before it, then served by the last one
+
+    def pays(self, c: np.ndarray) -> bool:
+        """Whether the solve of M at the weights ``c`` takes the factor,
+        kept or made for it, rather than plain CG (class docstring); before
+        the run's first factor it banks and counts the solve."""
+        plain = KEPT_CG_PRODUCTS * math.sqrt(1.0 + self._stiffness * float(c.max()))
+        saving = (plain - 1.0) * self._product_us - self._substitution_us
+        if self._solve is not None:
+            return saving > 0.0
+        if self.factors == 0:
+            self._banked += max(saving, 0.0)
+            self._served += 1
+            price = self._band_us + self._factor_us
+            return min(self._banked, saving * self._served) >= price
+        return saving * self._served >= self._factor_us
 
     def preconditioner(self, c: np.ndarray):
         """The kept substitution and whether it was made for this solve, at
         its weights ``c``, because there was none or it was stale: then it
         is the direct solve of M itself."""
         if self._solve is None:
-            self._normal.assemble(c, self.shift)
-            self._solve = self._normal.factor()
+            normal = self._op._normal
+            normal.assemble(c, self.shift)
+            self._solve = normal.factor()
             self.factors += 1
             self._excess = 0.0
+            self._served = 1
             return self._solve, True
+        self._served += 1
         return self._solve, False
 
     def charge(self, product: int) -> bool:

@@ -42,7 +42,9 @@ c depend on p:
   model's minimizer, formed without the cancellation of the difference
   between it and x.
 
-The solve and the operator evaluation follow from p and the stencil alone.
+The operator evaluation follows from p and the stencil alone, and so does
+the solve, but for the choice above p = 2 of a lagged factor by modelled
+cost (below).
 Below p = 2, where the weights |A x|^(p-2) amplify rounding at zeros of
 A x, and for nearest-neighbour stencils (``reach == 1``), such as the local
 reference's, whose narrow-banded Hessian conditions like h/dx^4 and leaves
@@ -74,19 +76,23 @@ At p != 2 M changes with every iterate.  Below p = 2, where its weights
 span many decades, M is solved directly on every call (block LDL^T on its
 band, assembled and eliminated, ``NonlocalOperator.normal_solve``; a
 narrow band is cut into partitions eliminated in one batched pass, with a
-small dense separator system between them).  Above p = 2 a
-nearest-neighbour step solves M by conjugate gradients preconditioned with
-the run's lagged factor, the factor of an earlier iterate's M, refactored
-once its extra products have cost a factorization (``nlop.LaggedFactor``);
-it stops where the direct solve it replaces would, at that solve's
+small dense separator system between them).  Above p = 2 M is solved by
+conjugate gradients, each product M v = v/h + E^T A (c A E v) two operator
+applies, truncated at a tolerance set by Eisenstat-Walker forcing.  In 1D
+and for nearest-neighbour stencils a run also holds a lagged factor, the
+factor of an earlier iterate's M (``nlop.LaggedFactor``), and a solve takes
+it as CG's preconditioner where the modelled cost says it pays: plain CG's
+products are predicted from the stiffness h ||A||^2 max(c) of the solve's
+own model, a solve with the factor costs about one product and one
+substitution, and the factorizations, and the first one's band set-up,
+are paid for by ski rental.  On converge_p3 the eps = 0.1 run takes it
+(356 products and 10 factorizations against plain CG's 2,956 products),
+and the milder eps = 0.4 and 0.2 runs never set up a band.  A
+nearest-neighbour step, stiff enough to take the factor from its first
+solve, stops where the direct solve it replaces would, at that solve's
 backward error (``_cg_solve``), and its products take the step
-correlations in 1D, the loop in 2D.  Everywhere else M is solved matrix
-free by plain conjugate gradients, truncated at a tolerance set by
-Eisenstat-Walker forcing; each product M v = v/h + E^T A (c A E v) costs
-two operator applies.  1D nonlocal bands keep plain CG: their runs open
-with steps stiff enough for the lagged factor to pay, then mostly do not,
-and no rule that reads only the counts so far tells them apart (ROADMAP
-item 10).
+correlations in 1D, the loop in 2D.  2D nonlocal bands, too wide to
+factor, keep plain CG.
 
 An evolution resolves its residual tolerance once, from its initial state
 (``effective_inner_tol``, kept as ``Trajectory.inner_tol``), records the
@@ -308,19 +314,30 @@ class _StepFunctional:
         cross = (1.0 / self.h) * np.vdot(self.u_prev, x)
         return float(self.vol * (quad - cross) + pe)
 
-    def flux_term(self, a: np.ndarray) -> np.ndarray:
-        """Interior part of A flux(a), the p-term of the gradient at A x = a."""
-        return self.restricted(p_flux_values(a, self.p))
+    def weights(self, a: np.ndarray) -> np.ndarray | None:
+        """w = |a|^(p-2) at a = A x above p = 2, which the flux a w and the
+        curvature (p-1) w share; None at p <= 2."""
+        return np.abs(a) ** (self.p - 2.0) if self.p > 2.0 else None
+
+    def flux_term(self, a: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        """Interior part of A flux(a), the p-term of the gradient at A x = a;
+        above p = 2 it reads the weights ``w`` of ``weights(a)`` if given."""
+        if self.p > 2.0:
+            return self.restricted(a * (self.weights(a) if w is None else w))
+        return self.restricted(a if self.p == 2.0 else p_flux_values(a, self.p))
 
     def gradient(self, x: np.ndarray, flux: np.ndarray) -> np.ndarray:
         return (x - self.u_prev) / self.h + flux
 
-    def curvature(self, a: np.ndarray) -> np.ndarray:
+    def curvature(self, a: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         """Weights c of the step model I/h + A^T diag(c) A at a = A x: for
-        p >= 2 the second derivative (p-1)|a|^(p-2) of |.|^p/p; below 2 the
+        p >= 2 the second derivative (p-1)|a|^(p-2) of |.|^p/p, above p = 2
+        from the weights ``w`` of ``weights(a)`` if given; below 2 the
         majorizing weights |a|^(p-2), with |a| floored at 1e-12 max|a|."""
-        if self.p >= 2.0:
-            return (self.p - 1.0) * np.abs(a) ** (self.p - 2.0)
+        if self.p > 2.0:
+            return (self.p - 1.0) * (self.weights(a) if w is None else w)
+        if self.p == 2.0:
+            return np.ones_like(a)
         mag = np.abs(a)
         floor = 1e-12 * max(float(mag.max()), 1e-300)
         return np.maximum(mag, floor) ** (self.p - 2.0)
@@ -382,14 +399,14 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None,
             return _StepResult(interior=u_prev_int, iters=0, applies=0, residual=res,
                                p_energy=pe, value=a, flux=flux)
     # One direction d = M^-1 g with the model weights of fn.curvature; the
-    # solve and the evaluation follow from p and the stencil (module
-    # docstring).
+    # evaluation and the solve follow from p and the stencil, and above
+    # p = 2 from the modelled cost of each solve (module docstring).
     loop = p < 2.0 or op.reach == 1
     if kept is None:
         kept = _lagged_factor(op, p, h)
     fn = _StepFunctional(op, u_prev_int, p, h,
                          None if loop else (op.apply_extended, op.apply_restricted),
-                         correlated_products=kept is not None and op.spec.dim == 1)
+                         correlated_products=loop and kept is not None and op.spec.dim == 1)
     if p == 2.0 and (op.reach == 1 or op.spec.dim == 1):
         factor = op.p2_solve(1.0 / h)
 
@@ -405,11 +422,13 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None,
     x = u_prev_int  # only ever rebound
     if start is None:
         e, pe, a = fn.energy(x)
-        flux = fn.flux_term(a)
+        w = fn.weights(a)
+        flux = fn.flux_term(a, w)
         g = fn.gradient(x, flux)
         res = fn.l2(g)
     else:
         e = fn.total_energy(x, pe)
+        w = fn.weights(a)
     iters = 0
     while res > tol:
         if iters >= max_iters:
@@ -418,7 +437,7 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None,
                 f"after {max_iters} inner iterations",
                 residual=res,
             )
-        d = solve(fn.curvature(a), g)
+        d = solve(fn.curvature(a, w), g)
         slope = fn.vol * float(np.vdot(g, d))
         # the allowance absorbs floating-point cancellation in E when the
         # true decrease per step drops below the resolution of the energy
@@ -436,14 +455,15 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None,
                 f"(tolerance {tol:.3e})",
                 residual=res,
             )
-        if not np.any(x_new != x):
+        if not (x_new != x).any():
             raise InnerSolveFailed(
                 f"{label} iteration stagnated at residual {res:.3e} "
                 f"(tolerance {tol:.3e})",
                 residual=res,
             )
         x, e, pe, a = x_new, e_new, pe_new, a_new
-        flux = fn.flux_term(a)
+        w = fn.weights(a)
+        flux = fn.flux_term(a, w)
         g = fn.gradient(x, flux)
         res = fn.l2(g)
         iters += 1
@@ -454,9 +474,9 @@ def _minimize_step(op, u_prev_int, p, h, tol, max_iters, start=None,
 
 
 def _lagged_factor(op, p, h):
-    """A new ``nlop.LaggedFactor`` for a run's p > 2 steps of a
+    """A new ``nlop.LaggedFactor`` for a run's p > 2 steps in 1D and of a
     nearest-neighbour stencil (``reach == 1``); None elsewhere."""
-    if p > 2.0 and op.reach == 1:
+    if p > 2.0 and (op.spec.dim == 1 or op.reach == 1):
         return op.lagged_factor(1.0 / h)
     return None
 
@@ -464,12 +484,13 @@ def _lagged_factor(op, p, h):
 def _cg_solve(fn, tol, kept=None):
     """Conjugate gradients on H d = g, matrix free; at p = 2, which only 2D
     steps solve by CG, preconditioned with the operator's tau solve, and
-    with the run's lagged factor ``kept`` (``nlop.LaggedFactor``) where
-    there is one (module docstring).
+    with the run's lagged factor ``kept`` (``nlop.LaggedFactor``) for a
+    solve whose modelled cost says it pays (``LaggedFactor.pays``; module
+    docstring).
 
-    Plain and tau-preconditioned CG stop at the forcing tolerance (none at
-    p = 2), floored at half the relative accuracy the step tolerance asks
-    for.  The lagged factor stands in for a direct solve, so CG with it
+    CG stops at the forcing tolerance (none at p = 2), floored at half the
+    relative accuracy the step tolerance asks for.  On a nearest-neighbour
+    stencil the lagged factor stands in for a direct solve, so CG with it
     stops at that solve's backward error instead, ||H d - g|| <= n eps_mach
     ||H|| ||d|| with ||H|| <= 1/h + ||A||^2 max(c) (``norm_bound``): a
     direction the direct solve could have returned, so the run keeps the
@@ -477,59 +498,56 @@ def _cg_solve(fn, tol, kept=None):
     made at its own weights is the direct solve itself: it returns the
     substitution with no product, and so does a solve during which the kept
     factor goes stale (``LaggedFactor.charge``), with a factor made then.
-    Every test is on the residual H d - g
-    itself, with or without P, and CG stops after one iteration per unknown
-    at the latest.  Every iterate from d = 0 is a descent direction (H >=
-    I/h, and P SPD).
+    Every test is on the residual H d - g itself, with or without P, and CG
+    stops after one iteration per unknown at the latest.  Every iterate
+    from d = 0 is a descent direction (H >= I/h, and P SPD).
     """
     g_prev = None  # ||g|| at the previous Newton iteration
     tau = fn.p == 2.0
 
     def solve(curv, g):
         nonlocal g_prev
-        if kept is not None:
+        rr = float(np.vdot(g, g))
+        g_norm = math.sqrt(rr)
+        eta = EW_ETA_MAX if not tau else 0.0  # no forcing at p = 2
+        if g_prev is not None:
+            eta = min(eta, EW_GAMMA * (g_norm / g_prev) ** EW_ALPHA)
+        eta = max(eta, 0.5 * tol / math.sqrt(fn.vol * rr))  # ||g|| = fn.l2(g)
+        g_prev = g_norm
+        stop, backward_sq = eta * eta * rr, None
+        lagged = kept is not None and kept.pays(curv)
+        if lagged:
             precondition, fresh = kept.preconditioner(curv)
             if fresh:
                 return precondition(g)
-            norm = 1.0 / fn.h + fn.op.norm_bound() ** 2 * float(curv.max())
-            backward_sq = (g.size * EPS * norm) ** 2
+            if fn.op.reach == 1:
+                norm = 1.0 / fn.h + fn.op.norm_bound() ** 2 * float(curv.max())
+                backward_sq = (g.size * EPS * norm) ** 2
         else:
-            rr = float(np.vdot(g, g))
-            g_norm = math.sqrt(rr)
-            eta = EW_ETA_MAX if fn.p != 2.0 else 0.0  # no forcing at p = 2
-            if g_prev is not None:
-                eta = min(eta, EW_GAMMA * (g_norm / g_prev) ** EW_ALPHA)
-            eta = max(eta, 0.5 * tol / math.sqrt(fn.vol * rr))  # ||g|| = fn.l2(g)
-            g_prev = g_norm
             precondition = fn.op.tau_solve(1.0 / fn.h) if tau else None
-            stop = eta * eta * rr
 
-        d = np.zeros_like(g)
-        r = g.copy()
-        z = r if precondition is None else precondition(r)
-        s = z.copy()
-        rz = rr if precondition is None else float(np.vdot(r, z))
+        # from d = 0: the first iterate is alpha s, its residual g - alpha H s
+        s = g if precondition is None else precondition(g)
+        rz = rr if precondition is None else float(np.vdot(g, s))
+        d = r = None
         for products in range(1, g.size + 1):
             hs = fn.hessian_product(s, curv)
             alpha = rz / float(np.vdot(s, hs))
-            d += alpha * s
-            r -= alpha * hs
-            rr = float(np.vdot(r, r))
-            if kept is not None:
-                stale = kept.charge(products)
-                if rr <= backward_sq * float(np.vdot(d, d)):
-                    break
-                if stale:  # a factor at these weights solves the rest directly
-                    return kept.preconditioner(curv)[0](g)
-            elif rr <= stop:
-                break
-            if precondition is None:
-                z, rz_new = r, rr
+            if d is None:
+                d, r = alpha * s, g - alpha * hs
             else:
-                z = precondition(r)
-                rz_new = float(np.vdot(r, z))
-            s *= rz_new / rz
-            s += z
+                d += alpha * s
+                r -= alpha * hs
+            rr = float(np.vdot(r, r))
+            stale = lagged and kept.charge(products)
+            if rr <= (stop if backward_sq is None else backward_sq * float(np.vdot(d, d))):
+                break
+            if stale:  # a factor at these weights solves the rest directly
+                precondition = None  # the stale factor goes before the next is made
+                return kept.preconditioner(curv)[0](g)
+            z = r if precondition is None else precondition(r)
+            rz_new = rr if precondition is None else float(np.vdot(r, z))
+            s = z + (rz_new / rz) * s
             rz = rz_new
         return d
 

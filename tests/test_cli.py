@@ -259,6 +259,22 @@ class TestRun:
         assert code == 3
         assert "ERROR SOLVER" in capsys.readouterr().out
 
+    def test_narrow_stencil_p3_run_certifies(self, tmp_path, capsys):
+        # eps = 3 dx at nx = 256 conditions like the local bi-Laplacian;
+        # plain Newton-CG stagnated in step 1 ("ERROR SOLVER", exit 3), and
+        # the lagged factor its modelled cost takes certifies every step
+        cfg_path = write_cfg(
+            tmp_path,
+            "command = evolve\nnx = 256\nepsilon = 0.01171875\np = 3\n"
+            "T = 0.001\nh = 0.0001\n",
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "PASS energy_audit.all_inequalities" in capsys.readouterr().out
+        rows = (out / "trajectory.csv").read_text().splitlines()[2:]
+        assert len(rows) == 10 and all(int(row.split(",")[5]) > 0 for row in rows)
+
     def test_determinism_same_seed_same_bytes(self, tmp_path):
         text = (
             "command = evolve\nu0 = random\nseed = 7\nnx = 16\nepsilon = 0.25\n"

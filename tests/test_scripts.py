@@ -71,32 +71,40 @@ def test_bench_apply_steps_certify():
 def test_bench_apply_evolutions_run():
     # every row of bench_apply.py's evolve table, run once without its
     # timings: decay_p2 returns its certified start on most steps, decay_p3
-    # on none
+    # on none; decay_p3's stiff first steps take the lagged factor, made
+    # fewer times than it takes Newton iterations
     bench = load_script("bench_apply")
     frozen = {}
     for name in bench.EVOLVE_CASES:
-        traj = bench.evolve_case(name)()
+        with bench.counted_work() as counts:
+            traj = bench.evolve_case(name)()
         assert np.all(traj.residuals[1:] <= traj.inner_tol), name
         frozen[name] = int(np.sum(traj.inner_iters[1:] == 0))
+        if name == "decay_p3":
+            assert 0 < counts["factors"] < int(traj.inner_iters.sum())
     assert frozen == {"decay_p2": 1946, "decay_p3": 0}
 
 
 def test_bench_apply_converge_runs_count_their_work():
     # the converge_p3 rows of bench_apply.py's evolve table, run once
-    # without their timings: the local reference solves with a lagged
-    # factor, made fewer times than it takes Newton iterations; the eps =
-    # 0.1 run keeps plain CG, which makes no factor
+    # without their timings: the local reference and the stiff eps = 0.1
+    # run solve with a lagged factor, made fewer times than they take
+    # Newton iterations, the eps = 0.1 run in under a third of plain CG's
+    # 2,956 products; eps = 0.4 and 0.2 keep plain CG and make no factor
     bench = load_script("bench_apply")
+    assert bench.CONVERGE_RUNS == [None, 0.4, 0.2, 0.1]
     for eps in bench.CONVERGE_RUNS:
         with bench.counted_work() as counts:
             traj = bench.converge_case(eps)()
         assert np.all(traj.residuals[1:] <= traj.inner_tol), eps
         iters = int(traj.inner_iters.sum())
         assert counts["products"] > 0, eps
-        if eps is None:
-            assert 0 < counts["factors"] < iters
+        if eps in (None, 0.1):
+            assert 0 < counts["factors"] < iters, eps
         else:
-            assert counts["factors"] == 0
+            assert counts["factors"] == 0, eps
+        if eps == 0.1:
+            assert counts["products"] < 2956 / 3
 
 
 def test_compare_outputs_names_the_moved_column(tmp_path):

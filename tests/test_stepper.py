@@ -24,6 +24,7 @@ from nlbiharm.stepper import (
     effective_inner_tol,
 )
 from nlbiharm.localref import local_evolve, local_stencil
+from nlbiharm import nlop
 from nlbiharm.nlop import NonlocalOperator
 
 from oracles import (
@@ -489,10 +490,11 @@ class TestNewtonStep:
         assert op.squared_calls == 13
         assert res.applies == 17
 
-    @pytest.mark.parametrize("p,applies", [(2.0, 4), (3.0, 469)])
+    @pytest.mark.parametrize("p,applies", [(2.0, 4), (3.0, 120)])
     def test_1d_steps_keep_their_apply_counts(self, tent1d, p, applies):
         # in 1D a p = 2 step solves with the kept factor, in one iteration
-        # of four applies, and a p = 3 step runs plain CG
+        # of four applies; this p = 3 step from a random start is stiff
+        # enough for the lagged factor to pay (469 applies with plain CG)
         spec = make_domain(1, (0.0, 1.0), 64, 0.2)
         st_ = discretize(tent1d, 0.2, spec)
         u0 = np.random.default_rng(7).standard_normal(spec.nx)
@@ -530,8 +532,10 @@ class TestNewtonStep:
         # with the run's lagged factor, whose CG products take the 1D step
         # correlations: fewer factorizations than Newton iterations and no
         # per-call direct solve (test_lagged_run_matches_the_direct_solve
-        # holds its states to the direct solve's).  A wider one takes plain
-        # Newton-CG through the correlations.
+        # holds its states to the direct solve's).  A wider one evaluates
+        # through the correlations and has a lagged factor too, but its
+        # steps are too mild for a factor to pay: plain Newton-CG, and no
+        # band set up.
         if nearest:
             spec = make_domain(1, (0.0, 1.0), 32, 2 / 32)
             op = _CountingOperator(discretize(tent1d, 2 / 32, spec), spec)
@@ -549,7 +553,8 @@ class TestNewtonStep:
             assert 0 < op.lagged_factorizations < iters
         else:
             assert "apply" not in op.order[1:]  # after evolve's step-0 apply
-            assert op.lagged == []
+            assert len(op.lagged) == 1 and op.lagged_factorizations == 0
+            assert "_normal" not in vars(op)
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
 
 
@@ -567,9 +572,18 @@ class _DirectOperator(NonlocalOperator):
         return super().normal_solve(*args)
 
 
+class _PlainOperator(NonlocalOperator):
+    """Makes no lagged factor, so a 1D nonlocal p > 2 step takes plain
+    CG."""
+
+    def lagged_factor(self, shift):
+        return None
+
+
 class TestLaggedFactor:
-    """Above p = 2 a nearest-neighbour step solves its model with CG
-    preconditioned by the run's lagged factor (``nlop.LaggedFactor``)."""
+    """Above p = 2 a 1D or nearest-neighbour step solves its model with CG
+    preconditioned by the run's lagged factor (``nlop.LaggedFactor``)
+    where its modelled cost pays."""
 
     @pytest.mark.parametrize("dim,nx,T", [(1, 64, 5e-3), (2, 16, 2e-3)], ids=["1d", "2d"])
     def test_lagged_run_matches_the_direct_solve(self, dim, nx, T):
@@ -591,6 +605,30 @@ class TestLaggedFactor:
         assert len(lagged.lagged) == 1  # one per run
         assert 0 < lagged.lagged_factorizations < iters
         assert np.all(traj.residuals[1:] <= traj.inner_tol)
+
+    @pytest.mark.parametrize("eps", [0.4, 0.1])
+    def test_1d_nonlocal_runs_take_the_factor_where_it_pays(self, tent1d, eps):
+        # converge_p3's grid and start, ten steps: eps = 0.4 is too mild for
+        # a factor to pay and never sets up the band; eps = 0.1 is stiff,
+        # takes the lagged factor, refactors fewer times than it takes Newton
+        # iterations and stops at plain CG's forcing tolerance, so its
+        # states stay within h tol of plain CG's (H >= I/h)
+        spec = make_domain(1, (0.0, 1.0), 256, 0.4)
+        st_ = discretize(tent1d, eps, spec)
+        cut = replace(spec, pad_cells=st_.reach)
+        op = _CountingOperator(st_, cut)
+        c = cfg(p=3.0, h=1e-4, T=1e-3)
+        traj = evolve(default_bump(spec), spec, op, c)
+        assert np.all(traj.residuals[1:] <= traj.inner_tol)
+        assert len(op.lagged) == 1 and op.solves == 0
+        if eps == 0.4:
+            assert op.lagged_factorizations == 0
+            assert "_normal" not in vars(op)
+            return
+        assert 0 < op.lagged_factorizations < int(traj.inner_iters.sum())
+        plain = evolve(default_bump(spec), spec, _PlainOperator(st_, cut), c)
+        gap = np.sqrt(spec.cell_volume * np.sum((traj.interior - plain.interior) ** 2, axis=1))
+        assert gap.max() <= c.h * traj.inner_tol
 
     def test_reweighted_steps_keep_the_direct_solve(self, rng):
         # below p = 2 the weights span many decades: one direct solve per
@@ -616,7 +654,7 @@ class TestLaggedFactor:
         assert fresh and kept.factors == 1
         direct = op.normal_solve(c, 1e4, g)
         assert np.abs(solve(g) - direct).max() <= 1e-12 * np.abs(direct).max()
-        t_p, t_s, t_f = op.product_us(), op._normal.substitution_us(), op._normal.factor_us()
+        t_p, t_s, t_f = op.product_us(), op.substitution_us(), op.factor_us()
         products = math.ceil((t_f + t_s) / (t_p + t_s))  # reaches t_f in one solve
         assert products > 2
         assert not any(kept.charge(k) for k in range(1, products))
@@ -624,6 +662,39 @@ class TestLaggedFactor:
         assert kept.charge(products)
         solve2, fresh = kept.preconditioner(c)
         assert fresh and solve2 is not solve and kept.factors == 2
+
+    def test_factor_taken_once_predicted_savings_pay(self, tent1d):
+        # plain CG's products predicted as KEPT_CG_PRODUCTS sqrt(1 + sigma)
+        # against one product and one substitution with the factor: the
+        # first factor is made once the banked savings, and the solve's own
+        # saving times the solves asked about, pay for the band's set-up and
+        # a factorization; a kept factor is taken wherever it saves; a stale
+        # one is made again once the saving, times the solves the last
+        # factor served, pays for a factorization
+        spec = make_domain(1, (0.0, 1.0), 256, 0.4)
+        op = as_operator(discretize(tent1d, 0.1, spec), spec)
+        shift = 1e4
+        kept = op.lagged_factor(shift)
+        t_p, t_s = op.product_us(), op.substitution_us()
+        t_f, t_b = op.factor_us(), op.band_us()
+
+        def weights(saving):  # a constant c whose solve saves ``saving`` us
+            plain = ((saving + t_s) / t_p + 1.0) / nlop.KEPT_CG_PRODUCTS
+            return np.full(op.spec.padded_shape, (plain ** 2 - 1.0) * shift / op.norm_bound() ** 2)
+        mild, stiff = weights(-1.0), weights((t_b + t_f) / 3.5)
+        assert not kept.pays(mild)
+        assert [kept.pays(stiff) for _ in range(3)] == [False, False, False]
+        # banked past the price, but this solve's saving over the five
+        # solves so far falls short: the stiff solves are past
+        assert not kept.pays(weights((t_b + t_f) / 6.0))
+        assert kept.pays(stiff)
+        assert "_normal" not in vars(op)  # no band set up before the first factor
+        assert kept.preconditioner(stiff)[1] and kept.factors == 1
+        assert kept.pays(stiff) and not kept.pays(mild)
+        assert not kept.preconditioner(stiff)[1]  # the second solve it serves
+        while not kept.charge(2):
+            pass
+        assert not kept.pays(weights(0.4 * t_f)) and kept.pays(weights(0.6 * t_f))
 
 
 def count_step_calls(monkeypatch):
